@@ -7,7 +7,7 @@ evaluate   score models on the held-out test range and print the KPI table;
            loads saved model files when --models is given, trains otherwise.
 
 Exit codes: 0 success, 2 configuration problem, 3 no model passed the
-acceptance gate, 4 data problem.
+acceptance gate, 4 data or training problem.
 """
 
 from __future__ import annotations
@@ -16,33 +16,17 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from datetime import date
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import gbmodels, nnmodels
-from .errors import ConfigError, DataError, NoValidBaselineError
-from .features import (
-    FeatureSpec,
-    apply_scaler,
-    build_features,
-    make_sequences,
-    scaler_from_dict,
-    scaler_to_dict,
-)
-from .metrics import kpi_report, monthly_rollup
-from .normalize import (
-    MODEL_ORDER,
-    SELECTION_GATE,
-    SELECTION_TOP_K,
-    LstmSetup,
-    MlpSetup,
-    PeriodSpec,
-    run_pipeline,
-)
+from .errors import ConfigError, DataError, NoValidBaselineError, NormbaseError
+from .features import FeatureSpec, apply_scaler, build_features, scaler_from_dict, scaler_to_dict
+from .metrics import monthly_rollup
+from .normalize import MODEL_KINDS, SELECTION_GATE, SELECTION_TOP_K, PeriodSpec, run_pipeline, score
 from .svgchart import cumulative_chart, dlr_chart, overlay_chart
 from .synthgen import SynthConfig, configure_for_target, generate, write_dataset
 from .tsdata import (
@@ -57,8 +41,6 @@ from .tsdata import (
 )
 
 log = logging.getLogger(__name__)
-
-_SEED_OFFSET = {"mlp": 11, "lstm": 22, "gbt_exact": 33, "gbt_hist": 44}
 
 
 # ---------------------------------------------------------------------------
@@ -79,11 +61,14 @@ def _load_json(path: Path) -> dict:
     return doc
 
 
+def _dotted(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
 def _reject_unknown(obj: dict, path: str, allowed):
     for key in obj:
         if key not in allowed:
-            dotted = f"{path}.{key}" if path else key
-            raise ConfigError(f"unknown config key '{dotted}'")
+            raise ConfigError(f"unknown config key '{_dotted(path, key)}'")
 
 
 def _mapping(obj, path: str) -> dict:
@@ -92,101 +77,80 @@ def _mapping(obj, path: str) -> dict:
     return obj
 
 
-def _typed(value, kind: str, path: str):
-    if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"config key '{path}' must be an integer")
-        return value
-    if kind == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"config key '{path}' must be a number")
-        return float(value)
-    if kind == "bool":
-        if not isinstance(value, bool):
-            raise ConfigError(f"config key '{path}' must be a boolean")
-        return value
-    if kind == "str":
-        if not isinstance(value, str):
-            raise ConfigError(f"config key '{path}' must be a string")
-        return value
-    raise AssertionError(kind)
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string"}
 
 
-def _date_at(value, path: str) -> date:
-    text = _typed(value, "str", path)
-    try:
-        return date.fromisoformat(text)
-    except ValueError:
-        raise ConfigError(f"config key '{path}' is not an ISO date: {text!r}")
+def _typed(value, kind, path: str):
+    """Check one config value against a type annotation and return it.
+
+    ``kind`` is int, float, bool, str, date (an ISO string) or tuple[T, ...]
+    (a JSON list of T). Any number passes as a float; JSON booleans pass only
+    as bool, although Python counts them as integers.
+    """
+    if get_origin(kind) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"config key '{path}' must be a list")
+        return tuple(_typed(v, get_args(kind)[0], path) for v in value)
+    if kind is date:
+        text = _typed(value, str, path)
+        try:
+            return date.fromisoformat(text)
+        except ValueError:
+            raise ConfigError(f"config key '{path}' is not an ISO date: {text!r}")
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"config key '{path}' must be {_TYPE_NAMES[kind]}")
+    return float(value) if kind is float else value
 
 
 def _date_pair(value, path: str):
     if not isinstance(value, list) or len(value) != 2:
         raise ConfigError(f"config key '{path}' must be a [start, end] pair")
-    return (_date_at(value[0], f"{path}[0]"), _date_at(value[1], f"{path}[1]"))
+    return (_typed(value[0], date, f"{path}[0]"), _typed(value[1], date, f"{path}[1]"))
 
 
-def _typed_kwargs(obj: dict, path: str, types: dict) -> dict:
-    _reject_unknown(obj, path, types)
-    return {k: _typed(v, types[k], f"{path}.{k}") for k, v in obj.items()}
+def _config_keys(cls) -> set:
+    """JSON keys of a config dataclass.
+
+    A field holding another config dataclass (``MlpSetup.train``) adds that
+    dataclass's keys instead of its own name, so the JSON object stays flat.
+    """
+    keys = set()
+    for name, kind in get_type_hints(cls).items():
+        keys |= _config_keys(kind) if is_dataclass(kind) else {name}
+    return keys
 
 
-_NN_TRAIN_TYPES = {
-    "learning_rate": "float",
-    "epochs": "int",
-    "batch_size": "int",
-    "seed": "int",
-    "early_stop_patience": "int",
-    "validation_fraction": "float",
-    "gradient_clip_norm": "float",
-}
+def _from_config(cls, obj, path: str):
+    """Build a config dataclass from a JSON object.
 
-_BOOST_TYPES = {
-    "rounds": "int",
-    "learning_rate": "float",
-    "max_depth": "int",
-    "max_leaves": "int",
-    "reg_lambda": "float",
-    "gamma": "float",
-    "min_child_hessian": "float",
-    "bins": "int",
-    "goss_a": "float",
-    "goss_b": "float",
-    "efb_max_conflict": "float",
-    "early_stop_rounds": "int",
-    "validation_fraction": "float",
-    "seed": "int",
-}
+    Keys and value types come from the dataclass fields and annotations;
+    absent keys keep the field defaults, and value ranges are left to the
+    dataclass's own checks.
+    """
+    _reject_unknown(_mapping(obj, path), path, _config_keys(cls))
+    kwargs = {}
+    for name, kind in get_type_hints(cls).items():
+        if is_dataclass(kind):
+            nested = {k: v for k, v in obj.items() if k in _config_keys(kind)}
+            kwargs[name] = _from_config(kind, nested, path)
+        elif name in obj:
+            kwargs[name] = _typed(obj[name], kind, _dotted(path, name))
+    return cls(**kwargs)
 
 
 def _model_setups(section: dict, run_seed: int) -> dict:
-    """Build per-model setups; absent models default to enabled."""
-    _reject_unknown(section, "models", MODEL_ORDER)
+    """Build per-model setups; absent models default to enabled.
+
+    A model without its own ``seed`` gets the run seed plus its offset.
+    """
+    _reject_unknown(section, "models", MODEL_KINDS)
     setups = {}
-    for name in MODEL_ORDER:
-        sub = dict(_mapping(section.get(name, {}), f"models.{name}"))
-        enabled = _typed(sub.pop("enabled", True), "bool", f"models.{name}.enabled")
-        if not enabled:
-            continue
-        base = f"models.{name}"
-        if name == "mlp":
-            hidden = sub.pop("hidden_sizes", [32])
-            if not isinstance(hidden, list) or not hidden:
-                raise ConfigError(f"config key '{base}.hidden_sizes' must be a non-empty list")
-            hidden = tuple(_typed(h, "int", f"{base}.hidden_sizes") for h in hidden)
-            activation = _typed(sub.pop("activation", "relu"), "str", f"{base}.activation")
-            kwargs = _typed_kwargs(sub, base, _NN_TRAIN_TYPES)
-            kwargs.setdefault("seed", run_seed + _SEED_OFFSET[name])
-            setups[name] = MlpSetup(hidden, activation, nnmodels.TrainConfig(**kwargs))
-        elif name == "lstm":
-            hidden = _typed(sub.pop("hidden_size", 32), "int", f"{base}.hidden_size")
-            kwargs = _typed_kwargs(sub, base, _NN_TRAIN_TYPES)
-            kwargs.setdefault("seed", run_seed + _SEED_OFFSET[name])
-            setups[name] = LstmSetup(hidden, nnmodels.TrainConfig(**kwargs))
-        else:
-            kwargs = _typed_kwargs(sub, base, _BOOST_TYPES)
-            kwargs.setdefault("seed", run_seed + _SEED_OFFSET[name])
-            setups[name] = gbmodels.BoostConfig(**kwargs)
+    for name, kind in MODEL_KINDS.items():
+        path = f"models.{name}"
+        sub = dict(_mapping(section.get(name, {}), path))
+        if _typed(sub.pop("enabled", True), bool, f"{path}.enabled"):
+            setups[name] = _from_config(kind.setup, {"seed": run_seed + kind.seed_offset, **sub}, path)
     if not setups:
         raise ConfigError("all models are disabled")
     return setups
@@ -236,9 +200,9 @@ def load_run_settings(path: Path) -> RunSettings:
         if required not in doc:
             raise ConfigError(f"missing required config key '{required}'")
 
-    seed = _typed(doc.get("seed", 0), "int", "seed")
-    timezone = _typed(doc.get("timezone", "UTC"), "str", "timezone")
-    interval = _typed(doc["interval_seconds"], "int", "interval_seconds")
+    seed = _typed(doc.get("seed", 0), int, "seed")
+    timezone = _typed(doc.get("timezone", "UTC"), str, "timezone")
+    interval = _typed(doc["interval_seconds"], int, "interval_seconds")
 
     inputs_raw = _mapping(doc["inputs"], "inputs")
     known = (ENERGY_CHANNEL,) + tuple(CHANNEL_UNITS)
@@ -248,7 +212,7 @@ def load_run_settings(path: Path) -> RunSettings:
     base_dir = Path(path).resolve().parent
     inputs = {}
     for ch, p in inputs_raw.items():
-        raw = Path(_typed(p, "str", f"inputs.{ch}"))
+        raw = Path(_typed(p, str, f"inputs.{ch}"))
         inputs[ch] = raw if raw.is_absolute() else base_dir / raw
 
     periods_raw = _mapping(doc["periods"], "periods")
@@ -262,51 +226,27 @@ def load_run_settings(path: Path) -> RunSettings:
         study=_date_pair(periods_raw["study"], "periods.study"),
     )
 
-    feat_raw = _mapping(doc.get("features", {}), "features")
-    _reject_unknown(feat_raw, "features", ("weather_channels", "calendar", "lookback_days"))
-    feat_kwargs = {}
-    if "weather_channels" in feat_raw:
-        chans = feat_raw["weather_channels"]
-        if not isinstance(chans, list):
-            raise ConfigError("config key 'features.weather_channels' must be a list")
-        feat_kwargs["weather_channels"] = tuple(
-            _typed(c, "str", "features.weather_channels") for c in chans
-        )
-    if "calendar" in feat_raw:
-        cal = feat_raw["calendar"]
-        if not isinstance(cal, list):
-            raise ConfigError("config key 'features.calendar' must be a list")
-        feat_kwargs["calendar"] = tuple(_typed(c, "str", "features.calendar") for c in cal)
-    if "lookback_days" in feat_raw:
-        feat_kwargs["lookback_days"] = _typed(feat_raw["lookback_days"], "int", "features.lookback_days")
-    feature_spec = FeatureSpec(**feat_kwargs)
+    feature_spec = _from_config(FeatureSpec, doc.get("features", {}), "features")
     for ch in feature_spec.weather_channels:
         if ch not in inputs:
             raise ConfigError(f"features use channel {ch!r} but 'inputs.{ch}' is missing")
 
-    gap_raw = _typed_kwargs(
-        _mapping(doc.get("gap_fill", {}), "gap_fill"),
-        "gap_fill",
-        {"max_interior": "int", "max_edge": "int"},
-    )
-    gap_policy = GapFillPolicy(**gap_raw)
+    gap_policy = _from_config(GapFillPolicy, doc.get("gap_fill", {}), "gap_fill")
 
-    kpi_raw = _typed_kwargs(_mapping(doc.get("kpi", {}), "kpi"), "kpi", {"p": "int"})
-    p = kpi_raw.get("p", 1)
+    kpi_raw = _mapping(doc.get("kpi", {}), "kpi")
+    _reject_unknown(kpi_raw, "kpi", ("p",))
+    p = _typed(kpi_raw.get("p", 1), int, "kpi.p")
     if p < 0:
         raise ConfigError("config key 'kpi.p' must be non-negative")
 
-    ens_raw = _typed_kwargs(
-        _mapping(doc.get("ensemble", {}), "ensemble"),
-        "ensemble",
-        {"selection": "str", "top_k": "int"},
-    )
-    selection = ens_raw.get("selection", SELECTION_GATE)
+    ens_raw = _mapping(doc.get("ensemble", {}), "ensemble")
+    _reject_unknown(ens_raw, "ensemble", ("selection", "top_k"))
+    selection = _typed(ens_raw.get("selection", SELECTION_GATE), str, "ensemble.selection")
     if selection not in (SELECTION_GATE, SELECTION_TOP_K):
         raise ConfigError(
             f"config key 'ensemble.selection' must be '{SELECTION_GATE}' or '{SELECTION_TOP_K}'"
         )
-    top_k = ens_raw.get("top_k", 2)
+    top_k = _typed(ens_raw.get("top_k", 2), int, "ensemble.top_k")
 
     models = _model_setups(_mapping(doc.get("models", {}), "models"), seed)
 
@@ -314,7 +254,7 @@ def load_run_settings(path: Path) -> RunSettings:
     if doc.get("reference_range") is not None:
         reference = _date_pair(doc["reference_range"], "reference_range")
 
-    out_raw = Path(_typed(doc.get("output_dir", "normbase_out"), "str", "output_dir"))
+    out_raw = Path(_typed(doc.get("output_dir", "normbase_out"), str, "output_dir"))
     output_dir = out_raw if out_raw.is_absolute() else base_dir / out_raw
 
     return RunSettings(
@@ -330,7 +270,7 @@ def load_run_settings(path: Path) -> RunSettings:
         selection=selection,
         top_k=top_k,
         output_dir=output_dir,
-        save_models=_typed(doc.get("save_models", False), "bool", "save_models"),
+        save_models=_typed(doc.get("save_models", False), bool, "save_models"),
         reference_range=reference,
     )
 
@@ -403,50 +343,39 @@ def kpi_table(models: dict) -> str:
 
 
 def _csv_num(v) -> str:
-    if v is None or (isinstance(v, float) and not np.isfinite(v)):
-        return ""
-    return repr(float(v))
+    return repr(float(v)) if np.isfinite(v) else ""
 
 
 def _write_daily_csv(path: Path, report):
-    model_names = list(report.models)
-    cum_act = dict(zip(report.cumulative_dates, report.cumulative_actual))
-    cum_pred = dict(zip(report.cumulative_dates, report.cumulative_predicted))
-    per_model = {}
-    for name in model_names:
-        m = report.models[name]
-        per_model[name] = dict(zip(m.study_dates, m.study_pred))
+    # Cumulative curves run over the study days the ensemble covers.
+    cover = ~np.isnan(report.ensemble_study)
+    cumulative = []
+    for curve in (report.cumulative_actual, report.cumulative_predicted):
+        column = np.full(cover.size, np.nan)
+        column[cover] = curve
+        cumulative.append(column)
 
     header = (
         ["date", "actual_kwh", "predicted_ensemble_kwh", "dlr_ensemble",
          "cumulative_actual_kwh", "cumulative_predicted_kwh"]
-        + [f"predicted_{name}_kwh" for name in model_names]
+        + [f"predicted_{name}_kwh" for name in report.models]
+    )
+    columns = (
+        [report.study_actual, report.ensemble_study, report.dlr["ensemble"], *cumulative]
+        + [m.pred[report.study_mask] for m in report.models.values()]
     )
     rows = [",".join(header)]
-    for i, d in enumerate(report.study_dates):
-        cells = [
-            d.isoformat(),
-            _csv_num(report.study_actual[i]),
-            _csv_num(report.ensemble_study[i]),
-            _csv_num(report.dlr["ensemble"][i]),
-            _csv_num(cum_act.get(d)),
-            _csv_num(cum_pred.get(d)),
-        ]
-        cells += [_csv_num(per_model[name].get(d)) for name in model_names]
-        rows.append(",".join(cells))
+    for d, *values in zip(report.study_dates, *columns):
+        rows.append(",".join([d.isoformat()] + [_csv_num(v) for v in values]))
     path.write_text("\n".join(rows) + "\n")
 
 
 def _write_monthly_csv(path: Path, report):
     header = "month,actual_kwh,predicted_kwh,reduction_kwh"
-    cover = ~np.isnan(np.asarray(report.ensemble_study, dtype=float))
+    cover = ~np.isnan(report.ensemble_study)
     try:
         dates = [d for d, c in zip(report.study_dates, cover) if c]
-        roll = monthly_rollup(
-            dates,
-            np.asarray(report.study_actual)[cover],
-            np.asarray(report.ensemble_study)[cover],
-        )
+        roll = monthly_rollup(dates, report.study_actual[cover], report.ensemble_study[cover])
     except DataError:
         path.write_text(header + "\n")
         return
@@ -456,22 +385,18 @@ def _write_monthly_csv(path: Path, report):
     path.write_text("\n".join(rows) + "\n")
 
 
-def _write_plots(plots_dir: Path, report, table):
+def _write_plots(plots_dir: Path, report):
     plots_dir.mkdir(parents=True, exist_ok=True)
 
-    # Held-out overlay: union of per-model test dates, actuals from the table.
-    test_dates = sorted({d for m in report.models.values() for d in m.test_dates})
-    pos = {d: i for i, d in enumerate(test_dates)}
-    energy_at = {d: v for d, v, ex in zip(table.dates, table.energy, table.excluded) if not ex}
-    actual = np.array([energy_at.get(d, np.nan) for d in test_dates])
-    preds = {}
-    for name, m in report.models.items():
-        arr = np.full(len(test_dates), np.nan)
-        for d, v in zip(m.test_dates, m.test_pred):
-            arr[pos[d]] = v
-        preds[name] = arr
-    if test_dates:
-        (plots_dir / "test_overlay.svg").write_text(overlay_chart(test_dates, actual, preds))
+    # Held-out overlay over the test days that at least one model predicts.
+    unpredicted = np.isnan([m.pred for m in report.models.values()]).all(axis=0)
+    rows = report.test_mask & ~unpredicted
+    if rows.any():
+        (plots_dir / "test_overlay.svg").write_text(overlay_chart(
+            [d for d, r in zip(report.dates, rows) if r],
+            report.actual[rows],
+            {name: m.pred[rows] for name, m in report.models.items()},
+        ))
     if report.study_dates:
         (plots_dir / "dlr.svg").write_text(
             dlr_chart(report.study_dates, report.dlr["ensemble"])
@@ -487,32 +412,26 @@ def _write_plots(plots_dir: Path, report, table):
 def _save_models(models_dir: Path, report, settings: RunSettings):
     models_dir.mkdir(parents=True, exist_ok=True)
     for name, outcome in report.models.items():
-        if name == "mlp":
-            payload = nnmodels.mlp_to_dict(outcome.fitted)
-        elif name == "lstm":
-            payload = nnmodels.lstm_to_dict(outcome.fitted)
-        else:
-            payload = gbmodels.ensemble_to_dict(outcome.fitted)
         doc = {
             "kind": name,
             "feature_names": list(report.feature_names),
             "feature_scaler": scaler_to_dict(report.feature_scaler),
             "lookback_days": settings.feature_spec.lookback_days,
-            "payload": payload,
+            "payload": MODEL_KINDS[name].to_dict(outcome.fitted),
         }
         (models_dir / f"{name}.json").write_text(
             json.dumps(doc, indent=2, sort_keys=True) + "\n"
         )
 
 
-def _write_artifacts(outdir: Path, report, table, settings: RunSettings):
+def _write_artifacts(outdir: Path, report, settings: RunSettings):
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.json").write_text(
         json.dumps(report.as_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
     )
     _write_daily_csv(outdir / "daily.csv", report)
     _write_monthly_csv(outdir / "monthly.csv", report)
-    _write_plots(outdir / "plots", report, table)
+    _write_plots(outdir / "plots", report)
     if settings.save_models:
         _save_models(outdir / "models", report, settings)
 
@@ -521,14 +440,13 @@ def _write_artifacts(outdir: Path, report, table, settings: RunSettings):
 # subcommands
 
 
-def cmd_normalize(args) -> int:
-    settings = load_run_settings(args.config)
-    if args.out:
-        settings.output_dir = Path(args.out)
-    table = _ingest(settings)
-    log.info("aligned table: %d days, %d excluded", len(table), table.n_excluded)
+def _run(settings: RunSettings, table):
+    """Fit and score the configured models.
 
-    failed = None
+    Returns:
+        (report, failure): failure is the message when no model passed the
+        gate, in which case the report still carries every model's KPIs.
+    """
     try:
         report = run_pipeline(
             table,
@@ -542,10 +460,47 @@ def cmd_normalize(args) -> int:
             reference_range=settings.reference_range,
         )
     except NoValidBaselineError as e:
-        report = e.report
-        failed = str(e)
+        return e.report, str(e)
+    return report, None
 
-    _write_artifacts(settings.output_dir, report, table, settings)
+
+def _evaluate_saved(settings: RunSettings, table, models_dir: Path) -> dict:
+    """Test-range KPIs of each model file saved in ``models_dir``."""
+    matrix = build_features(table, settings.feature_spec)
+    test_mask = matrix.date_mask(*settings.periods.test)
+    if int(test_mask.sum()) < 1:
+        raise DataError("test range has no usable rows")
+
+    results = {}
+    for name, kind in MODEL_KINDS.items():
+        f = models_dir / f"{name}.json"
+        if not f.exists():
+            continue
+        try:
+            doc = json.loads(f.read_text())
+        except (OSError, json.JSONDecodeError) as e:
+            raise ConfigError(f"cannot load model file {f}: {e}")
+        if doc.get("feature_names") != list(matrix.names):
+            raise ConfigError(
+                f"model {name} was trained on different feature columns than configured"
+            )
+        scaled = apply_scaler(matrix, scaler_from_dict(doc["feature_scaler"]))
+        pred = kind.predict(kind.from_dict(doc["payload"]), scaled, int(doc["lookback_days"]))
+        results[name] = score(scaled, test_mask, pred, p=settings.p)
+    if not results:
+        raise ConfigError(f"no model files found in {models_dir}")
+    return results
+
+
+def cmd_normalize(args) -> int:
+    settings = load_run_settings(args.config)
+    if args.out:
+        settings.output_dir = Path(args.out)
+    table = _ingest(settings)
+    log.info("aligned table: %d days, %d excluded", len(table), table.n_excluded)
+
+    report, failed = _run(settings, table)
+    _write_artifacts(settings.output_dir, report, settings)
 
     print(kpi_table({n: m.kpis for n, m in report.models.items()}))
     if failed is not None:
@@ -560,106 +515,6 @@ def cmd_normalize(args) -> int:
     return 0
 
 
-_SYNTH_TYPES = {
-    "seed": "int",
-    "timezone": "str",
-    "interval_seconds": "int",
-    "base_load_kwh": "float",
-    "occupant_share": "float",
-    "occupancy_drop": "float",
-    "target_reduction_fraction": "float",
-    "temp_coeff": "float",
-    "balance_temp_c": "float",
-    "solar_coeff": "float",
-    "noise_sigma_kwh": "float",
-}
-
-
-def cmd_synth(args) -> int:
-    doc = _load_json(args.config)
-    allowed = tuple(_SYNTH_TYPES) + ("start", "study_start", "study_end", "weekly_pattern", "output_dir")
-    _reject_unknown(doc, "", allowed)
-
-    kwargs = {}
-    for key, kind in _SYNTH_TYPES.items():
-        if key in doc and key != "target_reduction_fraction":
-            kwargs[key] = _typed(doc[key], kind, key)
-    for key in ("start", "study_start", "study_end"):
-        if key in doc:
-            kwargs[key] = _date_at(doc[key], key)
-    if "weekly_pattern" in doc:
-        wp = doc["weekly_pattern"]
-        if not isinstance(wp, list):
-            raise ConfigError("config key 'weekly_pattern' must be a list")
-        kwargs["weekly_pattern"] = tuple(_typed(w, "float", "weekly_pattern") for w in wp)
-
-    target = doc.get("target_reduction_fraction")
-    if target is not None and "occupancy_drop" in doc:
-        raise ConfigError("set either 'occupancy_drop' or 'target_reduction_fraction', not both")
-
-    cfg = SynthConfig(**kwargs)
-    if target is not None:
-        cfg = configure_for_target(cfg, _typed(target, "float", "target_reduction_fraction"))
-
-    base_dir = Path(args.config).resolve().parent
-    out_raw = Path(args.out) if args.out else Path(_typed(doc.get("output_dir", "synth_data"), "str", "output_dir"))
-    outdir = out_raw if out_raw.is_absolute() else base_dir / out_raw
-
-    ds = generate(cfg)
-    paths = write_dataset(ds, outdir)
-    print(f"wrote {len(paths) - 1} channel files + ground_truth.json to {outdir}")
-    print(f"planted reduction_kwh:      {ds.reduction_kwh:.1f}")
-    print(f"planted reduction_fraction: {ds.reduction_fraction:.4f}")
-    return 0
-
-
-def _evaluate_saved(settings: RunSettings, table, models_dir: Path) -> dict:
-    matrix = build_features(table, settings.feature_spec)
-    test_mask = matrix.date_mask(*settings.periods.test)
-    if int(test_mask.sum()) < 1:
-        raise DataError("test range has no usable rows")
-    date_pos = {d: i for i, d in enumerate(matrix.dates)}
-
-    results = {}
-    for name in MODEL_ORDER:
-        f = models_dir / f"{name}.json"
-        if not f.exists():
-            continue
-        try:
-            doc = json.loads(f.read_text())
-        except (OSError, json.JSONDecodeError) as e:
-            raise ConfigError(f"cannot load model file {f}: {e}")
-        if doc.get("feature_names") != list(matrix.names):
-            raise ConfigError(
-                f"model {name} was trained on different feature columns than configured"
-            )
-        scaler = scaler_from_dict(doc["feature_scaler"])
-        scaled = apply_scaler(matrix, scaler)
-        if name == "lstm":
-            seqs = make_sequences(scaled, int(doc["lookback_days"]))
-            idx = [i for i, d in enumerate(seqs.target_dates)
-                   if settings.periods.test[0] <= d <= settings.periods.test[1]]
-            if not idx:
-                raise DataError("test range yields no sequences for the recurrent model")
-            params = nnmodels.lstm_from_dict(doc["payload"])
-            pred = nnmodels.lstm_predict(params, seqs.windows[idx])
-            dates = [seqs.target_dates[i] for i in idx]
-            actual = matrix.y[[date_pos[d] for d in dates]]
-        else:
-            dates = [d for d, m in zip(matrix.dates, test_mask) if m]
-            actual = matrix.y[test_mask]
-            if name == "mlp":
-                params = nnmodels.mlp_from_dict(doc["payload"])
-                pred = nnmodels.mlp_predict(params, scaled.X[test_mask])
-            else:
-                ens = gbmodels.ensemble_from_dict(doc["payload"])
-                pred = gbmodels.boost_predict(ens, scaled.X[test_mask])
-        results[name] = kpi_report(dates, actual, pred, p=settings.p)
-    if not results:
-        raise ConfigError(f"no model files found in {models_dir}")
-    return results
-
-
 def cmd_evaluate(args) -> int:
     settings = load_run_settings(args.config)
     table = _ingest(settings)
@@ -667,20 +522,7 @@ def cmd_evaluate(args) -> int:
     if args.models:
         kpis = _evaluate_saved(settings, table, Path(args.models))
     else:
-        try:
-            report = run_pipeline(
-                table,
-                settings.periods,
-                feature_spec=settings.feature_spec,
-                models=settings.models,
-                p=settings.p,
-                selection=settings.selection,
-                top_k=settings.top_k,
-                seed=settings.seed,
-                reference_range=settings.reference_range,
-            )
-        except NoValidBaselineError as e:
-            report = e.report
+        report, _ = _run(settings, table)
         kpis = {n: m.kpis for n, m in report.models.items()}
 
     print(kpi_table(kpis))
@@ -689,6 +531,29 @@ def cmd_evaluate(args) -> int:
         print("\nno model passed the acceptance gate")
         return 3
     print(f"\ngate passed by: {', '.join(passed)}")
+    return 0
+
+
+def cmd_synth(args) -> int:
+    doc = _load_json(args.config)
+    target = doc.pop("target_reduction_fraction", None)
+    output_dir = doc.pop("output_dir", "synth_data")
+    if target is not None and "occupancy_drop" in doc:
+        raise ConfigError("set either 'occupancy_drop' or 'target_reduction_fraction', not both")
+
+    cfg = _from_config(SynthConfig, doc, "")
+    if target is not None:
+        cfg = configure_for_target(cfg, _typed(target, float, "target_reduction_fraction"))
+
+    base_dir = Path(args.config).resolve().parent
+    out_raw = Path(args.out) if args.out else Path(_typed(output_dir, str, "output_dir"))
+    outdir = out_raw if out_raw.is_absolute() else base_dir / out_raw
+
+    ds = generate(cfg)
+    paths = write_dataset(ds, outdir)
+    print(f"wrote {len(paths) - 1} channel files + ground_truth.json to {outdir}")
+    print(f"planted reduction_kwh:      {ds.reduction_kwh:.1f}")
+    print(f"planted reduction_fraction: {ds.reduction_fraction:.4f}")
     return 0
 
 
@@ -736,6 +601,9 @@ def main(argv=None) -> int:
         return 3
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
+        return 4
+    except NormbaseError as e:  # a diverged training, say
+        print(f"error: {e}", file=sys.stderr)
         return 4
 
 

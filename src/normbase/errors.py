@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-Grouping matters for the CLI: ConfigError maps to exit code 2, DataError to
-exit code 4, NoValidBaselineError to exit code 3.
+Grouping matters for the CLI: ConfigError maps to exit code 2,
+NoValidBaselineError to exit code 3, and DataError and every other error
+here (a diverged training, say) to exit code 4, a data or training problem.
 """
 
 

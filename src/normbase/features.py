@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date
-from typing import Optional
 
 import numpy as np
 
@@ -36,8 +35,8 @@ class FeatureSpec:
         lookback_days: window length for sequence models.
     """
 
-    weather_channels: tuple = DEFAULT_WEATHER
-    calendar: tuple = (DOW_ONEHOT, MONTH_CYCLIC)
+    weather_channels: tuple[str, ...] = DEFAULT_WEATHER
+    calendar: tuple[str, ...] = (DOW_ONEHOT, MONTH_CYCLIC)
     lookback_days: int = 7
 
     def __post_init__(self):
@@ -156,8 +155,11 @@ def fit_scaler(matrix: FeatureMatrix, row_mask: np.ndarray) -> Scaler:
     if not np.any(mask):
         raise DataError("scaler mask selects no rows")
     sub = matrix.X[mask]
-    mean = sub.mean(axis=0)
-    std = sub.std(axis=0)  # population (1/N) standard deviation
+    # A column that is exactly constant gets std 0 and its own value as mean,
+    # so it maps to 0; computing them would leave rounding residue instead.
+    constant = sub.max(axis=0) == sub.min(axis=0)
+    mean = np.where(constant, sub[0], sub.mean(axis=0))
+    std = np.where(constant, 0.0, sub.std(axis=0))  # population (1/N) standard deviation
     exempt = matrix.binary.copy()
     mean = np.where(exempt, 0.0, mean)
     std = np.where(exempt, 1.0, std)
@@ -175,17 +177,6 @@ def apply_scaler(matrix: FeatureMatrix, scaler: Scaler) -> FeatureMatrix:
     """Return a standardized copy of the matrix (targets untouched)."""
     _check_width(matrix, scaler)
     X = (matrix.X - scaler.mean) / scaler.effective_std
-    X[:, scaler.exempt] = matrix.X[:, scaler.exempt]
-    return FeatureMatrix(
-        dates=list(matrix.dates), X=X, y=matrix.y.copy(),
-        names=list(matrix.names), binary=matrix.binary.copy(),
-    )
-
-
-def invert_scaler(matrix: FeatureMatrix, scaler: Scaler) -> FeatureMatrix:
-    """Undo apply_scaler."""
-    _check_width(matrix, scaler)
-    X = matrix.X * scaler.effective_std + scaler.mean
     X[:, scaler.exempt] = matrix.X[:, scaler.exempt]
     return FeatureMatrix(
         dates=list(matrix.dates), X=X, y=matrix.y.copy(),
@@ -228,27 +219,20 @@ class TargetScaler:
         return np.asarray(z, dtype=float) * self.effective_std + self.mean
 
 
-def fit_target_scaler(y, mask: Optional[np.ndarray] = None) -> TargetScaler:
-    y = np.asarray(y, dtype=float)
-    if mask is not None:
-        y = y[np.asarray(mask, dtype=bool)]
-    if y.size == 0:
-        raise DataError("target scaler mask selects no rows")
-    return TargetScaler(mean=float(y.mean()), std=float(y.std()))
-
-
 @dataclass
 class SequenceSet:
     """Fixed-length daily windows for sequence models.
 
-    windows[i] covers the lookback_days ending at target_dates[i]; the target
-    is that final day's energy. Windows never span a break in the date
-    sequence (an excluded or absent day).
+    windows[i] covers the lookback_days ending at target_dates[i], which is
+    row rows[i] of the source matrix; the target is that final day's energy.
+    Windows never span a break in the date sequence (an excluded or absent
+    day).
     """
 
     windows: np.ndarray  # (S, L, F)
     targets: np.ndarray  # (S,)
     target_dates: list
+    rows: np.ndarray  # (S,) int
 
 
 def make_sequences(matrix: FeatureMatrix, lookback: int) -> SequenceSet:
@@ -281,19 +265,14 @@ def make_sequences(matrix: FeatureMatrix, lookback: int) -> SequenceSet:
     starts = [0] + gaps
     ends = gaps + [n]
 
-    windows, targets, target_dates = [], [], []
-    for s, e in zip(starts, ends):
-        for t in range(s + lookback - 1, e):
-            windows.append(matrix.X[t - lookback + 1 : t + 1])
-            targets.append(matrix.y[t])
-            target_dates.append(matrix.dates[t])
-
-    if not windows:
+    rows = [t for s, e in zip(starts, ends) for t in range(s + lookback - 1, e)]
+    if not rows:
         raise InsufficientHistoryError(
             f"no contiguous run of {lookback} days in {n} rows"
         )
     return SequenceSet(
-        windows=np.stack(windows),
-        targets=np.array(targets),
-        target_dates=target_dates,
+        windows=np.stack([matrix.X[t - lookback + 1 : t + 1] for t in rows]),
+        targets=matrix.y[rows],
+        target_dates=[matrix.dates[t] for t in rows],
+        rows=np.array(rows),
     )

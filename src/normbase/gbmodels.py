@@ -131,11 +131,6 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.feature < 0
 
-    def n_leaves(self) -> int:
-        if self.is_leaf:
-            return 1
-        return self.left.n_leaves() + self.right.n_leaves()
-
 
 def predict_tree(node: TreeNode, X) -> np.ndarray:
     """Route every row of X to its leaf weight."""

@@ -68,7 +68,8 @@ def r_squared(actual, predicted) -> float:
     """
     a, p = _as_pair(actual, predicted)
     ss_tot = float(np.sum((a - np.mean(a)) ** 2))
-    if ss_tot == 0.0:
+    # a constant series can still leave rounding residue around its mean
+    if ss_tot == 0.0 or a.max() == a.min():
         raise UndefinedMetricError("R^2 undefined: actual series has zero variance")
     ss_res = float(np.sum((a - p) ** 2))
     return 1.0 - ss_res / ss_tot

@@ -337,8 +337,12 @@ def lstm_init(input_size: int, hidden_size: int, seed: int = 0) -> LstmParams:
     return LstmParams(input_size, hidden_size, W, U, b, w_out, np.zeros(1))
 
 
-def _lstm_forward_batch(params: LstmParams, S):
-    """Run the cell over (batch, steps, features); cache per-step tensors."""
+def _lstm_forward_batch(params: LstmParams, S, keep_steps: bool = True):
+    """Run the cell over (batch, steps, features).
+
+    With keep_steps, caches the per-step tensors that backpropagation needs;
+    prediction skips them, which keeps its memory flat in the batch size.
+    """
     S = np.asarray(S, dtype=float)
     B, L, F = S.shape
     H = params.hidden_size
@@ -356,8 +360,9 @@ def _lstm_forward_batch(params: LstmParams, S):
         c = f * c_prev + i * g
         tc = np.tanh(c)
         h = o * tc
-        steps.append({"x": x, "i": i, "f": f, "o": o, "g": g,
-                      "c_prev": c_prev, "c": c, "tc": tc})
+        if keep_steps:
+            steps.append({"x": x, "i": i, "f": f, "o": o, "g": g,
+                          "c_prev": c_prev, "c": c, "tc": tc})
     out = h @ params.w_out + params.b_out[0]
     return out, h, steps
 
@@ -467,7 +472,7 @@ def lstm_train(data, cfg: TrainConfig, hidden_size: int = 32):
 
 def lstm_predict(params: LstmParams, S) -> np.ndarray:
     """Predictions in original target units for (n, L, F) windows."""
-    out, _, _ = _lstm_forward_batch(params, np.asarray(S, dtype=float))
+    out, _, _ = _lstm_forward_batch(params, np.asarray(S, dtype=float), keep_steps=False)
     if params.target_scaler is not None:
         out = params.target_scaler.inverse(out)
     return out

@@ -17,18 +17,15 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from datetime import date
-from typing import Optional
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import gbmodels, nnmodels
 from .errors import ConfigError, DataError, NoValidBaselineError, UndefinedMetricError
-from .features import FeatureSpec, apply_scaler, build_features, fit_scaler, make_sequences
+from .features import FeatureMatrix, FeatureSpec, apply_scaler, build_features, fit_scaler, make_sequences
 from .metrics import KpiReport, kpi_report
-
-MODEL_ORDER = ("mlp", "lstm", "gbt_exact", "gbt_hist")
 
 SELECTION_GATE = "gate-passing"
 SELECTION_TOP_K = "top_k"
@@ -56,9 +53,13 @@ class PeriodSpec:
 
 @dataclass(frozen=True)
 class MlpSetup:
-    hidden_sizes: tuple = (32,)
+    hidden_sizes: tuple[int, ...] = (32,)
     activation: str = "relu"
     train: nnmodels.TrainConfig = nnmodels.TrainConfig()
+
+    def __post_init__(self):
+        if not self.hidden_sizes:
+            raise ConfigError("hidden_sizes must be a non-empty list")
 
 
 @dataclass(frozen=True)
@@ -67,14 +68,135 @@ class LstmSetup:
     train: nnmodels.TrainConfig = nnmodels.TrainConfig()
 
 
+# ---------------------------------------------------------------------------
+# model registry
+#
+# Every model is driven through the same four calls. The functions reach the
+# model modules by attribute at call time (nnmodels.mlp_train, not a stored
+# reference), so wrapping a module attribute also wraps the pipeline's call.
+
+
+@dataclass(frozen=True)
+class ModelKind:
+    """How the pipeline fits, predicts and saves one model family.
+
+    fit(setup, matrix, train_mask, lookback) -> (fitted, info) trains on the
+    masked rows of a scaled FeatureMatrix. predict(fitted, matrix, lookback)
+    returns one value per matrix row, NaN where the model has no input (a
+    row without a full lookback window). to_dict/from_dict convert the
+    fitted model to and from its saved JSON payload.
+    """
+
+    setup: type
+    seed_offset: int
+    fit: Callable
+    predict: Callable
+    to_dict: Callable
+    from_dict: Callable
+
+
+def _fit_mlp(setup: MlpSetup, matrix: FeatureMatrix, rows, lookback: int):
+    params, trace = nnmodels.mlp_train(
+        (matrix.X[rows], matrix.y[rows]), setup.train,
+        hidden_sizes=setup.hidden_sizes, activation=setup.activation,
+    )
+    return params, {"epochs": trace.n_epochs, "best_epoch": trace.best_epoch}
+
+
+def _fit_lstm(setup: LstmSetup, matrix: FeatureMatrix, rows, lookback: int):
+    seqs = make_sequences(matrix, lookback)
+    train = rows[seqs.rows]
+    if int(train.sum()) < 30:
+        raise DataError(f"lstm has {int(train.sum())} training sequences, needs 30")
+    params, trace = nnmodels.lstm_train(
+        (seqs.windows[train], seqs.targets[train]), setup.train, hidden_size=setup.hidden_size
+    )
+    return params, {"epochs": trace.n_epochs, "best_epoch": trace.best_epoch}
+
+
+def _predict_lstm(params, matrix: FeatureMatrix, lookback: int) -> np.ndarray:
+    seqs = make_sequences(matrix, lookback)
+    pred = np.full(len(matrix), np.nan)
+    pred[seqs.rows] = nnmodels.lstm_predict(params, seqs.windows)
+    return pred
+
+
+def _fit_trees(kind: str):
+    def fit(cfg: gbmodels.BoostConfig, matrix: FeatureMatrix, rows, lookback: int):
+        ens, trace = gbmodels.boost_fit((matrix.X[rows], matrix.y[rows]), cfg, kind=kind)
+        return ens, {"rounds": trace.n_rounds, "best_round": trace.best_round, "n_trees": len(ens.trees)}
+
+    return fit
+
+
+def _predict_trees(ens, matrix: FeatureMatrix, lookback: int) -> np.ndarray:
+    return gbmodels.boost_predict(ens, matrix.X)
+
+
+MODEL_KINDS = {
+    "mlp": ModelKind(
+        setup=MlpSetup,
+        seed_offset=11,
+        fit=_fit_mlp,
+        predict=lambda params, matrix, lookback: nnmodels.mlp_predict(params, matrix.X),
+        to_dict=lambda params: nnmodels.mlp_to_dict(params),
+        from_dict=lambda doc: nnmodels.mlp_from_dict(doc),
+    ),
+    "lstm": ModelKind(
+        setup=LstmSetup,
+        seed_offset=22,
+        fit=_fit_lstm,
+        predict=_predict_lstm,
+        to_dict=lambda params: nnmodels.lstm_to_dict(params),
+        from_dict=lambda doc: nnmodels.lstm_from_dict(doc),
+    ),
+    "gbt_exact": ModelKind(
+        setup=gbmodels.BoostConfig,
+        seed_offset=33,
+        fit=_fit_trees("exact"),
+        predict=_predict_trees,
+        to_dict=lambda ens: gbmodels.ensemble_to_dict(ens),
+        from_dict=lambda doc: gbmodels.ensemble_from_dict(doc),
+    ),
+    "gbt_hist": ModelKind(
+        setup=gbmodels.BoostConfig,
+        seed_offset=44,
+        fit=_fit_trees("histogram"),
+        predict=_predict_trees,
+        to_dict=lambda ens: gbmodels.ensemble_to_dict(ens),
+        from_dict=lambda doc: gbmodels.ensemble_from_dict(doc),
+    ),
+}
+
+MODEL_ORDER = tuple(MODEL_KINDS)
+
+
+def _seeded(setup: type, seed: int):
+    """Default setup with ``seed`` on the field that holds it, nested or not."""
+    return setup(**{
+        f.name: seed if f.name == "seed" else _seeded(type(f.default), seed)
+        for f in fields(setup)
+        if f.name == "seed" or is_dataclass(f.default)
+    })
+
+
 def default_model_configs(seed: int = 0) -> dict:
-    """All four models with default hyperparameters and derived seeds."""
-    return {
-        "mlp": MlpSetup(train=nnmodels.TrainConfig(seed=seed + 11)),
-        "lstm": LstmSetup(train=nnmodels.TrainConfig(seed=seed + 22)),
-        "gbt_exact": gbmodels.BoostConfig(seed=seed + 33),
-        "gbt_hist": gbmodels.BoostConfig(seed=seed + 44),
-    }
+    """All four models with default hyperparameters and seeds run seed + offset."""
+    return {name: _seeded(kind.setup, seed + kind.seed_offset) for name, kind in MODEL_KINDS.items()}
+
+
+def score(matrix: FeatureMatrix, test_mask, pred, p: int = 1) -> KpiReport:
+    """KPIs of one prediction vector over the test rows it covers.
+
+    Raises:
+        DataError: the vector covers no test row (only a model with a
+            lookback window can leave rows uncovered).
+    """
+    rows = test_mask & ~np.isnan(pred)
+    if not rows.any():
+        raise DataError("test range yields no sequences for the recurrent model")
+    dates = [d for d, r in zip(matrix.dates, rows) if r]
+    return kpi_report(dates, matrix.y[rows], pred[rows], p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +242,20 @@ def cumulative_reduction(actual, predicted):
 
 
 def ensemble_mean(predictions) -> np.ndarray:
-    """Pointwise mean over aligned member prediction vectors."""
+    """Pointwise mean over aligned member prediction vectors.
+
+    A NaN marks a member without a prediction there; each point averages the
+    members that have one, and stays NaN where none does.
+    """
     rows = [np.asarray(p, dtype=float) for p in predictions]
     if not rows:
         raise DataError("ensemble_mean needs at least one member")
-    return np.mean(np.stack(rows), axis=0)
+    stack = np.stack(rows)
+    have = ~np.isnan(stack)
+    cover = have.any(axis=0)
+    out = np.full(stack.shape[1:], np.nan)
+    out[cover] = np.nansum(np.where(have, stack, 0.0), axis=0)[cover] / have.sum(axis=0)[cover]
+    return out
 
 
 def annual_share(total_reduction_kwh: float, reference_total_kwh: float) -> float:
@@ -140,21 +271,27 @@ def annual_share(total_reduction_kwh: float, reference_total_kwh: float) -> floa
 
 @dataclass
 class ModelOutcome:
-    """One trained model's predictions and quality record."""
+    """One trained model's predictions and quality record.
+
+    ``pred`` has one value per row of the report's date axis, NaN where the
+    model has no input window.
+    """
 
     name: str
     kpis: KpiReport
-    test_dates: list
-    test_pred: np.ndarray
-    study_dates: list
-    study_pred: np.ndarray
+    pred: np.ndarray
     info: dict = field(default_factory=dict)
     fitted: object = None
 
 
 @dataclass
 class NormalizationReport:
-    """Everything cmd_normalize persists; see as_dict for the JSON shape."""
+    """Everything cmd_normalize persists; see as_dict for the JSON shape.
+
+    ``dates`` is the date axis shared by every per-model and ensemble
+    vector: one entry per usable feature row. The masks pick the test and
+    study rows out of it; ``dlr`` holds study-row vectors.
+    """
 
     periods: PeriodSpec
     seed: int
@@ -162,12 +299,14 @@ class NormalizationReport:
     selection: str
     feature_names: list
     feature_scaler: object
+    dates: list
+    actual: np.ndarray
+    test_mask: np.ndarray
+    study_mask: np.ndarray
     models: dict
     models_used: list
     no_valid_baseline: bool
-    study_dates: list
-    study_actual: np.ndarray
-    ensemble_study: np.ndarray
+    ensemble: np.ndarray
     ensemble_test_kpis: Optional[KpiReport]
     dlr: dict
     dlr_undefined_dates: list
@@ -179,9 +318,25 @@ class NormalizationReport:
     annual_share: Optional[float]
     reference_total_kwh: float
 
+    @property
+    def study_dates(self) -> list:
+        return [d for d, s in zip(self.dates, self.study_mask) if s]
+
+    @property
+    def study_actual(self) -> np.ndarray:
+        return self.actual[self.study_mask]
+
+    @property
+    def ensemble_study(self) -> np.ndarray:
+        return self.ensemble[self.study_mask]
+
     def as_dict(self) -> dict:
         def clean(arr):
             return [None if not np.isfinite(v) else float(v) for v in np.asarray(arr, dtype=float)]
+
+        def covered(pred):
+            study = pred[self.study_mask]
+            return study[~np.isnan(study)]
 
         return {
             "schema_version": 1,
@@ -198,7 +353,7 @@ class NormalizationReport:
                 name: {
                     "kpis": m.kpis.as_dict(),
                     "info": m.info,
-                    "study_predicted": clean(m.study_pred),
+                    "study_predicted": clean(covered(m.pred)),
                 }
                 for name, m in self.models.items()
             },
@@ -242,20 +397,6 @@ def _thread_budget(n_models: int) -> int:
     return max(1, min(cap, n_models))
 
 
-def _fit_tabular(name, setup, X_tr, y_tr, X_te, X_st):
-    if name == "mlp":
-        params, trace = nnmodels.mlp_train(
-            (X_tr, y_tr), setup.train,
-            hidden_sizes=setup.hidden_sizes, activation=setup.activation,
-        )
-        info = {"epochs": trace.n_epochs, "best_epoch": trace.best_epoch}
-        return params, info, nnmodels.mlp_predict(params, X_te), nnmodels.mlp_predict(params, X_st)
-    kind = "exact" if name == "gbt_exact" else "histogram"
-    ens, trace = gbmodels.boost_fit((X_tr, y_tr), setup, kind=kind)
-    info = {"rounds": trace.n_rounds, "best_round": trace.best_round, "n_trees": len(ens.trees)}
-    return ens, info, gbmodels.boost_predict(ens, X_te), gbmodels.boost_predict(ens, X_st)
-
-
 def run_pipeline(
     table,
     periods: PeriodSpec,
@@ -297,7 +438,7 @@ def run_pipeline(
         raise ConfigError("top_k must be at least 1")
     if models is None:
         models = default_model_configs(seed)
-    unknown = set(models) - set(MODEL_ORDER)
+    unknown = set(models) - set(MODEL_KINDS)
     if unknown:
         raise ConfigError(f"unknown model names: {sorted(unknown)}")
     enabled = [name for name in MODEL_ORDER if name in models]
@@ -317,68 +458,16 @@ def run_pipeline(
 
     scaler = fit_scaler(matrix, train_mask)
     scaled = apply_scaler(matrix, scaler)
-    X, y = scaled.X, scaled.y
-    test_dates = [d for d, m in zip(scaled.dates, test_mask) if m]
-    study_dates = [d for d, m in zip(scaled.dates, study_mask) if m]
-    study_actual = y[study_mask]
-
-    seq_inputs = None
-    if "lstm" in enabled:
-        seqs = make_sequences(scaled, feature_spec.lookback_days)
-        flags = {"train": periods.train, "test": periods.test, "study": periods.study}
-        seq_idx = {
-            key: [i for i, d in enumerate(seqs.target_dates) if lo <= d <= hi]
-            for key, (lo, hi) in flags.items()
-        }
-        seq_inputs = (seqs, seq_idx)
+    lookback = feature_spec.lookback_days
 
     def fit_one(name):
-        setup = models[name]
-        if name == "lstm":
-            seqs, seq_idx = seq_inputs
-            tr = seq_idx["train"]
-            if len(tr) < 30:
-                raise DataError(f"lstm has {len(tr)} training sequences, needs 30")
-            params, trace = nnmodels.lstm_train(
-                (seqs.windows[tr], seqs.targets[tr]), setup.train, hidden_size=setup.hidden_size
-            )
-            te, st = seq_idx["test"], seq_idx["study"]
-            return ModelOutcome(
-                name=name,
-                kpis=None,
-                test_dates=[seqs.target_dates[i] for i in te],
-                test_pred=nnmodels.lstm_predict(params, seqs.windows[te]),
-                study_dates=[seqs.target_dates[i] for i in st],
-                study_pred=nnmodels.lstm_predict(params, seqs.windows[st]),
-                info={"epochs": trace.n_epochs, "best_epoch": trace.best_epoch},
-                fitted=params,
-            )
-        fitted, info, test_pred, study_pred = _fit_tabular(
-            name, setup, X[train_mask], y[train_mask], X[test_mask], X[study_mask]
-        )
-        return ModelOutcome(
-            name=name,
-            kpis=None,
-            test_dates=list(test_dates),
-            test_pred=test_pred,
-            study_dates=list(study_dates),
-            study_pred=study_pred,
-            info=info,
-            fitted=fitted,
-        )
+        kind = MODEL_KINDS[name]
+        fitted, info = kind.fit(models[name], scaled, train_mask, lookback)
+        pred = kind.predict(fitted, scaled, lookback)
+        return ModelOutcome(name, score(scaled, test_mask, pred, p=p), pred, info, fitted)
 
     with ThreadPoolExecutor(max_workers=_thread_budget(len(enabled))) as pool:
-        outcomes = list(pool.map(fit_one, enabled))
-
-    date_pos = {d: i for i, d in enumerate(scaled.dates)}
-    results = {}
-    for outcome in outcomes:  # pool.map preserves submission order
-        if outcome.name == "lstm":
-            actual = y[[date_pos[d] for d in outcome.test_dates]]
-        else:
-            actual = y[test_mask]
-        outcome.kpis = kpi_report(outcome.test_dates, actual, outcome.test_pred, p=p)
-        results[outcome.name] = outcome
+        results = {outcome.name: outcome for outcome in pool.map(fit_one, enabled)}
 
     if selection == SELECTION_GATE:
         used = [n for n in enabled if results[n].kpis.gate is not None and results[n].kpis.gate.passed]
@@ -386,47 +475,28 @@ def run_pipeline(
         ranked = sorted(enabled, key=lambda n: results[n].kpis.daily.cv_rmse)
         used = ranked[: min(top_k, len(ranked))]
 
-    # Per-study-date ensemble over whichever selected members cover the date.
-    study_index = {d: i for i, d in enumerate(study_dates)}
-    ens_study = np.full(len(study_dates), np.nan)
-    member_stack = np.full((len(used), len(study_dates)), np.nan)
-    for k, name in enumerate(used):
-        for d, v in zip(results[name].study_dates, results[name].study_pred):
-            if d in study_index:
-                member_stack[k, study_index[d]] = v
-    if used:
-        have = ~np.isnan(member_stack)
-        cover = have.any(axis=0)
-        ens_study[cover] = np.nansum(np.where(have, member_stack, 0.0), axis=0)[cover] / have.sum(axis=0)[cover]
-
-    # Ensemble quality on the test range, where every member predicts.
+    # Each row averages whichever selected members predict it.
+    y = scaled.y
+    ensemble = np.full(len(y), np.nan)
     ensemble_test_kpis = None
     if used:
-        common = [d for d in test_dates if all(d in results[n].test_dates for n in used)]
-        if common:
-            stack = []
-            for n in used:
-                pos = {d: i for i, d in enumerate(results[n].test_dates)}
-                stack.append(np.array([results[n].test_pred[pos[d]] for d in common]))
-            actual_common = np.array([y[date_pos[d]] for d in common])
-            ensemble_test_kpis = kpi_report(common, actual_common, ensemble_mean(stack), p=p)
+        member_preds = [results[n].pred for n in used]
+        ensemble = ensemble_mean(member_preds)
+        # Ensemble quality on the test rows where every member predicts.
+        common = test_mask & ~np.isnan(member_preds).any(axis=0)
+        if common.any():
+            ensemble_test_kpis = kpi_report(
+                [d for d, c in zip(scaled.dates, common) if c], y[common], ensemble[common], p=p
+            )
 
-    dlr = {}
-    undefined_dates = []
-    for name in enabled:
-        aligned = np.full(len(study_dates), np.nan)
-        for d, v in zip(results[name].study_dates, results[name].study_pred):
-            if d in study_index:
-                aligned[study_index[d]] = v
-        ratio, _ = daily_load_ratio(study_actual, np.where(np.isnan(aligned), -1.0, aligned))
-        dlr[name] = ratio
-    ratio, undef = daily_load_ratio(study_actual, np.where(np.isnan(ens_study), -1.0, ens_study))
-    dlr["ensemble"] = ratio
-    undefined_dates = [
-        d for d, u, missing in zip(study_dates, undef, np.isnan(ens_study)) if u and not missing
-    ]
-
+    study_dates = [d for d, s in zip(scaled.dates, study_mask) if s]
+    study_actual = y[study_mask]
+    ens_study = ensemble[study_mask]
+    dlr = {name: daily_load_ratio(study_actual, results[name].pred[study_mask])[0] for name in enabled}
+    dlr["ensemble"], undef = daily_load_ratio(study_actual, ens_study)
     cover = ~np.isnan(ens_study)
+    undefined_dates = [d for d, u, c in zip(study_dates, undef, cover) if u and c]
+
     cum_dates = [d for d, c in zip(study_dates, cover) if c]
     cum_actual = np.cumsum(study_actual[cover])
     cum_pred = np.cumsum(ens_study[cover])
@@ -452,12 +522,14 @@ def run_pipeline(
         selection=selection,
         feature_names=list(scaled.names),
         feature_scaler=scaler,
+        dates=scaled.dates,
+        actual=y,
+        test_mask=test_mask,
+        study_mask=study_mask,
         models=results,
         models_used=used,
         no_valid_baseline=not used,
-        study_dates=study_dates,
-        study_actual=study_actual,
-        ensemble_study=ens_study,
+        ensemble=ensemble,
         ensemble_test_kpis=ensemble_test_kpis,
         dlr=dlr,
         dlr_undefined_dates=undefined_dates,

@@ -56,7 +56,7 @@ class SynthConfig:
     temp_coeff: float = 25.0
     balance_temp_c: float = 18.0
     solar_coeff: float = 0.4
-    weekly_pattern: tuple = (1.05, 1.06, 1.04, 1.03, 1.0, 0.85, 0.8)
+    weekly_pattern: tuple[float, ...] = (1.05, 1.06, 1.04, 1.03, 1.0, 0.85, 0.8)
     noise_sigma_kwh: float = 30.0
     seed: int = 7
 
@@ -179,6 +179,8 @@ def _additive_profile(channel: str, n_slots: int, interval: int) -> np.ndarray:
 def _solar_profile(n_slots: int, interval: int) -> np.ndarray:
     hod = _slot_hours(n_slots, interval)
     bell = np.maximum(0.0, np.sin(math.pi * (hod - 6.0) / 12.0))
+    if not bell.any():  # no slot in daylight (daily cadence): spread evenly
+        return np.ones(n_slots)
     return bell / bell.mean()
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from normbase import cli, synthgen
+from normbase.errors import ConfigError
 
 # ---------------------------------------------------------------------------
 # shared on-disk dataset: coarse interval keeps parsing fast
@@ -212,6 +214,54 @@ class TestNormalize:
         rc = cli.main(["normalize", "--config", write_config(tmp_path / "c.json", doc)])
         assert rc == 2
         assert "winddir_deg" in capsys.readouterr().err
+
+    def test_diverging_model_exits_4_without_traceback(self, data_dir, tmp_path, capsys):
+        doc = run_config(data_dir, output_dir=str(tmp_path / "out"))
+        doc["models"]["gbt_hist"]["learning_rate"] = 1e308
+        rc = cli.main(["normalize", "--config", write_config(tmp_path / "c.json", doc)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "error: non-finite predictions" in err
+        assert "Traceback" not in err
+
+
+class TestConfigValidation:
+    """One wrongly typed or unknown key per section, each named by its dotted path."""
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("models.mlp", "hidden_sizes", [16, "a"],
+             "config key 'models.mlp.hidden_sizes' must be an integer"),
+            ("models.lstm", "hidden_size", True,
+             "config key 'models.lstm.hidden_size' must be an integer"),
+            ("models.gbt_exact", "rounds", "thirty",
+             "config key 'models.gbt_exact.rounds' must be an integer"),
+            ("features", "lookback_days", "7",
+             "config key 'features.lookback_days' must be an integer"),
+            ("gap_fill", "max_edge", 1.5,
+             "config key 'gap_fill.max_edge' must be an integer"),
+            ("models.gbt_hist", "max_bins", 64,
+             "unknown config key 'models.gbt_hist.max_bins'"),
+        ],
+    )
+    def test_run_config(self, data_dir, tmp_path, section, key, value, message):
+        doc = run_config(data_dir)
+        sub = doc
+        for part in section.split("."):
+            sub = sub.setdefault(part, {})
+        sub.pop("enabled", None)  # disabled models go unchecked
+        sub[key] = value
+        with pytest.raises(ConfigError) as exc:
+            cli.load_run_settings(Path(write_config(tmp_path / "c.json", doc)))
+        assert str(exc.value) == message
+
+    def test_synth_config(self, tmp_path):
+        cfg = write_config(tmp_path / "s.json", {"weekly_pattern": ["a"]})
+        with pytest.raises(ConfigError) as exc:
+            cli.cmd_synth(argparse.Namespace(config=Path(cfg), out=str(tmp_path / "data")))
+        assert str(exc.value) == "config key 'weekly_pattern' must be a number"
+        assert not (tmp_path / "data").exists()
 
 
 class TestSynth:

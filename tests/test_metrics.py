@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normbase import metrics
@@ -128,11 +128,23 @@ def test_cv_and_nmbe_scale_invariance(a_vals, p_vals, k):
     st.lists(st.floats(min_value=-100.0, max_value=100.0), min_size=3, max_size=30),
     st.floats(min_value=-50.0, max_value=50.0),
 )
+@example(vals=[0.0, 0.0, 2.7e-75], shift=1.0)
+@example(vals=[0.0, 0.0, 2.5259980218926296e-144], shift=1.0)
+@example(vals=[0.0, 0.0, 1e-80], shift=0.1)  # constant, but its mean rounds off 0.1
 def test_r2_translation_invariance(vals, shift):
     a = np.array(vals)
-    if a.std() == 0:
-        return
     p = a + np.linspace(-1.0, 1.0, a.size)
+    if np.ptp(a + shift) == 0:
+        # the shift rounded the spread away: R^2 of a constant is undefined
+        with pytest.raises(UndefinedMetricError):
+            metrics.r_squared(a + shift, p + shift)
+        return
+    # Shifting rounds each value to the float64 grid at the shifted
+    # magnitude. The 1e-9 absolute tolerance needs the spread to clear that
+    # grid step (and the underflow floor of its square) by a wide margin.
+    step = max(np.spacing(np.max(np.abs(a + shift))), np.sqrt(np.finfo(float).tiny))
+    if np.ptp(a) < 1e10 * step:
+        return
     assert metrics.r_squared(a + shift, p + shift) == pytest.approx(
         metrics.r_squared(a, p), rel=1e-6, abs=1e-9
     )

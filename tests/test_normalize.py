@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normbase import cli, gbmodels, nnmodels
 from normbase import normalize as nb
+from normbase.features import FeatureSpec, build_features, make_sequences
 from normbase.errors import (
     ConfigError,
     DataError,
@@ -202,9 +204,7 @@ class TestPipelineTreeRuns:
         spiked_table = dataclasses.replace(small_table, energy=energy)
         spiked = nb.run_pipeline(spiked_table, small_periods, models=tree_models, seed=5)
         for name in tree_models:
-            np.testing.assert_array_equal(
-                base.models[name].study_pred, spiked.models[name].study_pred
-            )
+            np.testing.assert_array_equal(base.models[name].pred, spiked.models[name].pred)
 
     def test_top_k_selection_ranks_by_daily_cv(self, small_table, small_periods, tree_models):
         report = nb.run_pipeline(
@@ -251,13 +251,8 @@ class TestFullReport:
             assert full_report.models[name].kpis.gate.passed
 
     def test_ensemble_is_mean_of_used_members(self, full_report):
-        members = [full_report.models[n] for n in full_report.models_used]
-        stacks = []
-        for m in members:
-            pos = {d: i for i, d in enumerate(m.study_dates)}
-            stacks.append(
-                np.array([m.study_pred[pos[d]] for d in full_report.study_dates if d in pos])
-            )
+        study = full_report.study_mask
+        stacks = [full_report.models[n].pred[study] for n in full_report.models_used]
         # all members cover the full study range here, so plain mean applies
         want = np.mean(np.stack(stacks), axis=0)
         np.testing.assert_allclose(full_report.ensemble_study, want, rtol=1e-12)
@@ -309,3 +304,78 @@ class TestFullReport:
         # be in the neighbourhood here (the acceptance suite pins tolerance)
         planted = small_dataset.reduction_fraction
         assert abs(full_report.reduction_fraction - planted) < 0.05
+
+
+class TestDateAxis:
+    """Days excluded inside the test and study ranges leave the LSTM without
+    a lookback window for the following days; every other model still
+    predicts them."""
+
+    GAPS = (date(2018, 7, 15), date(2018, 9, 10))  # one test day, one study day
+    # four test months, so three stay complete for the monthly KPIs
+    PERIODS = nb.PeriodSpec(
+        train=(date(2017, 1, 1), date(2018, 4, 30)),
+        test=(date(2018, 5, 1), date(2018, 8, 31)),
+        study=(date(2018, 9, 1), date(2018, 10, 15)),
+    )
+
+    @pytest.fixture(scope="class")
+    def gapped(self, small_table):
+        table = dataclasses.replace(
+            small_table,
+            excluded=small_table.excluded | np.isin(np.array(small_table.dates), self.GAPS),
+        )
+        models = {
+            "mlp": nb.MlpSetup((8,), "relu", nnmodels.TrainConfig(epochs=40, seed=11)),
+            "lstm": nb.LstmSetup(8, nnmodels.TrainConfig(epochs=20, batch_size=64, seed=22)),
+            "gbt_exact": gbmodels.BoostConfig(rounds=60, learning_rate=0.2, seed=33),
+            "gbt_hist": gbmodels.BoostConfig(rounds=60, learning_rate=0.2, seed=44),
+        }
+        report = nb.run_pipeline(
+            table, self.PERIODS, models=models, selection=nb.SELECTION_TOP_K, top_k=4, seed=5
+        )
+        spec = FeatureSpec()
+        windowed = set(make_sequences(build_features(table, spec), spec.lookback_days).target_dates)
+        return report, windowed, table
+
+    def test_lstm_kpis_cover_only_windowed_test_days(self, gapped):
+        report, windowed, table = gapped
+        lo, hi = self.PERIODS.test
+        test_days = [d for d, ex in zip(table.dates, table.excluded) if lo <= d <= hi and not ex]
+        assert self.GAPS[0] not in test_days
+        n_windowed = sum(1 for d in test_days if d in windowed)
+        assert 0 < n_windowed < len(test_days)
+        assert report.models["lstm"].kpis.daily.n == n_windowed
+        for name in ("mlp", "gbt_exact", "gbt_hist"):
+            assert report.models[name].kpis.daily.n == len(test_days)
+
+    def test_study_days_without_window(self, gapped, tmp_path):
+        report, windowed, _ = gapped
+        doc = report.as_dict()
+        study = report.study_dates
+        missing = np.array([d not in windowed for d in study])
+        assert self.GAPS[1] not in study
+        assert 0 < missing.sum() < len(study)
+        assert sorted(report.models_used) == sorted(nb.MODEL_ORDER)
+
+        # the ensemble falls back to the mean of the other members
+        others = np.array(
+            [doc["models"][n]["study_predicted"] for n in ("mlp", "gbt_exact", "gbt_hist")]
+        )
+        np.testing.assert_allclose(
+            report.ensemble_study[missing], others.mean(axis=0)[missing], rtol=1e-12
+        )
+        assert np.all(np.isnan(report.dlr["lstm"][missing]))
+        assert not np.any(np.isnan(report.dlr["lstm"][~missing]))
+
+        # report.json lists only the covered days for the LSTM
+        lstm_study = doc["models"]["lstm"]["study_predicted"]
+        assert len(lstm_study) == int((~missing).sum())
+        assert None not in lstm_study
+
+        # daily.csv leaves the uncovered LSTM cells blank
+        cli._write_daily_csv(tmp_path / "daily.csv", report)
+        lines = (tmp_path / "daily.csv").read_text().splitlines()
+        col = lines[0].split(",").index("predicted_lstm_kwh")
+        cells = [line.split(",")[col] for line in lines[1:]]
+        assert [c == "" for c in cells] == missing.tolist()

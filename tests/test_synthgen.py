@@ -131,6 +131,19 @@ class TestGenerate:
     def test_solar_series_non_negative(self, ds):
         assert np.all(ds.weather["solar_wm2"].values >= 0.0)
 
+    def test_daily_cadence_resamples_to_latents(self):
+        # one sample per day, at midnight: no slot sees daylight
+        ds = synthgen.generate(tiny_cfg(interval_seconds=86400))
+        daily = tsdata.resample_daily(ds.energy, "sum")
+        assert daily.dates == ds.dates
+        np.testing.assert_allclose(daily.values, ds.daily_energy, rtol=1e-12)
+        for channel, series in ds.weather.items():
+            assert np.all(np.isfinite(series.values)), channel
+            np.testing.assert_allclose(
+                tsdata.resample_daily(series, "mean").values, ds.daily_weather[channel],
+                rtol=1e-12, err_msg=f"daily mean broken for {channel}",
+            )
+
     def test_dst_day_keeps_exact_daily_sum(self):
         cfg = tiny_cfg(
             timezone="America/New_York",
