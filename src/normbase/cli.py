@@ -253,6 +253,8 @@ def load_run_settings(path: Path) -> RunSettings:
     reference = None
     if doc.get("reference_range") is not None:
         reference = _date_pair(doc["reference_range"], "reference_range")
+        if reference[1] < reference[0]:
+            raise ConfigError("config key 'reference_range' ends before it starts")
 
     out_raw = Path(_typed(doc.get("output_dir", "normbase_out"), str, "output_dir"))
     output_dir = out_raw if out_raw.is_absolute() else base_dir / out_raw

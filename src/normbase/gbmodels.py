@@ -78,6 +78,8 @@ class BoostConfig:
             raise ConfigError("early_stop_rounds must be at least 1")
         if not (0.0 <= self.validation_fraction <= 0.5):
             raise ConfigError("validation_fraction must lie in [0, 0.5]")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
 
 # ---------------------------------------------------------------------------
@@ -574,19 +576,12 @@ class Ensemble:
     bundles: Optional[list] = None
 
 
-def _as_xy(data):
-    if hasattr(data, "X") and hasattr(data, "y"):
-        return np.asarray(data.X, dtype=float), np.asarray(data.y, dtype=float)
-    X, y = data
-    return np.asarray(X, dtype=float), np.asarray(y, dtype=float)
-
-
 def boost_fit(data, cfg: BoostConfig, kind: str = "exact"):
     """Fit a boosted ensemble on (features, targets).
 
     Args:
-        data: FeatureMatrix or (X, y) pair; rows must be in chronological
-            order because the validation split takes the tail.
+        data: (X, y) pair; rows must be in chronological order because the
+            validation split takes the tail.
         cfg: hyperparameters.
         kind: 'exact' or 'histogram'.
 
@@ -601,7 +596,7 @@ def boost_fit(data, cfg: BoostConfig, kind: str = "exact"):
     """
     if kind not in ("exact", "histogram"):
         raise ConfigError(f"unknown ensemble kind {kind!r}")
-    X, y = _as_xy(data)
+    X, y = (np.asarray(a, dtype=float) for a in data)
     n = y.size
     if n < 10:
         raise DataError(f"boosting needs at least 10 rows, got {n}")

@@ -1,11 +1,12 @@
 """Feed-forward and recurrent baselines with analytic gradients.
 
-Both models are trained with the same loop: mini-batch MSE, moment-estimation
-updates (beta1 = 0.9, beta2 = 0.999) with bias correction, global-norm
-clipping of the moment-normalized update, chronological-tail validation and
-best-validation early stopping. Targets are z-scored internally with a
-dedicated scaler fitted on the training split; predictions come back in
-original units.
+Both models are trained by one loop, ``_fit``: mini-batch MSE,
+moment-estimation updates (beta1 = 0.9, beta2 = 0.999) with bias correction,
+global-norm clipping of the moment-normalized update, chronological-tail
+validation and best-validation early stopping. Only the mini-batches are
+backpropagated; each epoch is scored with a forward pass over the train and
+validation splits. Targets are z-scored internally with a dedicated scaler
+fitted on the training split; predictions come back in original units.
 
 Gradients are derived by hand (full backpropagation through time for the
 recurrent model) and are verified against central finite differences in the
@@ -86,28 +87,40 @@ def _global_norm(arrays) -> float:
     return float(np.sqrt(sum(float(np.sum(a * a)) for a in arrays)))
 
 
-def _adam_fit(arrays, batch_grad, epoch_eval, n_train: int, cfg: TrainConfig, rng):
-    """Shared optimizer loop; mutates ``arrays`` in place.
+def _fit(params, loss_grad, forward, data, cfg: TrainConfig):
+    """Shared training loop; updates the arrays of ``params`` in place.
 
     Args:
-        arrays: list of parameter ndarrays, updated in place.
-        batch_grad: callable(indices) -> (loss, grads aligned with arrays).
-        epoch_eval: callable() -> (train_loss, val_loss) at current params.
-        n_train: number of training rows to shuffle over.
+        params: MlpParams or LstmParams at their initial values.
+        loss_grad: callable(params, inputs, z) -> (loss, grads aligned with
+            params.arrays()).
+        forward: callable(params, inputs) -> network outputs (model units).
+        data: (inputs, targets) arrays in chronological order.
         cfg: loop configuration.
-        rng: numpy Generator driving the shuffles.
 
-    The update direction is the bias-corrected moment ratio; its global L2
-    norm is clipped at cfg.gradient_clip_norm before the learning-rate
-    multiply, so one step never moves parameters further than
-    learning_rate * gradient_clip_norm.
+    The last validation_fraction of rows (at least one) is the validation
+    split. Targets are z-scored on the training split and the scaler rides
+    on the returned params. The update direction is the bias-corrected
+    moment ratio; its global L2 norm is clipped at cfg.gradient_clip_norm
+    before the learning-rate multiply, so one step never moves parameters
+    further than learning_rate * gradient_clip_norm. Each epoch's train and
+    validation losses are the MSE of a forward pass over each split.
 
     Returns:
-        TrainTrace. Parameters end at the best-validation snapshot.
+        (params at the best-validation epoch, TrainTrace).
     """
+    X, y = data
+    n_train = y.size - max(1, int(round(cfg.validation_fraction * y.size)))
+    scaler = TargetScaler(mean=float(y[:n_train].mean()), std=float(y[:n_train].std()))
+    params.target_scaler = scaler
+    z = scaler.transform(y)
+    splits = (slice(None, n_train), slice(n_train, None))
+
+    arrays = params.arrays()
     m = [np.zeros_like(a) for a in arrays]
     v = [np.zeros_like(a) for a in arrays]
     t = 0
+    rng = np.random.default_rng(cfg.seed + 1)
     trace = TrainTrace()
     best_val = np.inf
     best_state = [a.copy() for a in arrays]
@@ -116,7 +129,7 @@ def _adam_fit(arrays, batch_grad, epoch_eval, n_train: int, cfg: TrainConfig, rn
         order = rng.permutation(n_train)
         for start in range(0, n_train, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            loss, grads = batch_grad(idx)
+            loss, grads = loss_grad(params, X[idx], z[idx])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
             t += 1
@@ -134,7 +147,9 @@ def _adam_fit(arrays, batch_grad, epoch_eval, n_train: int, cfg: TrainConfig, rn
             for a, u in zip(arrays, updates):
                 a -= cfg.learning_rate * u
 
-        train_loss, val_loss = epoch_eval()
+        train_loss, val_loss = (
+            float(np.mean((forward(params, X[rows]) - z[rows]) ** 2)) for rows in splits
+        )
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
             raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
         trace.train_loss.append(train_loss)
@@ -148,19 +163,7 @@ def _adam_fit(arrays, batch_grad, epoch_eval, n_train: int, cfg: TrainConfig, rn
 
     for a, b in zip(arrays, best_state):
         a[...] = b
-    return trace
-
-
-def _as_xy(data):
-    if hasattr(data, "X") and hasattr(data, "y"):
-        return np.asarray(data.X, dtype=float), np.asarray(data.y, dtype=float)
-    X, y = data
-    return np.asarray(X, dtype=float), np.asarray(y, dtype=float)
-
-
-def _split_tail(n: int, fraction: float):
-    n_val = max(1, int(round(fraction * n)))
-    return n - n_val, n_val
+    return params, trace
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +214,17 @@ def _mlp_forward_batch(params: MlpParams, X):
     return acts
 
 
+def _mlp_output(params: MlpParams, X) -> np.ndarray:
+    """Network outputs for a batch of feature rows (model units)."""
+    return _mlp_forward_batch(params, X)[-1][:, 0]
+
+
 def mlp_forward(params: MlpParams, x) -> float:
     """Network output for a single feature vector (model units)."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size != params.layer_sizes[0]:
         raise DimensionError(f"expected {params.layer_sizes[0]} inputs, got {x.shape}")
-    return float(_mlp_forward_batch(params, x[None, :])[-1][0, 0])
+    return float(_mlp_output(params, x[None, :])[0])
 
 
 def mlp_loss_grad(params: MlpParams, X, y):
@@ -249,7 +257,7 @@ def mlp_loss_grad(params: MlpParams, X, y):
 
 
 def mlp_train(data, cfg: TrainConfig, hidden_sizes=(32,), activation: str = "relu"):
-    """Fit an MLP regressor on chronologically ordered rows.
+    """Fit an MLP regressor on an (X, y) pair of chronologically ordered rows.
 
     The validation split is the chronological tail. Targets are z-scored on
     the training split; the fitted scaler rides on the returned params so
@@ -261,39 +269,16 @@ def mlp_train(data, cfg: TrainConfig, hidden_sizes=(32,), activation: str = "rel
     Raises:
         DataError: fewer than 30 rows.
     """
-    X, y = _as_xy(data)
-    n = y.size
-    if n < 30:
-        raise DataError(f"mlp_train needs at least 30 rows, got {n}")
-    n_train, n_val = _split_tail(n, cfg.validation_fraction)
-    X_tr, y_tr = X[:n_train], y[:n_train]
-    X_va, y_va = X[n_train:], y[n_train:]
-
-    scaler = TargetScaler(mean=float(y_tr.mean()), std=float(y_tr.std()))
-    z_tr = scaler.transform(y_tr)
-    z_va = scaler.transform(y_va)
-
+    X, y = (np.asarray(a, dtype=float) for a in data)
+    if y.size < 30:
+        raise DataError(f"mlp_train needs at least 30 rows, got {y.size}")
     params = mlp_init([X.shape[1], *hidden_sizes, 1], activation, seed=cfg.seed)
-    params.target_scaler = scaler
-    arrays = params.arrays()
-    rng = np.random.default_rng(cfg.seed + 1)
-
-    def batch_grad(idx):
-        return mlp_loss_grad(params, X_tr[idx], z_tr[idx])
-
-    def epoch_eval():
-        tr = mlp_loss_grad(params, X_tr, z_tr)[0]
-        va = mlp_loss_grad(params, X_va, z_va)[0]
-        return tr, va
-
-    trace = _adam_fit(arrays, batch_grad, epoch_eval, n_train, cfg, rng)
-    return params, trace
+    return _fit(params, mlp_loss_grad, _mlp_output, (X, y), cfg)
 
 
 def mlp_predict(params: MlpParams, X) -> np.ndarray:
     """Predictions in original target units."""
-    X = np.asarray(X, dtype=float)
-    out = _mlp_forward_batch(params, X)[-1][:, 0]
+    out = _mlp_output(params, np.asarray(X, dtype=float))
     if params.target_scaler is not None:
         out = params.target_scaler.inverse(out)
     return out
@@ -367,13 +352,17 @@ def _lstm_forward_batch(params: LstmParams, S, keep_steps: bool = True):
     return out, h, steps
 
 
+def _lstm_output(params: LstmParams, S) -> np.ndarray:
+    """Readouts for a batch of (steps, features) windows (model units)."""
+    return _lstm_forward_batch(params, S, keep_steps=False)[0]
+
+
 def lstm_forward(params: LstmParams, seq) -> float:
     """Scalar output for one (steps, features) window (model units)."""
     seq = np.asarray(seq, dtype=float)
     if seq.ndim != 2 or seq.shape[1] != params.input_size:
         raise DimensionError(f"expected (L, {params.input_size}) sequence, got {seq.shape}")
-    out, _, _ = _lstm_forward_batch(params, seq[None])
-    return float(out[0])
+    return float(_lstm_output(params, seq[None])[0])
 
 
 def lstm_loss_grad(params: LstmParams, S, y):
@@ -425,15 +414,8 @@ def lstm_loss_grad(params: LstmParams, S, y):
     return loss, [*dW, *dU, *db, dw_out, db_out]
 
 
-def _as_sequences(data):
-    if hasattr(data, "windows") and hasattr(data, "targets"):
-        return np.asarray(data.windows, dtype=float), np.asarray(data.targets, dtype=float)
-    S, y = data
-    return np.asarray(S, dtype=float), np.asarray(y, dtype=float)
-
-
 def lstm_train(data, cfg: TrainConfig, hidden_size: int = 32):
-    """Fit the recurrent model on chronologically ordered windows.
+    """Fit the recurrent model on a (windows, targets) pair in chronological order.
 
     Same loop and conventions as mlp_train: tail validation split, internal
     target z-scoring, best-validation snapshot.
@@ -441,38 +423,16 @@ def lstm_train(data, cfg: TrainConfig, hidden_size: int = 32):
     Raises:
         DataError: fewer than 30 sequences.
     """
-    S, y = _as_sequences(data)
-    n = y.size
-    if n < 30:
-        raise DataError(f"lstm_train needs at least 30 sequences, got {n}")
-    n_train, n_val = _split_tail(n, cfg.validation_fraction)
-    S_tr, y_tr = S[:n_train], y[:n_train]
-    S_va, y_va = S[n_train:], y[n_train:]
-
-    scaler = TargetScaler(mean=float(y_tr.mean()), std=float(y_tr.std()))
-    z_tr = scaler.transform(y_tr)
-    z_va = scaler.transform(y_va)
-
+    S, y = (np.asarray(a, dtype=float) for a in data)
+    if y.size < 30:
+        raise DataError(f"lstm_train needs at least 30 sequences, got {y.size}")
     params = lstm_init(S.shape[2], hidden_size, seed=cfg.seed)
-    params.target_scaler = scaler
-    arrays = params.arrays()
-    rng = np.random.default_rng(cfg.seed + 1)
-
-    def batch_grad(idx):
-        return lstm_loss_grad(params, S_tr[idx], z_tr[idx])
-
-    def epoch_eval():
-        tr = lstm_loss_grad(params, S_tr, z_tr)[0]
-        va = lstm_loss_grad(params, S_va, z_va)[0]
-        return tr, va
-
-    trace = _adam_fit(arrays, batch_grad, epoch_eval, n_train, cfg, rng)
-    return params, trace
+    return _fit(params, lstm_loss_grad, _lstm_output, (S, y), cfg)
 
 
 def lstm_predict(params: LstmParams, S) -> np.ndarray:
     """Predictions in original target units for (n, L, F) windows."""
-    out, _, _ = _lstm_forward_batch(params, np.asarray(S, dtype=float), keep_steps=False)
+    out = _lstm_output(params, np.asarray(S, dtype=float))
     if params.target_scaler is not None:
         out = params.target_scaler.inverse(out)
     return out

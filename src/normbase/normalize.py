@@ -8,15 +8,12 @@ out as per-date load ratios (actual / predicted) and cumulative reduction.
 Study-range predictions see only study-range weather/calendar features and
 train-range targets; study targets are never shown to a model.
 
-The per-model trainings are independent and may run on a small thread pool;
-the NORMBASE_THREADS environment variable caps its size. Each model owns a
-seeded RNG, so the thread count never changes any result.
+The models train one after another in MODEL_ORDER. Each owns a seeded RNG,
+so a model's result depends only on its own setup and the data.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, Optional
 
@@ -383,20 +380,6 @@ class NormalizationReport:
         }
 
 
-def _thread_budget(n_models: int) -> int:
-    raw = os.environ.get("NORMBASE_THREADS")
-    if raw is None:
-        cap = os.cpu_count() or 1
-    else:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ConfigError(f"NORMBASE_THREADS must be an integer, got {raw!r}")
-        if cap < 1:
-            raise ConfigError("NORMBASE_THREADS must be positive")
-    return max(1, min(cap, n_models))
-
-
 def run_pipeline(
     table,
     periods: PeriodSpec,
@@ -466,8 +449,7 @@ def run_pipeline(
         pred = kind.predict(fitted, scaled, lookback)
         return ModelOutcome(name, score(scaled, test_mask, pred, p=p), pred, info, fitted)
 
-    with ThreadPoolExecutor(max_workers=_thread_budget(len(enabled))) as pool:
-        results = {outcome.name: outcome for outcome in pool.map(fit_one, enabled)}
+    results = {name: fit_one(name) for name in enabled}
 
     if selection == SELECTION_GATE:
         used = [n for n in enabled if results[n].kpis.gate is not None and results[n].kpis.gate.passed]

@@ -75,6 +75,8 @@ class SynthConfig:
             raise ConfigError("weekly_pattern needs 7 positive weights")
         if self.noise_sigma_kwh < 0:
             raise ConfigError("noise_sigma_kwh must be non-negative")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         resolve_timezone(self.timezone)
 
 

@@ -256,6 +256,26 @@ class TestConfigValidation:
             cli.load_run_settings(Path(write_config(tmp_path / "c.json", doc)))
         assert str(exc.value) == message
 
+    def test_reversed_reference_range(self, data_dir, tmp_path):
+        doc = run_config(data_dir, reference_range=["2019-12-31", "2019-01-01"])
+        with pytest.raises(ConfigError) as exc:
+            cli.load_run_settings(Path(write_config(tmp_path / "c.json", doc)))
+        assert str(exc.value) == "config key 'reference_range' ends before it starts"
+
+    @pytest.mark.parametrize("command", ["normalize", "synth"])
+    def test_negative_seed_exits_2_without_traceback(self, data_dir, tmp_path, capsys, command):
+        if command == "normalize":
+            doc = run_config(data_dir, output_dir=str(tmp_path / "out"))
+            doc["models"]["gbt_hist"]["seed"] = -5
+        else:
+            doc = {"seed": -1, "output_dir": str(tmp_path / "out")}
+        rc = cli.main([command, "--config", write_config(tmp_path / "c.json", doc)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error: seed must be non-negative" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_synth_config(self, tmp_path):
         cfg = write_config(tmp_path / "s.json", {"weekly_pattern": ["a"]})
         with pytest.raises(ConfigError) as exc:

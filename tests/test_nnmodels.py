@@ -212,6 +212,19 @@ class TestMlpTraining:
         _, trace = nn.mlp_train((X, y), cfg, hidden_sizes=(4,))
         assert trace.val_loss[trace.best_epoch] == min(trace.val_loss)
 
+    def test_epoch_losses_are_the_returned_params_mse(self):
+        # the recorded losses at the best epoch are the plain MSE of the
+        # returned (best-snapshot) params on each split, in z-scored units
+        X, y = linear_rows(50, seed=8)
+        cfg = nn.TrainConfig(learning_rate=0.02, epochs=40, batch_size=16, seed=2)
+        params, trace = nn.mlp_train((X, y), cfg, hidden_sizes=(4,))
+        n_train = 50 - max(1, round(0.2 * 50))
+        z = params.target_scaler.transform(y)
+        tr = nn.mlp_loss_grad(params, X[:n_train], z[:n_train])[0]
+        va = nn.mlp_loss_grad(params, X[n_train:], z[n_train:])[0]
+        assert trace.train_loss[trace.best_epoch] == tr
+        assert trace.val_loss[trace.best_epoch] == va
+
     def test_early_stopping_and_snapshot_restore(self):
         # training longer must return the same parameters as stopping at the
         # best epoch: the returned model is the best-validation snapshot
@@ -302,6 +315,17 @@ class TestLstmTraining:
         p2, _ = nn.lstm_train((S, y), cfg, hidden_size=4)
         for a, b in zip(p1.arrays(), p2.arrays()):
             np.testing.assert_array_equal(a, b)
+
+    def test_epoch_losses_are_the_returned_params_mse(self):
+        S, y = self.make_recall_task(n=40)
+        cfg = nn.TrainConfig(learning_rate=0.02, epochs=20, batch_size=16, seed=3)
+        params, trace = nn.lstm_train((S, y), cfg, hidden_size=4)
+        n_train = 40 - max(1, round(0.2 * 40))
+        z = params.target_scaler.transform(y)
+        tr = nn.lstm_loss_grad(params, S[:n_train], z[:n_train])[0]
+        va = nn.lstm_loss_grad(params, S[n_train:], z[n_train:])[0]
+        assert trace.train_loss[trace.best_epoch] == tr
+        assert trace.val_loss[trace.best_epoch] == va
 
     def test_too_few_sequences(self):
         with pytest.raises(DataError):

@@ -168,27 +168,10 @@ class TestPipelineValidation:
         with pytest.raises(DataError):
             nb.run_pipeline(small_table, periods, models=tree_models)
 
-    def test_invalid_thread_budget(self, small_table, small_periods, tree_models, monkeypatch):
-        monkeypatch.setenv("NORMBASE_THREADS", "zero")
-        with pytest.raises(ConfigError):
-            nb.run_pipeline(small_table, small_periods, models=tree_models)
-        monkeypatch.setenv("NORMBASE_THREADS", "0")
-        with pytest.raises(ConfigError):
-            nb.run_pipeline(small_table, small_periods, models=tree_models)
-
 
 class TestPipelineTreeRuns:
     def test_deterministic_repeat(self, small_table, small_periods, tree_models):
         a = nb.run_pipeline(small_table, small_periods, models=tree_models, seed=5)
-        b = nb.run_pipeline(small_table, small_periods, models=tree_models, seed=5)
-        assert a.as_dict() == b.as_dict()
-
-    def test_thread_count_does_not_change_results(
-        self, small_table, small_periods, tree_models, monkeypatch
-    ):
-        monkeypatch.setenv("NORMBASE_THREADS", "1")
-        a = nb.run_pipeline(small_table, small_periods, models=tree_models, seed=5)
-        monkeypatch.setenv("NORMBASE_THREADS", "4")
         b = nb.run_pipeline(small_table, small_periods, models=tree_models, seed=5)
         assert a.as_dict() == b.as_dict()
 

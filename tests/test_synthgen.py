@@ -49,6 +49,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             tiny_cfg(timezone="Atlantis/Capital")
 
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            tiny_cfg(seed=-1)
+
 
 @pytest.fixture(scope="module")
 def ds():
