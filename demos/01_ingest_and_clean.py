@@ -16,8 +16,12 @@ from normbase import synthgen, tsdata
 
 
 def main():
-    workdir = Path(tempfile.mkdtemp(prefix="normbase_demo1_"))
-    print(f"scratch directory: {workdir}\n")
+    with tempfile.TemporaryDirectory(prefix="normbase_demo1_") as workdir:
+        walk_through(Path(workdir))
+
+
+def walk_through(workdir: Path):
+    print(f"scratch directory: {workdir} (removed at exit)\n")
 
     # -- 1. fabricate a building ------------------------------------------
     cfg = synthgen.SynthConfig(

@@ -5,6 +5,12 @@ single-channel CSVs with a ``timestamp,<channel>`` header, ISO-8601 timestamps
 and one numeric column where an empty cell means missing. Missing stays an
 explicit state end to end; NaN never survives ingestion.
 
+parse_series reads the canonical dialect (``YYYY-MM-DDTHH:MM:SS+HH:MM`` or
+``...Z``, then a plain decimal or empty cell), which serialize_series and
+synthgen write, in one vector pass over the file's bytes. Other ISO-8601
+forms, and naive timestamps in an IANA zone, go through the row-by-row
+parser instead, at per-row cost, with the same results and errors.
+
 Timestamps are stored internally as float64 epoch seconds plus the series
 zone, which keeps multi-million-row series cheap. Day boundaries are always
 computed in the series-local zone.
@@ -16,10 +22,11 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, time, timedelta, timezone
-from typing import Iterator, Optional
+from typing import Optional
 from zoneinfo import ZoneInfo
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ConfigError,
@@ -143,12 +150,6 @@ class RawSeries:
     def tzinfo(self):
         return resolve_timezone(self.tz)
 
-    def points(self) -> Iterator[tuple]:
-        """Yield (aware datetime, value-or-None) pairs."""
-        tz = self.tzinfo
-        for e, v, m in zip(self.epochs, self.values, self.missing):
-            yield datetime.fromtimestamp(e, tz), (None if m else float(v))
-
 
 def _parse_timestamp(text: str, tz, line_number: int) -> float:
     s = text.strip()
@@ -163,12 +164,163 @@ def _parse_timestamp(text: str, tz, line_number: int) -> float:
     return dt.timestamp()
 
 
+def _parse_row(line: str, tz, line_number: int):
+    """Parse one data row: (epoch, value, missing), or None for a blank line."""
+    if not line.strip():
+        return None
+    parts = line.split(",")
+    if len(parts) != 2:
+        raise ParseError(f"expected 2 fields, got {len(parts)}", line_number)
+    epoch = _parse_timestamp(parts[0], tz, line_number)
+    raw = parts[1].strip()
+    if raw == "":
+        return epoch, 0.0, True
+    try:
+        v = float(raw)
+    except ValueError:
+        raise ParseError(f"unparseable value {raw!r}", line_number)
+    if math.isfinite(v):
+        return epoch, v, False
+    return epoch, 0.0, True
+
+
+# Characters other than "\n" that str.splitlines() breaks lines at.
+_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+# Canonical timestamp 'YYYY-MM-DDTHH:MM:SS+HH:MM' (or 'Z' at column 19),
+# then a comma. No byte of the timestamp or of an accepted value cell is a
+# comma, so a row that passes has exactly two fields.
+_STAMP_WIDTH = 26
+_DATE_DIGITS = np.array([0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18])
+_DATE_PUNCT = ((4, "-"), (7, "-"), (10, "T"), (13, ":"), (16, ":"))
+_OFFSET_DIGITS = np.array([20, 21, 23, 24])
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+# Value cells wider than this, or holding bytes outside this set, take the
+# per-row path. Inside them Python's float() and NumPy's bytes-to-float cast
+# agree: both read plain decimal literals and round correctly.
+_VALUE_WIDTH = 32
+_NUMBER_BYTES = np.zeros(256, dtype=bool)
+_NUMBER_BYTES[list(b"0123456789+-.eE")] = True
+
+
+def _days_from_civil(y, m, d):
+    """Days from 1970-01-01 to proleptic Gregorian dates (Hinnant's algorithm)."""
+    y = y - (m <= 2)
+    era = y // 400
+    yoe = y - era * 400
+    doy = (153 * np.where(m > 2, m - 3, m + 9) + 2) // 5 + d - 1
+    doe = yoe * 365 + yoe // 4 - yoe // 100 + doy
+    return era * 146097 + doe - 719468
+
+
+def _canonical_stamps(buf: np.ndarray, starts: np.ndarray):
+    """Decode the timestamp at the start of each line.
+
+    Returns (ok, epochs, comma): ok marks lines that open with a canonical,
+    in-range timestamp followed by a comma at column ``comma``. Their epochs
+    are exact integers, so they equal ``datetime.timestamp()``.
+    """
+    ts = sliding_window_view(buf, _STAMP_WIDTH)[starts]
+    zulu = ts[:, 19] == ord("Z")
+    sign = np.where(ts[:, 19] == ord("-"), -1, 1)
+    ok = np.ones(starts.size, dtype=bool)
+    for col, ch in _DATE_PUNCT:
+        ok &= ts[:, col] == ord(ch)
+    with_offset = ((ts[:, 19] == ord("+")) | (ts[:, 19] == ord("-"))) & (ts[:, 22] == ord(":"))
+    ok &= (with_offset & (ts[:, 25] == ord(","))) | (zulu & (ts[:, 20] == ord(",")))
+    ts -= np.uint8(ord("0"))  # wraps, so only digits fall below 10
+    ok &= (ts[:, _DATE_DIGITS] < 10).all(axis=1)
+    ok &= zulu | (ts[:, _OFFSET_DIGITS] < 10).all(axis=1)
+
+    def number(first, width):
+        out = np.zeros(starts.size, dtype=np.int32)
+        for col in range(first, first + width):
+            out = out * 10 + ts[:, col]
+        return out
+
+    year, month, day = number(0, 4), number(5, 2), number(8, 2)
+    hour, minute, second = number(11, 2), number(14, 2), number(17, 2)
+    off_h, off_m = number(20, 2), number(23, 2)
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[np.clip(month, 0, 12)] + ((month == 2) & leap)
+    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+    ok &= (hour <= 23) & (minute <= 59) & (second <= 59)
+    ok &= zulu | ((off_h <= 23) & (off_m <= 59))
+    offset = np.where(zulu, 0, sign * (off_h * 3600 + off_m * 60))
+    seconds = _days_from_civil(year, month, day).astype(np.int64) * 86400
+    seconds += hour * 3600 + minute * 60 + second - offset
+    return ok, seconds.astype(np.float64), np.where(zulu, 20, 25)
+
+
+def _cell_values(buf: np.ndarray, first: np.ndarray, width: np.ndarray):
+    """Cast the value cells buf[first:first + width] with one astype(float).
+
+    Returns (ok, values, missing): ok marks cells that are empty or a plain
+    decimal literal. Empty and non-finite cells are missing with value 0.
+    """
+    w = max(int(width.max(initial=0)), 1)
+    cells = sliding_window_view(buf, w)[first]
+    cells *= np.arange(w) < width[:, None]  # NUL padding, which the bytes dtype drops
+    # NUL is not a number byte, so a cell passes only if all its bytes do
+    numeric = (np.count_nonzero(_NUMBER_BYTES[cells], axis=1) == width) & (width > 0)
+    values = np.zeros(first.size)
+    rows = np.flatnonzero(numeric)
+    try:
+        values[rows] = cells[rows].view(f"S{w}")[:, 0].astype(np.float64)
+    except ValueError:  # a malformed literal; the per-row path reports it
+        numeric[:] = False
+    missing = (width == 0) | ~np.isfinite(values)
+    values[missing] = 0.0
+    return numeric | (width == 0), values, missing
+
+
+def _parse_rows(text: str, tz):
+    """Parse the lines after the header of ``text``, split at "\\n" only.
+
+    Canonical rows are decoded in one vector pass; every other line goes
+    through _parse_row in line order, so the first malformed line raises
+    exactly as a row-by-row parse would.
+
+    Returns (epochs, values, missing) in line order, blank lines dropped.
+    """
+    raw = text.encode("utf-8", "surrogatepass")
+    size = len(raw)
+    # zero padding lets every line, even the last, be read at full width
+    raw += bytes(_STAMP_WIDTH + _VALUE_WIDTH)
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    starts = np.flatnonzero(buf[:size] == ord("\n")) + 1
+    ends = np.append(starts[1:] - 1, size)
+
+    ok, epochs, comma = _canonical_stamps(buf, starts)
+    first = starts + comma + 1
+    width = np.clip(ends - first, 0, None)
+    ok &= width <= _VALUE_WIDTH
+    cells_ok, values, missing = _cell_values(buf, first, np.where(ok, width, 0))
+    ok &= cells_ok
+
+    for i in np.flatnonzero(~ok):
+        line = raw[starts[i] : ends[i]].decode("utf-8", "surrogatepass")
+        row = _parse_row(line, tz, int(i) + 2)
+        if row is not None:
+            ok[i] = True
+            epochs[i], values[i], missing[i] = row
+    return epochs[ok], values[ok], missing[ok]
+
+
 def parse_series(text: str, schema: SeriesSchema) -> RawSeries:
     """Parse one channel CSV into a RawSeries.
 
     Rows are sorted by timestamp; duplicate timestamps collapse to the mean of
     their present values (counted on the result). Empty, 'nan' or infinite
     value cells become explicit missing entries.
+
+    Rows in the canonical dialect that ``serialize_series`` and
+    ``synthgen.write_dataset`` write (``YYYY-MM-DDTHH:MM:SS+HH:MM`` or ``...Z``,
+    a comma, a plain decimal or empty value) are parsed in one vector pass.
+    Other ISO-8601 forms, and naive timestamps (read in the schema zone, the
+    earlier instant where an IANA zone repeats an hour), are accepted at
+    per-row cost.
 
     Args:
         text: full CSV text including the ``timestamp,<channel>`` header.
@@ -180,66 +332,38 @@ def parse_series(text: str, schema: SeriesSchema) -> RawSeries:
         SchemaError: header channel mismatch, or observed cadence inconsistent
             with the declared interval.
     """
-    lines = text.splitlines()
-    if not lines:
+    if not text:
         raise EmptyInputError(f"{schema.channel}: input is empty")
+    if any(c in text for c in _LINE_BREAKS):  # number lines as splitlines() does
+        text = "\n".join(text.splitlines())
+    head = text.partition("\n")[0]
 
-    header = [h.strip() for h in lines[0].split(",")]
+    header = [h.strip() for h in head.split(",")]
     if len(header) != 2 or header[0] != "timestamp":
-        raise ParseError(f"expected header 'timestamp,<channel>', got {lines[0]!r}", 1)
+        raise ParseError(f"expected header 'timestamp,<channel>', got {head!r}", 1)
     if header[1] != schema.channel:
         raise SchemaError(
             f"file carries channel {header[1]!r}, schema declares {schema.channel!r}"
         )
 
-    tz = resolve_timezone(schema.timezone)
-    epochs, values, missing = [], [], []
-    for line_number, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"expected 2 fields, got {len(parts)}", line_number)
-        epochs.append(_parse_timestamp(parts[0], tz, line_number))
-        raw = parts[1].strip()
-        if raw == "":
-            values.append(0.0)
-            missing.append(True)
-            continue
-        try:
-            v = float(raw)
-        except ValueError:
-            raise ParseError(f"unparseable value {raw!r}", line_number)
-        if math.isfinite(v):
-            values.append(v)
-            missing.append(False)
-        else:
-            values.append(0.0)
-            missing.append(True)
-
-    if not epochs:
+    e, v, m = _parse_rows(text, resolve_timezone(schema.timezone))
+    if not e.size:
         raise EmptyInputError(f"{schema.channel}: no data rows")
 
-    e = np.array(epochs)
-    v = np.array(values)
-    m = np.array(missing, dtype=bool)
     order = np.argsort(e, kind="stable")
     e, v, m = e[order], v[order], m[order]
 
     dupes = 0
     if e.size > 1 and np.any(np.diff(e) == 0):
         # Collapse runs of equal timestamps to the mean of present values.
-        uniq, start = np.unique(e, return_index=True)
-        out_v = np.zeros(uniq.size)
-        out_m = np.zeros(uniq.size, dtype=bool)
-        bounds = np.append(start, e.size)
-        for i in range(uniq.size):
-            seg = slice(bounds[i], bounds[i + 1])
+        uniq, start, counts = np.unique(e, return_index=True, return_counts=True)
+        # a lone row keeps its value; + 0.0 turns -0.0 into 0.0, as np.mean does
+        out_v, out_m = v[start] + 0.0, m[start]
+        for i in np.flatnonzero(counts > 1):
+            seg = slice(start[i], start[i] + counts[i])
             present = ~m[seg]
-            if np.any(present):
-                out_v[i] = float(np.mean(v[seg][present]))
-            else:
-                out_m[i] = True
+            out_m[i] = not np.any(present)
+            out_v[i] = 0.0 if out_m[i] else float(np.mean(v[seg][present]))
         dupes = int(e.size - uniq.size)
         log.warning("%s: collapsed %d duplicate timestamp rows", schema.channel, dupes)
         e, v, m = uniq, out_v, out_m

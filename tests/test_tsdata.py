@@ -122,6 +122,97 @@ class TestParse:
         with pytest.raises(SchemaError):
             tsdata.SeriesSchema("drybulb_c", "kWh", "UTC", 3600)
 
+    def test_duplicate_group_of_three_averages_present_rows(self):
+        lines = [
+            "timestamp,drybulb_c",
+            "2020-01-01T00:00:00+00:00,1.0",
+            "2020-01-01T01:00:00+00:00,2.0",
+            "2020-01-01T01:00:00+00:00,",
+            "2020-01-01T01:00:00+00:00,7.0",
+            "2020-01-01T02:00:00+00:00,3.0",
+        ]
+        s = tsdata.parse_series("\n".join(lines), UTC_SCHEMA)
+        assert s.values.tolist() == [1.0, 4.5, 3.0]
+        assert s.missing.tolist() == [False, False, False]
+        assert s.duplicates_collapsed == 2
+
+    def test_duplicate_group_all_missing_stays_missing(self):
+        lines = [
+            "timestamp,drybulb_c",
+            "2020-01-01T00:00:00+00:00,1.0",
+            "2020-01-01T01:00:00+00:00,",
+            "2020-01-01T01:00:00+00:00,nan",
+            "2020-01-01T02:00:00+00:00,3.0",
+        ]
+        s = tsdata.parse_series("\n".join(lines), UTC_SCHEMA)
+        assert s.missing.tolist() == [False, True, False]
+        assert s.values.tolist() == [1.0, 0.0, 3.0]
+        assert s.duplicates_collapsed == 1
+
+    def test_duplicate_groups_at_both_ends(self):
+        lines = [
+            "timestamp,drybulb_c",
+            "2020-01-01T03:00:00+00:00,9.0",
+            "2020-01-01T00:00:00+00:00,1.0",
+            "2020-01-01T01:00:00+00:00,5.0",
+            "2020-01-01T00:00:00+00:00,2.0",
+            "2020-01-01T02:00:00+00:00,6.0",
+            "2020-01-01T03:00:00+00:00,",
+            "2020-01-01T03:00:00+00:00,12.0",
+        ]
+        s = tsdata.parse_series("\n".join(lines), UTC_SCHEMA)
+        assert s.values.tolist() == [1.5, 5.0, 6.0, 10.5]
+        assert not s.missing.any()
+        assert s.duplicates_collapsed == 3
+
+    def test_naive_timestamps_across_the_autumn_fold(self):
+        # 01:30 occurs twice on 2020-11-01 in New York; naive rows take the
+        # first (EDT) reading, fold=0
+        walls = ["00:00", "01:00", "01:30", "02:00", "03:00"]
+        text = "timestamp,drybulb_c\n" + "".join(
+            f"2020-11-01T{w}:00,{i}\n" for i, w in enumerate(walls)
+        )
+        schema = tsdata.SeriesSchema("drybulb_c", "degC", "America/New_York", 3600)
+        s = tsdata.parse_series(text, schema)
+        utc = ["04:00", "05:00", "05:30", "07:00", "08:00"]
+        expect = [datetime.fromisoformat(f"2020-11-01T{u}:00+00:00").timestamp() for u in utc]
+        assert s.epochs.tolist() == expect
+
+    def test_naive_timestamp_in_the_spring_gap(self):
+        # 02:30 does not exist on 2020-03-08 in New York; fold=0 reads it
+        # with the EST offset, as 07:30 UTC
+        walls = ["2020-03-07T23:00", "2020-03-08T00:00", "2020-03-08T01:00",
+                 "2020-03-08T02:30", "2020-03-08T03:00"]
+        text = "timestamp,drybulb_c\n" + "".join(f"{w}:00,1.0\n" for w in walls)
+        schema = tsdata.SeriesSchema("drybulb_c", "degC", "America/New_York", 3600)
+        s = tsdata.parse_series(text, schema)
+        utc = ["04:00", "05:00", "06:00", "07:00", "07:30"]
+        expect = [datetime.fromisoformat(f"2020-03-08T{u}:00+00:00").timestamp() for u in utc]
+        assert s.epochs.tolist() == expect
+
+    def test_crlf_parses_like_lf(self):
+        text = hourly_csv([1.5, None, "nan", 4.25, 1e-300])
+        lf = tsdata.parse_series(text, UTC_SCHEMA)
+        crlf = tsdata.parse_series(text.replace("\n", "\r\n"), UTC_SCHEMA)
+        assert crlf.missing.tolist() == [False, True, True, False, False]
+        for a, b in [(lf.epochs, crlf.epochs), (lf.values, crlf.values), (lf.missing, crlf.missing)]:
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize(
+        "stamp",
+        [
+            "2019-02-29T00:00:00+00:00",
+            "2020-01-01T24:00:00+00:00",
+            "2020-01-01T00:00:60+00:00",
+            "2020-01-01T00:00:00+24:00",
+        ],
+    )
+    def test_out_of_range_timestamp_has_line_number(self, stamp):
+        text = f"timestamp,drybulb_c\n2019-01-01T00:00:00+00:00,1.0\n{stamp},2.0\n"
+        with pytest.raises(ParseError, match="unparseable timestamp") as exc:
+            tsdata.parse_series(text, UTC_SCHEMA)
+        assert exc.value.line_number == 3
+
 
 def test_serialize_parse_round_trip():
     s = tsdata.parse_series(hourly_csv([1.25, None, 3.75]), UTC_SCHEMA)
