@@ -5,10 +5,10 @@ single-channel CSVs with a ``timestamp,<channel>`` header, ISO-8601 timestamps
 and one numeric column where an empty cell means missing. Missing stays an
 explicit state end to end; NaN never survives ingestion.
 
-parse_series reads the canonical dialect (``YYYY-MM-DDTHH:MM:SS+HH:MM`` or
-``...Z``, then a plain decimal or empty cell), which serialize_series and
-synthgen write, in one vector pass over the file's bytes. Other ISO-8601
-forms, and naive timestamps in an IANA zone, go through the row-by-row
+parse_series reads the canonical dialect (``YYYY-MM-DDTHH:MM:SS+HH:MM``, then
+a plain decimal or empty cell), which serialize_series and synthgen write, in
+one vector pass over the file's bytes. Other ISO-8601 forms (``...Z``
+included), and naive timestamps in an IANA zone, go through the row-by-row
 parser instead, at per-row cost, with the same results and errors.
 
 Timestamps are stored internally as float64 epoch seconds plus the series
@@ -164,36 +164,48 @@ def _parse_timestamp(text: str, tz, line_number: int) -> float:
     return dt.timestamp()
 
 
-def _parse_row(line: str, tz, line_number: int):
-    """Parse one data row: (epoch, value, missing), or None for a blank line."""
-    if not line.strip():
-        return None
-    parts = line.split(",")
-    if len(parts) != 2:
-        raise ParseError(f"expected 2 fields, got {len(parts)}", line_number)
-    epoch = _parse_timestamp(parts[0], tz, line_number)
-    raw = parts[1].strip()
-    if raw == "":
-        return epoch, 0.0, True
-    try:
-        v = float(raw)
-    except ValueError:
-        raise ParseError(f"unparseable value {raw!r}", line_number)
-    if math.isfinite(v):
-        return epoch, v, False
-    return epoch, 0.0, True
+def _parse_lines(numbered_lines, tz):
+    """Parse (line_number, line) data rows one by one.
+
+    Returns lists (blank, epochs, values, missing): the line numbers of the
+    blank lines, which are skipped, and the parsed rows.
+    """
+    blank, epochs, values, missing = [], [], [], []
+    for line_number, line in numbered_lines:
+        if not line.strip():
+            blank.append(line_number)
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ParseError(f"expected 2 fields, got {len(parts)}", line_number)
+        epochs.append(_parse_timestamp(parts[0], tz, line_number))
+        raw = parts[1].strip()
+        if raw == "":
+            values.append(0.0)
+            missing.append(True)
+            continue
+        try:
+            v = float(raw)
+        except ValueError:
+            raise ParseError(f"unparseable value {raw!r}", line_number)
+        if math.isfinite(v):
+            values.append(v)
+            missing.append(False)
+        else:
+            values.append(0.0)
+            missing.append(True)
+    return blank, epochs, values, missing
 
 
 # Characters other than "\n" that str.splitlines() breaks lines at.
 _LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
-# Canonical timestamp 'YYYY-MM-DDTHH:MM:SS+HH:MM' (or 'Z' at column 19),
-# then a comma. No byte of the timestamp or of an accepted value cell is a
-# comma, so a row that passes has exactly two fields.
+# Canonical timestamp 'YYYY-MM-DDTHH:MM:SS+HH:MM', then a comma. No byte of
+# the timestamp or of an accepted value cell is a comma, so a row that passes
+# has exactly two fields.
 _STAMP_WIDTH = 26
-_DATE_DIGITS = np.array([0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18])
-_DATE_PUNCT = ((4, "-"), (7, "-"), (10, "T"), (13, ":"), (16, ":"))
-_OFFSET_DIGITS = np.array([20, 21, 23, 24])
+_STAMP_DIGITS = np.array([0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18, 20, 21, 23, 24])
+_STAMP_PUNCT = ((4, "-"), (7, "-"), (10, "T"), (13, ":"), (16, ":"), (22, ":"), (25, ","))
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 # Value cells wider than this, or holding bytes outside this set, take the
@@ -217,21 +229,19 @@ def _days_from_civil(y, m, d):
 def _canonical_stamps(buf: np.ndarray, starts: np.ndarray):
     """Decode the timestamp at the start of each line.
 
-    Returns (ok, epochs, comma): ok marks lines that open with a canonical,
-    in-range timestamp followed by a comma at column ``comma``. Their epochs
-    are exact integers, so they equal ``datetime.timestamp()``.
+    Returns (ok, epochs): ok marks lines that open with a canonical, in-range
+    timestamp and a comma. Their epochs are exact integers, so they equal
+    ``datetime.timestamp()``.
     """
     ts = sliding_window_view(buf, _STAMP_WIDTH)[starts]
-    zulu = ts[:, 19] == ord("Z")
     sign = np.where(ts[:, 19] == ord("-"), -1, 1)
-    ok = np.ones(starts.size, dtype=bool)
-    for col, ch in _DATE_PUNCT:
+    ok = (ts[:, 19] == ord("+")) | (ts[:, 19] == ord("-"))
+    for col, ch in _STAMP_PUNCT:
         ok &= ts[:, col] == ord(ch)
-    with_offset = ((ts[:, 19] == ord("+")) | (ts[:, 19] == ord("-"))) & (ts[:, 22] == ord(":"))
-    ok &= (with_offset & (ts[:, 25] == ord(","))) | (zulu & (ts[:, 20] == ord(",")))
+    if not ok.any():  # e.g. a file of naive timestamps
+        return ok, np.zeros(starts.size)
     ts -= np.uint8(ord("0"))  # wraps, so only digits fall below 10
-    ok &= (ts[:, _DATE_DIGITS] < 10).all(axis=1)
-    ok &= zulu | (ts[:, _OFFSET_DIGITS] < 10).all(axis=1)
+    ok &= (ts[:, _STAMP_DIGITS] < 10).all(axis=1)
 
     def number(first, width):
         out = np.zeros(starts.size, dtype=np.int32)
@@ -245,12 +255,10 @@ def _canonical_stamps(buf: np.ndarray, starts: np.ndarray):
     leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
     month_days = _MONTH_DAYS[np.clip(month, 0, 12)] + ((month == 2) & leap)
     ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
-    ok &= (hour <= 23) & (minute <= 59) & (second <= 59)
-    ok &= zulu | ((off_h <= 23) & (off_m <= 59))
-    offset = np.where(zulu, 0, sign * (off_h * 3600 + off_m * 60))
+    ok &= (hour <= 23) & (minute <= 59) & (second <= 59) & (off_h <= 23) & (off_m <= 59)
     seconds = _days_from_civil(year, month, day).astype(np.int64) * 86400
-    seconds += hour * 3600 + minute * 60 + second - offset
-    return ok, seconds.astype(np.float64), np.where(zulu, 20, 25)
+    seconds += hour * 3600 + minute * 60 + second - sign * (off_h * 3600 + off_m * 60)
+    return ok, seconds.astype(np.float64)
 
 
 def _cell_values(buf: np.ndarray, first: np.ndarray, width: np.ndarray):
@@ -279,10 +287,11 @@ def _parse_rows(text: str, tz):
     """Parse the lines after the header of ``text``, split at "\\n" only.
 
     Canonical rows are decoded in one vector pass; every other line goes
-    through _parse_row in line order, so the first malformed line raises
+    through _parse_lines in line order, so the first malformed line raises
     exactly as a row-by-row parse would.
 
-    Returns (epochs, values, missing) in line order, blank lines dropped.
+    Returns (epochs, values, missing) in line order, blank lines dropped, or
+    None when most lines are not canonical.
     """
     raw = text.encode("utf-8", "surrogatepass")
     size = len(raw)
@@ -292,19 +301,22 @@ def _parse_rows(text: str, tz):
     starts = np.flatnonzero(buf[:size] == ord("\n")) + 1
     ends = np.append(starts[1:] - 1, size)
 
-    ok, epochs, comma = _canonical_stamps(buf, starts)
-    first = starts + comma + 1
+    ok, epochs = _canonical_stamps(buf, starts)
+    first = starts + _STAMP_WIDTH
     width = np.clip(ends - first, 0, None)
     ok &= width <= _VALUE_WIDTH
     cells_ok, values, missing = _cell_values(buf, first, np.where(ok, width, 0))
     ok &= cells_ok
 
-    for i in np.flatnonzero(~ok):
-        line = raw[starts[i] : ends[i]].decode("utf-8", "surrogatepass")
-        row = _parse_row(line, tz, int(i) + 2)
-        if row is not None:
-            ok[i] = True
-            epochs[i], values[i], missing[i] = row
+    fallback = np.flatnonzero(~ok)
+    if 2 * fallback.size > starts.size:
+        return None
+    bounds = zip(starts[fallback].tolist(), ends[fallback].tolist())
+    texts = (raw[a:b].decode("utf-8", "surrogatepass") for a, b in bounds)
+    blank, e, v, m = _parse_lines(zip((fallback + 2).tolist(), texts), tz)
+    at = fallback[~np.isin(fallback + 2, blank)]
+    ok[at] = True
+    epochs[at], values[at], missing[at] = e, v, m
     return epochs[ok], values[ok], missing[ok]
 
 
@@ -316,11 +328,11 @@ def parse_series(text: str, schema: SeriesSchema) -> RawSeries:
     value cells become explicit missing entries.
 
     Rows in the canonical dialect that ``serialize_series`` and
-    ``synthgen.write_dataset`` write (``YYYY-MM-DDTHH:MM:SS+HH:MM`` or ``...Z``,
-    a comma, a plain decimal or empty value) are parsed in one vector pass.
-    Other ISO-8601 forms, and naive timestamps (read in the schema zone, the
-    earlier instant where an IANA zone repeats an hour), are accepted at
-    per-row cost.
+    ``synthgen.write_dataset`` write (``YYYY-MM-DDTHH:MM:SS+HH:MM``, a comma,
+    a plain decimal or empty value) are parsed in one vector pass. Other
+    ISO-8601 forms (``...Z`` included), and naive timestamps (read in the
+    schema zone, the earlier instant where an IANA zone repeats an hour), are
+    accepted at per-row cost.
 
     Args:
         text: full CSV text including the ``timestamp,<channel>`` header.
@@ -346,7 +358,12 @@ def parse_series(text: str, schema: SeriesSchema) -> RawSeries:
             f"file carries channel {header[1]!r}, schema declares {schema.channel!r}"
         )
 
-    e, v, m = _parse_rows(text, resolve_timezone(schema.timezone))
+    tz = resolve_timezone(schema.timezone)
+    rows = _parse_rows(text, tz)
+    if rows is None:  # mostly other forms, for which the row loop alone is cheaper
+        _, e, v, m = _parse_lines(enumerate(text.split("\n")[1:], start=2), tz)
+        rows = np.array(e), np.array(v), np.array(m, dtype=bool)
+    e, v, m = rows
     if not e.size:
         raise EmptyInputError(f"{schema.channel}: no data rows")
 

@@ -293,19 +293,45 @@ def test_calendar_edges_match_row_by_row_parser(date, tail):
     assert_parsed_alike(f"timestamp,kwh\n{date}T23:59:59{tail},1.5\n")
 
 
+def spy_on_row_parser(monkeypatch):
+    """Record every line that reaches tsdata._parse_lines."""
+    seen = []
+    original = tsdata._parse_lines
+
+    def spy(numbered_lines, tz):
+        numbered_lines = list(numbered_lines)
+        seen.extend(line for _, line in numbered_lines)
+        return original(numbered_lines, tz)
+
+    monkeypatch.setattr(tsdata, "_parse_lines", spy)
+    return seen
+
+
 def test_canonical_rows_skip_the_per_row_parser(monkeypatch):
     tz = timezone(timedelta(hours=-5))
     t0 = datetime(2000, 2, 28, tzinfo=tz)  # 2000-02-29 exists (400-year rule)
     lines = ["timestamp,kwh"]
     for i in range(48):
         t = t0 + timedelta(hours=i)
-        stamp = t.astimezone(timezone.utc).isoformat()[:-6] + "Z" if i % 3 else t.isoformat()
+        stamp = t.astimezone(timezone.utc).isoformat() if i % 3 else t.isoformat()
         lines.append(f"{stamp},{'' if i % 7 == 0 else repr(i * 0.1)}")
     text = "\n".join(lines) + "\n"
-    per_row = []
-    original = tsdata._parse_row
-    monkeypatch.setattr(
-        tsdata, "_parse_row", lambda line, tz, n: per_row.append(line) or original(line, tz, n)
-    )
+    per_row = spy_on_row_parser(monkeypatch)
     assert_parsed_alike(text)
     assert per_row == [""]  # only the empty line after the final newline
+
+
+def test_zulu_rows_take_the_row_parser(monkeypatch):
+    text = "timestamp,kwh\n2020-01-01T00:00:00Z,1.5\n2020-01-01T01:00:00+00:00,2.5"
+    per_row = spy_on_row_parser(monkeypatch)
+    assert_parsed_alike(text)
+    assert per_row == ["2020-01-01T00:00:00Z,1.5"]
+
+
+def test_naive_file_parses_row_by_row(monkeypatch):
+    walls = ["2020-11-01T00:00:00", "2020-11-01T01:00:00", "2020-11-01T01:00:00",
+             "2020-11-01T02:00:00", "2020-11-01T03:00:00"]
+    text = "timestamp,kwh\n" + "".join(f"{w},{i}\n" for i, w in enumerate(walls))
+    per_row = spy_on_row_parser(monkeypatch)
+    assert_parsed_alike(text, "America/New_York")
+    assert per_row == [f"{w},{i}" for i, w in enumerate(walls)] + [""]
