@@ -41,13 +41,13 @@ def main():
         synthgen.SynthConfig(interval_seconds=3600, occupancy_drop=0.0, seed=21)
     )
     table = daily_table(ds)
-    train = table.date_mask(date(2017, 1, 1), date(2018, 12, 31))
-    test = table.date_mask(date(2019, 1, 1), date(2019, 12, 31))
-    print(f"[1] {len(table)} days; train {int(train.sum())}, "
-          f"held-out test {int(test.sum())}")
 
     # -- 2. features: weather channels + calendar indicators ----------------
     matrix = features.build_features(table, features.FeatureSpec())
+    train = matrix.date_mask(date(2017, 1, 1), date(2018, 12, 31))
+    test = matrix.date_mask(date(2019, 1, 1), date(2019, 12, 31))
+    print(f"[1] {len(table)} days; train {int(train.sum())}, "
+          f"held-out test {int(test.sum())}")
     print(f"[2] feature matrix {matrix.X.shape}: {', '.join(matrix.names)}")
 
     # standardize non-binary columns on training statistics only

@@ -24,9 +24,10 @@ from typing import Optional, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .errors import ConfigError, DataError, NoValidBaselineError, NormbaseError
-from .features import FeatureSpec, apply_scaler, build_features, scaler_from_dict, scaler_to_dict
+from .features import FeatureSpec, Scaler, apply_scaler, build_features
 from .metrics import monthly_rollup
 from .normalize import MODEL_KINDS, SELECTION_GATE, SELECTION_TOP_K, PeriodSpec, run_pipeline, score
+from .savefile import from_json, to_json
 from .svgchart import cumulative_chart, dlr_chart, overlay_chart
 from .synthgen import SynthConfig, configure_for_target, generate, write_dataset
 from .tsdata import (
@@ -417,7 +418,7 @@ def _save_models(models_dir: Path, report, settings: RunSettings):
         doc = {
             "kind": name,
             "feature_names": list(report.feature_names),
-            "feature_scaler": scaler_to_dict(report.feature_scaler),
+            "feature_scaler": to_json(report.feature_scaler),
             "lookback_days": settings.feature_spec.lookback_days,
             "payload": MODEL_KINDS[name].to_dict(outcome.fitted),
         }
@@ -478,16 +479,21 @@ def _evaluate_saved(settings: RunSettings, table, models_dir: Path) -> dict:
         f = models_dir / f"{name}.json"
         if not f.exists():
             continue
+        # JSONDecodeError is a ValueError; the codec raises ValueError too
         try:
             doc = json.loads(f.read_text())
-        except (OSError, json.JSONDecodeError) as e:
+            feature_names = doc["feature_names"]
+            scaler = from_json(Scaler, doc["feature_scaler"])
+            lookback = int(doc["lookback_days"])
+            fitted = kind.from_dict(doc["payload"])
+        except (OSError, KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"cannot load model file {f}: {e}")
-        if doc.get("feature_names") != list(matrix.names):
+        if feature_names != list(matrix.names):
             raise ConfigError(
                 f"model {name} was trained on different feature columns than configured"
             )
-        scaled = apply_scaler(matrix, scaler_from_dict(doc["feature_scaler"]))
-        pred = kind.predict(kind.from_dict(doc["payload"]), scaled, int(doc["lookback_days"]))
+        scaled = apply_scaler(matrix, scaler)
+        pred = kind.predict(fitted, scaled, lookback)
         results[name] = score(scaled, test_mask, pred, p=settings.p)
     if not results:
         raise ConfigError(f"no model files found in {models_dir}")

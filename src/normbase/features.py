@@ -184,23 +184,6 @@ def apply_scaler(matrix: FeatureMatrix, scaler: Scaler) -> FeatureMatrix:
     )
 
 
-def scaler_to_dict(scaler: Scaler) -> dict:
-    # repr round-trips float64 exactly, so saved models reload bit-identical
-    return {
-        "mean": [repr(float(v)) for v in scaler.mean],
-        "std": [repr(float(v)) for v in scaler.std],
-        "exempt": [bool(v) for v in scaler.exempt],
-    }
-
-
-def scaler_from_dict(d: dict) -> Scaler:
-    return Scaler(
-        mean=np.array([float(v) for v in d["mean"]]),
-        std=np.array([float(v) for v in d["std"]]),
-        exempt=np.array(d["exempt"], dtype=bool),
-    )
-
-
 @dataclass(frozen=True)
 class TargetScaler:
     """Z-score parameters for the target column."""

@@ -26,6 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DataError, TrainingDivergedError
+from .savefile import from_json, to_json
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -93,15 +94,29 @@ def grad_hess(y, pred):
     return pred - y, np.ones_like(y)
 
 
-def split_gain(g_left, h_left, g_right, h_right, reg_lambda, gamma) -> float:
-    """Objective reduction of a candidate split.
+def _best_candidate(gl, hl, g_total, h_total, cfg, valid=True):
+    """First best (index, gain) among candidate splits, or None if none is valid.
 
-    0.5 * [GL^2/(HL+lam) + GR^2/(HR+lam) - (GL+GR)^2/(HL+HR+lam)] - gamma
+    Candidate k sends gradient sum gl[k] and hessian sum hl[k] to the left
+    child. Its gain is
+    0.5 * [GL^2/(HL+lam) + GR^2/(HR+lam) - (GL+GR)^2/(HL+HR+lam)] - gamma.
+    A candidate is valid when ``valid`` holds and both children carry at
+    least min_child_hessian; the first maximum wins, which is the lowest
+    threshold on ties.
     """
-    gl, hl, gr, hr = float(g_left), float(h_left), float(g_right), float(h_right)
-    lam = reg_lambda
-    parent = (gl + gr) ** 2 / (hl + hr + lam)
-    return 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent) - gamma
+    hr = h_total - hl
+    ok = (hl >= cfg.min_child_hessian) & (hr >= cfg.min_child_hessian) & valid
+    if not np.any(ok):
+        return None
+    gr = g_total - gl
+    lam = cfg.reg_lambda
+    parent = (g_total * g_total) / (h_total + lam)
+    # invalid candidates may divide by zero here; they are masked right after
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent) - cfg.gamma
+    gains[~ok] = -np.inf
+    best = int(np.argmax(gains))
+    return best, float(gains[best])
 
 
 def leaf_weight(g_sum, h_sum, reg_lambda) -> float:
@@ -159,33 +174,16 @@ def predict_tree(node: TreeNode, X) -> np.ndarray:
 
 
 def _scan_best_split(xs, gs, hs, g_total, h_total, cfg):
-    """Best (gain, threshold, left_count) along one sorted feature column.
+    """Best (gain, threshold) along one sorted feature column, or None.
 
-    Candidates are midpoints between consecutive distinct values; a candidate
-    is valid only when both children carry at least min_child_hessian.
-    Returns None when no valid candidate has a finite gain.
+    Candidates are midpoints between consecutive distinct values.
     """
     cut = np.flatnonzero(xs[:-1] < xs[1:])
-    if cut.size == 0:
+    found = _best_candidate(np.cumsum(gs)[cut], np.cumsum(hs)[cut], g_total, h_total, cfg)
+    if found is None:
         return None
-    cg = np.cumsum(gs)
-    ch = np.cumsum(hs)
-    gl = cg[cut]
-    hl = ch[cut]
-    gr = g_total - gl
-    hr = h_total - hl
-    ok = (hl >= cfg.min_child_hessian) & (hr >= cfg.min_child_hessian)
-    if not np.any(ok):
-        return None
-    lam = cfg.reg_lambda
-    parent = (g_total * g_total) / (h_total + lam)
-    # invalid candidates may divide by zero here; they are masked right after
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent) - cfg.gamma
-    gains[~ok] = -np.inf
-    best = int(np.argmax(gains))  # first max -> lowest threshold on ties
-    thr = 0.5 * (xs[cut[best]] + xs[cut[best] + 1])
-    return float(gains[best]), float(thr), int(cut[best] + 1)
+    best, gain = found
+    return gain, float(0.5 * (xs[cut[best]] + xs[cut[best] + 1]))
 
 
 def build_tree_exact(X, g, h, cfg: BoostConfig) -> TreeNode:
@@ -219,7 +217,7 @@ def build_tree_exact(X, g, h, cfg: BoostConfig) -> TreeNode:
             )
             if found is None:
                 continue
-            gain, thr, _ = found
+            gain, thr = found
             if best is None or gain > best[0]:
                 best = (gain, f, thr)
 
@@ -305,9 +303,9 @@ class FeatureBundle:
     keep the earliest member's value.
     """
 
-    features: list
-    lo: list = field(default_factory=list)
-    offsets: list = field(default_factory=list)
+    features: list[int]
+    lo: list[float] = field(default_factory=list)
+    offsets: list[float] = field(default_factory=list)
 
     @property
     def is_identity(self) -> bool:
@@ -430,12 +428,11 @@ def _bin_column(values, edges) -> np.ndarray:
 class _HistLeaf:
     """Bookkeeping for one growable leaf during best-first construction."""
 
-    __slots__ = ("node", "rows", "order", "split")
+    __slots__ = ("node", "rows", "split")
 
-    def __init__(self, node, rows, order):
+    def __init__(self, node, rows):
         self.node = node
         self.rows = rows
-        self.order = order
         self.split = None  # (gain, feature, edge_index, threshold)
 
 
@@ -443,8 +440,6 @@ def _best_hist_split(rows, bin_idx, edges, gw, hw, cfg):
     """Scan every bundled column's histogram for the best valid split."""
     g_total = float(np.sum(gw[rows]))
     h_total = float(np.sum(hw[rows]))
-    lam = cfg.reg_lambda
-    parent = (g_total * g_total) / (h_total + lam)
     best = None
     for f in range(bin_idx.shape[1]):
         e = edges[f]
@@ -454,27 +449,14 @@ def _best_hist_split(rows, bin_idx, edges, gw, hw, cfg):
         b = bin_idx[rows, f]
         hist_g = np.bincount(b, weights=gw[rows], minlength=nbins)
         hist_h = np.bincount(b, weights=hw[rows], minlength=nbins)
-        hist_n = np.bincount(b, minlength=nbins)
-        gl = np.cumsum(hist_g)[:-1]
-        hl = np.cumsum(hist_h)[:-1]
-        nl = np.cumsum(hist_n)[:-1]
-        hr = h_total - hl
-        ok = (
-            (hl >= cfg.min_child_hessian)
-            & (hr >= cfg.min_child_hessian)
-            & (nl > 0)
-            & (nl < rows.size)
+        nl = np.cumsum(np.bincount(b, minlength=nbins))[:-1]
+        found = _best_candidate(
+            np.cumsum(hist_g)[:-1], np.cumsum(hist_h)[:-1], g_total, h_total, cfg,
+            valid=(nl > 0) & (nl < rows.size),
         )
-        if not np.any(ok):
-            continue
-        gr = g_total - gl
-        # invalid candidates may divide by zero here; they are masked right after
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent) - cfg.gamma
-        gains[~ok] = -np.inf
-        j = int(np.argmax(gains))  # first max -> lowest threshold on ties
-        if best is None or gains[j] > best[0]:
-            best = (float(gains[j]), f, j, float(e[j]))
+        if found is not None and (best is None or found[1] > best[0]):
+            j, gain = found
+            best = (gain, f, j, float(e[j]))
     return best
 
 
@@ -504,10 +486,9 @@ def build_tree_hist(bin_idx, edges, g, h, w, rows, cfg: BoostConfig) -> TreeNode
 
     root_rows = np.asarray(rows, dtype=int)
     root = make_leaf(root_rows)
-    leaves = [_HistLeaf(root, root_rows, 0)]
+    leaves = [_HistLeaf(root, root_rows)]
     leaves[0].split = _best_hist_split(root_rows, bin_idx, edges, gw, hw, cfg)
     n_leaves = 1
-    counter = 1
 
     while n_leaves < cfg.max_leaves:
         grow = None
@@ -533,8 +514,7 @@ def build_tree_hist(bin_idx, edges, g, h, w, rows, cfg: BoostConfig) -> TreeNode
 
         leaves.remove(grow)
         for child_node, child_rows in ((node.left, left_rows), (node.right, right_rows)):
-            child = _HistLeaf(child_node, child_rows, counter)
-            counter += 1
+            child = _HistLeaf(child_node, child_rows)
             child.split = _best_hist_split(child_rows, bin_idx, edges, gw, hw, cfg)
             leaves.append(child)
         n_leaves += 1
@@ -572,8 +552,8 @@ class Ensemble:
     base_score: float
     learning_rate: float
     n_features: int
-    trees: list = field(default_factory=list)
-    bundles: Optional[list] = None
+    trees: list[TreeNode] = field(default_factory=list)
+    bundles: Optional[list[FeatureBundle]] = None
 
 
 def boost_fit(data, cfg: BoostConfig, kind: str = "exact"):
@@ -683,88 +663,13 @@ def boost_predict(ensemble: Ensemble, X) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-
-def _node_records(root: TreeNode):
-    records = []
-
-    def walk(node):
-        i = len(records)
-        rec = {
-            "feature": int(node.feature),
-            "threshold": repr(float(node.threshold)),
-            "default_left": bool(node.default_left),
-            "gain": repr(float(node.gain)),
-            "weight": repr(float(node.weight)),
-            "left": None,
-            "right": None,
-        }
-        records.append(rec)
-        if not node.is_leaf:
-            rec["left"] = walk(node.left)
-            rec["right"] = walk(node.right)
-        return i
-
-    walk(root)
-    return records
-
-
-def _node_from_records(records, i=0) -> TreeNode:
-    rec = records[i]
-    node = TreeNode(
-        feature=rec["feature"],
-        threshold=float(rec["threshold"]),
-        default_left=rec["default_left"],
-        gain=float(rec["gain"]),
-        weight=float(rec["weight"]),
-    )
-    if rec["left"] is not None:
-        node.left = _node_from_records(records, rec["left"])
-        node.right = _node_from_records(records, rec["right"])
-    return node
+# serialization (traced by name in perfbench, so kept as module functions)
 
 
 def ensemble_to_dict(ensemble: Ensemble) -> dict:
-    """JSON-ready form with decimal-string floats for exact reload."""
-    bundles = None
-    if ensemble.bundles is not None:
-        bundles = [
-            {
-                "features": [int(f) for f in b.features],
-                "lo": [repr(float(x)) for x in b.lo],
-                "offsets": [repr(float(x)) for x in b.offsets],
-            }
-            for b in ensemble.bundles
-        ]
-    return {
-        "model": "boosted_trees",
-        "kind": ensemble.kind,
-        "base_score": repr(float(ensemble.base_score)),
-        "learning_rate": repr(float(ensemble.learning_rate)),
-        "n_features": ensemble.n_features,
-        "bundles": bundles,
-        "trees": [_node_records(t) for t in ensemble.trees],
-    }
+    return to_json(ensemble)
 
 
 def ensemble_from_dict(doc: dict) -> Ensemble:
     """Inverse of ensemble_to_dict; reloaded models predict bit-identically."""
-    bundles = None
-    if doc.get("bundles") is not None:
-        bundles = [
-            FeatureBundle(
-                features=list(b["features"]),
-                lo=[float(x) for x in b["lo"]],
-                offsets=[float(x) for x in b["offsets"]],
-            )
-            for b in doc["bundles"]
-        ]
-    return Ensemble(
-        kind=doc["kind"],
-        base_score=float(doc["base_score"]),
-        learning_rate=float(doc["learning_rate"]),
-        n_features=int(doc["n_features"]),
-        trees=[_node_from_records(r) for r in doc["trees"]],
-        bundles=bundles,
-    )
+    return from_json(Ensemble, doc)

@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, UndefinedMetricError
+from .savefile import to_json
 
 # Gate limits for a daily-resolution baseline model and its monthly rollup.
 MONTHLY_CV_LIMIT = 0.15
@@ -110,15 +111,6 @@ class KpiSet:
     nmbe: float
     n: int
 
-    def as_dict(self):
-        return {
-            "rmse": self.rmse,
-            "cv_rmse": self.cv_rmse,
-            "r_squared": self.r_squared,
-            "nmbe": self.nmbe,
-            "n": self.n,
-        }
-
 
 @dataclass(frozen=True)
 class GateResult:
@@ -139,13 +131,7 @@ class GateResult:
         )
 
     def as_dict(self):
-        return {
-            "monthly_cv_ok": self.monthly_cv_ok,
-            "daily_cv_ok": self.daily_cv_ok,
-            "monthly_nmbe_ok": self.monthly_nmbe_ok,
-            "daily_nmbe_ok": self.daily_nmbe_ok,
-            "passed": self.passed,
-        }
+        return {**to_json(self), "passed": self.passed}
 
 
 @dataclass(frozen=True)
@@ -158,12 +144,7 @@ class KpiReport:
     p: int
 
     def as_dict(self):
-        return {
-            "daily": self.daily.as_dict(),
-            "monthly": self.monthly.as_dict() if self.monthly else None,
-            "gate": self.gate.as_dict() if self.gate else None,
-            "p": self.p,
-        }
+        return {**to_json(self), "gate": self.gate.as_dict() if self.gate else None}
 
 
 @dataclass(frozen=True)

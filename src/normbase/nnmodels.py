@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, TrainingDivergedError
 from .features import TargetScaler
+from .savefile import from_json, to_json
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -178,10 +179,10 @@ class MlpParams:
     maps network outputs back to original target units.
     """
 
-    layer_sizes: list
+    layer_sizes: list[int]
     activation: str
-    weights: list
-    biases: list
+    weights: list[np.ndarray]
+    biases: list[np.ndarray]
     target_scaler: Optional[TargetScaler] = None
 
     def arrays(self):
@@ -298,9 +299,9 @@ class LstmParams:
 
     input_size: int
     hidden_size: int
-    W: list  # 4 arrays (input_size, hidden_size)
-    U: list  # 4 arrays (hidden_size, hidden_size)
-    b: list  # 4 arrays (hidden_size,)
+    W: list[np.ndarray]  # 4 arrays (input_size, hidden_size)
+    U: list[np.ndarray]  # 4 arrays (hidden_size, hidden_size)
+    b: list[np.ndarray]  # 4 arrays (hidden_size,)
     w_out: np.ndarray  # (hidden_size,)
     b_out: np.ndarray  # shape (1,), kept as array for in-place updates
     target_scaler: Optional[TargetScaler] = None
@@ -439,73 +440,20 @@ def lstm_predict(params: LstmParams, S) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-
-def _scaler_to_dict(scaler: Optional[TargetScaler]):
-    if scaler is None:
-        return None
-    return {"mean": repr(float(scaler.mean)), "std": repr(float(scaler.std))}
-
-
-def _scaler_from_dict(doc) -> Optional[TargetScaler]:
-    if doc is None:
-        return None
-    return TargetScaler(mean=float(doc["mean"]), std=float(doc["std"]))
+# serialization (traced by name in perfbench, so kept as module functions)
 
 
 def mlp_to_dict(params: MlpParams) -> dict:
-    """JSON-ready form with decimal-string floats for exact reload."""
-    return {
-        "model": "mlp",
-        "layer_sizes": list(params.layer_sizes),
-        "activation": params.activation,
-        "weights": [[repr(x) for x in W.ravel().tolist()] for W in params.weights],
-        "biases": [[repr(x) for x in b.tolist()] for b in params.biases],
-        "target_scaler": _scaler_to_dict(params.target_scaler),
-    }
+    return to_json(params)
 
 
 def mlp_from_dict(doc: dict) -> MlpParams:
-    sizes = [int(s) for s in doc["layer_sizes"]]
-    weights = [
-        np.array([float(x) for x in flat]).reshape(fan_in, fan_out)
-        for flat, fan_in, fan_out in zip(doc["weights"], sizes[:-1], sizes[1:])
-    ]
-    biases = [np.array([float(x) for x in b]) for b in doc["biases"]]
-    return MlpParams(
-        layer_sizes=sizes,
-        activation=doc["activation"],
-        weights=weights,
-        biases=biases,
-        target_scaler=_scaler_from_dict(doc.get("target_scaler")),
-    )
+    return from_json(MlpParams, doc)
 
 
 def lstm_to_dict(params: LstmParams) -> dict:
-    """JSON-ready form with decimal-string floats for exact reload."""
-    return {
-        "model": "lstm",
-        "input_size": params.input_size,
-        "hidden_size": params.hidden_size,
-        "W": [[repr(x) for x in a.ravel().tolist()] for a in params.W],
-        "U": [[repr(x) for x in a.ravel().tolist()] for a in params.U],
-        "b": [[repr(x) for x in a.tolist()] for a in params.b],
-        "w_out": [repr(x) for x in params.w_out.tolist()],
-        "b_out": repr(float(params.b_out[0])),
-        "target_scaler": _scaler_to_dict(params.target_scaler),
-    }
+    return to_json(params)
 
 
 def lstm_from_dict(doc: dict) -> LstmParams:
-    fi, hh = int(doc["input_size"]), int(doc["hidden_size"])
-    return LstmParams(
-        input_size=fi,
-        hidden_size=hh,
-        W=[np.array([float(x) for x in a]).reshape(fi, hh) for a in doc["W"]],
-        U=[np.array([float(x) for x in a]).reshape(hh, hh) for a in doc["U"]],
-        b=[np.array([float(x) for x in a]) for a in doc["b"]],
-        w_out=np.array([float(x) for x in doc["w_out"]]),
-        b_out=np.array([float(doc["b_out"])]),
-        target_scaler=_scaler_from_dict(doc.get("target_scaler")),
-    )
+    return from_json(LstmParams, doc)

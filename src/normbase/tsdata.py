@@ -602,10 +602,6 @@ class DailyTable:
     def n_excluded(self) -> int:
         return int(np.sum(self.excluded))
 
-    def date_mask(self, start: date, end: date) -> np.ndarray:
-        """Boolean mask of rows with start <= date <= end."""
-        return np.array([start <= d <= end for d in self.dates])
-
 
 def align(
     energy: DailySeries,

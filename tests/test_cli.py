@@ -368,6 +368,44 @@ class TestEvaluate:
         assert rc == 2
         assert "different feature columns" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("corruption", ["no_payload", "text_threshold", "json_list", "previous_format"])
+    def test_malformed_model_file_exits_2_without_traceback(
+        self, data_dir, happy_run, tmp_path, capsys, corruption
+    ):
+        _, out, _ = happy_run
+        doc = json.loads((out / "models" / "gbt_exact.json").read_text())
+        name = "gbt_exact"
+        if corruption == "no_payload":
+            del doc["payload"]
+        elif corruption == "text_threshold":
+            doc["payload"]["trees"][0]["threshold"] = "abc"
+        elif corruption == "json_list":
+            doc = [doc]
+        else:
+            # an mlp file as written before the codec: floats as repr strings
+            n = len(doc["feature_names"])
+            name = "mlp"
+            doc = {
+                "kind": "mlp",
+                "feature_names": doc["feature_names"],
+                "feature_scaler": {"mean": ["0.0"] * n, "std": ["1.0"] * n, "exempt": [False] * n},
+                "lookback_days": 7,
+                "payload": {
+                    "model": "mlp", "layer_sizes": [n, 1], "activation": "relu",
+                    "weights": [["0.5"] * n], "biases": [["0.0"]],
+                    "target_scaler": {"mean": "0.0", "std": "1.0"},
+                },
+            }
+        models = tmp_path / "models"
+        models.mkdir()
+        (models / f"{name}.json").write_text(json.dumps(doc))
+        cfg = write_config(tmp_path / "c.json", run_config(data_dir))
+        rc = cli.main(["evaluate", "--config", cfg, "--models", str(models)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "cannot load model file" in err
+        assert "Traceback" not in err
+
     def test_empty_models_dir(self, data_dir, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", run_config(data_dir))
         empty = tmp_path / "nomodels"

@@ -1,3 +1,4 @@
+import json
 import math
 from datetime import date, timedelta
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from normbase import features
+from normbase import features, savefile
 from normbase.errors import (
     ConfigError,
     DataError,
@@ -189,7 +190,7 @@ class TestScaler:
 
     def test_dict_round_trip_exact(self):
         sc = features.fit_scaler(self.matrix(), np.ones(3, dtype=bool))
-        sc2 = features.scaler_from_dict(features.scaler_to_dict(sc))
+        sc2 = savefile.from_json(features.Scaler, json.loads(json.dumps(savefile.to_json(sc))))
         np.testing.assert_array_equal(sc.mean, sc2.mean)
         np.testing.assert_array_equal(sc.std, sc2.std)
         np.testing.assert_array_equal(sc.exempt, sc2.exempt)

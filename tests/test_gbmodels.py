@@ -82,19 +82,6 @@ def assert_same_tree(node: gb.TreeNode, ref: dict, rel=1e-12):
 
 
 class TestSplitMath:
-    def test_gain_hand_value(self):
-        # G_L=4, H_L=2, G_R=-4, H_R=2, lam=1, gamma=0:
-        # 0.5 * (16/3 + 16/3 - 0) = 16/3
-        assert gb.split_gain(4, 2, -4, 2, 1, 0) == pytest.approx(16 / 3, rel=1e-15)
-
-    def test_gamma_subtracts(self):
-        base = gb.split_gain(4, 2, -4, 2, 1, 0)
-        assert gb.split_gain(4, 2, -4, 2, 1, 0.5) == pytest.approx(base - 0.5, rel=1e-15)
-
-    def test_no_gain_when_children_agree(self):
-        # identical mean gradient left and right -> no objective reduction
-        assert gb.split_gain(2, 2, 2, 2, 0, 0) == pytest.approx(0.0, abs=1e-15)
-
     def test_leaf_weight(self):
         assert gb.leaf_weight(-6.0, 3.0, 1.0) == -(-6.0) / 4.0
         assert gb.leaf_weight(2.0, 4.0, 0.0) == -0.5

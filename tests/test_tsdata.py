@@ -392,13 +392,6 @@ class TestAlign:
         t = tsdata.align(e, {"drybulb_c": w}, date_range=(date(2020, 1, 2), date(2020, 1, 3)))
         assert t.dates == [date(2020, 1, 2), date(2020, 1, 3)]
 
-    def test_date_mask(self):
-        e = self.daily("kwh", date(2020, 1, 1), [1.0, 2.0, 3.0])
-        w = self.daily("drybulb_c", date(2020, 1, 1), [5.0, 6.0, 7.0])
-        t = tsdata.align(e, {"drybulb_c": w})
-        mask = t.date_mask(date(2020, 1, 2), date(2020, 1, 2))
-        assert mask.tolist() == [False, True, False]
-
 
 class TestTimezones:
     def test_utc_and_offsets(self):
