@@ -423,7 +423,7 @@ def _save_models(models_dir: Path, report, settings: RunSettings):
             "payload": MODEL_KINDS[name].to_dict(outcome.fitted),
         }
         (models_dir / f"{name}.json").write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            json.dumps(doc, sort_keys=True) + "\n"
         )
 
 
@@ -486,6 +486,10 @@ def _evaluate_saved(settings: RunSettings, table, models_dir: Path) -> dict:
             scaler = from_json(Scaler, doc["feature_scaler"])
             lookback = int(doc["lookback_days"])
             fitted = kind.from_dict(doc["payload"])
+            shapes = {(len(feature_names),), (kind.n_inputs(fitted),)}
+            shapes.update(a.shape for a in (scaler.mean, scaler.std, scaler.exempt))
+            if len(shapes) > 1 or scaler.exempt.dtype != bool:
+                raise ValueError(f"feature names, scaler and model disagree: {sorted(shapes)}")
         except (OSError, KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"cannot load model file {f}: {e}")
         if feature_names != list(matrix.names):

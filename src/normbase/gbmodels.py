@@ -3,11 +3,15 @@
 Two tree builders share one boosting loop:
 
 * ``exact``: depth-wise growth, split candidates at midpoints between every
-  pair of consecutive distinct feature values.
+  pair of consecutive distinct feature values. Each column is sorted once per
+  tree (XGBoost's presorted column block) and every node keeps its rows in
+  that per-column order, so a node scores all (feature, cut) pairs with one
+  2-D cumulative sum.
 * ``histogram``: leaf-wise (best-first) growth over quantile-binned features,
   with gradient one-side sampling (keep the large-gradient rows, subsample the
   rest with a compensating weight) and exclusive-feature bundling (sparse
-  features whose nonzero rows barely overlap share one column).
+  features whose nonzero rows barely overlap share one column). A node builds
+  every column's histogram with one flat bincount per statistic.
 
 Squared-error loss throughout: gradient = prediction - target, hessian = 1.
 Split scoring and leaf weights follow the second-order objective with L2 leaf
@@ -94,15 +98,16 @@ def grad_hess(y, pred):
     return pred - y, np.ones_like(y)
 
 
-def _best_candidate(gl, hl, g_total, h_total, cfg, valid=True):
-    """First best (index, gain) among candidate splits, or None if none is valid.
+def _best_candidate(gl, hl, g_total, h_total, cfg, valid):
+    """First best (flat index, gain) among candidate splits, or None if none is valid.
 
-    Candidate k sends gradient sum gl[k] and hessian sum hl[k] to the left
-    child. Its gain is
+    gl and hl are (features, cuts) matrices: candidate [f, k] sends gradient
+    sum gl[f, k] and hessian sum hl[f, k] to the left child. Its gain is
     0.5 * [GL^2/(HL+lam) + GR^2/(HR+lam) - (GL+GR)^2/(HL+HR+lam)] - gamma.
-    A candidate is valid when ``valid`` holds and both children carry at
-    least min_child_hessian; the first maximum wins, which is the lowest
-    threshold on ties.
+    A candidate is valid when ``valid`` holds, both children carry at least
+    min_child_hessian and its gain is a number (a child hessian sum of 0 with
+    reg_lambda 0 makes it NaN). The first maximum in row-major order wins, so
+    ties go to the lowest feature, then the lowest threshold.
     """
     hr = h_total - hl
     ok = (hl >= cfg.min_child_hessian) & (hr >= cfg.min_child_hessian) & valid
@@ -114,9 +119,9 @@ def _best_candidate(gl, hl, g_total, h_total, cfg, valid=True):
     # invalid candidates may divide by zero here; they are masked right after
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent) - cfg.gamma
-    gains[~ok] = -np.inf
+    gains[~ok | np.isnan(gains)] = -np.inf
     best = int(np.argmax(gains))
-    return best, float(gains[best])
+    return best, float(gains.flat[best])
 
 
 def leaf_weight(g_sum, h_sum, reg_lambda) -> float:
@@ -173,19 +178,6 @@ def predict_tree(node: TreeNode, X) -> np.ndarray:
 # exact greedy builder
 
 
-def _scan_best_split(xs, gs, hs, g_total, h_total, cfg):
-    """Best (gain, threshold) along one sorted feature column, or None.
-
-    Candidates are midpoints between consecutive distinct values.
-    """
-    cut = np.flatnonzero(xs[:-1] < xs[1:])
-    found = _best_candidate(np.cumsum(gs)[cut], np.cumsum(hs)[cut], g_total, h_total, cfg)
-    if found is None:
-        return None
-    best, gain = found
-    return gain, float(0.5 * (xs[cut[best]] + xs[cut[best] + 1]))
-
-
 def build_tree_exact(X, g, h, cfg: BoostConfig) -> TreeNode:
     """Grow one depth-wise tree by exhaustive split enumeration.
 
@@ -194,38 +186,38 @@ def build_tree_exact(X, g, h, cfg: BoostConfig) -> TreeNode:
     threshold. A node becomes a leaf at max_depth, when no candidate has
     positive gain, or when every candidate would starve a child below
     min_child_hessian.
+
+    The columns are stable-argsorted once per tree. A child keeps the part of
+    its parent's (features, rows) order that its rows make up, which is the
+    stable argsort of the child's own rows (NaN last, ties by row index).
     """
     X = np.asarray(X, dtype=float)
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
     if X.ndim != 2 or X.shape[0] != g.size or g.size != h.size:
         raise DataError("X, g, h shapes disagree")
+    n, n_features = X.shape
+    Xt = X.T
 
-    def grow(rows: np.ndarray, depth: int) -> TreeNode:
+    def grow(rows: np.ndarray, order: np.ndarray, depth: int) -> TreeNode:
         g_total = float(np.sum(g[rows]))
         h_total = float(np.sum(h[rows]))
         leaf = TreeNode(weight=leaf_weight(g_total, h_total, cfg.reg_lambda))
         if depth >= cfg.max_depth or rows.size < 2:
             return leaf
 
-        best = None  # (gain, feature, threshold)
-        for f in range(X.shape[1]):
-            xs = X[rows, f]
-            order = np.argsort(xs, kind="stable")
-            found = _scan_best_split(
-                xs[order], g[rows][order], h[rows][order], g_total, h_total, cfg
-            )
-            if found is None:
-                continue
-            gain, thr = found
-            if best is None or gain > best[0]:
-                best = (gain, f, thr)
-
-        if best is None or best[0] <= 0.0:
+        xs = np.take_along_axis(Xt, order, axis=1)
+        found = _best_candidate(
+            np.cumsum(g[order], axis=1)[:, :-1], np.cumsum(h[order], axis=1)[:, :-1],
+            g_total, h_total, cfg, valid=xs[:, :-1] < xs[:, 1:],
+        )
+        if found is None or found[1] <= 0.0:
             return leaf
-        gain, f, thr = best
-        left_mask = X[rows, f] <= thr
-        left_rows, right_rows = rows[left_mask], rows[~left_mask]
+        (f, k), gain = divmod(found[0], rows.size - 1), found[1]
+        thr = float(0.5 * (xs[f, k] + xs[f, k + 1]))
+        is_left = Xt[f] <= thr
+        left_rows, right_rows = rows[is_left[rows]], rows[~is_left[rows]]
+        in_left = is_left[order]
         default_left = float(np.sum(h[left_rows])) >= float(np.sum(h[right_rows]))
         return TreeNode(
             feature=f,
@@ -233,11 +225,11 @@ def build_tree_exact(X, g, h, cfg: BoostConfig) -> TreeNode:
             default_left=default_left,
             gain=gain,
             weight=leaf.weight,
-            left=grow(left_rows, depth + 1),
-            right=grow(right_rows, depth + 1),
+            left=grow(left_rows, order[in_left].reshape(n_features, -1), depth + 1),
+            right=grow(right_rows, order[~in_left].reshape(n_features, -1), depth + 1),
         )
 
-    return grow(np.arange(X.shape[0]), 0)
+    return grow(np.arange(n), np.argsort(Xt, axis=1, kind="stable"), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -425,39 +417,32 @@ def _bin_column(values, edges) -> np.ndarray:
     return np.searchsorted(edges, v, side="left").astype(np.int32)
 
 
-class _HistLeaf:
-    """Bookkeeping for one growable leaf during best-first construction."""
+def _best_hist_split(rows, flat_bins, edges, can_cut, gw, hw, cfg):
+    """Best valid (gain, column, edge index, threshold) over every column, or None.
 
-    __slots__ = ("node", "rows", "split")
-
-    def __init__(self, node, rows):
-        self.node = node
-        self.rows = rows
-        self.split = None  # (gain, feature, edge_index, threshold)
-
-
-def _best_hist_split(rows, bin_idx, edges, gw, hw, cfg):
-    """Scan every bundled column's histogram for the best valid split."""
+    ``flat_bins`` holds column f's bin indices shifted by f * width, so one
+    bincount per statistic fills all histograms, and row f of the reshaped
+    (columns, width) matrix is column f's. ``can_cut`` masks the padding
+    slots j >= edges[f].size of the (columns, width - 1) candidates.
+    """
     g_total = float(np.sum(gw[rows]))
     h_total = float(np.sum(hw[rows]))
-    best = None
-    for f in range(bin_idx.shape[1]):
-        e = edges[f]
-        if e.size == 0:
-            continue
-        nbins = e.size + 1
-        b = bin_idx[rows, f]
-        hist_g = np.bincount(b, weights=gw[rows], minlength=nbins)
-        hist_h = np.bincount(b, weights=hw[rows], minlength=nbins)
-        nl = np.cumsum(np.bincount(b, minlength=nbins))[:-1]
-        found = _best_candidate(
-            np.cumsum(hist_g)[:-1], np.cumsum(hist_h)[:-1], g_total, h_total, cfg,
-            valid=(nl > 0) & (nl < rows.size),
-        )
-        if found is not None and (best is None or found[1] > best[0]):
-            j, gain = found
-            best = (gain, f, j, float(e[j]))
-    return best
+    n_cols, n_cuts = can_cut.shape
+    b = flat_bins[rows].ravel()
+
+    def left_sums(weights):
+        hist = np.bincount(b, weights, minlength=n_cols * (n_cuts + 1))
+        return np.cumsum(hist.reshape(n_cols, n_cuts + 1), axis=1)[:, :-1]
+
+    nl = left_sums(None)
+    found = _best_candidate(
+        left_sums(np.repeat(gw[rows], n_cols)), left_sums(np.repeat(hw[rows], n_cols)),
+        g_total, h_total, cfg, valid=can_cut & (nl > 0) & (nl < rows.size),
+    )
+    if found is None:
+        return None
+    (f, j), gain = divmod(found[0], n_cuts), found[1]
+    return gain, f, j, float(edges[f][j])
 
 
 def build_tree_hist(bin_idx, edges, g, h, w, rows, cfg: BoostConfig) -> TreeNode:
@@ -478,46 +463,34 @@ def build_tree_hist(bin_idx, edges, g, h, w, rows, cfg: BoostConfig) -> TreeNode
     """
     gw = g * w
     hw = h * w
+    sizes = np.array([e.size for e in edges], dtype=int)
+    n_cuts = int(sizes.max(initial=0))
+    flat_bins = bin_idx + (n_cuts + 1) * np.arange(bin_idx.shape[1])
+    can_cut = np.arange(n_cuts) < sizes[:, None]
 
-    def make_leaf(r):
-        return TreeNode(
-            weight=leaf_weight(np.sum(gw[r]), np.sum(hw[r]), cfg.reg_lambda)
-        )
+    def make_leaf(r, search=True):
+        """A leaf over rows r as (node, r, best split or None)."""
+        node = TreeNode(weight=leaf_weight(np.sum(gw[r]), np.sum(hw[r]), cfg.reg_lambda))
+        split = _best_hist_split(r, flat_bins, edges, can_cut, gw, hw, cfg) if search else None
+        return node, r, split
 
-    root_rows = np.asarray(rows, dtype=int)
-    root = make_leaf(root_rows)
-    leaves = [_HistLeaf(root, root_rows)]
-    leaves[0].split = _best_hist_split(root_rows, bin_idx, edges, gw, hw, cfg)
-    n_leaves = 1
-
-    while n_leaves < cfg.max_leaves:
-        grow = None
-        for leaf in leaves:
-            if leaf.split is None or leaf.split[0] <= 0.0:
-                continue
-            if grow is None or leaf.split[0] > grow.split[0]:
-                grow = leaf  # strict > keeps the earliest-created leaf on ties
-        if grow is None:
+    leaves = [make_leaf(np.asarray(rows, dtype=int))]
+    root = leaves[0][0]
+    for n_leaves in range(2, cfg.max_leaves + 1):
+        growable = [i for i, (_, _, split) in enumerate(leaves) if split and split[0] > 0.0]
+        if not growable:
             break
-
-        gain, f, j, thr = grow.split
-        go_left = bin_idx[grow.rows, f] <= j
-        left_rows, right_rows = grow.rows[go_left], grow.rows[~go_left]
-
-        node = grow.node
-        node.feature = f
-        node.threshold = thr
-        node.gain = gain
-        node.default_left = float(np.sum(hw[left_rows])) >= float(np.sum(hw[right_rows]))
-        node.left = make_leaf(left_rows)
-        node.right = make_leaf(right_rows)
-
-        leaves.remove(grow)
-        for child_node, child_rows in ((node.left, left_rows), (node.right, right_rows)):
-            child = _HistLeaf(child_node, child_rows)
-            child.split = _best_hist_split(child_rows, bin_idx, edges, gw, hw, cfg)
-            leaves.append(child)
-        n_leaves += 1
+        # max keeps the first, i.e. the earliest-created, of equal gains
+        grow = max(growable, key=lambda i: leaves[i][2][0])
+        node, node_rows, (gain, f, j, thr) = leaves.pop(grow)
+        go_left = bin_idx[node_rows, f] <= j
+        # the children of the last split never grow, so they need no search
+        search = n_leaves < cfg.max_leaves
+        left, right = (make_leaf(node_rows[m], search) for m in (go_left, ~go_left))
+        node.feature, node.threshold, node.gain = f, thr, gain
+        node.default_left = float(np.sum(hw[left[1]])) >= float(np.sum(hw[right[1]]))
+        node.left, node.right = left[0], right[0]
+        leaves += (left, right)
 
     return root
 
@@ -671,5 +644,25 @@ def ensemble_to_dict(ensemble: Ensemble) -> dict:
 
 
 def ensemble_from_dict(doc: dict) -> Ensemble:
-    """Inverse of ensemble_to_dict; reloaded models predict bit-identically."""
-    return from_json(Ensemble, doc)
+    """Inverse of ensemble_to_dict; reloaded models predict bit-identically.
+
+    Raises ValueError unless the bundles cover every feature once and every
+    split reads an existing (bundled) column and has both children.
+    """
+    ens = from_json(Ensemble, doc)
+    width = ens.n_features if ens.bundles is None else len(ens.bundles)
+    if ens.bundles is not None and (
+        sorted(f for b in ens.bundles for f in b.features) != list(range(ens.n_features))
+        or any(len(b.features) > 1 and not len(b.features) == len(b.lo) == len(b.offsets)
+               for b in ens.bundles)
+    ):
+        raise ValueError(f"bundles do not cover the {ens.n_features} features once each")
+    stack = list(ens.trees)
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            continue
+        if node.feature >= width or node.left is None or node.right is None:
+            raise ValueError(f"a split reads column {node.feature} of {width} or lacks a child")
+        stack += (node.left, node.right)
+    return ens

@@ -448,7 +448,16 @@ def mlp_to_dict(params: MlpParams) -> dict:
 
 
 def mlp_from_dict(doc: dict) -> MlpParams:
-    return from_json(MlpParams, doc)
+    """Inverse of mlp_to_dict; ValueError on an array that does not fit layer_sizes
+    or an unknown activation."""
+    params = from_json(MlpParams, doc)
+    sizes = params.layer_sizes
+    fit = list(zip(sizes, sizes[1:])) + [(s,) for s in sizes[1:]]
+    if len(sizes) < 2 or [a.shape for a in params.arrays()] != fit:
+        raise ValueError(f"MLP weights and biases do not fit layer sizes {sizes}")
+    if params.activation not in ("relu", "tanh"):  # the forward pass reads others as tanh
+        raise ValueError(f"unknown MLP activation {params.activation!r}")
+    return params
 
 
 def lstm_to_dict(params: LstmParams) -> dict:
@@ -456,4 +465,10 @@ def lstm_to_dict(params: LstmParams) -> dict:
 
 
 def lstm_from_dict(doc: dict) -> LstmParams:
-    return from_json(LstmParams, doc)
+    """Inverse of lstm_to_dict; ValueError if an array does not fit the sizes."""
+    params = from_json(LstmParams, doc)
+    n_in, n_hid = params.input_size, params.hidden_size
+    fit = [(n_in, n_hid)] * 4 + [(n_hid, n_hid)] * 4 + [(n_hid,)] * 4 + [(n_hid,), (1,)]
+    if [a.shape for a in params.arrays()] != fit:
+        raise ValueError(f"LSTM arrays do not fit input size {n_in} and hidden size {n_hid}")
+    return params

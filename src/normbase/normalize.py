@@ -81,7 +81,8 @@ class ModelKind:
     masked rows of a scaled FeatureMatrix. predict(fitted, matrix, lookback)
     returns one value per matrix row, NaN where the model has no input (a
     row without a full lookback window). to_dict/from_dict convert the
-    fitted model to and from its saved JSON payload.
+    fitted model to and from its saved JSON payload. n_inputs(fitted) is the
+    number of feature columns the model reads.
     """
 
     setup: type
@@ -90,6 +91,7 @@ class ModelKind:
     predict: Callable
     to_dict: Callable
     from_dict: Callable
+    n_inputs: Callable
 
 
 def _fit_mlp(setup: MlpSetup, matrix: FeatureMatrix, rows, lookback: int):
@@ -138,6 +140,7 @@ MODEL_KINDS = {
         predict=lambda params, matrix, lookback: nnmodels.mlp_predict(params, matrix.X),
         to_dict=lambda params: nnmodels.mlp_to_dict(params),
         from_dict=lambda doc: nnmodels.mlp_from_dict(doc),
+        n_inputs=lambda params: params.layer_sizes[0],
     ),
     "lstm": ModelKind(
         setup=LstmSetup,
@@ -146,6 +149,7 @@ MODEL_KINDS = {
         predict=_predict_lstm,
         to_dict=lambda params: nnmodels.lstm_to_dict(params),
         from_dict=lambda doc: nnmodels.lstm_from_dict(doc),
+        n_inputs=lambda params: params.input_size,
     ),
     "gbt_exact": ModelKind(
         setup=gbmodels.BoostConfig,
@@ -154,6 +158,7 @@ MODEL_KINDS = {
         predict=_predict_trees,
         to_dict=lambda ens: gbmodels.ensemble_to_dict(ens),
         from_dict=lambda doc: gbmodels.ensemble_from_dict(doc),
+        n_inputs=lambda ens: ens.n_features,
     ),
     "gbt_hist": ModelKind(
         setup=gbmodels.BoostConfig,
@@ -162,6 +167,7 @@ MODEL_KINDS = {
         predict=_predict_trees,
         to_dict=lambda ens: gbmodels.ensemble_to_dict(ens),
         from_dict=lambda doc: gbmodels.ensemble_from_dict(doc),
+        n_inputs=lambda ens: ens.n_features,
     ),
 }
 

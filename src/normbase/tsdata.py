@@ -320,6 +320,21 @@ def _parse_rows(text: str, tz):
     return epochs[ok], values[ok], missing[ok]
 
 
+def _finite_mean(x: np.ndarray) -> float:
+    """np.mean of finite values, also where their sum overflows.
+
+    Dividing by the largest magnitude first keeps the sum within n and the
+    result within that magnitude; np.mean's own bits are kept whenever it is
+    finite.
+    """
+    with np.errstate(over="ignore"):
+        mean = np.mean(x)
+    if np.isfinite(mean):
+        return float(mean)
+    scale = np.max(np.abs(x))
+    return float(np.mean(x / scale) * scale)
+
+
 def parse_series(text: str, schema: SeriesSchema) -> RawSeries:
     """Parse one channel CSV into a RawSeries.
 
@@ -380,7 +395,7 @@ def parse_series(text: str, schema: SeriesSchema) -> RawSeries:
             seg = slice(start[i], start[i] + counts[i])
             present = ~m[seg]
             out_m[i] = not np.any(present)
-            out_v[i] = 0.0 if out_m[i] else float(np.mean(v[seg][present]))
+            out_v[i] = 0.0 if out_m[i] else _finite_mean(v[seg][present])
         dupes = int(e.size - uniq.size)
         log.warning("%s: collapsed %d duplicate timestamp rows", schema.channel, dupes)
         e, v, m = uniq, out_v, out_m

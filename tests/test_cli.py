@@ -9,6 +9,9 @@ import pytest
 
 from normbase import cli, synthgen
 from normbase.errors import ConfigError
+from normbase.features import Scaler, apply_scaler, build_features
+from normbase.normalize import MODEL_KINDS
+from normbase.savefile import from_json
 
 # ---------------------------------------------------------------------------
 # shared on-disk dataset: coarse interval keeps parsing fast
@@ -352,6 +355,36 @@ class TestEvaluate:
             row = next(line for line in table.splitlines() if line.startswith(name))
             assert f"{cv:9.4f}" in row
 
+    def test_saved_model_files_reload_bit_identically(self, data_dir, tmp_path, monkeypatch):
+        kept = {}
+        save = cli._save_models
+
+        def keep(models_dir, report, settings):
+            kept.update(report=report, settings=settings)
+            save(models_dir, report, settings)
+
+        monkeypatch.setattr(cli, "_save_models", keep)
+        out_dir = tmp_path / "out"
+        small = {"epochs": 3, "early_stop_patience": 3}
+        models = {**run_config(data_dir)["models"], "mlp": small, "lstm": small}
+        cfg = write_config(tmp_path / "c.json", run_config(
+            data_dir, save_models=True, output_dir=str(out_dir), models=models,
+        ))
+        assert cli.main(["normalize", "--config", cfg]) == 0
+
+        report, settings = kept["report"], kept["settings"]
+        matrix = build_features(cli._ingest(settings), settings.feature_spec)
+        assert set(report.models) == set(MODEL_KINDS)
+        for name, outcome in report.models.items():
+            text = (out_dir / "models" / f"{name}.json").read_text()
+            assert text.count("\n") == 1  # no indentation, one closing newline
+            doc = json.loads(text)
+            assert list(doc) == sorted(doc)
+            kind = MODEL_KINDS[name]
+            scaled = apply_scaler(matrix, from_json(Scaler, doc["feature_scaler"]))
+            pred = kind.predict(kind.from_dict(doc["payload"]), scaled, doc["lookback_days"])
+            assert pred.tobytes() == outcome.pred.tobytes()
+
     def test_saved_models_feature_mismatch(self, data_dir, tmp_path, capsys):
         out_dir = tmp_path / "out"
         cfg = write_config(
@@ -368,7 +401,10 @@ class TestEvaluate:
         assert rc == 2
         assert "different feature columns" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("corruption", ["no_payload", "text_threshold", "json_list", "previous_format"])
+    @pytest.mark.parametrize("corruption", [
+        "no_payload", "text_threshold", "json_list", "previous_format", "truncated_weights",
+        "tree_feature_out_of_range", "scaler_too_short",
+    ])
     def test_malformed_model_file_exits_2_without_traceback(
         self, data_dir, happy_run, tmp_path, capsys, corruption
     ):
@@ -381,6 +417,25 @@ class TestEvaluate:
             doc["payload"]["trees"][0]["threshold"] = "abc"
         elif corruption == "json_list":
             doc = [doc]
+        elif corruption == "tree_feature_out_of_range":
+            doc["payload"]["trees"][0]["feature"] = len(doc["feature_names"])
+        elif corruption == "scaler_too_short":
+            doc["feature_scaler"]["std"].pop()
+        elif corruption == "truncated_weights":
+            # an mlp file with one input row of its weight matrix removed
+            n = len(doc["feature_names"])
+            name = "mlp"
+            doc = {
+                "kind": "mlp",
+                "feature_names": doc["feature_names"],
+                "feature_scaler": {"mean": [0.0] * n, "std": [1.0] * n, "exempt": [False] * n},
+                "lookback_days": 7,
+                "payload": {
+                    "layer_sizes": [n, 1], "activation": "relu",
+                    "weights": [[[0.5]] * (n - 1)], "biases": [[0.0]],
+                    "target_scaler": {"mean": 0.0, "std": 1.0},
+                },
+            }
         else:
             # an mlp file as written before the codec: floats as repr strings
             n = len(doc["feature_names"])

@@ -131,6 +131,24 @@ class TestExactTreeOracle:
         tree = gb.build_tree_exact(X, g, np.ones(4), cfg)
         assert tree.is_leaf
 
+    @pytest.mark.parametrize("columns", [([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]),
+                                         ([0.0, 2.0, 1.0], [0.0, 0.0, 1.0])])
+    def test_nan_gain_is_never_chosen(self, columns):
+        # Row 2's hessian vanishes in the node total, so with reg_lambda=0 the
+        # cut that leaves row 2 alone on the right scores 0/0 = NaN: on feature
+        # 0 ahead of the best cut, or on feature 1 after it. Every other valid
+        # cut scores 9.
+        X = np.column_stack(columns)
+        g = np.array([5.0, -1.0, 0.0])
+        h = np.array([1.0, 1.0, 1e-20])
+        cfg = gb.BoostConfig(max_depth=1, max_leaves=2, reg_lambda=0.0, min_child_hessian=0.0)
+        tree = gb.build_tree_exact(X, g, h, cfg)
+        assert (tree.feature, tree.threshold, tree.gain) == (0, 0.5, 9.0)
+        edges = [np.array([0.5, 1.5])] * 2
+        bin_idx = np.column_stack([gb._bin_column(X[:, j], edges[j]) for j in (0, 1)])
+        hist = gb.build_tree_hist(bin_idx, edges, g, h, np.ones(3), np.arange(3), cfg)
+        assert (hist.feature, hist.threshold, hist.gain) == (0, 0.5, 9.0)
+
     def test_nan_follows_default_side(self):
         node = gb.TreeNode(
             feature=0, threshold=0.5, default_left=False,
@@ -469,6 +487,38 @@ class TestSerialization:
         back = gb.ensemble_from_dict(json.loads(json.dumps(gb.ensemble_to_dict(ens))))
         assert back.bundles is not None
         np.testing.assert_array_equal(gb.boost_predict(ens, X), gb.boost_predict(back, X))
+
+
+    @pytest.mark.parametrize("damage", [
+        "feature_out_of_range", "feature_past_bundles", "missing_child", "bundle_gap",
+        "bundle_repeat", "short_offsets",
+    ])
+    def test_bad_structure_rejected(self, damage):
+        rng = np.random.default_rng(8)
+        X = np.zeros((100, 3))
+        X[:, 0] = rng.normal(size=100)
+        X[:10, 1] = 1.0  # sparse columns 1 and 2 share one bundle
+        X[50:60, 2] = 2.0
+        y = X[:, 0] + X[:, 1]
+        cfg = gb.BoostConfig(rounds=5, validation_fraction=0.0, bins=8)
+        kind = "exact" if damage in ("feature_out_of_range", "missing_child") else "histogram"
+        doc = json.loads(json.dumps(gb.ensemble_to_dict(gb.boost_fit((X, y), cfg, kind)[0])))
+        gb.ensemble_from_dict(json.loads(json.dumps(doc)))
+        root = doc["trees"][0]
+        if damage == "feature_out_of_range":
+            root["feature"] = 3
+        elif damage == "feature_past_bundles":
+            root["feature"] = len(doc["bundles"])
+        elif damage == "missing_child":
+            root["left"] = None
+        elif damage == "bundle_gap":
+            doc["bundles"].pop()
+        elif damage == "bundle_repeat":
+            doc["bundles"].append({"features": [0], "lo": [], "offsets": []})
+        else:
+            doc["bundles"][-1]["offsets"].pop()
+        with pytest.raises(ValueError):
+            gb.ensemble_from_dict(doc)
 
 
 class TestValidation:

@@ -358,6 +358,34 @@ class TestSerialization:
         S_new = rng.normal(size=(6, 4, 2))
         np.testing.assert_array_equal(nn.lstm_predict(params, S_new), nn.lstm_predict(back, S_new))
 
+    @pytest.mark.parametrize("damage", ["weight_row", "bias", "layer_size", "activation"])
+    def test_mlp_arrays_must_fit_layer_sizes(self, damage):
+        doc = json.loads(json.dumps(nn.mlp_to_dict(nn.mlp_init([3, 4, 1], seed=0))))
+        nn.mlp_from_dict(json.loads(json.dumps(doc)))
+        if damage == "weight_row":
+            doc["weights"][0].pop()
+        elif damage == "bias":
+            doc["biases"][1].append(0.0)
+        elif damage == "layer_size":
+            doc["layer_sizes"][1] = 5
+        else:
+            doc["activation"] = "sigmoid"
+        with pytest.raises(ValueError, match="layer sizes|activation"):
+            nn.mlp_from_dict(doc)
+
+    @pytest.mark.parametrize("damage", ["input_size", "hidden_size", "gate_count", "b_out"])
+    def test_lstm_arrays_must_fit_sizes(self, damage):
+        doc = json.loads(json.dumps(nn.lstm_to_dict(nn.lstm_init(3, 2, seed=0))))
+        nn.lstm_from_dict(json.loads(json.dumps(doc)))
+        if damage in ("input_size", "hidden_size"):
+            doc[damage] += 1
+        elif damage == "gate_count":
+            doc["U"].pop()
+        else:
+            doc["b_out"].append(0.0)
+        with pytest.raises(ValueError, match="hidden size"):
+            nn.lstm_from_dict(doc)
+
     def test_scaler_rides_along(self):
         X, y = linear_rows(40, seed=3)
         cfg = nn.TrainConfig(epochs=5, seed=0)

@@ -165,6 +165,20 @@ class TestParse:
         assert not s.missing.any()
         assert s.duplicates_collapsed == 3
 
+    @pytest.mark.parametrize("big, copies", [
+        (1e308, 2), (1.7976931348623157e308, 3), (-1.7976931348623157e308, 3),
+    ])
+    def test_duplicates_whose_sum_overflows_collapse_to_their_mean(self, big, copies):
+        lines = [
+            "timestamp,drybulb_c",
+            "2020-01-01T00:00:00+00:00,1.0",
+            *[f"2020-01-01T01:00:00+00:00,{big!r}"] * copies,
+            "2020-01-01T02:00:00+00:00,3.0",
+        ]
+        s = tsdata.parse_series("\n".join(lines), UTC_SCHEMA)
+        assert s.values.tolist() == [1.0, big, 3.0]
+        assert s.duplicates_collapsed == copies - 1
+
     def test_naive_timestamps_across_the_autumn_fold(self):
         # 01:30 occurs twice on 2020-11-01 in New York; naive rows take the
         # first (EDT) reading, fold=0
