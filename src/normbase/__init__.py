@@ -38,7 +38,6 @@ from .normalize import (
     NormalizationReport,
     PeriodSpec,
     annual_share,
-    cumulative_reduction,
     daily_load_ratio,
     default_model_configs,
     ensemble_mean,
@@ -82,7 +81,6 @@ __all__ = [
     "NormalizationReport",
     "PeriodSpec",
     "annual_share",
-    "cumulative_reduction",
     "daily_load_ratio",
     "default_model_configs",
     "ensemble_mean",

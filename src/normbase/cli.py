@@ -16,17 +16,17 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from datetime import date
 from pathlib import Path
-from typing import Optional, get_args, get_origin, get_type_hints
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .errors import ConfigError, DataError, NoValidBaselineError, NormbaseError
 from .features import FeatureSpec, Scaler, apply_scaler, build_features
 from .metrics import monthly_rollup
-from .normalize import MODEL_KINDS, SELECTION_GATE, SELECTION_TOP_K, PeriodSpec, run_pipeline, score
+from .normalize import MODEL_KINDS, EnsembleSetup, KpiSetup, PeriodSpec, run_pipeline, score
 from .savefile import from_json, to_json
 from .svgchart import cumulative_chart, dlr_chart, overlay_chart
 from .synthgen import SynthConfig, configure_for_target, generate, write_dataset
@@ -84,10 +84,23 @@ _TYPE_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a 
 def _typed(value, kind, path: str):
     """Check one config value against a type annotation and return it.
 
-    ``kind`` is int, float, bool, str, date (an ISO string) or tuple[T, ...]
-    (a JSON list of T). Any number passes as a float; JSON booleans pass only
-    as bool, although Python counts them as integers.
+    ``kind`` is int, float, bool, str, Path or date (an ISO string); a config
+    dataclass (a JSON object, see _from_config); Optional[T] (T or null);
+    dict (a JSON object that the caller checks); tuple[date, date] (a
+    [start, end] pair); or tuple[T, ...] (a JSON list of T). Any number
+    passes as a float; JSON booleans pass only as bool, although Python
+    counts them as integers.
     """
+    if is_dataclass(kind):
+        return _from_config(kind, value, path)
+    if get_origin(kind) is Union:
+        return None if value is None else _typed(value, get_args(kind)[0], path)
+    if kind is dict:
+        return _mapping(value, path)
+    if kind == tuple[date, date]:
+        if not isinstance(value, list) or len(value) != 2:
+            raise ConfigError(f"config key '{path}' must be a [start, end] pair")
+        return tuple(_typed(v, date, f"{path}[{i}]") for i, v in enumerate(value))
     if get_origin(kind) is tuple:
         if not isinstance(value, list):
             raise ConfigError(f"config key '{path}' must be a list")
@@ -98,45 +111,30 @@ def _typed(value, kind, path: str):
             return date.fromisoformat(text)
         except ValueError:
             raise ConfigError(f"config key '{path}' is not an ISO date: {text!r}")
+    if kind is Path:
+        return Path(_typed(value, str, path))
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ConfigError(f"config key '{path}' must be {_TYPE_NAMES[kind]}")
     return float(value) if kind is float else value
 
 
-def _date_pair(value, path: str):
-    if not isinstance(value, list) or len(value) != 2:
-        raise ConfigError(f"config key '{path}' must be a [start, end] pair")
-    return (_typed(value[0], date, f"{path}[0]"), _typed(value[1], date, f"{path}[1]"))
-
-
-def _config_keys(cls) -> set:
-    """JSON keys of a config dataclass.
-
-    A field holding another config dataclass (``MlpSetup.train``) adds that
-    dataclass's keys instead of its own name, so the JSON object stays flat.
-    """
-    keys = set()
-    for name, kind in get_type_hints(cls).items():
-        keys |= _config_keys(kind) if is_dataclass(kind) else {name}
-    return keys
-
-
 def _from_config(cls, obj, path: str):
     """Build a config dataclass from a JSON object.
 
-    Keys and value types come from the dataclass fields and annotations;
-    absent keys keep the field defaults, and value ranges are left to the
-    dataclass's own checks.
+    Keys and value types come from the dataclass fields and annotations. A
+    field without a default is a required key; absent keys keep the field
+    defaults, and value ranges are left to the dataclass's own checks.
     """
-    _reject_unknown(_mapping(obj, path), path, _config_keys(cls))
+    hints = get_type_hints(cls)
+    _reject_unknown(_mapping(obj, path), path, hints)
     kwargs = {}
-    for name, kind in get_type_hints(cls).items():
-        if is_dataclass(kind):
-            nested = {k: v for k, v in obj.items() if k in _config_keys(kind)}
-            kwargs[name] = _from_config(kind, nested, path)
-        elif name in obj:
-            kwargs[name] = _typed(obj[name], kind, _dotted(path, name))
+    for f in fields(cls):
+        key = _dotted(path, f.name)
+        if f.name in obj:
+            kwargs[f.name] = _typed(obj[f.name], hints[f.name], key)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing required config key '{key}'")
     return cls(**kwargs)
 
 
@@ -157,125 +155,49 @@ def _model_setups(section: dict, run_seed: int) -> dict:
     return setups
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunSettings:
-    """Validated normalize/evaluate configuration."""
+    """Validated normalize/evaluate configuration.
 
-    seed: int
-    timezone: str
+    Each field is a top-level config key, and a field without a default is a
+    required key. load_run_settings resolves ``inputs`` and ``output_dir``
+    against the config file's directory and turns ``models`` into per-model
+    setups.
+    """
+
+    seed: int = 0
+    timezone: str = "UTC"
     interval_seconds: int
     inputs: dict
     periods: PeriodSpec
-    feature_spec: FeatureSpec
-    gap_policy: GapFillPolicy
-    models: dict
-    p: int
-    selection: str
-    top_k: int
-    output_dir: Path
-    save_models: bool
-    reference_range: Optional[tuple]
-
-
-_RUN_KEYS = (
-    "seed",
-    "timezone",
-    "interval_seconds",
-    "inputs",
-    "periods",
-    "features",
-    "models",
-    "kpi",
-    "ensemble",
-    "gap_fill",
-    "output_dir",
-    "save_models",
-    "reference_range",
-)
+    features: FeatureSpec = FeatureSpec()
+    gap_fill: GapFillPolicy = GapFillPolicy()
+    kpi: KpiSetup = KpiSetup()
+    ensemble: EnsembleSetup = EnsembleSetup()
+    models: dict = field(default_factory=dict)
+    reference_range: Optional[tuple[date, date]] = None
+    output_dir: Path = Path("normbase_out")
+    save_models: bool = False
 
 
 def load_run_settings(path: Path) -> RunSettings:
-    doc = _load_json(path)
-    _reject_unknown(doc, "", _RUN_KEYS)
-    for required in ("inputs", "periods", "interval_seconds"):
-        if required not in doc:
-            raise ConfigError(f"missing required config key '{required}'")
-
-    seed = _typed(doc.get("seed", 0), int, "seed")
-    timezone = _typed(doc.get("timezone", "UTC"), str, "timezone")
-    interval = _typed(doc["interval_seconds"], int, "interval_seconds")
-
-    inputs_raw = _mapping(doc["inputs"], "inputs")
-    known = (ENERGY_CHANNEL,) + tuple(CHANNEL_UNITS)
-    _reject_unknown(inputs_raw, "inputs", known)
-    if ENERGY_CHANNEL not in inputs_raw:
+    settings = _from_config(RunSettings, _load_json(path), "")
+    _reject_unknown(settings.inputs, "inputs", (ENERGY_CHANNEL,) + tuple(CHANNEL_UNITS))
+    if ENERGY_CHANNEL not in settings.inputs:
         raise ConfigError(f"missing required config key 'inputs.{ENERGY_CHANNEL}'")
     base_dir = Path(path).resolve().parent
-    inputs = {}
-    for ch, p in inputs_raw.items():
-        raw = Path(_typed(p, str, f"inputs.{ch}"))
-        inputs[ch] = raw if raw.is_absolute() else base_dir / raw
-
-    periods_raw = _mapping(doc["periods"], "periods")
-    _reject_unknown(periods_raw, "periods", ("train", "test", "study"))
-    for k in ("train", "test", "study"):
-        if k not in periods_raw:
-            raise ConfigError(f"missing required config key 'periods.{k}'")
-    periods = PeriodSpec(
-        train=_date_pair(periods_raw["train"], "periods.train"),
-        test=_date_pair(periods_raw["test"], "periods.test"),
-        study=_date_pair(periods_raw["study"], "periods.study"),
-    )
-
-    feature_spec = _from_config(FeatureSpec, doc.get("features", {}), "features")
-    for ch in feature_spec.weather_channels:
-        if ch not in inputs:
+    settings.inputs = {
+        ch: base_dir / _typed(p, Path, f"inputs.{ch}") for ch, p in settings.inputs.items()
+    }
+    for ch in settings.features.weather_channels:
+        if ch not in settings.inputs:
             raise ConfigError(f"features use channel {ch!r} but 'inputs.{ch}' is missing")
-
-    gap_policy = _from_config(GapFillPolicy, doc.get("gap_fill", {}), "gap_fill")
-
-    kpi_raw = _mapping(doc.get("kpi", {}), "kpi")
-    _reject_unknown(kpi_raw, "kpi", ("p",))
-    p = _typed(kpi_raw.get("p", 1), int, "kpi.p")
-    if p < 0:
-        raise ConfigError("config key 'kpi.p' must be non-negative")
-
-    ens_raw = _mapping(doc.get("ensemble", {}), "ensemble")
-    _reject_unknown(ens_raw, "ensemble", ("selection", "top_k"))
-    selection = _typed(ens_raw.get("selection", SELECTION_GATE), str, "ensemble.selection")
-    if selection not in (SELECTION_GATE, SELECTION_TOP_K):
-        raise ConfigError(
-            f"config key 'ensemble.selection' must be '{SELECTION_GATE}' or '{SELECTION_TOP_K}'"
-        )
-    top_k = _typed(ens_raw.get("top_k", 2), int, "ensemble.top_k")
-
-    models = _model_setups(_mapping(doc.get("models", {}), "models"), seed)
-
-    reference = None
-    if doc.get("reference_range") is not None:
-        reference = _date_pair(doc["reference_range"], "reference_range")
-        if reference[1] < reference[0]:
-            raise ConfigError("config key 'reference_range' ends before it starts")
-
-    out_raw = Path(_typed(doc.get("output_dir", "normbase_out"), str, "output_dir"))
-    output_dir = out_raw if out_raw.is_absolute() else base_dir / out_raw
-
-    return RunSettings(
-        seed=seed,
-        timezone=timezone,
-        interval_seconds=interval,
-        inputs=inputs,
-        periods=periods,
-        feature_spec=feature_spec,
-        gap_policy=gap_policy,
-        models=models,
-        p=p,
-        selection=selection,
-        top_k=top_k,
-        output_dir=output_dir,
-        save_models=_typed(doc.get("save_models", False), bool, "save_models"),
-        reference_range=reference,
-    )
+    reference = settings.reference_range
+    if reference is not None and reference[1] < reference[0]:
+        raise ConfigError("config key 'reference_range' ends before it starts")
+    settings.models = _model_setups(settings.models, settings.seed)
+    settings.output_dir = base_dir / settings.output_dir
+    return settings
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +206,7 @@ def load_run_settings(path: Path) -> RunSettings:
 
 def _ingest(settings: RunSettings):
     """Parse, gap-fill and daily-resample every channel the features need."""
-    needed = (ENERGY_CHANNEL,) + tuple(settings.feature_spec.weather_channels)
+    needed = (ENERGY_CHANNEL,) + tuple(settings.features.weather_channels)
     daily = {}
     for ch in needed:
         path = settings.inputs[ch]
@@ -294,7 +216,7 @@ def _ingest(settings: RunSettings):
             raise ConfigError(f"cannot read input file for '{ch}': {e}")
         schema = SeriesSchema(ch, CHANNEL_UNITS[ch], settings.timezone, settings.interval_seconds)
         series = parse_series(text, schema)
-        filled, gaps = fill_gaps(series, settings.gap_policy)
+        filled, gaps = fill_gaps(series, settings.gap_fill)
         n_filled = gaps.count("interpolated") + gaps.count("edge-hold")
         if n_filled or gaps.count("left-unfilled"):
             log.info(
@@ -419,7 +341,7 @@ def _save_models(models_dir: Path, report, settings: RunSettings):
             "kind": name,
             "feature_names": list(report.feature_names),
             "feature_scaler": to_json(report.feature_scaler),
-            "lookback_days": settings.feature_spec.lookback_days,
+            "lookback_days": settings.features.lookback_days,
             "payload": MODEL_KINDS[name].to_dict(outcome.fitted),
         }
         (models_dir / f"{name}.json").write_text(
@@ -454,11 +376,11 @@ def _run(settings: RunSettings, table):
         report = run_pipeline(
             table,
             settings.periods,
-            feature_spec=settings.feature_spec,
+            feature_spec=settings.features,
             models=settings.models,
-            p=settings.p,
-            selection=settings.selection,
-            top_k=settings.top_k,
+            p=settings.kpi.p,
+            selection=settings.ensemble.selection,
+            top_k=settings.ensemble.top_k,
             seed=settings.seed,
             reference_range=settings.reference_range,
         )
@@ -469,7 +391,7 @@ def _run(settings: RunSettings, table):
 
 def _evaluate_saved(settings: RunSettings, table, models_dir: Path) -> dict:
     """Test-range KPIs of each model file saved in ``models_dir``."""
-    matrix = build_features(table, settings.feature_spec)
+    matrix = build_features(table, settings.features)
     test_mask = matrix.date_mask(*settings.periods.test)
     if int(test_mask.sum()) < 1:
         raise DataError("test range has no usable rows")
@@ -498,7 +420,7 @@ def _evaluate_saved(settings: RunSettings, table, models_dir: Path) -> dict:
             )
         scaled = apply_scaler(matrix, scaler)
         pred = kind.predict(fitted, scaled, lookback)
-        results[name] = score(scaled, test_mask, pred, p=settings.p)
+        results[name] = score(scaled, test_mask, pred, p=settings.kpi.p)
     if not results:
         raise ConfigError(f"no model files found in {models_dir}")
     return results
@@ -558,8 +480,7 @@ def cmd_synth(args) -> int:
         cfg = configure_for_target(cfg, _typed(target, float, "target_reduction_fraction"))
 
     base_dir = Path(args.config).resolve().parent
-    out_raw = Path(args.out) if args.out else Path(_typed(output_dir, str, "output_dir"))
-    outdir = out_raw if out_raw.is_absolute() else base_dir / out_raw
+    outdir = base_dir / (Path(args.out) if args.out else _typed(output_dir, Path, "output_dir"))
 
     ds = generate(cfg)
     paths = write_dataset(ds, outdir)

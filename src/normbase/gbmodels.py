@@ -214,7 +214,11 @@ def build_tree_exact(X, g, h, cfg: BoostConfig) -> TreeNode:
         if found is None or found[1] <= 0.0:
             return leaf
         (f, k), gain = divmod(found[0], rows.size - 1), found[1]
-        thr = float(0.5 * (xs[f, k] + xs[f, k + 1]))
+        lo, hi = xs[f, k], xs[f, k + 1]
+        mid = 0.5 * (lo + hi)
+        # The midpoint of adjacent floats rounds to hi, and of huge values
+        # overflows; either sends every row left, so lo splits instead.
+        thr = float(mid if lo <= mid < hi else lo)
         is_left = Xt[f] <= thr
         left_rows, right_rows = rows[is_left[rows]], rows[~is_left[rows]]
         in_left = is_left[order]

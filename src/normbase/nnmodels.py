@@ -220,14 +220,6 @@ def _mlp_output(params: MlpParams, X) -> np.ndarray:
     return _mlp_forward_batch(params, X)[-1][:, 0]
 
 
-def mlp_forward(params: MlpParams, x) -> float:
-    """Network output for a single feature vector (model units)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size != params.layer_sizes[0]:
-        raise DimensionError(f"expected {params.layer_sizes[0]} inputs, got {x.shape}")
-    return float(_mlp_output(params, x[None, :])[0])
-
-
 def mlp_loss_grad(params: MlpParams, X, y):
     """Mean-squared-error loss and its gradient w.r.t. every parameter.
 
@@ -278,8 +270,11 @@ def mlp_train(data, cfg: TrainConfig, hidden_sizes=(32,), activation: str = "rel
 
 
 def mlp_predict(params: MlpParams, X) -> np.ndarray:
-    """Predictions in original target units."""
-    out = _mlp_output(params, np.asarray(X, dtype=float))
+    """Predictions in original target units for (n, features) rows."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != params.layer_sizes[0]:
+        raise DimensionError(f"expected (n, {params.layer_sizes[0]}) rows, got {X.shape}")
+    out = _mlp_output(params, X)
     if params.target_scaler is not None:
         out = params.target_scaler.inverse(out)
     return out
@@ -358,14 +353,6 @@ def _lstm_output(params: LstmParams, S) -> np.ndarray:
     return _lstm_forward_batch(params, S, keep_steps=False)[0]
 
 
-def lstm_forward(params: LstmParams, seq) -> float:
-    """Scalar output for one (steps, features) window (model units)."""
-    seq = np.asarray(seq, dtype=float)
-    if seq.ndim != 2 or seq.shape[1] != params.input_size:
-        raise DimensionError(f"expected (L, {params.input_size}) sequence, got {seq.shape}")
-    return float(_lstm_output(params, seq[None])[0])
-
-
 def lstm_loss_grad(params: LstmParams, S, y):
     """MSE loss and full backpropagation-through-time gradients.
 
@@ -433,7 +420,10 @@ def lstm_train(data, cfg: TrainConfig, hidden_size: int = 32):
 
 def lstm_predict(params: LstmParams, S) -> np.ndarray:
     """Predictions in original target units for (n, L, F) windows."""
-    out = _lstm_output(params, np.asarray(S, dtype=float))
+    S = np.asarray(S, dtype=float)
+    if S.ndim != 3 or S.shape[2] != params.input_size:
+        raise DimensionError(f"expected (n, L, {params.input_size}) windows, got {S.shape}")
+    out = _lstm_output(params, S)
     if params.target_scaler is not None:
         out = params.target_scaler.inverse(out)
     return out

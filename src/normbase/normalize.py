@@ -14,7 +14,8 @@ so a model's result depends only on its own setup and the data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
+from datetime import date
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,9 +36,9 @@ MIN_TEST_ROWS = 30
 class PeriodSpec:
     """Chronologically ordered, disjoint date ranges (inclusive bounds)."""
 
-    train: tuple
-    test: tuple
-    study: tuple
+    train: tuple[date, date]
+    test: tuple[date, date]
+    study: tuple[date, date]
 
     def __post_init__(self):
         for name in ("train", "test", "study"):
@@ -49,20 +50,51 @@ class PeriodSpec:
 
 
 @dataclass(frozen=True)
-class MlpSetup:
-    hidden_sizes: tuple[int, ...] = (32,)
-    activation: str = "relu"
-    train: nnmodels.TrainConfig = nnmodels.TrainConfig()
+class KpiSetup:
+    """KPI settings; ``p`` is the NMBE sample-count adjustment."""
+
+    p: int = 1
 
     def __post_init__(self):
+        if self.p < 0:
+            raise ConfigError("config key 'kpi.p' must be non-negative")
+
+
+@dataclass(frozen=True)
+class EnsembleSetup:
+    """Which models the ensemble averages: the gate passers, or the best
+    ``top_k`` by daily CV(RMSE) whatever their gate verdict."""
+
+    selection: str = SELECTION_GATE
+    top_k: int = 2
+
+    def __post_init__(self):
+        if self.selection not in (SELECTION_GATE, SELECTION_TOP_K):
+            raise ConfigError(
+                f"selection must be '{SELECTION_GATE}' or '{SELECTION_TOP_K}', not {self.selection!r}"
+            )
+        if self.top_k < 1:
+            raise ConfigError("top_k must be at least 1")
+
+
+@dataclass(frozen=True)
+class MlpSetup(nnmodels.TrainConfig):
+    """The training loop's settings plus the network layout."""
+
+    hidden_sizes: tuple[int, ...] = (32,)
+    activation: str = "relu"
+
+    def __post_init__(self):
+        super().__post_init__()
         if not self.hidden_sizes:
             raise ConfigError("hidden_sizes must be a non-empty list")
 
 
 @dataclass(frozen=True)
-class LstmSetup:
+class LstmSetup(nnmodels.TrainConfig):
+    """The training loop's settings plus the cell width."""
+
     hidden_size: int = 32
-    train: nnmodels.TrainConfig = nnmodels.TrainConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +128,7 @@ class ModelKind:
 
 def _fit_mlp(setup: MlpSetup, matrix: FeatureMatrix, rows, lookback: int):
     params, trace = nnmodels.mlp_train(
-        (matrix.X[rows], matrix.y[rows]), setup.train,
+        (matrix.X[rows], matrix.y[rows]), setup,
         hidden_sizes=setup.hidden_sizes, activation=setup.activation,
     )
     return params, {"epochs": trace.n_epochs, "best_epoch": trace.best_epoch}
@@ -108,7 +140,7 @@ def _fit_lstm(setup: LstmSetup, matrix: FeatureMatrix, rows, lookback: int):
     if int(train.sum()) < 30:
         raise DataError(f"lstm has {int(train.sum())} training sequences, needs 30")
     params, trace = nnmodels.lstm_train(
-        (seqs.windows[train], seqs.targets[train]), setup.train, hidden_size=setup.hidden_size
+        (seqs.windows[train], seqs.targets[train]), setup, hidden_size=setup.hidden_size
     )
     return params, {"epochs": trace.n_epochs, "best_epoch": trace.best_epoch}
 
@@ -174,21 +206,12 @@ MODEL_KINDS = {
 MODEL_ORDER = tuple(MODEL_KINDS)
 
 
-def _seeded(setup: type, seed: int):
-    """Default setup with ``seed`` on the field that holds it, nested or not."""
-    return setup(**{
-        f.name: seed if f.name == "seed" else _seeded(type(f.default), seed)
-        for f in fields(setup)
-        if f.name == "seed" or is_dataclass(f.default)
-    })
-
-
 def default_model_configs(seed: int = 0) -> dict:
     """All four models with default hyperparameters and seeds run seed + offset."""
-    return {name: _seeded(kind.setup, seed + kind.seed_offset) for name, kind in MODEL_KINDS.items()}
+    return {name: kind.setup(seed=seed + kind.seed_offset) for name, kind in MODEL_KINDS.items()}
 
 
-def score(matrix: FeatureMatrix, test_mask, pred, p: int = 1) -> KpiReport:
+def score(matrix: FeatureMatrix, test_mask, pred, p: int = KpiSetup.p) -> KpiReport:
     """KPIs of one prediction vector over the test rows it covers.
 
     Raises:
@@ -221,27 +244,6 @@ def daily_load_ratio(actual, predicted):
     ratio = np.full(a.shape, np.nan)
     ratio[~undefined] = a[~undefined] / p[~undefined]
     return ratio, undefined
-
-
-def cumulative_reduction(actual, predicted):
-    """Total avoided consumption and its share of the counterfactual.
-
-    Returns:
-        (total_kwh, fraction) where total = sum(predicted - actual) and
-        fraction = total / sum(predicted).
-
-    Raises:
-        UndefinedMetricError: when sum(predicted) <= 0.
-    """
-    a = np.asarray(actual, dtype=float)
-    p = np.asarray(predicted, dtype=float)
-    if a.shape != p.shape or a.size == 0:
-        raise DataError("cumulative_reduction needs aligned non-empty inputs")
-    total_pred = float(np.sum(p))
-    if total_pred <= 0:
-        raise UndefinedMetricError("reduction fraction undefined: predicted total <= 0")
-    total = float(np.sum(p - a))
-    return total, total / total_pred
 
 
 def ensemble_mean(predictions) -> np.ndarray:
@@ -391,9 +393,9 @@ def run_pipeline(
     periods: PeriodSpec,
     feature_spec: FeatureSpec = FeatureSpec(),
     models: Optional[dict] = None,
-    p: int = 1,
-    selection: str = SELECTION_GATE,
-    top_k: int = 2,
+    p: int = KpiSetup.p,
+    selection: str = EnsembleSetup.selection,
+    top_k: int = EnsembleSetup.top_k,
     seed: int = 0,
     reference_range: Optional[tuple] = None,
 ) -> NormalizationReport:
@@ -421,10 +423,7 @@ def run_pipeline(
         NoValidBaselineError: gate-passing selection and nothing passed; the
             assembled report rides on the exception.
     """
-    if selection not in (SELECTION_GATE, SELECTION_TOP_K):
-        raise ConfigError(f"unknown selection {selection!r}")
-    if top_k < 1:
-        raise ConfigError("top_k must be at least 1")
+    EnsembleSetup(selection, top_k)  # raises ConfigError if either is out of range
     if models is None:
         models = default_model_configs(seed)
     unknown = set(models) - set(MODEL_KINDS)

@@ -2,7 +2,7 @@ from datetime import date
 
 import pytest
 
-from normbase import gbmodels, nnmodels, normalize, synthgen, tsdata
+from normbase import gbmodels, normalize, synthgen, tsdata
 
 
 @pytest.fixture(scope="session")
@@ -53,12 +53,8 @@ def tree_models():
 def full_report(small_table, small_periods):
     """One pipeline run with all four models, shared across assertions."""
     models = {
-        "mlp": normalize.MlpSetup(
-            (16,), "relu", nnmodels.TrainConfig(epochs=200, seed=11)
-        ),
-        "lstm": normalize.LstmSetup(
-            16, nnmodels.TrainConfig(epochs=120, batch_size=64, seed=22)
-        ),
+        "mlp": normalize.MlpSetup(hidden_sizes=(16,), epochs=200, seed=11),
+        "lstm": normalize.LstmSetup(hidden_size=16, epochs=120, batch_size=64, seed=22),
         "gbt_exact": gbmodels.BoostConfig(rounds=150, learning_rate=0.1, seed=33),
         "gbt_hist": gbmodels.BoostConfig(rounds=150, learning_rate=0.1, seed=44),
     }

@@ -228,8 +228,12 @@ class TestNormalize:
         assert "Traceback" not in err
 
 
+DELETE = object()  # test_run_config: remove the key instead of setting it
+
+
 class TestConfigValidation:
-    """One wrongly typed or unknown key per section, each named by its dotted path."""
+    """One wrongly typed, missing or unknown key per section, each named by
+    its dotted path; section "" is the top level."""
 
     @pytest.mark.parametrize(
         "section, key, value, message",
@@ -246,15 +250,30 @@ class TestConfigValidation:
              "config key 'gap_fill.max_edge' must be an integer"),
             ("models.gbt_hist", "max_bins", 64,
              "unknown config key 'models.gbt_hist.max_bins'"),
+            ("periods", "test", DELETE,
+             "missing required config key 'periods.test'"),
+            ("periods", "train", ["2019-01-01", "2019-10-3l"],
+             "config key 'periods.train[1]' is not an ISO date: '2019-10-3l'"),
+            ("kpi", "p", -1,
+             "config key 'kpi.p' must be non-negative"),
+            ("", "seed", "1",
+             "config key 'seed' must be an integer"),
+            ("", "output", "out",
+             "unknown config key 'output'"),
+            ("ensemble", "top_k", 0,
+             "top_k must be at least 1"),
         ],
     )
     def test_run_config(self, data_dir, tmp_path, section, key, value, message):
         doc = run_config(data_dir)
         sub = doc
-        for part in section.split("."):
+        for part in section.split(".") if section else ():
             sub = sub.setdefault(part, {})
         sub.pop("enabled", None)  # disabled models go unchecked
-        sub[key] = value
+        if value is DELETE:
+            del sub[key]
+        else:
+            sub[key] = value
         with pytest.raises(ConfigError) as exc:
             cli.load_run_settings(Path(write_config(tmp_path / "c.json", doc)))
         assert str(exc.value) == message
@@ -373,7 +392,7 @@ class TestEvaluate:
         assert cli.main(["normalize", "--config", cfg]) == 0
 
         report, settings = kept["report"], kept["settings"]
-        matrix = build_features(cli._ingest(settings), settings.feature_spec)
+        matrix = build_features(cli._ingest(settings), settings.features)
         assert set(report.models) == set(MODEL_KINDS)
         for name, outcome in report.models.items():
             text = (out_dir / "models" / f"{name}.json").read_text()

@@ -149,6 +149,20 @@ class TestExactTreeOracle:
         hist = gb.build_tree_hist(bin_idx, edges, g, h, np.ones(3), np.arange(3), cfg)
         assert (hist.feature, hist.threshold, hist.gain) == (0, 0.5, 9.0)
 
+    @pytest.mark.parametrize("reg_lambda", [0.0, 1.0])
+    def test_cut_between_adjacent_floats_splits_rows(self, reg_lambda):
+        # The midpoint of 1000 and the float just below it rounds to 1000,
+        # which would send every row left: an empty right child, a division
+        # by zero at reg_lambda 0 and a gain recorded for nothing otherwise.
+        below = np.nextafter(1000.0, 0.0)
+        X = np.array([[below]] + [[0.0]] * 13 + [[1000.0]])
+        g = np.eye(15)[14]
+        tree = gb.build_tree_exact(X, g, np.ones(15), gb.BoostConfig(max_depth=1, reg_lambda=reg_lambda))
+        assert (tree.feature, tree.threshold) == (0, below)
+        assert tree.right.weight == -1.0 / (1.0 + reg_lambda)
+        pred = gb.predict_tree(tree, X)
+        assert pred.tolist() == [tree.left.weight] * 14 + [tree.right.weight]
+
     def test_nan_follows_default_side(self):
         node = gb.TreeNode(
             feature=0, threshold=0.5, default_left=False,

@@ -268,14 +268,9 @@ class TestMlpTraining:
     def test_forward_dimension_check(self):
         params = nn.mlp_init([3, 4, 1], seed=0)
         with pytest.raises(DimensionError):
-            nn.mlp_forward(params, np.ones(5))
-
-    def test_forward_matches_predict_without_scaler(self):
-        params = nn.mlp_init([3, 4, 1], seed=1)
-        X = np.random.default_rng(0).normal(size=(4, 3))
-        batch = nn.mlp_predict(params, X)
-        single = [nn.mlp_forward(params, row) for row in X]
-        np.testing.assert_allclose(batch, single, rtol=1e-15)
+            nn.mlp_predict(params, np.ones((2, 5)))
+        with pytest.raises(DimensionError):
+            nn.mlp_predict(params, np.ones(3))
 
 
 class TestLstmTraining:
@@ -303,10 +298,8 @@ class TestLstmTraining:
         params.b[1][:] = 1e3   # forget -> sigmoid saturates to exactly 1.0
         params.b[0][:] = -1e3  # input -> exactly 0.0
         params.b_out[0] = 7.25
-        rng = np.random.default_rng(1)
-        for _ in range(3):
-            seq = rng.normal(size=(6, 2)) * 10.0
-            assert nn.lstm_forward(params, seq) == 7.25
+        S = np.random.default_rng(1).normal(size=(3, 6, 2)) * 10.0
+        assert nn.lstm_predict(params, S).tolist() == [7.25] * 3
 
     def test_retrain_is_bit_identical(self):
         S, y = self.make_recall_task(n=40)
@@ -334,7 +327,9 @@ class TestLstmTraining:
     def test_forward_dimension_check(self):
         params = nn.lstm_init(3, 4, seed=0)
         with pytest.raises(DimensionError):
-            nn.lstm_forward(params, np.ones((5, 2)))
+            nn.lstm_predict(params, np.ones((1, 5, 2)))
+        with pytest.raises(DimensionError):
+            nn.lstm_predict(params, np.ones((5, 3)))
 
 
 class TestSerialization:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normbase import cli, gbmodels, nnmodels
+from normbase import cli, gbmodels
 from normbase import normalize as nb
 from normbase.features import FeatureSpec, build_features, make_sequences
 from normbase.errors import (
@@ -68,26 +68,6 @@ class TestDailyLoadRatio:
             nb.daily_load_ratio([1.0], [1.0, 2.0])
 
 
-class TestCumulativeReduction:
-    def test_hand_values(self):
-        total, fraction = nb.cumulative_reduction([90.0, 80.0], [100.0, 100.0])
-        assert total == 30.0
-        assert fraction == 0.15
-
-    def test_negative_reduction_allowed(self):
-        total, fraction = nb.cumulative_reduction([120.0], [100.0])
-        assert total == -20.0
-        assert fraction == -0.2
-
-    def test_nonpositive_prediction_total(self):
-        with pytest.raises(UndefinedMetricError):
-            nb.cumulative_reduction([1.0, 1.0], [1.0, -1.0])
-
-    def test_empty(self):
-        with pytest.raises(DataError):
-            nb.cumulative_reduction([], [])
-
-
 class TestEnsembleMean:
     def test_mean_of_members(self):
         out = nb.ensemble_mean([[1.0, 2.0], [3.0, 4.0]])
@@ -134,8 +114,8 @@ class TestAnnualShare:
 def test_default_model_configs_cover_all_models():
     cfgs = nb.default_model_configs(seed=100)
     assert set(cfgs) == set(nb.MODEL_ORDER)
-    assert cfgs["mlp"].train.seed == 111
-    assert cfgs["lstm"].train.seed == 122
+    assert cfgs["mlp"].seed == 111
+    assert cfgs["lstm"].seed == 122
     assert cfgs["gbt_exact"].seed == 133
     assert cfgs["gbt_hist"].seed == 144
 
@@ -309,8 +289,8 @@ class TestDateAxis:
             excluded=small_table.excluded | np.isin(np.array(small_table.dates), self.GAPS),
         )
         models = {
-            "mlp": nb.MlpSetup((8,), "relu", nnmodels.TrainConfig(epochs=40, seed=11)),
-            "lstm": nb.LstmSetup(8, nnmodels.TrainConfig(epochs=20, batch_size=64, seed=22)),
+            "mlp": nb.MlpSetup(hidden_sizes=(8,), epochs=40, seed=11),
+            "lstm": nb.LstmSetup(hidden_size=8, epochs=20, batch_size=64, seed=22),
             "gbt_exact": gbmodels.BoostConfig(rounds=60, learning_rate=0.2, seed=33),
             "gbt_hist": gbmodels.BoostConfig(rounds=60, learning_rate=0.2, seed=44),
         }

@@ -1,7 +1,8 @@
 """gbmodels' tree builders against the per-feature split search they replaced.
 
 ``build_tree_exact`` and ``build_tree_hist`` below are the earlier builders,
-kept verbatim with their helpers ``_best_candidate``, ``_scan_best_split``,
+kept verbatim (except that a threshold whose midpoint rounds onto the upper
+value falls back to the lower one, as in gbmodels) with their helpers ``_best_candidate``, ``_scan_best_split``,
 ``_HistLeaf`` and ``_best_hist_split`` as the oracle: one argsort, cumsum or
 bincount per (node, feature). For every drawn problem the current builders
 must return the same tree, compared as its saved JSON text, so every split,
@@ -16,7 +17,7 @@ pick and the current search never does
 import json
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -63,7 +64,9 @@ def _scan_best_split(xs, gs, hs, g_total, h_total, cfg):
     if found is None:
         return None
     best, gain = found
-    return gain, float(0.5 * (xs[cut[best]] + xs[cut[best] + 1]))
+    lo, hi = xs[cut[best]], xs[cut[best] + 1]
+    mid = 0.5 * (lo + hi)
+    return gain, float(mid if lo <= mid < hi else lo)
 
 
 def build_tree_exact(X, g, h, cfg: BoostConfig) -> TreeNode:
@@ -260,8 +263,19 @@ def tree_text(tree):
     return json.dumps(to_json(tree))
 
 
+# 1000 and the float below it: their midpoint rounds to 1000 (see
+# test_gbmodels.py::TestExactTreeOracle::test_cut_between_adjacent_floats_splits_rows)
+ADJACENT_FLOATS = (
+    np.array([[np.nextafter(1000.0, 0.0)]] + [[0.0]] * 13 + [[1000.0]]),
+    np.eye(15)[14],
+    np.ones(15),
+    BoostConfig(max_depth=1, reg_lambda=0.0),
+)
+
+
 @settings(deadline=None, max_examples=300)
 @given(problems())
+@example(ADJACENT_FLOATS)
 def test_exact_builder_matches_per_feature_search(problem):
     X, g, h, cfg = problem
     assert tree_text(gb.build_tree_exact(X, g, h, cfg)) == tree_text(
