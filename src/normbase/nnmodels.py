@@ -12,8 +12,21 @@ Gradients are derived by hand (full backpropagation through time for the
 recurrent model) and are verified against central finite differences in the
 test suite; keep any change here in sync with those checks.
 
-Everything is deterministic given (seed, data, config) and single-threaded,
-so results never depend on available parallelism.
+The recurrent kernel stacks the four gates on a leading axis: per step one
+(4, B, H) pre-activation from (4, F, H) and (4, H, H) weights, one sigmoid
+over the input/forget/output slab and one (4, B, H) gradient slab. A
+stacked product makes the same per-gate BLAS calls as four separate
+products, so it rounds the same; a fused (F, 4H) product would not (the
+BLAS tiles the wider matrix differently), and neither would one
+(B, 4H) @ (4H, H) product for the hidden-state gradient.
+``tests/test_lstm_differential.py`` keeps the per-gate kernel as the oracle
+and checks every bit. Scoring and prediction run in blocks of _SCORE_ROWS
+windows (see _lstm_output). ``LstmParams.W``, ``U`` and ``b`` stay lists
+of four arrays, so the saved-model format is unchanged.
+
+Everything is deterministic given (seed, data, config). Results do not
+depend on available parallelism: the test suite trains the same model with
+one BLAS thread and with the default number and compares the bits.
 """
 
 from __future__ import annotations
@@ -30,6 +43,12 @@ from .savefile import from_json, to_json
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+MLP_ACTIVATIONS = ("relu", "tanh")
+# Windows per block when the recurrent model scores or predicts. Keep it a
+# multiple of 4: OpenBLAS's matrix-vector kernel sums the rows of a block in
+# groups of four from its first row, so blocks on that grid round the
+# readout as one batch would.
+_SCORE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -76,12 +95,13 @@ def _glorot(rng, fan_in: int, fan_out: int, shape) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function; exp only ever sees -|x|, so it cannot overflow.
+
+    min(x, -x) equals -|x| but passes a NaN through unchanged, sign bit
+    included, so NaN inputs give the bits the masked form gave.
+    """
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _global_norm(arrays) -> float:
@@ -191,7 +211,7 @@ class MlpParams:
 
 def mlp_init(layer_sizes, activation: str = "relu", seed: int = 0) -> MlpParams:
     """Glorot-uniform weights, zero biases."""
-    if activation not in ("relu", "tanh"):
+    if activation not in MLP_ACTIVATIONS:
         raise ConfigError(f"unknown activation {activation!r}")
     if len(layer_sizes) < 2 or any(s < 1 for s in layer_sizes):
         raise ConfigError("layer_sizes needs at least input and output sizes")
@@ -289,7 +309,9 @@ class LstmParams:
     """Single-layer recurrent cell with a linear readout of the last state.
 
     Gate order everywhere is (input, forget, output, candidate). W_* act on
-    the step input, U_* on the previous hidden state. h_0 = c_0 = 0.
+    the step input, U_* on the previous hidden state. h_0 = c_0 = 0. The
+    kernel stacks each list into one (4, ...) array per call; the lists are
+    what the saved model holds.
     """
 
     input_size: int
@@ -321,36 +343,43 @@ def lstm_init(input_size: int, hidden_size: int, seed: int = 0) -> LstmParams:
 def _lstm_forward_batch(params: LstmParams, S, keep_steps: bool = True):
     """Run the cell over (batch, steps, features).
 
-    With keep_steps, caches the per-step tensors that backpropagation needs;
-    prediction skips them, which keeps its memory flat in the batch size.
+    Gates are stacked on a leading axis (see the module docstring). With
+    keep_steps, caches the per-step tensors that backpropagation needs;
+    scoring skips them.
     """
     S = np.asarray(S, dtype=float)
     B, L, F = S.shape
     H = params.hidden_size
+    W, U, b = np.stack(params.W), np.stack(params.U), np.stack(params.b)[:, None, :]
     h = np.zeros((B, H))
     c = np.zeros((B, H))
     steps = []
     for t in range(L):
         x = S[:, t, :]
-        gates = [x @ params.W[k] + h @ params.U[k] + params.b[k] for k in range(4)]
-        i = _sigmoid(gates[0])
-        f = _sigmoid(gates[1])
-        o = _sigmoid(gates[2])
-        g = np.tanh(gates[3])
-        c_prev = c
+        z = x @ W + h @ U + b
+        ifo = _sigmoid(z[:3])
+        g = np.tanh(z[3])
+        i, f, o = ifo
+        c_prev, h_prev = c, h
         c = f * c_prev + i * g
         tc = np.tanh(c)
         h = o * tc
         if keep_steps:
-            steps.append({"x": x, "i": i, "f": f, "o": o, "g": g,
-                          "c_prev": c_prev, "c": c, "tc": tc})
+            steps.append((x, ifo, g, c_prev, tc, h_prev))
     out = h @ params.w_out + params.b_out[0]
     return out, h, steps
 
 
 def _lstm_output(params: LstmParams, S) -> np.ndarray:
-    """Readouts for a batch of (steps, features) windows (model units)."""
-    return _lstm_forward_batch(params, S, keep_steps=False)[0]
+    """Readouts for a batch of (steps, features) windows (model units).
+
+    Runs in blocks of _SCORE_ROWS windows, which keeps each product below
+    the size at which OpenBLAS starts threads. A last block of one window
+    would take NumPy's vector path, whose sums round differently, so it
+    joins the block before it.
+    """
+    blocks = np.split(S, range(_SCORE_ROWS, len(S) - 1, _SCORE_ROWS))
+    return np.concatenate([_lstm_forward_batch(params, blk, keep_steps=False)[0] for blk in blocks])
 
 
 def lstm_loss_grad(params: LstmParams, S, y):
@@ -369,35 +398,32 @@ def lstm_loss_grad(params: LstmParams, S, y):
     H = params.hidden_size
     B = S.shape[0]
     d_out = 2.0 * resid / n  # (B,)
-    dW = [np.zeros_like(a) for a in params.W]
-    dU = [np.zeros_like(a) for a in params.U]
-    db = [np.zeros_like(a) for a in params.b]
+    dW = np.zeros((4, params.input_size, H))
+    dU = np.zeros((4, H, H))
+    db = np.zeros((4, H))
     dw_out = h_last.T @ d_out
     db_out = np.array([float(np.sum(d_out))])
+    UT = np.stack(params.U).transpose(0, 2, 1)
 
     dh = d_out[:, None] * params.w_out[None, :]  # (B, H)
     dc = np.zeros((B, H))
-    for t in range(len(steps) - 1, -1, -1):
-        st = steps[t]
-        do = dh * st["tc"]
-        dc = dc + dh * st["o"] * (1.0 - st["tc"] ** 2)
-        di = dc * st["g"]
-        df = dc * st["c_prev"]
-        dg = dc * st["i"]
-        da = [
-            di * st["i"] * (1.0 - st["i"]),
-            df * st["f"] * (1.0 - st["f"]),
-            do * st["o"] * (1.0 - st["o"]),
-            dg * (1.0 - st["g"] ** 2),
-        ]
-        h_prev = steps[t - 1]["o"] * steps[t - 1]["tc"] if t > 0 else np.zeros((B, H))
-        dh = np.zeros((B, H))
-        for k in range(4):
-            dW[k] += st["x"].T @ da[k]
-            dU[k] += h_prev.T @ da[k]
-            db[k] += da[k].sum(axis=0)
-            dh += da[k] @ params.U[k].T
-        dc = dc * st["f"]
+    da = np.empty((4, B, H))  # gate pre-activation gradients
+    for x, ifo, g, c_prev, tc, h_prev in reversed(steps):
+        i, f, o = ifo
+        dc = dc + dh * o * (1.0 - tc**2)
+        da[0] = dc * g
+        da[1] = dc * c_prev
+        da[2] = dh * tc
+        da[:3] *= ifo
+        da[:3] *= 1.0 - ifo
+        da[3] = dc * i * (1.0 - g**2)
+        dW += x.T @ da
+        dU += h_prev.T @ da
+        db += da.sum(axis=1)
+        # summed from zero in gate order, as the gradients of four separate
+        # products were; one (B, 4H) @ (4H, H) product rounds differently
+        dh = sum(da @ UT)
+        dc = dc * f
 
     return loss, [*dW, *dU, *db, dw_out, db_out]
 
@@ -445,7 +471,7 @@ def mlp_from_dict(doc: dict) -> MlpParams:
     fit = list(zip(sizes, sizes[1:])) + [(s,) for s in sizes[1:]]
     if len(sizes) < 2 or [a.shape for a in params.arrays()] != fit:
         raise ValueError(f"MLP weights and biases do not fit layer sizes {sizes}")
-    if params.activation not in ("relu", "tanh"):  # the forward pass reads others as tanh
+    if params.activation not in MLP_ACTIVATIONS:  # the forward pass reads others as tanh
         raise ValueError(f"unknown MLP activation {params.activation!r}")
     return params
 

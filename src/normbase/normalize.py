@@ -86,8 +86,10 @@ class MlpSetup(nnmodels.TrainConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if not self.hidden_sizes:
-            raise ConfigError("hidden_sizes must be a non-empty list")
+        if not self.hidden_sizes or min(self.hidden_sizes) < 1:
+            raise ConfigError("hidden_sizes must be a non-empty list of positive sizes")
+        if self.activation not in nnmodels.MLP_ACTIVATIONS:
+            raise ConfigError(f"activation must be 'relu' or 'tanh', not {self.activation!r}")
 
 
 @dataclass(frozen=True)
@@ -95,6 +97,11 @@ class LstmSetup(nnmodels.TrainConfig):
     """The training loop's settings plus the cell width."""
 
     hidden_size: int = 32
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.hidden_size < 1:
+            raise ConfigError("hidden_size must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +430,9 @@ def run_pipeline(
         NoValidBaselineError: gate-passing selection and nothing passed; the
             assembled report rides on the exception.
     """
-    EnsembleSetup(selection, top_k)  # raises ConfigError if either is out of range
+    # the setups raise ConfigError for out-of-range values, before any model trains
+    KpiSetup(p)
+    EnsembleSetup(selection, top_k)
     if models is None:
         models = default_model_configs(seed)
     unknown = set(models) - set(MODEL_KINDS)

@@ -298,6 +298,29 @@ class TestConfigValidation:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "model, key, value, message",
+        [
+            ("lstm", "hidden_size", 0, "hidden_size must be positive"),
+            ("mlp", "hidden_sizes", [0], "hidden_sizes must be a non-empty list of positive sizes"),
+            ("mlp", "activation", "sigmoid", "activation must be 'relu' or 'tanh', not 'sigmoid'"),
+        ],
+    )
+    def test_bad_network_size_exits_2_at_load(self, data_dir, tmp_path, capsys, monkeypatch,
+                                              model, key, value, message):
+        def no_ingest(*args, **kwargs):
+            raise AssertionError("input was read before the config was checked")
+
+        monkeypatch.setattr(cli, "_ingest", no_ingest)
+        doc = run_config(data_dir, output_dir=str(tmp_path / "out"))
+        doc["models"][model] = {key: value}
+        rc = cli.main(["normalize", "--config", write_config(tmp_path / "c.json", doc)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"config error: {message}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_synth_config(self, tmp_path):
         cfg = write_config(tmp_path / "s.json", {"weekly_pattern": ["a"]})
         with pytest.raises(ConfigError) as exc:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,6 +323,33 @@ class TestLstmTraining:
         va = nn.lstm_loss_grad(params, S[n_train:], z[n_train:])[0]
         assert trace.train_loss[trace.best_epoch] == tr
         assert trace.val_loss[trace.best_epoch] == va
+
+    def test_parameters_do_not_depend_on_blas_threads(self):
+        # batches of 256 windows and 48 hidden units make (256, 48) @ (48, 48)
+        # products, large enough for OpenBLAS to split them over threads
+        script = (
+            "import hashlib, numpy as np\n"
+            "from normbase import nnmodels as nn\n"
+            "rng = np.random.default_rng(4)\n"
+            "S = rng.normal(size=(400, 4, 6))\n"
+            "y = S[:, -1, 0] + 0.1 * rng.normal(size=400)\n"
+            "cfg = nn.TrainConfig(epochs=3, batch_size=256, seed=2)\n"
+            "params, trace = nn.lstm_train((S, y), cfg, hidden_size=48)\n"
+            "blob = b''.join(a.tobytes() for a in params.arrays())\n"
+            "print(hashlib.sha256(blob).hexdigest(), trace.train_loss, trace.val_loss)\n"
+        )
+        src = str(Path(nn.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", None):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_too_few_sequences(self):
         with pytest.raises(DataError):

@@ -129,6 +129,14 @@ class TestPipelineValidation:
         with pytest.raises(ConfigError):
             nb.run_pipeline(small_table, small_periods, selection=nb.SELECTION_TOP_K, top_k=0)
 
+    def test_negative_p_fails_before_any_fit(self, small_table, small_periods, tree_models, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a model trained before the settings were checked")
+
+        monkeypatch.setattr(gbmodels, "boost_fit", no_fit)
+        with pytest.raises(ConfigError, match="'kpi.p' must be non-negative"):
+            nb.run_pipeline(small_table, small_periods, models=tree_models, p=-1)
+
     def test_unknown_model_name(self, small_table, small_periods, tree_models):
         bad = dict(tree_models)
         bad["boosted"] = bad.pop("gbt_exact")
