@@ -3,7 +3,8 @@
 Both models are trained by one loop, ``_fit``: mini-batch MSE,
 moment-estimation updates (beta1 = 0.9, beta2 = 0.999) with bias correction,
 global-norm clipping of the moment-normalized update, chronological-tail
-validation and best-validation early stopping. Only the mini-batches are
+validation and best-validation early stopping. The moments are two flat
+vectors, updated by whole-vector operations. Only the mini-batches are
 backpropagated; each epoch is scored with a forward pass over the train and
 validation splits. Targets are z-scored internally with a dedicated scaler
 fitted on the training split; predictions come back in original units.
@@ -12,7 +13,7 @@ Gradients are derived by hand (full backpropagation through time for the
 recurrent model) and are verified against central finite differences in the
 test suite; keep any change here in sync with those checks.
 
-The recurrent kernel stacks the four gates on a leading axis: per step one
+``LstmParams`` stores the four gates stacked on a leading axis: per step one
 (4, B, H) pre-activation from (4, F, H) and (4, H, H) weights, one sigmoid
 over the input/forget/output slab and one (4, B, H) gradient slab. A
 stacked product makes the same per-gate BLAS calls as four separate
@@ -21,8 +22,8 @@ BLAS tiles the wider matrix differently), and neither would one
 (B, 4H) @ (4H, H) product for the hidden-state gradient.
 ``tests/test_lstm_differential.py`` keeps the per-gate kernel as the oracle
 and checks every bit. Scoring and prediction run in blocks of _SCORE_ROWS
-windows (see _lstm_output). ``LstmParams.W``, ``U`` and ``b`` stay lists
-of four arrays, so the saved-model format is unchanged.
+windows (see _lstm_output). Saved, a stacked array is the nested lists of
+its four gates, the format that the earlier per-gate lists wrote.
 
 Everything is deterministic given (seed, data, config). Results do not
 depend on available parallelism: the test suite trains the same model with
@@ -98,14 +99,13 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function; exp only ever sees -|x|, so it cannot overflow.
 
     min(x, -x) equals -|x| but passes a NaN through unchanged, sign bit
-    included, so NaN inputs give the bits the masked form gave.
+    included, so NaN inputs give the bits the masked form gave. As e <= 1,
+    max(e, x >= 0) is the numerator: 1 where x >= 0, e elsewhere.
     """
     e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def _global_norm(arrays) -> float:
-    return float(np.sqrt(sum(float(np.sum(a * a)) for a in arrays)))
+    d = e + 1.0
+    np.maximum(e, x >= 0, out=e)
+    return np.divide(e, d, out=e)
 
 
 def _fit(params, loss_grad, forward, data, cfg: TrainConfig):
@@ -124,8 +124,10 @@ def _fit(params, loss_grad, forward, data, cfg: TrainConfig):
     on the returned params. The update direction is the bias-corrected
     moment ratio; its global L2 norm is clipped at cfg.gradient_clip_norm
     before the learning-rate multiply, so one step never moves parameters
-    further than learning_rate * gradient_clip_norm. Each epoch's train and
-    validation losses are the MSE of a forward pass over each split.
+    further than learning_rate * gradient_clip_norm. Moments and update are
+    flat vectors; the norm adds one sum of squares per params.norm_blocks()
+    block, in order: one per gate, as when each gate was its own array.
+    Each epoch's losses are the MSE of a forward pass over each split.
 
     Returns:
         (params at the best-validation epoch, TrainTrace).
@@ -138,8 +140,10 @@ def _fit(params, loss_grad, forward, data, cfg: TrainConfig):
     splits = (slice(None, n_train), slice(n_train, None))
 
     arrays = params.arrays()
-    m = [np.zeros_like(a) for a in arrays]
-    v = [np.zeros_like(a) for a in arrays]
+    ends = np.cumsum([a.size for a in arrays])
+    m, v, u = np.zeros((3, ends[-1]))
+    parts = np.split(u, ends[:-1])
+    blocks = [p.reshape(k, -1) for p, k in zip(parts, params.norm_blocks())]
     t = 0
     rng = np.random.default_rng(cfg.seed + 1)
     trace = TrainTrace()
@@ -154,19 +158,19 @@ def _fit(params, loss_grad, forward, data, cfg: TrainConfig):
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
             t += 1
-            updates = []
-            for k, g in enumerate(grads):
-                m[k] = ADAM_BETA1 * m[k] + (1.0 - ADAM_BETA1) * g
-                v[k] = ADAM_BETA2 * v[k] + (1.0 - ADAM_BETA2) * g * g
-                m_hat = m[k] / (1.0 - ADAM_BETA1**t)
-                v_hat = v[k] / (1.0 - ADAM_BETA2**t)
-                updates.append(m_hat / (np.sqrt(v_hat) + ADAM_EPS))
-            norm = _global_norm(updates)
+            g = np.concatenate(grads, axis=None)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            np.divide(m, 1.0 - ADAM_BETA1**t, out=u)
+            u /= np.sqrt(v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS
+            norm = float(np.sqrt(sum(s for q in blocks for s in (q * q).sum(axis=1).tolist())))
             if norm > cfg.gradient_clip_norm:
-                scale = cfg.gradient_clip_norm / norm
-                updates = [u * scale for u in updates]
-            for a, u in zip(arrays, updates):
-                a -= cfg.learning_rate * u
+                u *= cfg.gradient_clip_norm / norm
+            u *= cfg.learning_rate
+            for a, p in zip(arrays, parts):
+                a -= p.reshape(a.shape)
 
         train_loss, val_loss = (
             float(np.mean((forward(params, X[rows]) - z[rows]) ** 2)) for rows in splits
@@ -207,6 +211,9 @@ class MlpParams:
 
     def arrays(self):
         return list(self.weights) + list(self.biases)
+
+    def norm_blocks(self):
+        return [1] * (2 * len(self.weights))
 
 
 def mlp_init(layer_sizes, activation: str = "relu", seed: int = 0) -> MlpParams:
@@ -290,7 +297,11 @@ def mlp_train(data, cfg: TrainConfig, hidden_sizes=(32,), activation: str = "rel
 
 
 def mlp_predict(params: MlpParams, X) -> np.ndarray:
-    """Predictions in original target units for (n, features) rows."""
+    """Predictions in original target units for (n, features) rows.
+
+    A row's last bit can depend on where it sits in the batch, so scoring a
+    sub-range can differ by an ulp from scoring it inside a longer one.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != params.layer_sizes[0]:
         raise DimensionError(f"expected (n, {params.layer_sizes[0]}) rows, got {X.shape}")
@@ -308,23 +319,26 @@ def mlp_predict(params: MlpParams, X) -> np.ndarray:
 class LstmParams:
     """Single-layer recurrent cell with a linear readout of the last state.
 
-    Gate order everywhere is (input, forget, output, candidate). W_* act on
-    the step input, U_* on the previous hidden state. h_0 = c_0 = 0. The
-    kernel stacks each list into one (4, ...) array per call; the lists are
-    what the saved model holds.
+    Gate order everywhere is (input, forget, output, candidate); W, U and b
+    stack the four gates on their first axis and save as four nested lists,
+    the format of the earlier per-gate lists. W acts on the step input, U on
+    the previous hidden state. h_0 = c_0 = 0.
     """
 
     input_size: int
     hidden_size: int
-    W: list[np.ndarray]  # 4 arrays (input_size, hidden_size)
-    U: list[np.ndarray]  # 4 arrays (hidden_size, hidden_size)
-    b: list[np.ndarray]  # 4 arrays (hidden_size,)
+    W: np.ndarray  # (4, input_size, hidden_size)
+    U: np.ndarray  # (4, hidden_size, hidden_size)
+    b: np.ndarray  # (4, hidden_size)
     w_out: np.ndarray  # (hidden_size,)
     b_out: np.ndarray  # shape (1,), kept as array for in-place updates
     target_scaler: Optional[TargetScaler] = None
 
     def arrays(self):
-        return [*self.W, *self.U, *self.b, self.w_out, self.b_out]
+        return [self.W, self.U, self.b, self.w_out, self.b_out]
+
+    def norm_blocks(self):
+        return [4, 4, 4, 1, 1]
 
 
 def lstm_init(input_size: int, hidden_size: int, seed: int = 0) -> LstmParams:
@@ -332,10 +346,10 @@ def lstm_init(input_size: int, hidden_size: int, seed: int = 0) -> LstmParams:
     if input_size < 1 or hidden_size < 1:
         raise ConfigError("input_size and hidden_size must be positive")
     rng = np.random.default_rng(seed)
-    W = [_glorot(rng, input_size, hidden_size, (input_size, hidden_size)) for _ in range(4)]
-    U = [_glorot(rng, hidden_size, hidden_size, (hidden_size, hidden_size)) for _ in range(4)]
-    b = [np.zeros(hidden_size) for _ in range(4)]
-    b[1] = np.ones(hidden_size)  # forget gate starts open
+    W = _glorot(rng, input_size, hidden_size, (4, input_size, hidden_size))
+    U = _glorot(rng, hidden_size, hidden_size, (4, hidden_size, hidden_size))
+    b = np.zeros((4, hidden_size))
+    b[1] = 1.0  # forget gate starts open
     w_out = _glorot(rng, hidden_size, 1, (hidden_size,))
     return LstmParams(input_size, hidden_size, W, U, b, w_out, np.zeros(1))
 
@@ -350,13 +364,15 @@ def _lstm_forward_batch(params: LstmParams, S, keep_steps: bool = True):
     S = np.asarray(S, dtype=float)
     B, L, F = S.shape
     H = params.hidden_size
-    W, U, b = np.stack(params.W), np.stack(params.U), np.stack(params.b)[:, None, :]
+    W, U, b = params.W, params.U, params.b[:, None, :]
     h = np.zeros((B, H))
     c = np.zeros((B, H))
     steps = []
     for t in range(L):
         x = S[:, t, :]
-        z = x @ W + h @ U + b
+        z = x @ W
+        z += h @ U
+        z += b
         ifo = _sigmoid(z[:3])
         g = np.tanh(z[3])
         i, f, o = ifo
@@ -385,8 +401,8 @@ def _lstm_output(params: LstmParams, S) -> np.ndarray:
 def lstm_loss_grad(params: LstmParams, S, y):
     """MSE loss and full backpropagation-through-time gradients.
 
-    Gradient list is aligned with params.arrays():
-    W (4), U (4), b (4), w_out, b_out.
+    Gradient list is aligned with params.arrays(): W, U, b (gate-stacked),
+    w_out, b_out.
     """
     S = np.asarray(S, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -403,14 +419,14 @@ def lstm_loss_grad(params: LstmParams, S, y):
     db = np.zeros((4, H))
     dw_out = h_last.T @ d_out
     db_out = np.array([float(np.sum(d_out))])
-    UT = np.stack(params.U).transpose(0, 2, 1)
+    UT = params.U.transpose(0, 2, 1)
 
     dh = d_out[:, None] * params.w_out[None, :]  # (B, H)
     dc = np.zeros((B, H))
     da = np.empty((4, B, H))  # gate pre-activation gradients
     for x, ifo, g, c_prev, tc, h_prev in reversed(steps):
         i, f, o = ifo
-        dc = dc + dh * o * (1.0 - tc**2)
+        dc += dh * o * (1.0 - tc**2)
         da[0] = dc * g
         da[1] = dc * c_prev
         da[2] = dh * tc
@@ -422,10 +438,10 @@ def lstm_loss_grad(params: LstmParams, S, y):
         db += da.sum(axis=1)
         # summed from zero in gate order, as the gradients of four separate
         # products were; one (B, 4H) @ (4H, H) product rounds differently
-        dh = sum(da @ UT)
-        dc = dc * f
+        dh = np.add.reduce(da @ UT, axis=0, initial=0.0)
+        dc *= f
 
-    return loss, [*dW, *dU, *db, dw_out, db_out]
+    return loss, [dW, dU, db, dw_out, db_out]
 
 
 def lstm_train(data, cfg: TrainConfig, hidden_size: int = 32):
@@ -445,7 +461,11 @@ def lstm_train(data, cfg: TrainConfig, hidden_size: int = 32):
 
 
 def lstm_predict(params: LstmParams, S) -> np.ndarray:
-    """Predictions in original target units for (n, L, F) windows."""
+    """Predictions in original target units for (n, L, F) windows.
+
+    A window's last bit can depend on where it sits in the batch, so scoring
+    a sub-range can differ by an ulp from scoring it inside a longer one.
+    """
     S = np.asarray(S, dtype=float)
     if S.ndim != 3 or S.shape[2] != params.input_size:
         raise DimensionError(f"expected (n, L, {params.input_size}) windows, got {S.shape}")
@@ -484,7 +504,7 @@ def lstm_from_dict(doc: dict) -> LstmParams:
     """Inverse of lstm_to_dict; ValueError if an array does not fit the sizes."""
     params = from_json(LstmParams, doc)
     n_in, n_hid = params.input_size, params.hidden_size
-    fit = [(n_in, n_hid)] * 4 + [(n_hid, n_hid)] * 4 + [(n_hid,)] * 4 + [(n_hid,), (1,)]
+    fit = [(4, n_in, n_hid), (4, n_hid, n_hid), (4, n_hid), (n_hid,), (1,)]
     if [a.shape for a in params.arrays()] != fit:
         raise ValueError(f"LSTM arrays do not fit input size {n_in} and hidden size {n_hid}")
     return params

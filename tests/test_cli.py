@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from normbase import cli, synthgen
+from normbase import cli, nnmodels, synthgen
 from normbase.errors import ConfigError
 from normbase.features import Scaler, apply_scaler, build_features
 from normbase.normalize import MODEL_KINDS
@@ -445,7 +445,8 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("corruption", [
         "no_payload", "text_threshold", "json_list", "previous_format", "truncated_weights",
-        "tree_feature_out_of_range", "scaler_too_short",
+        "tree_feature_out_of_range", "scaler_too_short", "lstm_three_gates",
+        "lstm_ragged_gate",
     ])
     def test_malformed_model_file_exits_2_without_traceback(
         self, data_dir, happy_run, tmp_path, capsys, corruption
@@ -463,6 +464,15 @@ class TestEvaluate:
             doc["payload"]["trees"][0]["feature"] = len(doc["feature_names"])
         elif corruption == "scaler_too_short":
             doc["feature_scaler"]["std"].pop()
+        elif corruption.startswith("lstm"):
+            # an lstm file whose W has three gates, or a gate with a short row
+            name = "lstm"
+            payload = nnmodels.lstm_to_dict(nnmodels.lstm_init(len(doc["feature_names"]), 2))
+            if corruption == "lstm_three_gates":
+                payload["W"].pop()
+            else:
+                payload["W"][2][0].pop()
+            doc = {**doc, "kind": "lstm", "lookback_days": 7, "payload": payload}
         elif corruption == "truncated_weights":
             # an mlp file with one input row of its weight matrix removed
             n = len(doc["feature_names"])

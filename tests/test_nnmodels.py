@@ -9,6 +9,9 @@ import pytest
 
 from normbase import nnmodels as nn
 from normbase.errors import ConfigError, DataError, DimensionError, TrainingDivergedError
+from normbase.features import TargetScaler
+
+DATA = Path(__file__).parent / "data"
 
 # ---------------------------------------------------------------------------
 # finite-difference gradient checking
@@ -411,6 +414,50 @@ class TestSerialization:
             doc["b_out"].append(0.0)
         with pytest.raises(ValueError, match="hidden size"):
             nn.lstm_from_dict(doc)
+
+    @pytest.mark.parametrize("damage", ["three_gates", "ragged_gate"])
+    def test_lstm_gates_must_be_four_of_one_shape(self, damage):
+        doc = json.loads(json.dumps(nn.lstm_to_dict(nn.lstm_init(3, 2, seed=0))))
+        if damage == "three_gates":
+            doc["W"].pop()
+        else:
+            doc["W"][2][0].pop()
+        with pytest.raises(ValueError):
+            nn.lstm_from_dict(doc)
+
+    def test_lstm_saves_each_gate_as_its_own_nested_list(self):
+        # the document that W, U and b written as lists of four per-gate
+        # arrays gave, built one gate at a time by lstm_init's recipe
+        rng = np.random.default_rng(5)
+
+        def glorot(fan_in, fan_out, shape):
+            bound = np.sqrt(6.0 / (fan_in + fan_out))
+            return rng.uniform(-bound, bound, size=shape).tolist()
+
+        doc = {
+            "input_size": 3,
+            "hidden_size": 2,
+            "W": [glorot(3, 2, (3, 2)) for _ in range(4)],
+            "U": [glorot(2, 2, (2, 2)) for _ in range(4)],
+            "b": [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0]],
+            "w_out": glorot(2, 1, (2,)),
+            "b_out": [0.0],
+            "target_scaler": {"mean": 4.5, "std": 2.0},
+        }
+        params = nn.lstm_init(3, 2, seed=5)
+        params.target_scaler = TargetScaler(mean=4.5, std=2.0)
+        for sort_keys in (False, True):
+            got = json.dumps(nn.lstm_to_dict(params), sort_keys=sort_keys)
+            assert got == json.dumps(doc, sort_keys=sort_keys)
+
+    def test_lstm_file_of_per_gate_lists_predicts_the_same_bits(self):
+        # a fitted model saved while W, U and b were lists of four per-gate
+        # arrays, with windows and the predictions that version made for them
+        saved = json.loads((DATA / "lstm_per_gate_lists.json").read_text())
+        params = nn.lstm_from_dict(saved["payload"])
+        got = nn.lstm_predict(params, np.array(saved["windows"]))
+        assert got.tobytes() == np.array(saved["predictions"]).tobytes()
+        assert nn.lstm_to_dict(params) == saved["payload"]
 
     def test_scaler_rides_along(self):
         X, y = linear_rows(40, seed=3)
