@@ -4,7 +4,7 @@ Two tree builders share one boosting loop:
 
 * ``exact``: depth-wise growth, split candidates at midpoints between every
   pair of consecutive distinct feature values. Each column is sorted once per
-  tree (XGBoost's presorted column block) and every node keeps its rows in
+  fit (XGBoost's presorted column block) and every node keeps its rows in
   that per-column order, so a node scores all (feature, cut) pairs with one
   2-D cumulative sum.
 * ``histogram``: leaf-wise (best-first) growth over quantile-binned features,
@@ -178,7 +178,7 @@ def predict_tree(node: TreeNode, X) -> np.ndarray:
 # exact greedy builder
 
 
-def build_tree_exact(X, g, h, cfg: BoostConfig) -> TreeNode:
+def build_tree_exact(X, g, h, cfg: BoostConfig, order=None) -> TreeNode:
     """Grow one depth-wise tree by exhaustive split enumeration.
 
     Every (feature, midpoint-between-distinct-values) candidate is scored;
@@ -187,8 +187,10 @@ def build_tree_exact(X, g, h, cfg: BoostConfig) -> TreeNode:
     positive gain, or when every candidate would starve a child below
     min_child_hessian.
 
-    The columns are stable-argsorted once per tree. A child keeps the part of
-    its parent's (features, rows) order that its rows make up, which is the
+    ``order`` is the columns' stable argsort, ``np.argsort(X.T, axis=1,
+    kind="stable")``; it is computed here when not given, and boost_fit
+    passes it so that X is sorted once per fit. A child keeps the part of its
+    parent's (features, rows) order that its rows make up, which is the
     stable argsort of the child's own rows (NaN last, ties by row index).
     """
     X = np.asarray(X, dtype=float)
@@ -233,7 +235,9 @@ def build_tree_exact(X, g, h, cfg: BoostConfig) -> TreeNode:
             right=grow(right_rows, order[~in_left].reshape(n_features, -1), depth + 1),
         )
 
-    return grow(np.arange(n), np.argsort(Xt, axis=1, kind="stable"), 0)
+    if order is None:
+        order = np.argsort(Xt, axis=1, kind="stable")
+    return grow(np.arange(n), order, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +585,7 @@ def boost_fit(data, cfg: BoostConfig, kind: str = "exact"):
         ) if Xb_train.shape[1] else np.zeros((n_train, 0), dtype=np.int32)
     else:
         Xb_train, Xb_val = X_train, X_val
+        order = np.argsort(X_train.T, axis=1, kind="stable")
 
     pred_train = np.full(n_train, base)
     pred_val = np.full(n_val, base)
@@ -596,7 +601,7 @@ def boost_fit(data, cfg: BoostConfig, kind: str = "exact"):
             w[rows] = row_weights
             tree = build_tree_hist(bin_idx, edges, g, h, w, rows, cfg)
         else:
-            tree = build_tree_exact(X_train, g, h, cfg)
+            tree = build_tree_exact(X_train, g, h, cfg, order)
         ens.trees.append(tree)
 
         # overflow is tolerated for one step; the finiteness check below raises

@@ -1,8 +1,9 @@
 """Synthetic building generator with a known planted reduction.
 
-Produces interval energy and weather files in the same CSV dialect the
-ingestion layer reads, plus the noiseless ground truth, so end-to-end
-recovery can be scored against an exact answer.
+Produces interval energy and weather files in the canonical CSV dialect the
+ingestion layer reads on its vector path (rendered by tsdata's writer, see
+write_dataset), plus the noiseless ground truth, so end-to-end recovery can
+be scored against an exact answer.
 
 The daily latent model is multiplicative-weekly over an additive core:
 
@@ -31,7 +32,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .tsdata import CHANNEL_UNITS, ENERGY_CHANNEL, WEATHER_CHANNELS, RawSeries, resolve_timezone
+from .tsdata import (
+    CHANNEL_UNITS,
+    ENERGY_CHANNEL,
+    WEATHER_CHANNELS,
+    RawSeries,
+    render_csv,
+    render_stamps,
+    resolve_timezone,
+)
 
 DAY_SECONDS = 86400
 TROPICAL_YEAR_DAYS = 365.25
@@ -310,27 +319,22 @@ def configure_for_target(cfg: SynthConfig, target_fraction: float) -> SynthConfi
 def write_dataset(ds: SynthDataset, outdir) -> dict:
     """Write channel CSVs plus ground_truth.json; returns name -> path.
 
-    Output files use the exact dialect parse_series reads. Timestamps are
-    rendered once and shared across channels.
+    Output files use the canonical dialect, so parse_series reads every row
+    on its vector path. The timestamp cells are rendered once
+    (tsdata.render_stamps) and shared across channels; each file is written
+    block by block as tsdata.render_csv yields it.
     """
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     tz = resolve_timezone(ds.config.timezone)
-    stamps = [datetime.fromtimestamp(e, tz).isoformat() for e in ds.energy.epochs]
+    stamps = render_stamps(ds.energy.epochs, tz)
 
     paths = {}
-
-    def dump(series: RawSeries):
-        rows = [f"timestamp,{series.channel}"]
-        # tolist() yields Python floats, whose repr round-trips exactly
-        rows.extend(f"{t},{v!r}" for t, v in zip(stamps, series.values.tolist()))
+    for series in (ds.energy, *(ds.weather[c] for c in WEATHER_CHANNELS)):
         path = out / f"{series.channel}.csv"
-        path.write_text("\n".join(rows) + "\n")
+        with path.open("w") as f:
+            f.writelines(render_csv(series.channel, stamps, series.values))
         paths[series.channel] = path
-
-    dump(ds.energy)
-    for channel in WEATHER_CHANNELS:
-        dump(ds.weather[channel])
 
     truth = {
         "reduction_kwh": ds.reduction_kwh,

@@ -11,6 +11,14 @@ one vector pass over the file's bytes. Other ISO-8601 forms (``...Z``
 included), and naive timestamps in an IANA zone, go through the row-by-row
 parser instead, at per-row cost, with the same results and errors.
 
+The writer mirrors it: render_stamps renders the timestamp column in NumPy
+(civil dates by the inverse of _days_from_civil; for an IANA zone, datetime
+gives the UTC offset only at the two ends of each UTC day, and row by row on
+a day whose ends disagree), and render_csv joins the stamps with the repr of
+each value into rows. serialize_series and synthgen.write_dataset write
+through them, byte for byte what datetime.isoformat() and repr give row by
+row.
+
 Timestamps are stored internally as float64 epoch seconds plus the series
 zone, which keeps multi-million-row series cheap. Day boundaries are always
 computed in the series-local zone.
@@ -420,15 +428,170 @@ def parse_series(text: str, schema: SeriesSchema) -> RawSeries:
     )
 
 
-def serialize_series(series: RawSeries) -> str:
-    """Render a RawSeries back to the CSV format parse_series reads."""
-    tz = series.tzinfo
-    out = [f"timestamp,{series.channel}"]
+# Rendering the canonical dialect: a stamp row with its trailing comma and a
+# newline that splits the decoded rows apart.
+_STAMP_TEMPLATE = np.frombuffer(b"0000-00-00T00:00:00+00:00,\n", dtype=np.uint8)
+# Epochs at least a day inside years 1..9999 stay in range in every zone,
+# whose offsets are under a day.
+_FIRST_SAFE_EPOCH = -62135596800 + 86400  # 0001-01-02T00:00:00Z
+_LAST_SAFE_EPOCH = 253402300799 - 86400  # 9999-12-30T23:59:59Z
+# Rows rendered at a time. A block's NumPy temporaries (about fifteen int64
+# arrays) stay near 1 MB, so the writer's peak memory is its output's
+# stamp cells plus one block, also for a small file.
+_RENDER_BLOCK = 1 << 13
+
+
+def _civil_from_days(z):
+    """Proleptic Gregorian (year, month, day) of days from 1970-01-01.
+
+    The inverse of _days_from_civil (Hinnant's algorithm).
+    """
+    z = z + 719468
+    era = z // 146097
+    doe = z - era * 146097
+    yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
+    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)
+    mp = (5 * doy + 2) // 153
+    day = doy - (153 * mp + 2) // 5 + 1
+    month = np.where(mp < 10, mp + 3, mp - 9)
+    return yoe + era * 400 + (month <= 2), month, day
+
+
+def _utc_offsets(epochs: np.ndarray, tz) -> np.ndarray:
+    """UTC offset in seconds of ``tz`` at each integer epoch.
+
+    A fixed-offset zone has one offset. For an IANA zone, datetime is asked
+    only at the first and last epoch of each UTC day, and row by row only on
+    a day whose two ends disagree. That is exact as long as no two
+    transitions of a zone fall within one day: the smallest gap between
+    transitions in the tzdata this was written against is 344,400 s
+    (Africa/Freetown), and tests/test_write_differential.py checks the
+    installed tzdata for it.
+    """
+    def offset_at(e):
+        return datetime.fromtimestamp(e, tz).utcoffset() // timedelta(seconds=1)
+
+    if isinstance(tz, timezone):
+        return np.full(epochs.size, tz.utcoffset(None) // timedelta(seconds=1), dtype=np.int64)
+    if not epochs.size:
+        return np.zeros(0, dtype=np.int64)
+    day = epochs // 86400
+    ordered = np.sort(epochs)
+    cut = np.flatnonzero(np.diff(ordered // 86400)) + 1
+    firsts, lasts = ordered[np.r_[0, cut]], ordered[np.r_[cut - 1, ordered.size - 1]]
+    ends = np.array([[offset_at(a), offset_at(b)]
+                     for a, b in zip(firsts.tolist(), lasts.tolist())], dtype=np.int64)
+    at = np.searchsorted(firsts // 86400, day)
+    offsets = ends[at, 0]
+    split = np.flatnonzero(offsets != ends[at, 1])
+    offsets[split] = [offset_at(e) for e in epochs[split].tolist()]
+    return offsets
+
+
+def _stamp_block(local: np.ndarray, offsets: np.ndarray) -> list:
+    """Canonical stamp cells of local seconds and their UTC offsets."""
+    days, seconds = np.divmod(local, 86400)
+    year, month, day = _civil_from_days(days)
+    span = np.abs(offsets)
+    # one matrix row per column of the stamps, so digits are written
+    # contiguously; tobytes() of its transpose lays the stamps out in order
+    cols = np.empty((_STAMP_TEMPLATE.size, local.size), dtype=np.uint8)
+    cols[:] = _STAMP_TEMPLATE[:, None]
+    for col, number in ((0, year // 100), (2, year % 100), (5, month), (8, day),
+                        (11, seconds // 3600), (14, seconds // 60 % 60), (17, seconds % 60),
+                        (20, span // 3600), (23, span // 60 % 60)):
+        tens, ones = np.divmod(number, 10)
+        cols[col] += tens.astype(np.uint8)
+        cols[col + 1] += ones.astype(np.uint8)
+    cols[19, offsets < 0] = ord("-")
+    stamps = cols.T.tobytes().decode("ascii").split("\n")
+    stamps.pop()  # after the last newline
+    return stamps
+
+
+def render_stamps(epochs: np.ndarray, tz) -> list:
+    """Canonical timestamp cells, comma included, one per epoch.
+
+    Each cell is ``datetime.fromtimestamp(e, tz).isoformat() + ","``, and is
+    built by that expression for the rows the vector pass leaves out:
+    non-integer or non-finite epochs, epochs within a day of the ends of
+    years 1..9999, and instants where the zone's offset is not a whole
+    minute (local mean time, e.g. New York before 1883). Such rows are
+    rendered in order, so the first that datetime rejects raises its error.
+
+    Every other row is rendered by NumPy: local seconds are the epoch plus
+    its UTC offset (see _utc_offsets), civil dates come from
+    _civil_from_days, and the digits go into a byte matrix that is decoded
+    to str and split at its newlines. That runs in blocks of rows, so only
+    the cells themselves outlive a block.
+    """
+    e = np.asarray(epochs, dtype=np.float64)
+    ok = (e == np.floor(e)) & (e >= _FIRST_SAFE_EPOCH) & (e <= _LAST_SAFE_EPOCH)
+    whole = np.where(ok, e, 0.0).astype(np.int64)
+    offsets = np.zeros(e.size, dtype=np.int64)
+    offsets[ok] = _utc_offsets(whole[ok], tz)
+    ok &= offsets % 60 == 0
+    offsets[~ok] = 0
+    stamps = []
+    for lo in range(0, e.size, _RENDER_BLOCK):
+        block = slice(lo, lo + _RENDER_BLOCK)
+        stamps += _stamp_block(whole[block] + offsets[block], offsets[block])
+    for i in np.flatnonzero(~ok).tolist():
+        stamps[i] = datetime.fromtimestamp(epochs[i], tz).isoformat() + ","
+    return stamps
+
+
+def _value_cells(values: np.ndarray, missing: Optional[np.ndarray]) -> list:
+    """Value cells: ``repr`` of each value, empty where ``missing``.
+
+    A run of values with equal bits (a channel held for a day) is repr'd
+    once. Bits, not ==, decide, so -0.0 and 0.0 keep their own spelling.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    bits = values.view(np.int64)
+    starts = np.ones(values.size, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)
     # tolist() yields Python floats, whose repr round-trips exactly
-    for e, v, m in zip(series.epochs.tolist(), series.values.tolist(), series.missing):
-        ts = datetime.fromtimestamp(e, tz).isoformat()
-        out.append(f"{ts}," if m else f"{ts},{v!r}")
-    return "\n".join(out) + "\n"
+    cells = list(map(float.__repr__, values[first].tolist()))
+    has_missing = missing is not None and bool(np.any(missing))
+    if first.size == values.size and not has_missing:
+        return cells
+    out = np.array(cells, dtype=object)[np.cumsum(starts) - 1]
+    if has_missing:
+        out[np.asarray(missing, dtype=bool)] = ""
+    return out.tolist()
+
+
+def render_csv(channel: str, stamps: list, values: np.ndarray,
+               missing: Optional[np.ndarray] = None):
+    """Yield one channel file's text: the header, then its rows in blocks.
+
+    A row is a stamp cell (render_stamps) and a value cell (_value_cells).
+    Rows stop at the shorter of ``stamps`` and ``values``, as zip does. Each
+    block is one join over the cells themselves, so no string per row is
+    built, and a large file never holds more than a block of value cells.
+    """
+    yield f"timestamp,{channel}"
+    n = min(len(stamps), len(values))
+    for lo in range(0, n, _RENDER_BLOCK):
+        hi = min(lo + _RENDER_BLOCK, n)
+        parts = ["\n"] * (3 * (hi - lo))
+        parts[1::3] = stamps[lo:hi]
+        parts[2::3] = _value_cells(values[lo:hi], None if missing is None else missing[lo:hi])
+        yield "".join(parts)
+    yield "\n"
+
+
+def serialize_series(series: RawSeries) -> str:
+    """Render a RawSeries back to the CSV format parse_series reads.
+
+    The output is in the canonical dialect, so parse_series reads it back on
+    its vector path, and it is byte for byte what rendering each row with
+    ``datetime.fromtimestamp(e, tz).isoformat()`` and ``repr`` gives.
+    """
+    stamps = render_stamps(series.epochs, series.tzinfo)
+    return "".join(render_csv(series.channel, stamps, series.values, series.missing))
 
 
 @dataclass(frozen=True)

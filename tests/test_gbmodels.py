@@ -6,6 +6,7 @@ import pytest
 
 from normbase import gbmodels as gb
 from normbase.errors import ConfigError, DataError, TrainingDivergedError
+from normbase.savefile import to_json
 
 # ---------------------------------------------------------------------------
 # independent reference implementation for small exact trees
@@ -115,6 +116,35 @@ class TestExactTreeOracle:
             pred = gb.predict_tree(tree, X)
             want = [ref_predict(ref, x) for x in X.tolist()]
             np.testing.assert_allclose(pred, want, rtol=1e-12, atol=1e-15)
+
+    def test_passed_order_matches_internal_sort(self):
+        rng = np.random.default_rng(17)
+        X = rng.integers(0, 6, size=(120, 5)).astype(float)  # ties in every column
+        X[rng.random(X.shape) < 0.1] = np.nan
+        g, h = rng.normal(size=120), rng.uniform(0.5, 2.0, size=120)
+        cfg = gb.BoostConfig(max_depth=5, reg_lambda=0.5)
+        order = np.argsort(X.T, axis=1, kind="stable")
+        passed = gb.build_tree_exact(X, g, h, cfg, order)
+        internal = gb.build_tree_exact(X, g, h, cfg)
+        assert json.dumps(to_json(passed)) == json.dumps(to_json(internal))
+
+    def test_fit_sorts_once_with_the_same_trees(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        X = np.round(rng.normal(size=(80, 4)), 1)
+        y = X @ np.array([1.0, -2.0, 0.5, 0.0]) + rng.normal(scale=0.2, size=80)
+        cfg = gb.BoostConfig(rounds=15, learning_rate=0.3, max_depth=4)
+        ens, _ = gb.boost_fit((X, y), cfg, kind="exact")
+        orders = []
+        build = gb.build_tree_exact
+
+        def sort_per_tree(X, g, h, cfg, order=None):
+            orders.append(order)
+            return build(X, g, h, cfg)
+
+        monkeypatch.setattr(gb, "build_tree_exact", sort_per_tree)
+        per_tree, _ = gb.boost_fit((X, y), cfg, kind="exact")
+        assert len(orders) == 15 and all(o is orders[0] for o in orders)
+        assert json.dumps(gb.ensemble_to_dict(ens)) == json.dumps(gb.ensemble_to_dict(per_tree))
 
     def test_pure_node_becomes_leaf(self):
         X = np.array([[1.0], [2.0], [3.0]])
