@@ -529,9 +529,6 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except NoValidBaselineError as e:
-        print(f"no valid baseline: {e}", file=sys.stderr)
-        return 3
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return 4

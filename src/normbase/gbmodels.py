@@ -153,6 +153,34 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.feature < 0
 
+    def __reduce__(self):
+        # pickle nests calls once per tree level and reaches the recursion
+        # limit near depth 500; the pre-order list of node fields is flat
+        fields, stack = [], [self]
+        while stack:
+            nd = stack.pop()
+            fields.append((nd.feature, nd.threshold, nd.default_left, nd.gain, nd.weight))
+            if not nd.is_leaf:
+                stack += (nd.right, nd.left)
+        return _tree_from_preorder, (fields,)
+
+
+def _tree_from_preorder(fields) -> TreeNode:
+    """The tree TreeNode.__reduce__ flattened, relinked with an explicit stack."""
+    nodes = [TreeNode(*f) for f in fields]
+    open_nodes = []  # internal nodes still missing their right child
+    for nd in nodes:
+        if open_nodes:
+            parent = open_nodes[-1]
+            if parent.left is None:
+                parent.left = nd
+            else:
+                parent.right = nd
+                open_nodes.pop()
+        if not nd.is_leaf:
+            open_nodes.append(nd)
+    return nodes[0]
+
 
 def predict_tree(node: TreeNode, X) -> np.ndarray:
     """Route every row of X to its leaf weight."""

@@ -5,9 +5,10 @@ moment-estimation updates (beta1 = 0.9, beta2 = 0.999) with bias correction,
 global-norm clipping of the moment-normalized update, chronological-tail
 validation and best-validation early stopping. The moments are two flat
 vectors, updated by whole-vector operations. Only the mini-batches are
-backpropagated; each epoch is scored with a forward pass over the train and
-validation splits. Targets are z-scored internally with a dedicated scaler
-fitted on the training split; predictions come back in original units.
+backpropagated; an epoch's training loss is the row-weighted mean of its
+mini-batch losses, and only the validation split gets a forward pass.
+Targets are z-scored internally with a dedicated scaler fitted on the
+training split; predictions come back in original units.
 
 Gradients are derived by hand (full backpropagation through time for the
 recurrent model) and are verified against central finite differences in the
@@ -79,7 +80,14 @@ class TrainConfig:
 
 @dataclass
 class TrainTrace:
-    """Per-epoch loss record (z-scored target space)."""
+    """Per-epoch loss record (z-scored target space).
+
+    ``train_loss[e]`` is the row-weighted mean of the mini-batch losses of
+    epoch e, each taken before that batch's update (Keras's convention), so
+    the parameters move while it accumulates. ``val_loss[e]`` is the MSE of
+    a forward pass over the validation split with the parameters at the end
+    of epoch e; early stopping and ``best_epoch`` follow it.
+    """
 
     train_loss: list = field(default_factory=list)
     val_loss: list = field(default_factory=list)
@@ -127,7 +135,10 @@ def _fit(params, loss_grad, forward, data, cfg: TrainConfig):
     further than learning_rate * gradient_clip_norm. Moments and update are
     flat vectors; the norm adds one sum of squares per params.norm_blocks()
     block, in order: one per gate, as when each gate was its own array.
-    Each epoch's losses are the MSE of a forward pass over each split.
+    Each epoch's training loss is sum(loss_b * |b|) / n_train over its
+    mini-batches b, the losses loss_grad returned; its validation loss is
+    the MSE of a forward pass over the validation split, and only that
+    split is scored.
 
     Returns:
         (params at the best-validation epoch, TrainTrace).
@@ -137,7 +148,7 @@ def _fit(params, loss_grad, forward, data, cfg: TrainConfig):
     scaler = TargetScaler(mean=float(y[:n_train].mean()), std=float(y[:n_train].std()))
     params.target_scaler = scaler
     z = scaler.transform(y)
-    splits = (slice(None, n_train), slice(n_train, None))
+    X_val, z_val = X[n_train:], z[n_train:]
 
     arrays = params.arrays()
     ends = np.cumsum([a.size for a in arrays])
@@ -152,11 +163,13 @@ def _fit(params, loss_grad, forward, data, cfg: TrainConfig):
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_train)
+        loss_sum = 0.0
         for start in range(0, n_train, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             loss, grads = loss_grad(params, X[idx], z[idx])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
+            loss_sum += loss * idx.size
             t += 1
             g = np.concatenate(grads, axis=None)
             m *= ADAM_BETA1
@@ -172,9 +185,8 @@ def _fit(params, loss_grad, forward, data, cfg: TrainConfig):
             for a, p in zip(arrays, parts):
                 a -= p.reshape(a.shape)
 
-        train_loss, val_loss = (
-            float(np.mean((forward(params, X[rows]) - z[rows]) ** 2)) for rows in splits
-        )
+        train_loss = loss_sum / n_train
+        val_loss = float(np.mean((forward(params, X_val) - z_val) ** 2))
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
             raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
         trace.train_loss.append(train_loss)

@@ -1,3 +1,5 @@
+import concurrent.futures
+import os
 from datetime import date
 
 import pytest
@@ -61,3 +63,28 @@ def full_report(small_table, small_periods):
     return normalize.run_pipeline(
         small_table, small_periods, models=models, seed=7
     )
+
+
+@pytest.fixture()
+def cpus(monkeypatch):
+    """use(n) makes run_pipeline see n usable CPUs, so at most n workers."""
+
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    return use
+
+
+@pytest.fixture()
+def pools(monkeypatch):
+    """The worker count of every process pool opened during the test."""
+    opened = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    class Counting(real):
+        def __init__(self, max_workers, **kwargs):
+            opened.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+    return opened

@@ -2,6 +2,10 @@ import argparse
 import contextlib
 import io
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from datetime import date
 from pathlib import Path
 
@@ -227,6 +231,49 @@ class TestNormalize:
         assert "error: non-finite predictions" in err
         assert "Traceback" not in err
 
+    def test_artifacts_do_not_depend_on_worker_count(self, data_dir, tmp_path, cpus, pools):
+        small = {"epochs": 3, "early_stop_patience": 3}
+        models = {**run_config(data_dir)["models"], "mlp": small, "lstm": small}
+        trees = []
+        for n in (1, 2):
+            cpus(n)
+            out = tmp_path / f"out{n}"
+            cfg = write_config(tmp_path / f"c{n}.json", run_config(
+                data_dir, save_models=True, output_dir=str(out), models=models,
+            ))
+            assert cli.main(["normalize", "--config", cfg]) == 0
+            assert not multiprocessing.active_children()
+            trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+        assert pools == [2]
+        assert (Path("models") / "lstm.json") in trees[0]
+        assert trees[0] == trees[1]
+
+    def test_diverging_later_model_fails_alike_with_any_worker_count(self, data_dir, tmp_path):
+        # gbt_hist comes after gbt_exact in MODEL_ORDER; each run is its own
+        # process, so stderr holds whatever the workers write too
+        doc = run_config(data_dir, output_dir=str(tmp_path / "out"))
+        doc["models"]["gbt_hist"]["learning_rate"] = 1e308
+        cfg = write_config(tmp_path / "c.json", doc)
+        script = (
+            "import os, sys\n"
+            "from normbase import cli\n"
+            "os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))\n"
+            "sys.exit(cli.main(sys.argv[2:]))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        runs = [
+            subprocess.run([sys.executable, "-c", script, n, "normalize", "--config", cfg],
+                           env=env, capture_output=True, text=True, timeout=120)
+            for n in ("1", "2")
+        ]
+        for run in runs:
+            assert run.returncode == 4
+            assert "error: non-finite predictions" in run.stderr
+            assert "Traceback" not in run.stderr
+        assert runs[0].stderr == runs[1].stderr
+        assert not (tmp_path / "out").exists()
+
 
 DELETE = object()  # test_run_config: remove the key instead of setting it
 
@@ -377,6 +424,31 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert "d.CV(RMSE)" in out
         assert "gate passed by:" in out
+
+    @pytest.mark.parametrize("from_files", [False, True])
+    def test_no_gate_passer_exits_3(self, data_dir, tmp_path, capsys, from_files):
+        # the underfit single tree of test_gate_failure_still_writes_report,
+        # trained in place or reloaded from the files normalize saved
+        out_dir = tmp_path / "out"
+        doc = run_config(data_dir, save_models=True, output_dir=str(out_dir))
+        doc["models"] = {
+            "mlp": {"enabled": False},
+            "lstm": {"enabled": False},
+            "gbt_hist": {"enabled": False},
+            "gbt_exact": {"rounds": 1, "learning_rate": 0.01},
+        }
+        cfg = write_config(tmp_path / "c.json", doc)
+        argv = ["evaluate", "--config", cfg]
+        if from_files:
+            assert cli.main(["normalize", "--config", cfg]) == 3
+            capsys.readouterr()  # drop normalize output
+            argv += ["--models", str(out_dir / "models")]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out.startswith("model")
+        assert captured.out.endswith("\nno model passed the acceptance gate\n")
+        assert "\ngbt_exact " in captured.out
+        assert "Traceback" not in captured.err
 
     def test_saved_models_reproduce_training_kpis(self, data_dir, tmp_path, capsys):
         out_dir = tmp_path / "out"

@@ -1,6 +1,7 @@
 """Property-based fuzz of the command line: whatever the inputs, a run ends
-with a documented exit code (0, 2, 3 or 4), never with an exception, and a
-report.json it writes validates against the report schema.
+with a documented exit code (0, 2, 3 or 4), never with an exception, leaves
+no model worker process behind, and a report.json it writes validates
+against the report schema.
 
 Each example runs ``normbase synth`` on a small building (a drawn zone,
 cadence and seed, sometimes a bad config value), damages the written files
@@ -13,6 +14,7 @@ import contextlib
 import importlib.resources as res
 import io
 import json
+import multiprocessing
 import tempfile
 from pathlib import Path
 
@@ -150,6 +152,7 @@ def test_cli_exits_with_a_documented_code(scenario):
         rc, err = run_cli(["normalize", "--config", str(root / "run.json")])
         event(f"normalize exits {rc}")
         assert rc in EXIT_CODES and "Traceback" not in err
+        assert not multiprocessing.active_children()
         report = root / "out" / "report.json"
         if rc in (0, 3) or report.exists():
             jsonschema.validate(json.loads(report.read_text()), SCHEMA)

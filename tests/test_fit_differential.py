@@ -1,11 +1,13 @@
 """nnmodels' training loop against the array-by-array loop it replaced.
 
-``_fit`` and ``_global_norm`` below are the earlier functions, kept verbatim
-as the oracle: they update the moments of each parameter array on its own
-and sum the update norm array by array. The oracle trains the recurrent
-model on the 14 per-gate views of its gate-stacked arrays, as the per-gate
-parameter lists were; the current loop updates flat moment vectors and
-sums one partial norm per gate. For every drawn problem both must end with
+``_fit`` and ``_global_norm`` below are the earlier functions, kept as the
+oracle: they update the moments of each parameter array on its own and sum
+the update norm array by array. The one edit since is how the oracle records
+``train_loss``: the row-weighted mean of the epoch's mini-batch losses, in
+place of a forward pass over the training split. The oracle trains the
+recurrent model on the 14 per-gate views of its gate-stacked arrays, as the
+per-gate parameter lists were; the current loop updates flat moment vectors
+and sums one partial norm per gate. For every drawn problem both must end with
 the same parameters and the same per-epoch losses and best epoch, compared
 as raw bytes, so every bit agrees.
 
@@ -47,8 +49,9 @@ def _fit(params, loss_grad, forward, data, cfg: TrainConfig):
     on the returned params. The update direction is the bias-corrected
     moment ratio; its global L2 norm is clipped at cfg.gradient_clip_norm
     before the learning-rate multiply, so one step never moves parameters
-    further than learning_rate * gradient_clip_norm. Each epoch's train and
-    validation losses are the MSE of a forward pass over each split.
+    further than learning_rate * gradient_clip_norm. Each epoch's training
+    loss is the row-weighted mean of its mini-batch losses; its validation
+    loss is the MSE of a forward pass over the validation split.
 
     Returns:
         (params at the best-validation epoch, TrainTrace).
@@ -58,7 +61,6 @@ def _fit(params, loss_grad, forward, data, cfg: TrainConfig):
     scaler = TargetScaler(mean=float(y[:n_train].mean()), std=float(y[:n_train].std()))
     params.target_scaler = scaler
     z = scaler.transform(y)
-    splits = (slice(None, n_train), slice(n_train, None))
 
     arrays = params.arrays()
     m = [np.zeros_like(a) for a in arrays]
@@ -71,11 +73,13 @@ def _fit(params, loss_grad, forward, data, cfg: TrainConfig):
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_train)
+        loss_sum = 0.0
         for start in range(0, n_train, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             loss, grads = loss_grad(params, X[idx], z[idx])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
+            loss_sum += loss * idx.size
             t += 1
             updates = []
             for k, g in enumerate(grads):
@@ -91,9 +95,8 @@ def _fit(params, loss_grad, forward, data, cfg: TrainConfig):
             for a, u in zip(arrays, updates):
                 a -= cfg.learning_rate * u
 
-        train_loss, val_loss = (
-            float(np.mean((forward(params, X[rows]) - z[rows]) ** 2)) for rows in splits
-        )
+        train_loss = loss_sum / n_train
+        val_loss = float(np.mean((forward(params, X[n_train:]) - z[n_train:]) ** 2))
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
             raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
         trace.train_loss.append(train_loss)

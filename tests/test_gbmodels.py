@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -531,6 +532,31 @@ class TestSerialization:
         back = gb.ensemble_from_dict(json.loads(json.dumps(gb.ensemble_to_dict(ens))))
         assert back.bundles is not None
         np.testing.assert_array_equal(gb.boost_predict(ens, X), gb.boost_predict(back, X))
+
+    @pytest.mark.parametrize("kind", ["exact", "histogram"])
+    def test_fitted_ensemble_pickles_to_the_same_model(self, kind):
+        # fitted models cross the process boundary of the model pool by pickle
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(80, 3))
+        y = X[:, 0] - X[:, 2] + rng.normal(scale=0.1, size=80)
+        ens, _ = gb.boost_fit((X, y), gb.BoostConfig(rounds=10, validation_fraction=0.0), kind)
+        back = pickle.loads(pickle.dumps(ens))
+        assert json.dumps(gb.ensemble_to_dict(back)) == json.dumps(gb.ensemble_to_dict(ens))
+
+    def test_deep_chain_tree_pickles(self):
+        # each node sends x <= i left to a leaf and the rest right, so a row
+        # with value i ends in the leaf at depth i + 1; pickling the plain
+        # nested dataclass fails near depth 500
+        depth = 2000
+        tree = node = gb.TreeNode()
+        for i in range(depth):
+            node.feature, node.threshold, node.default_left, node.gain = 0, float(i), i % 2 == 0, 1.0
+            node.left = gb.TreeNode(weight=i + 0.5)
+            node.right = node = gb.TreeNode(weight=-1.0)
+        X = np.append(np.arange(depth + 1.0), np.nan)[:, None]
+        back = pickle.loads(pickle.dumps(tree))
+        assert gb.predict_tree(back, X).tobytes() == gb.predict_tree(tree, X).tobytes()
+        assert back.__reduce__() == tree.__reduce__()
 
 
     @pytest.mark.parametrize("damage", [

@@ -36,6 +36,32 @@ def numerical_grads(arrays, loss_fn, h=1e-6):
     return grads
 
 
+def record_batch_losses(monkeypatch, name):
+    """Wrap nnmodels.<name>; the returned list gets (loss, rows) per call."""
+    seen = []
+    inner = getattr(nn, name)
+
+    def recording(params, inputs, z):
+        loss, grads = inner(params, inputs, z)
+        seen.append((loss, len(z)))
+        return loss, grads
+
+    monkeypatch.setattr(nn, name, recording)
+    return seen
+
+
+def epoch_means(seen, n_train, batch_size):
+    """Row-weighted mean batch loss of each epoch, summed in batch order."""
+    per_epoch = -(-n_train // batch_size)
+    means = []
+    for start in range(0, len(seen), per_epoch):
+        total = 0.0
+        for loss, rows in seen[start : start + per_epoch]:
+            total += loss * rows
+        means.append(total / n_train)
+    return means
+
+
 def worst_rel_err(analytic, numeric):
     worst = 0.0
     for a, n in zip(analytic, numeric):
@@ -219,17 +245,18 @@ class TestMlpTraining:
         _, trace = nn.mlp_train((X, y), cfg, hidden_sizes=(4,))
         assert trace.val_loss[trace.best_epoch] == min(trace.val_loss)
 
-    def test_epoch_losses_are_the_returned_params_mse(self):
-        # the recorded losses at the best epoch are the plain MSE of the
-        # returned (best-snapshot) params on each split, in z-scored units
+    def test_epoch_losses_are_batch_means_and_validation_mse(self, monkeypatch):
+        # train_loss[e] is the row-weighted mean of epoch e's mini-batch
+        # losses; the validation loss at the best epoch is the plain MSE of
+        # the returned (best-snapshot) params, in z-scored units
         X, y = linear_rows(50, seed=8)
         cfg = nn.TrainConfig(learning_rate=0.02, epochs=40, batch_size=16, seed=2)
+        seen = record_batch_losses(monkeypatch, "mlp_loss_grad")
         params, trace = nn.mlp_train((X, y), cfg, hidden_sizes=(4,))
         n_train = 50 - max(1, round(0.2 * 50))
+        assert trace.train_loss == epoch_means(seen, n_train, cfg.batch_size)
         z = params.target_scaler.transform(y)
-        tr = nn.mlp_loss_grad(params, X[:n_train], z[:n_train])[0]
         va = nn.mlp_loss_grad(params, X[n_train:], z[n_train:])[0]
-        assert trace.train_loss[trace.best_epoch] == tr
         assert trace.val_loss[trace.best_epoch] == va
 
     def test_early_stopping_and_snapshot_restore(self):
@@ -316,15 +343,15 @@ class TestLstmTraining:
         for a, b in zip(p1.arrays(), p2.arrays()):
             np.testing.assert_array_equal(a, b)
 
-    def test_epoch_losses_are_the_returned_params_mse(self):
+    def test_epoch_losses_are_batch_means_and_validation_mse(self, monkeypatch):
         S, y = self.make_recall_task(n=40)
         cfg = nn.TrainConfig(learning_rate=0.02, epochs=20, batch_size=16, seed=3)
+        seen = record_batch_losses(monkeypatch, "lstm_loss_grad")
         params, trace = nn.lstm_train((S, y), cfg, hidden_size=4)
         n_train = 40 - max(1, round(0.2 * 40))
+        assert trace.train_loss == epoch_means(seen, n_train, cfg.batch_size)
         z = params.target_scaler.transform(y)
-        tr = nn.lstm_loss_grad(params, S[:n_train], z[:n_train])[0]
         va = nn.lstm_loss_grad(params, S[n_train:], z[n_train:])[0]
-        assert trace.train_loss[trace.best_epoch] == tr
         assert trace.val_loss[trace.best_epoch] == va
 
     def test_parameters_do_not_depend_on_blas_threads(self):

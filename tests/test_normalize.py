@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import multiprocessing
+import os
+import time
 from datetime import date
 
 import numpy as np
@@ -209,6 +212,51 @@ class TestPipelineTreeRuns:
         # per-model diagnostics are still present for the failure writeup
         for name in tree_models:
             assert report.models[name].kpis.daily.cv_rmse > 0.22
+
+
+class TestModelPool:
+    """The enabled models fit in worker processes, one per model up to the
+    usable CPUs; one worker means the serial loop in this process."""
+
+    def test_report_does_not_depend_on_worker_count(self, small_table, small_periods, cpus, pools):
+        models = {
+            "mlp": nb.MlpSetup(hidden_sizes=(8,), epochs=5, seed=11),
+            "lstm": nb.LstmSetup(hidden_size=4, epochs=3, batch_size=64, seed=22),
+            "gbt_exact": gbmodels.BoostConfig(rounds=20, learning_rate=0.2, seed=33),
+            "gbt_hist": gbmodels.BoostConfig(rounds=20, learning_rate=0.2, seed=44),
+        }
+        docs = []
+        for n in (1, 2, 8):
+            cpus(n)
+            report = nb.run_pipeline(small_table, small_periods, models=models, seed=7)
+            assert not multiprocessing.active_children()
+            docs.append(json.dumps(report.as_dict()))
+        assert pools == [2, 4]
+        assert docs[0] == docs[1] == docs[2]
+
+    def test_serial_where_the_platform_cannot_report_cpus(
+        self, small_table, small_periods, tree_models, pools, monkeypatch
+    ):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        report = nb.run_pipeline(small_table, small_periods, models=tree_models, seed=5)
+        assert pools == []
+        assert list(report.models) == ["gbt_exact", "gbt_hist"]
+
+    def test_first_failing_model_in_order_raises(
+        self, small_table, small_periods, tree_models, cpus, pools, monkeypatch
+    ):
+        def failing_fit(data, cfg, kind):
+            if kind == "exact":
+                time.sleep(0.5)  # so the later model fails first
+            raise DataError(f"{kind} fit failed")
+
+        monkeypatch.setattr(gbmodels, "boost_fit", failing_fit)
+        for n in (1, 2):
+            cpus(n)
+            with pytest.raises(DataError, match="^exact fit failed$"):
+                nb.run_pipeline(small_table, small_periods, models=tree_models)
+            assert not multiprocessing.active_children()
+        assert pools == [2]
 
 
 class TestFullReport:
