@@ -26,7 +26,9 @@ import numpy as np
 from .errors import ConfigError, DataError, NoValidBaselineError, NormbaseError
 from .features import FeatureSpec, Scaler, apply_scaler, build_features
 from .metrics import monthly_rollup
-from .normalize import MODEL_KINDS, EnsembleSetup, KpiSetup, PeriodSpec, run_pipeline, score
+from .normalize import (
+    MODEL_KINDS, EnsembleSetup, KpiSetup, PeriodSpec, map_in_workers, run_pipeline, score,
+)
 from .savefile import from_json, to_json
 from .svgchart import cumulative_chart, dlr_chart, overlay_chart
 from .synthgen import SynthConfig, configure_for_target, generate, write_dataset
@@ -50,8 +52,8 @@ log = logging.getLogger(__name__)
 
 def _load_json(path: Path) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as e:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}")
     try:
         doc = json.loads(text)
@@ -204,26 +206,36 @@ def load_run_settings(path: Path) -> RunSettings:
 # ingestion shared by normalize and evaluate
 
 
+def _ingest_channel(ch: str, settings: RunSettings):
+    """Read, parse, gap-fill and daily-resample one channel in a pool worker.
+
+    Returns only the DailySeries and the counts _ingest logs: duplicate rows
+    collapsed, gaps filled, gaps left unfilled."""
+    try:
+        text = settings.inputs[ch].read_text(encoding="utf-8")
+    except OSError as e:
+        raise ConfigError(f"cannot read input file for '{ch}': {e}")
+    except UnicodeDecodeError as e:
+        raise DataError(f"input file for '{ch}' is not UTF-8: bad byte at offset {e.start}")
+    schema = SeriesSchema(ch, CHANNEL_UNITS[ch], settings.timezone, settings.interval_seconds)
+    series = parse_series(text, schema)
+    filled, gaps = fill_gaps(series, settings.gap_fill)
+    daily = resample_daily(filled, "sum" if ch == ENERGY_CHANNEL else "mean")
+    n_filled = gaps.count("interpolated") + gaps.count("edge-hold")
+    return daily, series.duplicates_collapsed, n_filled, gaps.count("left-unfilled")
+
+
 def _ingest(settings: RunSettings):
-    """Parse, gap-fill and daily-resample every channel the features need."""
+    """Ingest and align the channels the features need; log in channel order."""
     needed = (ENERGY_CHANNEL,) + tuple(settings.features.weather_channels)
     daily = {}
-    for ch in needed:
-        path = settings.inputs[ch]
-        try:
-            text = path.read_text()
-        except OSError as e:
-            raise ConfigError(f"cannot read input file for '{ch}': {e}")
-        schema = SeriesSchema(ch, CHANNEL_UNITS[ch], settings.timezone, settings.interval_seconds)
-        series = parse_series(text, schema)
-        filled, gaps = fill_gaps(series, settings.gap_fill)
-        n_filled = gaps.count("interpolated") + gaps.count("edge-hold")
-        if n_filled or gaps.count("left-unfilled"):
-            log.info(
-                "%s: filled %d gap(s), left %d unfillable",
-                ch, n_filled, gaps.count("left-unfilled"),
-            )
-        daily[ch] = resample_daily(filled, "sum" if ch == ENERGY_CHANNEL else "mean")
+    results = map_in_workers(_ingest_channel, needed, [settings] * len(needed))
+    for ch, (series, dupes, n_filled, n_unfilled) in zip(needed, results):
+        if dupes:
+            log.warning("%s: collapsed %d duplicate timestamp rows", ch, dupes)
+        if n_filled or n_unfilled:
+            log.info("%s: filled %d gap(s), left %d unfillable", ch, n_filled, n_unfilled)
+        daily[ch] = series
     energy = daily.pop(ENERGY_CHANNEL)
     return align(energy, daily)
 

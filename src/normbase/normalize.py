@@ -8,12 +8,12 @@ out as per-date load ratios (actual / predicted) and cumulative reduction.
 Study-range predictions see only study-range weather/calendar features and
 train-range targets; study targets are never shown to a model.
 
-The enabled models train in parallel worker processes, one per model up to
-the number of CPUs this process may run on; with one such CPU (or where the
-platform cannot tell) they train one after another in this process. Each
-model owns a seeded RNG and runs the same code on the same bits in either
-case, so a model's result depends only on its own setup and the data, and
-every artifact is the same whatever the worker count.
+The enabled models train in min(models, usable CPUs) worker processes, the
+pool (map_in_workers) the CLI also ingests its input channels in; with one
+such CPU (or where the platform cannot tell) they train one after another in
+this process. Each model owns a seeded RNG and runs the same code on the same
+bits in either case, so a model's result depends only on its setup and the
+data, and every artifact is the same whatever the worker count.
 """
 
 from __future__ import annotations
@@ -409,28 +409,29 @@ def _fit_one(name, setup, matrix, train_mask, test_mask, lookback, p) -> ModelOu
     return ModelOutcome(name, score(matrix, test_mask, pred, p=p), pred, info, fitted)
 
 
-def _fit_all(fit_one, names, setups) -> list:
-    """fit_one(name, setup) for each pair, results in the order of ``names``.
+def map_in_workers(fn, *iterables) -> list:
+    """``list(map(fn, *iterables))``, spread over worker processes.
 
-    One worker process per model, up to the CPUs this process may run on.
-    With one worker the calls run here, one after another. Otherwise they
-    run in forked workers, which inherit the loaded modules and need no
-    fresh import. Results and errors are read back in order, so the first
-    failing model raises its own exception, as it would in the serial loop.
-    Fits not yet handed to a worker are then cancelled, the others finish,
-    and every worker has exited before this returns or raises. Where the
-    platform cannot report the usable CPUs (and ``fork`` may be unsafe) it
-    runs serially.
+    The input channels and the model fits both run through here, in
+    min(tasks, usable CPUs) workers, where a task is one item of the first
+    iterable. With one worker the calls run here, one after another.
+    Otherwise they run in forked workers, which inherit the loaded modules
+    and need no fresh import. Results and errors are read back in input
+    order, so the first failing item raises its own exception, as it would
+    in the serial loop. Items not yet handed to a worker are then cancelled,
+    the others finish, and every worker has exited before this returns or
+    raises. Where the platform cannot report the usable CPUs (and ``fork``
+    may be unsafe) it runs serially.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(names), cpus)
-    if workers == 1:
-        return list(map(fit_one, names, setups))
+    workers = min(len(iterables[0]), cpus)
+    if workers <= 1:
+        return list(map(fn, *iterables))
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(fit_one, names, setups))
+        return list(pool.map(fn, *iterables))
 
 
 def run_pipeline(
@@ -497,7 +498,7 @@ def run_pipeline(
 
     fit_one = partial(_fit_one, matrix=scaled, train_mask=train_mask, test_mask=test_mask,
                       lookback=lookback, p=p)
-    results = dict(zip(enabled, _fit_all(fit_one, enabled, [models[n] for n in enabled])))
+    results = dict(zip(enabled, map_in_workers(fit_one, enabled, [models[n] for n in enabled])))
 
     if selection == SELECTION_GATE:
         used = [n for n in enabled if results[n].kpis.gate is not None and results[n].kpis.gate.passed]

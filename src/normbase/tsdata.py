@@ -26,7 +26,6 @@ computed in the series-local zone.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, time, timedelta, timezone
@@ -45,8 +44,6 @@ from .errors import (
     SchemaError,
     UnfillableChannelError,
 )
-
-log = logging.getLogger(__name__)
 
 ENERGY_CHANNEL = "kwh"
 WEATHER_CHANNELS = (
@@ -405,7 +402,6 @@ def parse_series(text: str, schema: SeriesSchema) -> RawSeries:
             out_m[i] = not np.any(present)
             out_v[i] = 0.0 if out_m[i] else _finite_mean(v[seg][present])
         dupes = int(e.size - uniq.size)
-        log.warning("%s: collapsed %d duplicate timestamp rows", schema.channel, dupes)
         e, v, m = uniq, out_v, out_m
 
     if e.size >= 3:

@@ -1,18 +1,21 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from datetime import date
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from normbase import cli, nnmodels, synthgen
-from normbase.errors import ConfigError
+from normbase.errors import ConfigError, ParseError
 from normbase.features import Scaler, apply_scaler, build_features
 from normbase.normalize import MODEL_KINDS
 from normbase.savefile import from_json
@@ -71,6 +74,40 @@ def run_config(data_dir: Path, **over) -> dict:
 def write_config(path: Path, doc: dict) -> str:
     path.write_text(json.dumps(doc, indent=2))
     return str(path)
+
+
+CHANNELS = ("kwh", "drybulb_c", "solar_wm2", "rh_pct", "dewpoint_c", "windspeed_ms")
+
+
+@pytest.fixture(scope="module")
+def damaged_dir(data_dir, tmp_path_factory):
+    """The dataset with two duplicate rows each in kwh and rh_pct, a short
+    blank run in drybulb_c (filled) and a long one in rh_pct (left unfilled)."""
+    root = tmp_path_factory.mktemp("damaged")
+    for ch in CHANNELS:
+        lines = (data_dir / f"{ch}.csv").read_text().splitlines()
+        if ch in ("kwh", "rh_pct"):
+            lines[100:100] = lines[100:102]
+        blank = {"drybulb_c": slice(500, 503), "rh_pct": slice(900, 960)}.get(ch)
+        if blank:
+            lines[blank] = [line.split(",")[0] + "," for line in lines[blank]]
+        (root / f"{ch}.csv").write_text("\n".join(lines) + "\n")
+    return root
+
+
+def run_with_cpus(n: int, argv: list) -> subprocess.CompletedProcess:
+    """One CLI run in its own process, which sees n usable CPUs; its stderr
+    holds whatever the workers write too."""
+    script = (
+        "import os, sys\n"
+        "from normbase import cli\n"
+        "os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))\n"
+        "sys.exit(cli.main(sys.argv[2:]))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", script, str(n), *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
 
 
 @pytest.fixture(scope="module")
@@ -244,35 +281,113 @@ class TestNormalize:
             assert cli.main(["normalize", "--config", cfg]) == 0
             assert not multiprocessing.active_children()
             trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
-        assert pools == [2]
+        assert pools == [2, 2]  # channels, then fits
         assert (Path("models") / "lstm.json") in trees[0]
         assert trees[0] == trees[1]
 
     def test_diverging_later_model_fails_alike_with_any_worker_count(self, data_dir, tmp_path):
-        # gbt_hist comes after gbt_exact in MODEL_ORDER; each run is its own
-        # process, so stderr holds whatever the workers write too
+        # gbt_hist comes after gbt_exact in MODEL_ORDER
         doc = run_config(data_dir, output_dir=str(tmp_path / "out"))
         doc["models"]["gbt_hist"]["learning_rate"] = 1e308
         cfg = write_config(tmp_path / "c.json", doc)
-        script = (
-            "import os, sys\n"
-            "from normbase import cli\n"
-            "os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))\n"
-            "sys.exit(cli.main(sys.argv[2:]))\n"
-        )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        runs = [
-            subprocess.run([sys.executable, "-c", script, n, "normalize", "--config", cfg],
-                           env=env, capture_output=True, text=True, timeout=120)
-            for n in ("1", "2")
-        ]
+        runs = [run_with_cpus(n, ["normalize", "--config", cfg]) for n in (1, 2)]
         for run in runs:
             assert run.returncode == 4
             assert "error: non-finite predictions" in run.stderr
             assert "Traceback" not in run.stderr
         assert runs[0].stderr == runs[1].stderr
         assert not (tmp_path / "out").exists()
+
+
+    def test_ingest_log_does_not_depend_on_worker_count(self, damaged_dir, tmp_path):
+        cfg = write_config(tmp_path / "c.json", run_config(damaged_dir, output_dir=str(tmp_path / "out")))
+        runs = [run_with_cpus(n, ["normalize", "--config", cfg]) for n in (1, 2)]
+        assert [run.returncode for run in runs] == [0, 0]
+        assert runs[0].stderr == runs[1].stderr
+        assert [line for line in runs[0].stderr.splitlines() if "aligned table" not in line] == [
+            "WARNING normbase.cli: kwh: collapsed 2 duplicate timestamp rows",
+            "INFO normbase.cli: drybulb_c: filled 1 gap(s), left 0 unfillable",
+            "WARNING normbase.cli: rh_pct: collapsed 2 duplicate timestamp rows",
+            "INFO normbase.cli: rh_pct: filled 0 gap(s), left 1 unfillable",
+        ]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_undecodable_input_exits_4_naming_channel_and_byte(self, data_dir, tmp_path, capsys,
+                                                                 cpus, n):
+        raw = (data_dir / "solar_wm2.csv").read_bytes()
+        at = raw.index(b"\n", raw.index(b"\n") + 1) + 3  # inside the second data row
+        broken = tmp_path / "solar_wm2.csv"
+        broken.write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
+        doc = run_config(data_dir)
+        doc["inputs"]["solar_wm2"] = str(broken)
+        cpus(n)
+        rc = cli.main(["normalize", "--config", write_config(tmp_path / "c.json", doc)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert f"data error: input file for 'solar_wm2' is not UTF-8: bad byte at offset {at}" in err
+        assert "Traceback" not in err
+        assert not multiprocessing.active_children()
+
+    def test_undecodable_config_exits_2(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(json.dumps(run_config(data_dir, output_dir="out")).encode().replace(
+            b'"out"', b'"\xffout"'))
+        rc = cli.main(["normalize", "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot read config {cfg}" in err
+        assert "Traceback" not in err
+
+
+def table_bits(table) -> dict:
+    """Every field of a DailyTable, each array as its dtype, shape and bytes."""
+    def bits(v):
+        if isinstance(v, dict):
+            return {k: bits(a) for k, a in v.items()}
+        return (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+
+    return {f.name: bits(getattr(table, f.name)) for f in dataclasses.fields(table)}
+
+
+class TestIngestPool:
+    """The channels are read in the worker pool, one per channel up to the
+    usable CPUs; one worker means the serial loop in this process."""
+
+    def test_table_does_not_depend_on_worker_count(self, damaged_dir, tmp_path, cpus, pools):
+        settings = cli.load_run_settings(write_config(tmp_path / "c.json", run_config(damaged_dir)))
+        bits = []
+        for n in (1, 2, 8):
+            cpus(n)
+            table = cli._ingest(settings)
+            assert not multiprocessing.active_children()
+            bits.append(table_bits(table))
+        assert pools == [2, 6]
+        assert table.n_excluded > 0  # the long blank run in rh_pct
+        assert bits[0] == bits[1] == bits[2]
+
+    def test_first_failing_channel_in_order_raises(self, data_dir, tmp_path, cpus, pools,
+                                                   monkeypatch):
+        lines = (data_dir / "kwh.csv").read_text().splitlines()
+        lines[2] = lines[2].split(",")[0] + ",not-a-number"
+        (tmp_path / "kwh.csv").write_text("\n".join(lines) + "\n")
+        (tmp_path / "drybulb_c.csv").write_text("")
+        doc = run_config(data_dir)
+        doc["inputs"].update(kwh=str(tmp_path / "kwh.csv"), drybulb_c=str(tmp_path / "drybulb_c.csv"))
+        settings = cli.load_run_settings(write_config(tmp_path / "c.json", doc))
+        parse = cli.parse_series
+
+        def slow_energy(text, schema):
+            if schema.channel == "kwh":
+                time.sleep(0.5)  # so the later channel fails first
+            return parse(text, schema)
+
+        monkeypatch.setattr(cli, "parse_series", slow_energy)
+        for n in (1, 2):
+            cpus(n)
+            with pytest.raises(ParseError, match="^line 3: unparseable value 'not-a-number'$"):
+                cli._ingest(settings)
+            assert not multiprocessing.active_children()
+        assert pools == [2]
 
 
 DELETE = object()  # test_run_config: remove the key instead of setting it

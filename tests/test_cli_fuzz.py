@@ -5,9 +5,9 @@ against the report schema.
 
 Each example runs ``normbase synth`` on a small building (a drawn zone,
 cadence and seed, sometimes a bad config value), damages the written files
-(gaps, blanked or corrupt cells, duplicated rows, cut ranges) and runs
-``normbase normalize`` on them with a drawn, sometimes invalid, run config.
-Short training keeps the whole test within a few seconds.
+(gaps, blanked or corrupt cells, bytes that are not UTF-8, duplicated rows,
+cut ranges) and runs ``normbase normalize`` on them with a drawn, sometimes
+invalid, run config. Short training keeps the whole test within a few seconds.
 """
 
 import contextlib
@@ -64,7 +64,7 @@ BAD_RUN = (
     ("models", {"gbt_hist": {"learning_rate": 1e308}}), ("models", {"lstm": {"epochs": 1.5}}),
     ("seed", -3), ("save_models", "yes"),
 )
-DAMAGE = ("gap", "blank", "corrupt", "nan", "duplicate", "cut_head", "cut_tail", "empty")
+DAMAGE = ("gap", "blank", "corrupt", "nan", "binary", "duplicate", "cut_head", "cut_tail", "empty")
 
 
 @st.composite
@@ -98,15 +98,19 @@ def scenarios(draw):
 
 
 def damage_file(path: Path, kind: str, where: float, length: int):
-    """Apply one kind of damage to a written channel file."""
-    lines = path.read_text().splitlines()
+    """Apply one kind of damage to a written channel file.
+
+    The file goes through surrogateescape, so a byte an earlier "binary"
+    damage wrote stays that byte.
+    """
+    lines = path.read_text(encoding="utf-8", errors="surrogateescape").splitlines()
     head, rows = lines[:1], lines[1:]
     at = int(where * len(rows))
     hit = slice(at, at + length)
     if kind == "gap":
         del rows[hit]
-    elif kind in ("blank", "corrupt", "nan"):
-        cell = {"blank": "", "corrupt": "12..5", "nan": "nan"}[kind]
+    elif kind in ("blank", "corrupt", "nan", "binary"):
+        cell = {"blank": "", "corrupt": "12..5", "nan": "nan", "binary": "1\udcff"}[kind]
         rows[hit] = [r.split(",")[0] + "," + cell for r in rows[hit]]
     elif kind == "duplicate":
         rows[at:at] = [r + "1" for r in rows[hit]]
@@ -116,7 +120,7 @@ def damage_file(path: Path, kind: str, where: float, length: int):
         rows = rows[:at]
     else:
         rows = []
-    path.write_text("\n".join(head + rows) + "\n")
+    path.write_text("\n".join(head + rows) + "\n", encoding="utf-8", errors="surrogateescape")
 
 
 def run_cli(argv):
@@ -132,6 +136,10 @@ def run_cli(argv):
 @example((dict(SYNTH, timezone="America/New_York", interval_seconds=3600, seed=1),
           [("kwh", "duplicate", 0.5, 30), ("drybulb_c", "gap", 0.2, 200)],
           {"periods": PERIODS, "interval_seconds": 3600, "timezone": "America/New_York",
+           "models": {"mlp": {"enabled": False}, "lstm": {"enabled": False},
+                      "gbt_exact": MODELS["gbt_exact"], "gbt_hist": MODELS["gbt_hist"]}}))
+@example((dict(SYNTH, interval_seconds=3600, seed=2), [("rh_pct", "binary", 0.3, 1)],
+          {"periods": PERIODS, "interval_seconds": 3600,
            "models": {"mlp": {"enabled": False}, "lstm": {"enabled": False},
                       "gbt_exact": MODELS["gbt_exact"], "gbt_hist": MODELS["gbt_hist"]}}))
 def test_cli_exits_with_a_documented_code(scenario):
