@@ -45,16 +45,15 @@ def data_dir(tmp_path_factory):
     return root
 
 
+CHANNELS = ("kwh", "drybulb_c", "solar_wm2", "rh_pct", "dewpoint_c", "windspeed_ms")
+
+
 def run_config(data_dir: Path, **over) -> dict:
     doc = {
         "seed": 5,
         "interval_seconds": 1800,
         # absolute paths so the config file can live in any tmp dir
-        "inputs": {
-            ch: str(data_dir / f"{ch}.csv")
-            for ch in ("kwh", "drybulb_c", "solar_wm2", "rh_pct",
-                       "dewpoint_c", "windspeed_ms")
-        },
+        "inputs": {ch: str(data_dir / f"{ch}.csv") for ch in CHANNELS},
         "periods": {
             "train": ["2019-01-01", "2019-10-31"],
             "test": ["2019-11-01", "2019-12-31"],
@@ -74,9 +73,6 @@ def run_config(data_dir: Path, **over) -> dict:
 def write_config(path: Path, doc: dict) -> str:
     path.write_text(json.dumps(doc, indent=2))
     return str(path)
-
-
-CHANNELS = ("kwh", "drybulb_c", "solar_wm2", "rh_pct", "dewpoint_c", "windspeed_ms")
 
 
 @pytest.fixture(scope="module")
@@ -297,7 +293,6 @@ class TestNormalize:
             assert "Traceback" not in run.stderr
         assert runs[0].stderr == runs[1].stderr
         assert not (tmp_path / "out").exists()
-
 
     def test_ingest_log_does_not_depend_on_worker_count(self, damaged_dir, tmp_path):
         cfg = write_config(tmp_path / "c.json", run_config(damaged_dir, output_dir=str(tmp_path / "out")))
