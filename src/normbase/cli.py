@@ -23,7 +23,7 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NoValidBaselineError, NormbaseError
+from .errors import ConfigError, DataError, NoValidBaselineError, NormbaseError, ParseError
 from .features import FeatureSpec, Scaler, apply_scaler, build_features
 from .metrics import monthly_rollup
 from .normalize import (
@@ -218,7 +218,11 @@ def _ingest_channel(ch: str, settings: RunSettings):
     except UnicodeDecodeError as e:
         raise DataError(f"input file for '{ch}' is not UTF-8: bad byte at offset {e.start}")
     schema = SeriesSchema(ch, CHANNEL_UNITS[ch], settings.timezone, settings.interval_seconds)
-    series = parse_series(text, schema)
+    try:
+        series = parse_series(text, schema)
+    except ParseError as e:
+        e.args = (f"{settings.inputs[ch]}: {e}",)  # name the file before the line number
+        raise
     filled, gaps = fill_gaps(series, settings.gap_fill)
     daily = resample_daily(filled, "sum" if ch == ENERGY_CHANNEL else "mean")
     n_filled = gaps.count("interpolated") + gaps.count("edge-hold")

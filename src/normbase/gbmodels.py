@@ -13,6 +13,11 @@ Two tree builders share one boosting loop:
   features whose nonzero rows barely overlap share one column). A node builds
   every column's histogram with one flat bincount per statistic.
 
+A NaN feature value goes right while an exact tree grows (NaN <= t is
+false) and left while a histogram tree grows (it sits in bin 0); a fitted
+tree sends it to the side ``default_left`` names, the one with the larger
+hessian sum, and boost_fit routes such training rows that way too.
+
 Squared-error loss throughout: gradient = prediction - target, hessian = 1.
 Split scoring and leaf weights follow the second-order objective with L2 leaf
 regularization ``reg_lambda`` and per-split penalty ``gamma``.
@@ -63,28 +68,23 @@ class BoostConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rounds < 0:
-            raise ConfigError("rounds must be non-negative")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.max_depth < 1 or self.max_leaves < 2:
-            raise ConfigError("max_depth >= 1 and max_leaves >= 2 required")
-        if self.reg_lambda < 0 or self.gamma < 0 or self.min_child_hessian < 0:
-            raise ConfigError("regularization terms must be non-negative")
-        if self.bins < 2:
-            raise ConfigError("bins must be at least 2")
-        if not (0.0 <= self.goss_a <= 1.0 and 0.0 <= self.goss_b <= 1.0):
-            raise ConfigError("goss_a and goss_b must lie in [0, 1]")
-        if self.goss_a + self.goss_b > 1.0 + 1e-12:
-            raise ConfigError("goss_a + goss_b must not exceed 1")
-        if not (0.0 <= self.efb_max_conflict < 1.0):
-            raise ConfigError("efb_max_conflict must lie in [0, 1)")
-        if self.early_stop_rounds < 1:
-            raise ConfigError("early_stop_rounds must be at least 1")
-        if not (0.0 <= self.validation_fraction <= 0.5):
-            raise ConfigError("validation_fraction must lie in [0, 0.5]")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+        for bad, message in (
+            (self.rounds < 0, "rounds must be non-negative"),
+            (self.learning_rate <= 0, "learning_rate must be positive"),
+            (self.max_depth < 1 or self.max_leaves < 2, "max_depth >= 1 and max_leaves >= 2 required"),
+            (self.reg_lambda < 0 or self.gamma < 0 or self.min_child_hessian < 0,
+             "regularization terms must be non-negative"),
+            (self.bins < 2, "bins must be at least 2"),
+            (not (0.0 <= self.goss_a <= 1.0 and 0.0 <= self.goss_b <= 1.0),
+             "goss_a and goss_b must lie in [0, 1]"),
+            (self.goss_a + self.goss_b > 1.0 + 1e-12, "goss_a + goss_b must not exceed 1"),
+            (not (0.0 <= self.efb_max_conflict < 1.0), "efb_max_conflict must lie in [0, 1)"),
+            (self.early_stop_rounds < 1, "early_stop_rounds must be at least 1"),
+            (not (0.0 <= self.validation_fraction <= 0.5), "validation_fraction must lie in [0, 0.5]"),
+            (self.seed < 0, "seed must be non-negative"),
+        ):
+            if bad:
+                raise ConfigError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +93,7 @@ class BoostConfig:
 
 def grad_hess(y, pred):
     """Gradient and hessian of 0.5 * (pred - y)^2 per sample."""
-    y = np.asarray(y, dtype=float)
-    pred = np.asarray(pred, dtype=float)
+    y, pred = np.asarray(y, dtype=float), np.asarray(pred, dtype=float)
     return pred - y, np.ones_like(y)
 
 
@@ -111,7 +110,7 @@ def _best_candidate(gl, hl, g_total, h_total, cfg, valid):
     """
     hr = h_total - hl
     ok = (hl >= cfg.min_child_hessian) & (hr >= cfg.min_child_hessian) & valid
-    if not np.any(ok):
+    if not ok.any():
         return None
     gr = g_total - gl
     lam = cfg.reg_lambda
@@ -120,7 +119,7 @@ def _best_candidate(gl, hl, g_total, h_total, cfg, valid):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent) - cfg.gamma
     gains[~ok | np.isnan(gains)] = -np.inf
-    best = int(np.argmax(gains))
+    best = int(gains.argmax())
     return best, float(gains.flat[best])
 
 
@@ -134,71 +133,59 @@ def leaf_weight(g_sum, h_sum, reg_lambda) -> float:
 
 
 @dataclass
-class TreeNode:
-    """One node; leaves keep feature = -1 and carry only ``weight``.
+class Tree:
+    """One tree as parallel node arrays, nodes in pre-order (XGBoost's RegTree).
 
-    Internal nodes route a sample left when value <= threshold; samples with
-    a NaN value follow ``default_left``.
+    Node 0 is the root; a split's left subtree follows it, then its right
+    subtree. Split i sends a row to node ``left[i]`` (always i + 1) when its
+    value in column ``feature[i]`` is <= ``threshold[i]`` and to ``right[i]``
+    otherwise; a NaN value follows ``default_left[i]``. A leaf has -1 in
+    ``feature``, ``left`` and ``right`` and predicts ``weight``; a split keeps
+    the weight it had as a leaf.
     """
 
-    feature: int = -1
-    threshold: float = 0.0
-    default_left: bool = True
-    gain: float = 0.0
-    weight: float = 0.0
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
-
-    def __reduce__(self):
-        # pickle nests calls once per tree level and reaches the recursion
-        # limit near depth 500; the pre-order list of node fields is flat
-        fields, stack = [], [self]
-        while stack:
-            nd = stack.pop()
-            fields.append((nd.feature, nd.threshold, nd.default_left, nd.gain, nd.weight))
-            if not nd.is_leaf:
-                stack += (nd.right, nd.left)
-        return _tree_from_preorder, (fields,)
+    feature: np.ndarray
+    threshold: np.ndarray
+    default_left: np.ndarray
+    gain: np.ndarray
+    weight: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
 
 
-def _tree_from_preorder(fields) -> TreeNode:
-    """The tree TreeNode.__reduce__ flattened, relinked with an explicit stack."""
-    nodes = [TreeNode(*f) for f in fields]
-    open_nodes = []  # internal nodes still missing their right child
-    for nd in nodes:
-        if open_nodes:
-            parent = open_nodes[-1]
-            if parent.left is None:
-                parent.left = nd
-            else:
-                parent.right = nd
-                open_nodes.pop()
-        if not nd.is_leaf:
-            open_nodes.append(nd)
-    return nodes[0]
+def _leaf(weight) -> list:
+    return [-1, 0.0, True, 0.0, weight, -1, -1]
 
 
-def predict_tree(node: TreeNode, X) -> np.ndarray:
-    """Route every row of X to its leaf weight."""
-    X = np.asarray(X, dtype=float)
-    out = np.empty(X.shape[0])
-    stack = [(node, np.arange(X.shape[0]))]
+def _preorder(nodes) -> tuple:
+    """(Tree, rank) of node lists [feature, threshold, default_left, gain, weight, left,
+    right] whose children index ``nodes``, root first; nodes[i] becomes node rank[i]."""
+    order, stack = [], [0]
     while stack:
-        nd, idx = stack.pop()
-        if idx.size == 0:
+        i = stack.pop()
+        order.append(i)
+        if nodes[i][0] >= 0:
+            stack += (nodes[i][6], nodes[i][5])
+    rank = {-1: -1, **{i: new for new, i in enumerate(order)}}
+    preorder = [nodes[i][:5] + [rank[nodes[i][5]], rank[nodes[i][6]]] for i in order]
+    return Tree(*(np.array(col) for col in zip(*preorder))), rank
+
+
+def predict_tree(tree: Tree, X) -> np.ndarray:
+    """Route every row of X to its leaf weight, node by node in pre-order."""
+    Xt = np.asarray(X, dtype=float).T
+    out = np.empty(Xt.shape[1])
+    at = [np.arange(Xt.shape[1])] + [None] * (tree.feature.size - 1)  # the rows at each node
+    cols = (tree.feature, tree.threshold, tree.default_left, tree.weight, tree.left, tree.right)
+    for i, (f, thr, default_left, weight, left, right) in enumerate(zip(*(c.tolist() for c in cols))):
+        if f < 0:
+            out[at[i]] = weight
             continue
-        if nd.is_leaf:
-            out[idx] = nd.weight
-            continue
-        v = X[idx, nd.feature]
-        nan = np.isnan(v)
-        go_left = np.where(nan, nd.default_left, v <= nd.threshold)
-        stack.append((nd.left, idx[go_left]))
-        stack.append((nd.right, idx[~go_left]))
+        v = Xt[f, at[i]]
+        go_left = v <= thr
+        if default_left:
+            go_left |= np.isnan(v)
+        at[left], at[right] = at[i][go_left], at[i][~go_left]
     return out
 
 
@@ -206,7 +193,7 @@ def predict_tree(node: TreeNode, X) -> np.ndarray:
 # exact greedy builder
 
 
-def build_tree_exact(X, g, h, cfg: BoostConfig, order=None) -> TreeNode:
+def build_tree_exact(X, g, h, cfg: BoostConfig, order=None, leaf_of=None) -> Tree:
     """Grow one depth-wise tree by exhaustive split enumeration.
 
     Every (feature, midpoint-between-distinct-values) candidate is scored;
@@ -220,29 +207,31 @@ def build_tree_exact(X, g, h, cfg: BoostConfig, order=None) -> TreeNode:
     passes it so that X is sorted once per fit. A child keeps the part of its
     parent's (features, rows) order that its rows make up, which is the
     stable argsort of the child's own rows (NaN last, ties by row index).
+    ``leaf_of``, when given, receives each row's leaf index under growth.
     """
-    X = np.asarray(X, dtype=float)
-    g = np.asarray(g, dtype=float)
-    h = np.asarray(h, dtype=float)
+    X, g, h = (np.asarray(a, dtype=float) for a in (X, g, h))
     if X.ndim != 2 or X.shape[0] != g.size or g.size != h.size:
         raise DataError("X, g, h shapes disagree")
     n, n_features = X.shape
-    Xt = X.T
+    Xt, columns = X.T, np.arange(n_features)[:, None]
+    leaf_of = np.empty(n, dtype=np.intp) if leaf_of is None else leaf_of
+    nodes = []  # a node is appended before its subtrees grow, so in pre-order
 
-    def grow(rows: np.ndarray, order: np.ndarray, depth: int) -> TreeNode:
-        g_total = float(np.sum(g[rows]))
-        h_total = float(np.sum(h[rows]))
-        leaf = TreeNode(weight=leaf_weight(g_total, h_total, cfg.reg_lambda))
+    def grow(rows: np.ndarray, order: np.ndarray, depth: int):
+        i = len(nodes)
+        g_total, h_total = float(g[rows].sum()), float(h[rows].sum())
+        nodes.append(_leaf(leaf_weight(g_total, h_total, cfg.reg_lambda)))
+        leaf_of[rows] = i
         if depth >= cfg.max_depth or rows.size < 2:
-            return leaf
+            return
 
-        xs = np.take_along_axis(Xt, order, axis=1)
+        xs = Xt[columns, order]
         found = _best_candidate(
-            np.cumsum(g[order], axis=1)[:, :-1], np.cumsum(h[order], axis=1)[:, :-1],
+            g[order].cumsum(axis=1)[:, :-1], h[order].cumsum(axis=1)[:, :-1],
             g_total, h_total, cfg, valid=xs[:, :-1] < xs[:, 1:],
         )
         if found is None or found[1] <= 0.0:
-            return leaf
+            return
         (f, k), gain = divmod(found[0], rows.size - 1), found[1]
         lo, hi = xs[f, k], xs[f, k + 1]
         mid = 0.5 * (lo + hi)
@@ -252,20 +241,14 @@ def build_tree_exact(X, g, h, cfg: BoostConfig, order=None) -> TreeNode:
         is_left = Xt[f] <= thr
         left_rows, right_rows = rows[is_left[rows]], rows[~is_left[rows]]
         in_left = is_left[order]
-        default_left = float(np.sum(h[left_rows])) >= float(np.sum(h[right_rows]))
-        return TreeNode(
-            feature=f,
-            threshold=thr,
-            default_left=default_left,
-            gain=gain,
-            weight=leaf.weight,
-            left=grow(left_rows, order[in_left].reshape(n_features, -1), depth + 1),
-            right=grow(right_rows, order[~in_left].reshape(n_features, -1), depth + 1),
-        )
+        default_left = float(h[left_rows].sum()) >= float(h[right_rows].sum())
+        nodes[i][:4], nodes[i][5] = (f, thr, default_left, gain), i + 1
+        grow(left_rows, order[in_left].reshape(n_features, -1), depth + 1)
+        nodes[i][6] = len(nodes)
+        grow(right_rows, order[~in_left].reshape(n_features, -1), depth + 1)
 
-    if order is None:
-        order = np.argsort(Xt, axis=1, kind="stable")
-    return grow(np.arange(n), order, 0)
+    grow(np.arange(n), np.argsort(Xt, axis=1, kind="stable") if order is None else order, 0)
+    return _preorder(nodes)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -298,17 +281,14 @@ def goss_sample(g, a: float, b: float, seed: int):
     # ceil with a guard against float fuzz (0.2 * 200 must stay 40).
     top_n = min(n, max(0, math.ceil(a * n - 1e-9)))
     order = np.argsort(-np.abs(g), kind="stable")
-    top = order[:top_n]
-    rest = order[top_n:]
+    top, rest = order[:top_n], order[top_n:]
     rand_n = min(rest.size, max(0, math.ceil(b * n - 1e-9))) if b > 0 else 0
 
     if rand_n > 0:
-        rng = np.random.default_rng(seed)
-        sampled = rest[rng.choice(rest.size, size=rand_n, replace=False)]
+        sampled = rest[np.random.default_rng(seed).choice(rest.size, size=rand_n, replace=False)]
         amplify = (1.0 - a) / b
     else:
-        sampled = np.empty(0, dtype=int)
-        amplify = 1.0
+        sampled, amplify = np.empty(0, dtype=int), 1.0
 
     idx = np.concatenate([top, sampled]).astype(int)
     weights = np.concatenate([np.ones(top.size), np.full(sampled.size, amplify)])
@@ -369,40 +349,26 @@ def efb_bundle(X, max_conflict: float):
 
     groups = []  # [member feature list, occupancy mask, conflict budget used]
     for f in sorted(sparse, key=lambda f: (-counts[f], f)):
-        placed = False
         for grp in groups:
             clash = int(np.sum(grp[1] & nz[f]))
             if grp[2] + clash <= allowed:
                 grp[0].append(f)
                 grp[1] |= nz[f]
                 grp[2] += clash
-                placed = True
                 break
-        if not placed:
+        else:
             groups.append([[f], nz[f].copy(), 0])
 
-    bundles = []
-    for f in range(n_features):
-        if f not in sparse:
-            bundles.append(FeatureBundle(features=[f]))
+    bundles = [FeatureBundle(features=[f]) for f in range(n_features) if f not in sparse]
     for members, _, _ in groups:
-        members = sorted(members)
-        if len(members) == 1:
-            bundles.append(FeatureBundle(features=members))
-            continue
-        lo, offsets = [], []
-        cursor = 0.0
-        for f in members:
-            vals = X[:, f][nz[f]]
-            f_lo = float(vals.min()) if vals.size else 0.0
-            f_hi = float(vals.max()) if vals.size else 0.0
-            lo.append(f_lo)
+        members, lo, offsets, cursor = sorted(members), [], [], 0.0
+        for f in members if len(members) > 1 else ():  # a singleton passes through
+            vals = X[nz[f], f]
+            lo.append(float(vals.min()) if vals.size else 0.0)
             offsets.append(cursor)
-            cursor += (f_hi - f_lo) + 1.0
+            cursor += (float(vals.max()) if vals.size else 0.0) - lo[-1] + 1.0
         bundles.append(FeatureBundle(features=members, lo=lo, offsets=offsets))
-
-    bundles.sort(key=lambda b: b.features[0])
-    return bundles
+    return sorted(bundles, key=lambda b: b.features[0])
 
 
 def apply_bundles(X, bundles) -> np.ndarray:
@@ -413,16 +379,13 @@ def apply_bundles(X, bundles) -> np.ndarray:
         if bundle.is_identity:
             out[:, j] = X[:, bundle.features[0]]
             continue
-        col = np.zeros(X.shape[0])
-        bad = np.zeros(X.shape[0], dtype=bool)
+        col = out[:, j]
         # Reverse order so the earliest member wins rows where two collide.
         for f, lo, off in reversed(list(zip(bundle.features, bundle.lo, bundle.offsets))):
             v = X[:, f]
-            bad |= np.isnan(v)
             hit = (v != 0) & ~np.isnan(v)
             col[hit] = off + 1.0 + (v[hit] - lo)
-        col[bad] = np.nan
-        out[:, j] = col
+        col[np.isnan(X[:, bundle.features]).any(axis=1)] = np.nan
     return out
 
 
@@ -453,35 +416,38 @@ def _bin_column(values, edges) -> np.ndarray:
     return np.searchsorted(edges, v, side="left").astype(np.int32)
 
 
-def _best_hist_split(rows, flat_bins, edges, can_cut, gw, hw, cfg):
-    """Best valid (gain, column, edge index, threshold) over every column, or None.
+def _best_hist_splits(parts, flat_bins, can_cut, gw, hw, cfg) -> list:
+    """Best valid (gain, column, edge index) of each row set in ``parts``, or None.
 
-    ``flat_bins`` holds column f's bin indices shifted by f * width, so one
-    bincount per statistic fills all histograms, and row f of the reshaped
-    (columns, width) matrix is column f's. ``can_cut`` masks the padding
+    ``flat_bins`` holds column f's bin indices shifted by f * width, and each
+    part's bins sit past those of the parts before it, so one bincount per
+    statistic fills every histogram of both children of a split, each bin
+    adding the same rows in the same order. ``can_cut`` masks the padding
     slots j >= edges[f].size of the (columns, width - 1) candidates.
     """
-    g_total = float(np.sum(gw[rows]))
-    h_total = float(np.sum(hw[rows]))
     n_cols, n_cuts = can_cut.shape
-    b = flat_bins[rows].ravel()
+    size = n_cols * (n_cuts + 1)
+    rows = np.concatenate(parts)
+    part = np.repeat(np.arange(len(parts)), [r.size for r in parts])
+    b = (flat_bins[rows] + size * part[:, None]).ravel()
 
     def left_sums(weights):
-        hist = np.bincount(b, weights, minlength=n_cols * (n_cuts + 1))
-        return np.cumsum(hist.reshape(n_cols, n_cuts + 1), axis=1)[:, :-1]
+        hist = np.bincount(b, weights, minlength=len(parts) * size)
+        return hist.reshape(len(parts), n_cols, n_cuts + 1).cumsum(axis=2)[:, :, :-1]
 
     nl = left_sums(None)
-    found = _best_candidate(
-        left_sums(np.repeat(gw[rows], n_cols)), left_sums(np.repeat(hw[rows], n_cols)),
-        g_total, h_total, cfg, valid=can_cut & (nl > 0) & (nl < rows.size),
-    )
-    if found is None:
-        return None
-    (f, j), gain = divmod(found[0], n_cuts), found[1]
-    return gain, f, j, float(edges[f][j])
+    gl, hl = left_sums(gw[rows].repeat(n_cols)), left_sums(hw[rows].repeat(n_cols))
+    splits = []
+    for p, r in enumerate(parts):
+        found = _best_candidate(
+            gl[p], hl[p], float(gw[r].sum()), float(hw[r].sum()), cfg,
+            valid=can_cut & (nl[p] > 0) & (nl[p] < r.size),
+        )
+        splits.append(found and (found[1], *divmod(found[0], n_cuts)))
+    return splits
 
 
-def build_tree_hist(bin_idx, edges, g, h, w, rows, cfg: BoostConfig) -> TreeNode:
+def build_tree_hist(bin_idx, edges, g, h, w, rows, cfg: BoostConfig, leaf_of=None) -> Tree:
     """Grow one tree leaf-wise over pre-binned (bundled) columns.
 
     Args:
@@ -492,43 +458,48 @@ def build_tree_hist(bin_idx, edges, g, h, w, rows, cfg: BoostConfig) -> TreeNode
         rows: row indices participating in this round.
         cfg: hyperparameters; growth stops at cfg.max_leaves leaves or when
             no leaf has a positive-gain split.
+        leaf_of: when given, receives the leaf index of each row in ``rows``.
 
     The best-gain leaf is expanded first; ties fall to the older leaf.
     Thresholds are bin edges, so the tree predicate works on raw bundled
     values at prediction time.
     """
-    gw = g * w
-    hw = h * w
+    gw, hw = g * w, h * w
     sizes = np.array([e.size for e in edges], dtype=int)
     n_cuts = int(sizes.max(initial=0))
     flat_bins = bin_idx + (n_cuts + 1) * np.arange(bin_idx.shape[1])
     can_cut = np.arange(n_cuts) < sizes[:, None]
 
-    def make_leaf(r, search=True):
-        """A leaf over rows r as (node, r, best split or None)."""
-        node = TreeNode(weight=leaf_weight(np.sum(gw[r]), np.sum(hw[r]), cfg.reg_lambda))
-        split = _best_hist_split(r, flat_bins, edges, can_cut, gw, hw, cfg) if search else None
-        return node, r, split
+    def search(parts):
+        return _best_hist_splits(parts, flat_bins, can_cut, gw, hw, cfg)
 
-    leaves = [make_leaf(np.asarray(rows, dtype=int))]
-    root = leaves[0][0]
+    # nodes are numbered in creation order here and renumbered to pre-order below
+    root_rows = np.asarray(rows, dtype=int)
+    nodes = [_leaf(leaf_weight(gw[root_rows].sum(), hw[root_rows].sum(), cfg.reg_lambda))]
+    leaves = [(0, root_rows, search([root_rows])[0])]  # (node, rows, best split or None)
     for n_leaves in range(2, cfg.max_leaves + 1):
         growable = [i for i, (_, _, split) in enumerate(leaves) if split and split[0] > 0.0]
         if not growable:
             break
         # max keeps the first, i.e. the earliest-created, of equal gains
         grow = max(growable, key=lambda i: leaves[i][2][0])
-        node, node_rows, (gain, f, j, thr) = leaves.pop(grow)
+        node, node_rows, (gain, f, j) = leaves.pop(grow)
         go_left = bin_idx[node_rows, f] <= j
+        parts = [node_rows[go_left], node_rows[~go_left]]
+        default_left = float(hw[parts[0]].sum()) >= float(hw[parts[1]].sum())
+        nodes[node][:4] = f, float(edges[f][j]), default_left, gain
+        nodes[node][5:] = len(nodes), len(nodes) + 1
         # the children of the last split never grow, so they need no search
-        search = n_leaves < cfg.max_leaves
-        left, right = (make_leaf(node_rows[m], search) for m in (go_left, ~go_left))
-        node.feature, node.threshold, node.gain = f, thr, gain
-        node.default_left = float(np.sum(hw[left[1]])) >= float(np.sum(hw[right[1]]))
-        node.left, node.right = left[0], right[0]
-        leaves += (left, right)
+        splits = search(parts) if n_leaves < cfg.max_leaves else [None, None]
+        for r, split in zip(parts, splits):
+            leaves.append((len(nodes), r, split))
+            nodes.append(_leaf(leaf_weight(gw[r].sum(), hw[r].sum(), cfg.reg_lambda)))
 
-    return root
+    tree, rank = _preorder(nodes)
+    if leaf_of is not None:
+        for node, r, _ in leaves:
+            leaf_of[r] = rank[node]
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +532,7 @@ class Ensemble:
     base_score: float
     learning_rate: float
     n_features: int
-    trees: list[TreeNode] = field(default_factory=list)
+    trees: list[Tree] = field(default_factory=list)
     bundles: Optional[list[FeatureBundle]] = None
 
 
@@ -596,12 +567,7 @@ def boost_fit(data, cfg: BoostConfig, kind: str = "exact"):
     X_val, y_val = X[n_train:], y[n_train:]
 
     base = float(np.mean(y))
-    ens = Ensemble(
-        kind=kind,
-        base_score=base,
-        learning_rate=cfg.learning_rate,
-        n_features=X.shape[1],
-    )
+    ens = Ensemble(kind=kind, base_score=base, learning_rate=cfg.learning_rate, n_features=X.shape[1])
 
     if kind == "histogram":
         ens.bundles = efb_bundle(X_train, cfg.efb_max_conflict)
@@ -619,7 +585,9 @@ def boost_fit(data, cfg: BoostConfig, kind: str = "exact"):
     pred_val = np.full(n_val, base)
     trace = BoostTrace()
     best_val = np.inf
-    all_rows = np.arange(n_train)
+    # growth and routing place NaN on different sides, so these rows are routed
+    nan_rows = np.flatnonzero(np.isnan(Xb_train).any(axis=1))
+    leaf_of = np.empty(n_train, dtype=np.intp)
 
     for r in range(cfg.rounds):
         g, h = grad_hess(y_train, pred_train)
@@ -627,14 +595,20 @@ def boost_fit(data, cfg: BoostConfig, kind: str = "exact"):
             rows, row_weights = goss_sample(g, cfg.goss_a, cfg.goss_b, cfg.seed + r + 1)
             w = np.zeros(n_train)
             w[rows] = row_weights
-            tree = build_tree_hist(bin_idx, edges, g, h, w, rows, cfg)
+            leaf_of.fill(-1)  # the rows GOSS left out are routed too
+            tree = build_tree_hist(bin_idx, edges, g, h, w, rows, cfg, leaf_of=leaf_of)
         else:
-            tree = build_tree_exact(X_train, g, h, cfg, order)
+            tree = build_tree_exact(X_train, g, h, cfg, order, leaf_of=leaf_of)
         ens.trees.append(tree)
 
+        leaf_of[nan_rows] = -1
+        step = tree.weight[leaf_of]
+        routed = np.flatnonzero(leaf_of < 0)
+        if routed.size:
+            step[routed] = predict_tree(tree, Xb_train[routed])
         # overflow is tolerated for one step; the finiteness check below raises
         with np.errstate(over="ignore", invalid="ignore"):
-            pred_train = pred_train + cfg.learning_rate * predict_tree(tree, Xb_train)
+            pred_train = pred_train + cfg.learning_rate * step
         if not np.all(np.isfinite(pred_train)):
             raise TrainingDivergedError(f"non-finite predictions at round {r}")
         # a huge-but-finite pred squares to inf; keep it as an inf trace entry
@@ -680,12 +654,62 @@ def ensemble_to_dict(ensemble: Ensemble) -> dict:
     return to_json(ensemble)
 
 
+def _flat_tree(doc):
+    """A saved tree in the flat form, converting one in the nested form: an
+    object per node with the Tree field names, ``left`` and ``right`` holding the
+    child objects. It is read breadth-first, so its depth does not matter."""
+    if type(doc) is not dict or type(doc.get("feature")) is list:
+        return doc
+    objects, nodes, keys = [doc], [], Tree.__dataclass_fields__.keys()
+    for node in objects:  # objects grows while it is read
+        if type(node) is not dict or node.keys() != keys or type(node["feature"]) is not int:
+            raise ValueError("a tree node of the nested form is not a node object")
+        values = [node[k] for k in keys]
+        if values[0] < 0:
+            values[0] = values[5] = values[6] = -1
+        else:
+            objects += values[5:]
+            values[5:] = len(objects) - 2, len(objects) - 1
+        nodes.append(values)
+    return vars(_preorder(nodes)[0])
+
+
+def _check_trees(trees, width: int) -> None:
+    """ValueError unless every tree is laid out as Tree describes; one vector pass.
+
+    A split reads one of ``width`` columns, its left child is next and its right
+    child after that within the tree, and every node but the root is the child
+    of exactly one split. Children come after their parent, so that is one tree.
+    """
+    if any("".join(a.dtype.kind for a in vars(t).values()) != "ifbffii" or t.feature.ndim != 1
+           or len({a.shape for a in vars(t).values()}) > 1 for t in trees):
+        raise ValueError("a tree's node arrays differ in length or type")
+    if not trees:
+        return
+    sizes = np.array([t.feature.size for t in trees])
+    start = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    node = np.arange(start.size) - start
+    feature, left, right = (np.concatenate([vars(t)[k] for t in trees]) for k in ("feature", "left", "right"))
+    split = feature >= 0
+    if not np.where(
+        split,
+        (feature < width) & (left == node + 1) & (node + 1 < right) & (right < np.repeat(sizes, sizes)),
+        (feature == -1) & (left == -1) & (right == -1),
+    ).all():
+        raise ValueError(f"a tree node is neither a leaf nor a split on one of {width} columns")
+    children = np.concatenate([left[split], right[split]]) + np.tile(start[split], 2)
+    if not np.array_equal(np.bincount(children, minlength=start.size), node > 0):
+        raise ValueError("a tree node is not the child of exactly one split")
+
+
 def ensemble_from_dict(doc: dict) -> Ensemble:
     """Inverse of ensemble_to_dict; reloaded models predict bit-identically.
 
-    Raises ValueError unless the bundles cover every feature once and every
-    split reads an existing (bundled) column and has both children.
+    Trees in the nested form load too. Raises ValueError unless the bundles
+    cover every feature once and _check_trees passes.
     """
+    if type(doc) is dict and type(doc.get("trees")) is list:
+        doc = {**doc, "trees": [_flat_tree(t) for t in doc["trees"]]}
     ens = from_json(Ensemble, doc)
     width = ens.n_features if ens.bundles is None else len(ens.bundles)
     if ens.bundles is not None and (
@@ -694,12 +718,5 @@ def ensemble_from_dict(doc: dict) -> Ensemble:
                for b in ens.bundles)
     ):
         raise ValueError(f"bundles do not cover the {ens.n_features} features once each")
-    stack = list(ens.trees)
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            continue
-        if node.feature >= width or node.left is None or node.right is None:
-            raise ValueError(f"a split reads column {node.feature} of {width} or lacks a child")
-        stack += (node.left, node.right)
+    _check_trees(ens.trees, width)
     return ens

@@ -1,17 +1,20 @@
 """One JSON codec for fitted model dataclasses.
 
 ``to_json`` writes a dataclass's fields as a dict: arrays become nested lists
-of plain numbers and nested dataclasses (tree nodes, feature bundles, target
+of plain numbers and nested dataclasses (trees, feature bundles, target
 scalers) become nested objects. ``json`` writes each float as its shortest
 repr, so float64 values reload bit-identically. ``from_json`` rebuilds the
 dataclass from its field annotations and raises ValueError on any value that
 does not match them. An array must hold bool, integer or float values; an
-empty one has no element to tell its dtype and reloads as float64.
+empty one has no element to tell its dtype and reloads as float64. A saved
+tree keeps ``default_left``, the side NaN takes when the loaded tree routes
+a row; the side NaN took while the tree grew is not saved (see gbmodels).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -33,16 +36,8 @@ def from_json(kind, doc):
     return _decoder(kind)(doc)
 
 
-_DECODERS = {}  # annotation -> decoder, built once and reused for every value
-
-
+@functools.cache  # one decoder per annotation, reused for every value
 def _decoder(kind):
-    if kind not in _DECODERS:
-        _DECODERS[kind] = _build(kind)
-    return _DECODERS[kind]
-
-
-def _build(kind):
     if dataclasses.is_dataclass(kind):
         return _dataclass_decoder(kind)
     if kind is np.ndarray:
@@ -73,26 +68,14 @@ def _array(v) -> np.ndarray:
 
 
 def _dataclass_decoder(cls):
-    # Field decoders are resolved on first use: a field may name cls itself
-    # (TreeNode.left), so cls's own decoder must be registered first.
-    fields, keys = [], set()
+    hints = get_type_hints(cls)
+    fields = [(f.name, _decoder(hints[f.name])) for f in dataclasses.fields(cls)]
+    keys = {name for name, _ in fields}
 
     def decode(doc):
-        if not fields:
-            hints = get_type_hints(cls)
-            for f in dataclasses.fields(cls):
-                kind = hints[f.name]
-                # a JSON value already of the field's type (null for an
-                # Optional) is taken as is, without a decoder call
-                same = type(None) if get_origin(kind) is Union else kind
-                fields.append((f.name, same, _decoder(kind)))
-                keys.add(f.name)
         if type(doc) is not dict or doc.keys() != keys:
             raise ValueError(f"expected an object with keys {sorted(keys)} for {cls.__name__}")
-        values = []
-        for name, same, dec in fields:
-            v = doc[name]
-            values.append(v if type(v) is same else dec(v))
-        return cls(*values)  # fields() lists the __init__ parameters in order
+        # fields() lists the __init__ parameters in order
+        return cls(*[decode_field(doc[name]) for name, decode_field in fields])
 
     return decode

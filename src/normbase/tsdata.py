@@ -736,19 +736,19 @@ def resample_daily(series: RawSeries, how: str) -> DailySeries:
 
     expected = 86400.0 / series.interval_seconds
     dates, bounds = _day_slices(series)
-    n_days = len(dates)
-    values = np.zeros(n_days)
-    missing = np.ones(n_days, dtype=bool)
-    coverage = np.zeros(n_days)
-
-    for i in range(n_days):
-        seg = slice(bounds[i], bounds[i + 1])
-        present = series.values[seg][~series.missing[seg]]
-        coverage[i] = min(1.0, present.size / expected)
-        if coverage[i] < VALID_DAY_COVERAGE:
-            continue
-        missing[i] = False
-        values[i] = float(np.sum(present)) if how == "sum" else float(np.mean(present))
+    present = series.values[~series.missing]
+    # day i's present samples are present[first[i]:first[i] + count[i]]
+    before = np.concatenate([[0], np.cumsum(~series.missing)])[bounds]
+    first, count = before[:-1], np.diff(before)
+    coverage = np.minimum(1.0, count / expected)
+    missing = coverage < VALID_DAY_COVERAGE
+    values = np.zeros(len(dates))
+    reduce = np.sum if how == "sum" else np.mean
+    # A C-contiguous (days, k) block reduces each row with the pairwise sum
+    # of a 1-D slice, so every day length k keeps the per-day loop's bits.
+    for k in np.unique(count[~missing]):
+        days = np.flatnonzero(~missing & (count == k))
+        values[days] = reduce(present[first[days, None] + np.arange(k)], axis=1)
 
     return DailySeries(series.channel, dates, values, missing, coverage)
 

@@ -230,22 +230,22 @@ def test_c04_exact_tree_split_optimality():
         )
         tree = gbmodels.build_tree_exact(X, g, h, cfg)
 
-        stack = [(tree, np.arange(n), 0)]
+        stack = [(0, np.arange(n), 0)]
         while stack:
             node, rows, level = stack.pop()
-            if node.is_leaf:
+            if tree.feature[node] < 0:
                 want = -math.fsum(g[rows]) / (math.fsum(h[rows]) + lam)
-                assert abs(node.weight - want) <= 1e-12 * max(1.0, abs(want))
+                assert abs(tree.weight[node] - want) <= 1e-12 * max(1.0, abs(want))
                 # a leaf above the depth limit must mean no positive gain exists
                 if level < cfg.max_depth and rows.size >= 2:
                     assert _exhaustive_best_gain(X, g, h, rows, cfg) <= 0.0
                 continue
             best = _exhaustive_best_gain(X, g, h, rows, cfg)
-            assert abs(node.gain - best) <= 1e-12 * max(1.0, abs(best))
+            assert abs(tree.gain[node] - best) <= 1e-12 * max(1.0, abs(best))
             splits_checked += 1
-            go_left = X[rows, node.feature] <= node.threshold
-            stack.append((node.left, rows[go_left], level + 1))
-            stack.append((node.right, rows[~go_left], level + 1))
+            go_left = X[rows, tree.feature[node]] <= tree.threshold[node]
+            stack.append((tree.left[node], rows[go_left], level + 1))
+            stack.append((tree.right[node], rows[~go_left], level + 1))
 
     assert splits_checked > 100  # the draw actually exercised real splits
     assert time.perf_counter() - t0 < 30.0
@@ -298,14 +298,14 @@ def test_c06_histogram_matches_exact():
             bin_idx, edges, g, h, np.ones(n), np.arange(n), cfg
         )
 
-        assert hist.is_leaf == exact.is_leaf  # both or neither refuse to split
-        if exact.is_leaf:
+        assert (hist.feature[0] < 0) == (exact.feature[0] < 0)  # both or neither refuse to split
+        if exact.feature[0] < 0:
             continue
-        assert hist.feature == exact.feature
-        col = X[:, exact.feature]
-        grid = np.concatenate([[col.min()], edges[exact.feature], [col.max()]])
+        assert hist.feature[0] == exact.feature[0]
+        col = X[:, exact.feature[0]]
+        grid = np.concatenate([[col.min()], edges[exact.feature[0]], [col.max()]])
         bin_width = float(np.max(np.diff(grid)))
-        assert abs(hist.threshold - exact.threshold) <= bin_width + 1e-12
+        assert abs(hist.threshold[0] - exact.threshold[0]) <= bin_width + 1e-12
         agreements += 1
 
     assert agreements > 100  # the draw actually produced real splits

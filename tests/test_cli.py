@@ -5,6 +5,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -219,7 +220,7 @@ class TestNormalize:
         doc["inputs"]["kwh"] = str(broken)
         rc = cli.main(["normalize", "--config", write_config(tmp_path / "c.json", doc)])
         assert rc == 4
-        assert "line 3" in capsys.readouterr().err
+        assert f"data error: {broken}: line 3: unparseable value 'not-a-number'" in capsys.readouterr().err
 
     def test_gate_failure_still_writes_report(self, data_dir, tmp_path, capsys):
         # one deliberately underfit tree: a single shallow round cannot track
@@ -379,7 +380,8 @@ class TestIngestPool:
         monkeypatch.setattr(cli, "parse_series", slow_energy)
         for n in (1, 2):
             cpus(n)
-            with pytest.raises(ParseError, match="^line 3: unparseable value 'not-a-number'$"):
+            want = f"^{re.escape(str(tmp_path / 'kwh.csv'))}: line 3: unparseable value 'not-a-number'$"
+            with pytest.raises(ParseError, match=want):
                 cli._ingest(settings)
             assert not multiprocessing.active_children()
         assert pools == [2]
@@ -639,11 +641,11 @@ class TestEvaluate:
         if corruption == "no_payload":
             del doc["payload"]
         elif corruption == "text_threshold":
-            doc["payload"]["trees"][0]["threshold"] = "abc"
+            doc["payload"]["trees"][0]["threshold"][0] = "abc"
         elif corruption == "json_list":
             doc = [doc]
         elif corruption == "tree_feature_out_of_range":
-            doc["payload"]["trees"][0]["feature"] = len(doc["feature_names"])
+            doc["payload"]["trees"][0]["feature"][0] = len(doc["feature_names"])
         elif corruption == "scaler_too_short":
             doc["feature_scaler"]["std"].pop()
         elif corruption.startswith("lstm"):

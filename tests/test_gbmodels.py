@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from normbase import gbmodels as gb
 from normbase.errors import ConfigError, DataError, TrainingDivergedError
 from normbase.savefile import to_json
+
+DATA = Path(__file__).parent / "data"
 
 # ---------------------------------------------------------------------------
 # independent reference implementation for small exact trees
@@ -67,17 +70,45 @@ def ref_predict(node, x):
     return node["leaf"]
 
 
-def assert_same_tree(node: gb.TreeNode, ref: dict, rel=1e-12):
+def assert_same_tree(tree: gb.Tree, ref: dict, rel=1e-12, node=0):
     if "leaf" in ref:
-        assert node.is_leaf
-        assert node.weight == pytest.approx(ref["leaf"], rel=rel, abs=1e-15)
+        assert tree.feature[node] == -1
+        assert tree.weight[node] == pytest.approx(ref["leaf"], rel=rel, abs=1e-15)
         return
-    assert not node.is_leaf
-    assert node.feature == ref["feature"]
-    assert node.threshold == pytest.approx(ref["threshold"], rel=rel)
-    assert node.gain == pytest.approx(ref["gain"], rel=rel, abs=1e-15)
-    assert_same_tree(node.left, ref["left"], rel)
-    assert_same_tree(node.right, ref["right"], rel)
+    assert tree.feature[node] == ref["feature"]
+    assert tree.threshold[node] == pytest.approx(ref["threshold"], rel=rel)
+    assert tree.gain[node] == pytest.approx(ref["gain"], rel=rel, abs=1e-15)
+    assert_same_tree(tree, ref["left"], rel, tree.left[node])
+    assert_same_tree(tree, ref["right"], rel, tree.right[node])
+
+
+def nested_tree(doc: dict, node: int = 0) -> dict:
+    """A saved flat tree in the nested form: one object per node, children inside."""
+    fields = {k: v[node] for k, v in doc.items()}
+    if fields["feature"] < 0:
+        return {**fields, "left": None, "right": None}
+    return {**fields, "left": nested_tree(doc, fields["left"]), "right": nested_tree(doc, fields["right"])}
+
+
+def chain_tree(depth: int) -> gb.Tree:
+    """Split i sends x <= i left to a leaf of weight i + 0.5 and the rest on.
+
+    A row with value i ends in the leaf at depth i + 1, and NaN goes left at
+    even depths.
+    """
+    n = 2 * depth + 1
+    split = np.arange(n) % 2 == 0
+    split[-1] = False
+    node = np.arange(n)
+    return gb.Tree(
+        feature=np.where(split, 0, -1),
+        threshold=np.where(split, node // 2, 0).astype(float),
+        default_left=~split | (node % 4 == 0),
+        gain=np.where(split, 1.0, 0.0),
+        weight=np.where(node % 2 == 1, node // 2 + 0.5, -1.0),
+        left=np.where(split, node + 1, -1),
+        right=np.where(split, node + 2, -1),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +169,9 @@ class TestExactTreeOracle:
         orders = []
         build = gb.build_tree_exact
 
-        def sort_per_tree(X, g, h, cfg, order=None):
+        def sort_per_tree(X, g, h, cfg, order=None, leaf_of=None):
             orders.append(order)
-            return build(X, g, h, cfg)
+            return build(X, g, h, cfg, leaf_of=leaf_of)
 
         monkeypatch.setattr(gb, "build_tree_exact", sort_per_tree)
         per_tree, _ = gb.boost_fit((X, y), cfg, kind="exact")
@@ -151,8 +182,8 @@ class TestExactTreeOracle:
         X = np.array([[1.0], [2.0], [3.0]])
         g = np.array([0.0, 0.0, 0.0])
         tree = gb.build_tree_exact(X, g, np.ones(3), gb.BoostConfig(max_depth=3))
-        assert tree.is_leaf
-        assert tree.weight == 0.0
+        assert tree.feature.tolist() == [-1]
+        assert tree.weight.tolist() == [0.0]
 
     def test_min_child_hessian_blocks_starved_split(self):
         # only split puts 1 row on a side; min_child_hessian=2 forbids it
@@ -160,7 +191,7 @@ class TestExactTreeOracle:
         g = np.array([5.0, -1.0, -2.0, -2.0])
         cfg = gb.BoostConfig(max_depth=2, min_child_hessian=2.0, reg_lambda=0.0)
         tree = gb.build_tree_exact(X, g, np.ones(4), cfg)
-        assert tree.is_leaf
+        assert tree.feature.tolist() == [-1]
 
     @pytest.mark.parametrize("columns", [([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]),
                                          ([0.0, 2.0, 1.0], [0.0, 0.0, 1.0])])
@@ -174,11 +205,11 @@ class TestExactTreeOracle:
         h = np.array([1.0, 1.0, 1e-20])
         cfg = gb.BoostConfig(max_depth=1, max_leaves=2, reg_lambda=0.0, min_child_hessian=0.0)
         tree = gb.build_tree_exact(X, g, h, cfg)
-        assert (tree.feature, tree.threshold, tree.gain) == (0, 0.5, 9.0)
+        assert (tree.feature[0], tree.threshold[0], tree.gain[0]) == (0, 0.5, 9.0)
         edges = [np.array([0.5, 1.5])] * 2
         bin_idx = np.column_stack([gb._bin_column(X[:, j], edges[j]) for j in (0, 1)])
         hist = gb.build_tree_hist(bin_idx, edges, g, h, np.ones(3), np.arange(3), cfg)
-        assert (hist.feature, hist.threshold, hist.gain) == (0, 0.5, 9.0)
+        assert (hist.feature[0], hist.threshold[0], hist.gain[0]) == (0, 0.5, 9.0)
 
     @pytest.mark.parametrize("reg_lambda", [0.0, 1.0])
     def test_cut_between_adjacent_floats_splits_rows(self, reg_lambda):
@@ -189,20 +220,23 @@ class TestExactTreeOracle:
         X = np.array([[below]] + [[0.0]] * 13 + [[1000.0]])
         g = np.eye(15)[14]
         tree = gb.build_tree_exact(X, g, np.ones(15), gb.BoostConfig(max_depth=1, reg_lambda=reg_lambda))
-        assert (tree.feature, tree.threshold) == (0, below)
-        assert tree.right.weight == -1.0 / (1.0 + reg_lambda)
+        assert (tree.feature[0], tree.threshold[0]) == (0, below)
+        left, right = tree.weight[tree.left[0]], tree.weight[tree.right[0]]
+        assert right == -1.0 / (1.0 + reg_lambda)
         pred = gb.predict_tree(tree, X)
-        assert pred.tolist() == [tree.left.weight] * 14 + [tree.right.weight]
+        assert pred.tolist() == [left] * 14 + [right]
 
     def test_nan_follows_default_side(self):
-        node = gb.TreeNode(
-            feature=0, threshold=0.5, default_left=False,
-            left=gb.TreeNode(weight=-1.0), right=gb.TreeNode(weight=1.0),
+        tree = gb.Tree(
+            feature=np.array([0, -1, -1]), threshold=np.array([0.5, 0.0, 0.0]),
+            default_left=np.array([False, True, True]), gain=np.zeros(3),
+            weight=np.array([0.0, -1.0, 1.0]), left=np.array([1, -1, -1]),
+            right=np.array([2, -1, -1]),
         )
-        out = gb.predict_tree(node, np.array([[0.0], [np.nan], [1.0]]))
+        out = gb.predict_tree(tree, np.array([[0.0], [np.nan], [1.0]]))
         assert out.tolist() == [-1.0, 1.0, 1.0]
-        node.default_left = True
-        out = gb.predict_tree(node, np.array([[np.nan]]))
+        tree.default_left[0] = True
+        out = gb.predict_tree(tree, np.array([[np.nan]]))
         assert out.tolist() == [-1.0]
 
 
@@ -436,9 +470,9 @@ class TestHistEquivalence:
         hist = gb.build_tree_hist(
             bin_idx, edges, g, h, np.ones(40), np.arange(40), cfg
         )
-        assert hist.feature == exact.feature
-        assert hist.threshold == pytest.approx(exact.threshold, rel=1e-12)
-        assert hist.gain == pytest.approx(exact.gain, rel=1e-12)
+        assert hist.feature[0] == exact.feature[0]
+        assert hist.threshold[0] == pytest.approx(exact.threshold[0], rel=1e-12)
+        assert hist.gain[0] == pytest.approx(exact.gain[0], rel=1e-12)
 
 
 class TestHistWeights:
@@ -544,26 +578,56 @@ class TestSerialization:
         assert json.dumps(gb.ensemble_to_dict(back)) == json.dumps(gb.ensemble_to_dict(ens))
 
     def test_deep_chain_tree_pickles(self):
-        # each node sends x <= i left to a leaf and the rest right, so a row
-        # with value i ends in the leaf at depth i + 1; pickling the plain
-        # nested dataclass fails near depth 500
+        # a nested node object pickled once per level and failed near depth 500
         depth = 2000
-        tree = node = gb.TreeNode()
-        for i in range(depth):
-            node.feature, node.threshold, node.default_left, node.gain = 0, float(i), i % 2 == 0, 1.0
-            node.left = gb.TreeNode(weight=i + 0.5)
-            node.right = node = gb.TreeNode(weight=-1.0)
+        tree = chain_tree(depth)
         X = np.append(np.arange(depth + 1.0), np.nan)[:, None]
         back = pickle.loads(pickle.dumps(tree))
         assert gb.predict_tree(back, X).tobytes() == gb.predict_tree(tree, X).tobytes()
-        assert back.__reduce__() == tree.__reduce__()
+        assert gb.predict_tree(tree, X)[:3].tolist() == [0.5, 1.5, 2.5]
 
+    def test_deep_chain_tree_round_trips_through_json(self):
+        # the nested form recursed once per level and failed near depth 500
+        depth = 2000
+        ens = gb.Ensemble(kind="exact", base_score=0.25, learning_rate=0.5, n_features=1,
+                          trees=[chain_tree(depth)])
+        back = gb.ensemble_from_dict(json.loads(json.dumps(gb.ensemble_to_dict(ens))))
+        X = np.append(np.arange(depth + 1.0), np.nan)[:, None]
+        assert gb.boost_predict(back, X).tobytes() == gb.boost_predict(ens, X).tobytes()
+        for name, a in vars(ens.trees[0]).items():
+            b = getattr(back.trees[0], name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
-    @pytest.mark.parametrize("damage", [
+    @pytest.mark.parametrize("name", ["gbt_exact", "gbt_hist"])
+    def test_nested_form_file_predicts_the_same_bits(self, name):
+        # an ensemble fitted and saved while trees were nested node objects,
+        # on rows with NaN cells, with the predictions that version made
+        saved = json.loads((DATA / f"{name}_nested.json").read_text())
+        X = np.array(saved["X"], dtype=float)
+        ens = gb.ensemble_from_dict(saved["payload"])
+        assert gb.boost_predict(ens, X).tobytes() == np.array(saved["predictions"]).tobytes()
+        back = gb.ensemble_from_dict(json.loads(json.dumps(gb.ensemble_to_dict(ens))))
+        assert json.dumps(gb.ensemble_to_dict(back)) == json.dumps(gb.ensemble_to_dict(ens))
+
+    @pytest.mark.parametrize("name", ["gbt_exact", "gbt_hist"])
+    def test_fit_with_nan_cells_gives_the_saved_ensemble(self, name):
+        # growth sends NaN right (exact) or left (histogram), while routing
+        # follows default_left; the training predictions must follow routing
+        saved = json.loads((DATA / f"{name}_nested.json").read_text())
+        X, y = np.array(saved["X"], dtype=float), np.array(saved["y"])
+        assert np.isnan(X).any()
+        ens, _ = gb.boost_fit((X, y), gb.BoostConfig(**saved["config"]), saved["kind"])
+        want = gb.ensemble_to_dict(gb.ensemble_from_dict(saved["payload"]))
+        assert json.dumps(gb.ensemble_to_dict(ens)) == json.dumps(want)
+
+    BAD_STRUCTURE = [
         "feature_out_of_range", "feature_past_bundles", "missing_child", "bundle_gap",
-        "bundle_repeat", "short_offsets",
-    ])
-    def test_bad_structure_rejected(self, damage):
+        "bundle_repeat", "short_offsets", "shared_child", "child_before_parent",
+        "unequal_lengths",
+    ]
+
+    @staticmethod
+    def damaged(damage, nested):
         rng = np.random.default_rng(8)
         X = np.zeros((100, 3))
         X[:, 0] = rng.normal(size=100)
@@ -571,22 +635,52 @@ class TestSerialization:
         X[50:60, 2] = 2.0
         y = X[:, 0] + X[:, 1]
         cfg = gb.BoostConfig(rounds=5, validation_fraction=0.0, bins=8)
-        kind = "exact" if damage in ("feature_out_of_range", "missing_child") else "histogram"
+        kind = "histogram" if "bundle" in damage or damage == "short_offsets" else "exact"
         doc = json.loads(json.dumps(gb.ensemble_to_dict(gb.boost_fit((X, y), cfg, kind)[0])))
+        if nested:
+            doc["trees"] = [nested_tree(t) for t in doc["trees"]]
         gb.ensemble_from_dict(json.loads(json.dumps(doc)))
-        root = doc["trees"][0]
+        tree = doc["trees"][0]
+
+        def set_root(key, value):
+            if nested:
+                tree[key] = value
+            else:
+                tree[key][0] = value
+
+        assert (tree["feature"] if nested else tree["feature"][0]) >= 0  # the root splits
         if damage == "feature_out_of_range":
-            root["feature"] = 3
+            set_root("feature", 3)
         elif damage == "feature_past_bundles":
-            root["feature"] = len(doc["bundles"])
+            set_root("feature", len(doc["bundles"]))
         elif damage == "missing_child":
-            root["left"] = None
+            set_root("left", None if nested else -1)
         elif damage == "bundle_gap":
             doc["bundles"].pop()
         elif damage == "bundle_repeat":
             doc["bundles"].append({"features": [0], "lo": [], "offsets": []})
-        else:
+        elif damage == "short_offsets":
             doc["bundles"][-1]["offsets"].pop()
+        elif damage == "shared_child":
+            # the root's right child is also the right child of the split below it
+            assert tree["feature"][1] >= 0
+            tree["right"][0] = tree["right"][1]
+        elif damage == "child_before_parent":
+            # the split below the root points back at the root
+            tree["right"][1] = 0
+        else:
+            tree["weight"].pop()
+        return doc
+
+    @pytest.mark.parametrize("damage", BAD_STRUCTURE)
+    def test_bad_structure_rejected(self, damage):
+        doc = self.damaged(damage, nested=False)
+        with pytest.raises(ValueError):
+            gb.ensemble_from_dict(doc)
+
+    @pytest.mark.parametrize("damage", BAD_STRUCTURE[:6])
+    def test_bad_nested_structure_rejected(self, damage):
+        doc = self.damaged(damage, nested=True)
         with pytest.raises(ValueError):
             gb.ensemble_from_dict(doc)
 

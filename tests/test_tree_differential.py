@@ -4,9 +4,11 @@
 kept verbatim (except that a threshold whose midpoint rounds onto the upper
 value falls back to the lower one, as in gbmodels) with their helpers ``_best_candidate``, ``_scan_best_split``,
 ``_HistLeaf`` and ``_best_hist_split`` as the oracle: one argsort, cumsum or
-bincount per (node, feature). For every drawn problem the current builders
-must return the same tree, compared as its saved JSON text, so every split,
-threshold, gain and leaf weight agrees to the bit.
+bincount per (node, feature). They build the linked ``TreeNode`` trees that
+gbmodels stored before its flat node arrays. For every drawn problem the
+oracle's tree, converted by the loader of saved nested trees, and the current
+builder's tree must have the same seven node arrays bit for bit, so every
+split, threshold, gain, leaf weight and child index agrees.
 
 Hessians are drawn from [0.01, 100], where no child hessian sum can round to
 zero. With reg_lambda 0 such a sum gives a NaN gain, which the oracle may
@@ -14,7 +16,8 @@ pick and the current search never does
 (``test_gbmodels.py::TestExactTreeOracle::test_nan_gain_is_never_chosen``).
 """
 
-import json
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -23,10 +26,27 @@ from hypothesis.extra import numpy as hnp
 
 from normbase import gbmodels as gb
 from normbase.errors import DataError
-from normbase.gbmodels import BoostConfig, TreeNode, leaf_weight
+from normbase.gbmodels import BoostConfig, leaf_weight
 from normbase.savefile import to_json
 
 # -- oracle: the per-feature split search, unchanged -------------------------
+
+
+@dataclass
+class TreeNode:
+    """One node; leaves keep feature = -1 and carry only ``weight``.
+
+    Internal nodes route a sample left when value <= threshold; samples with
+    a NaN value follow ``default_left``.
+    """
+
+    feature: int = -1
+    threshold: float = 0.0
+    default_left: bool = True
+    gain: float = 0.0
+    weight: float = 0.0
+    left: Optional["TreeNode"] = None
+    right: Optional["TreeNode"] = None
 
 
 def _best_candidate(gl, hl, g_total, h_total, cfg, valid=True):
@@ -259,8 +279,11 @@ def problems(draw):
     return X, g, h, cfg
 
 
-def tree_text(tree):
-    return json.dumps(to_json(tree))
+def assert_same_nodes(tree: gb.Tree, oracle: TreeNode):
+    want = gb._flat_tree(to_json(oracle))
+    for name, got in vars(tree).items():
+        ref = np.array(want[name])
+        assert (got.dtype, got.tobytes()) == (ref.dtype, ref.tobytes()), name
 
 
 # 1000 and the float below it: their midpoint rounds to 1000 (see
@@ -278,9 +301,7 @@ ADJACENT_FLOATS = (
 @example(ADJACENT_FLOATS)
 def test_exact_builder_matches_per_feature_search(problem):
     X, g, h, cfg = problem
-    assert tree_text(gb.build_tree_exact(X, g, h, cfg)) == tree_text(
-        build_tree_exact(X, g, h, cfg)
-    )
+    assert_same_nodes(gb.build_tree_exact(X, g, h, cfg), build_tree_exact(X, g, h, cfg))
 
 
 @settings(deadline=None, max_examples=300)
@@ -298,6 +319,7 @@ def test_hist_builder_matches_per_feature_search(problem, goss, seed):
         rows, row_weights = gb.goss_sample(g, *goss, seed)
         w = np.zeros(n)
         w[rows] = row_weights
-    assert tree_text(gb.build_tree_hist(bin_idx, edges, g, h, w, rows, cfg)) == tree_text(
-        build_tree_hist(bin_idx, edges, g, h, w, rows, cfg)
+    assert_same_nodes(
+        gb.build_tree_hist(bin_idx, edges, g, h, w, rows, cfg),
+        build_tree_hist(bin_idx, edges, g, h, w, rows, cfg),
     )
