@@ -18,7 +18,6 @@ from .errors import (
     DataError,
     DimensionError,
     NormbaseError,
-    NoValidBaselineError,
     TrainingDivergedError,
     UndefinedMetricError,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "DataError",
     "DimensionError",
     "NormbaseError",
-    "NoValidBaselineError",
     "TrainingDivergedError",
     "UndefinedMetricError",
     "FeatureSpec",

@@ -6,8 +6,13 @@ synth      generate a synthetic building dataset with known ground truth.
 evaluate   score models on the held-out test range and print the KPI table;
            loads saved model files when --models is given, trains otherwise.
 
-Exit codes: 0 success, 2 configuration problem, 3 no model passed the
-acceptance gate, 4 data or training problem.
+Config files and saved model files (a SavedModel envelope each) are read
+with savefile.from_json against the dataclass annotations, and a value that
+does not fit is a ConfigError naming its key.
+
+Exit codes: 0 success, 2 configuration problem (a bad config or model
+file), 3 no model passed the acceptance gate (the report's
+``no_valid_baseline`` flag), 4 data or training problem.
 """
 
 from __future__ import annotations
@@ -16,14 +21,14 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NoValidBaselineError, NormbaseError, ParseError
+from .errors import ConfigError, DataError, NormbaseError, ParseError
 from .features import FeatureSpec, Scaler, apply_scaler, build_features
 from .metrics import monthly_rollup
 from .normalize import (
@@ -64,80 +69,12 @@ def _load_json(path: Path) -> dict:
     return doc
 
 
-def _dotted(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
-
-
-def _reject_unknown(obj: dict, path: str, allowed):
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key '{_dotted(path, key)}'")
-
-
-def _mapping(obj, path: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"config key '{path}' must be an object")
-    return obj
-
-
-_TYPE_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string"}
-
-
-def _typed(value, kind, path: str):
-    """Check one config value against a type annotation and return it.
-
-    ``kind`` is int, float, bool, str, Path or date (an ISO string); a config
-    dataclass (a JSON object, see _from_config); Optional[T] (T or null);
-    dict (a JSON object that the caller checks); tuple[date, date] (a
-    [start, end] pair); or tuple[T, ...] (a JSON list of T). Any number
-    passes as a float; JSON booleans pass only as bool, although Python
-    counts them as integers.
-    """
-    if is_dataclass(kind):
-        return _from_config(kind, value, path)
-    if get_origin(kind) is Union:
-        return None if value is None else _typed(value, get_args(kind)[0], path)
-    if kind is dict:
-        return _mapping(value, path)
-    if kind == tuple[date, date]:
-        if not isinstance(value, list) or len(value) != 2:
-            raise ConfigError(f"config key '{path}' must be a [start, end] pair")
-        return tuple(_typed(v, date, f"{path}[{i}]") for i, v in enumerate(value))
-    if get_origin(kind) is tuple:
-        if not isinstance(value, list):
-            raise ConfigError(f"config key '{path}' must be a list")
-        return tuple(_typed(v, get_args(kind)[0], path) for v in value)
-    if kind is date:
-        text = _typed(value, str, path)
-        try:
-            return date.fromisoformat(text)
-        except ValueError:
-            raise ConfigError(f"config key '{path}' is not an ISO date: {text!r}")
-    if kind is Path:
-        return Path(_typed(value, str, path))
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-        raise ConfigError(f"config key '{path}' must be {_TYPE_NAMES[kind]}")
-    return float(value) if kind is float else value
-
-
-def _from_config(cls, obj, path: str):
-    """Build a config dataclass from a JSON object.
-
-    Keys and value types come from the dataclass fields and annotations. A
-    field without a default is a required key; absent keys keep the field
-    defaults, and value ranges are left to the dataclass's own checks.
-    """
-    hints = get_type_hints(cls)
-    _reject_unknown(_mapping(obj, path), path, hints)
-    kwargs = {}
-    for f in fields(cls):
-        key = _dotted(path, f.name)
-        if f.name in obj:
-            kwargs[f.name] = _typed(obj[f.name], hints[f.name], key)
-        elif f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"missing required config key '{key}'")
-    return cls(**kwargs)
+def _config(kind, value, path: str = ""):
+    """Decode a config value of annotation ``kind``, see savefile.from_json."""
+    try:
+        return from_json(kind, value, path, noun="config key")
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
 
 def _model_setups(section: dict, run_seed: int) -> dict:
@@ -145,13 +82,15 @@ def _model_setups(section: dict, run_seed: int) -> dict:
 
     A model without its own ``seed`` gets the run seed plus its offset.
     """
-    _reject_unknown(section, "models", MODEL_KINDS)
+    for name in section:
+        if name not in MODEL_KINDS:
+            raise ConfigError(f"unknown config key 'models.{name}'")
     setups = {}
     for name, kind in MODEL_KINDS.items():
         path = f"models.{name}"
-        sub = dict(_mapping(section.get(name, {}), path))
-        if _typed(sub.pop("enabled", True), bool, f"{path}.enabled"):
-            setups[name] = _from_config(kind.setup, {"seed": run_seed + kind.seed_offset, **sub}, path)
+        sub = dict(_config(dict, section.get(name, {}), path))
+        if _config(bool, sub.pop("enabled", True), f"{path}.enabled"):
+            setups[name] = _config(kind.setup, {"seed": run_seed + kind.seed_offset, **sub}, path)
     if not setups:
         raise ConfigError("all models are disabled")
     return setups
@@ -183,13 +122,15 @@ class RunSettings:
 
 
 def load_run_settings(path: Path) -> RunSettings:
-    settings = _from_config(RunSettings, _load_json(path), "")
-    _reject_unknown(settings.inputs, "inputs", (ENERGY_CHANNEL,) + tuple(CHANNEL_UNITS))
+    settings = _config(RunSettings, _load_json(path))
+    for ch in settings.inputs:
+        if ch not in CHANNEL_UNITS:
+            raise ConfigError(f"unknown config key 'inputs.{ch}'")
     if ENERGY_CHANNEL not in settings.inputs:
         raise ConfigError(f"missing required config key 'inputs.{ENERGY_CHANNEL}'")
     base_dir = Path(path).resolve().parent
     settings.inputs = {
-        ch: base_dir / _typed(p, Path, f"inputs.{ch}") for ch, p in settings.inputs.items()
+        ch: base_dir / _config(Path, p, f"inputs.{ch}") for ch, p in settings.inputs.items()
     }
     for ch in settings.features.weather_channels:
         if ch not in settings.inputs:
@@ -350,18 +291,33 @@ def _write_plots(plots_dir: Path, report):
         )
 
 
+@dataclass
+class SavedModel:
+    """The envelope of one ``models/<name>.json`` file around its model.
+
+    ``kind`` names the model, which must be the file's; ``payload`` is the
+    model kind's to_dict form.
+    """
+
+    kind: str
+    feature_names: list[str]
+    feature_scaler: Scaler
+    lookback_days: int
+    payload: dict
+
+
 def _save_models(models_dir: Path, report, settings: RunSettings):
     models_dir.mkdir(parents=True, exist_ok=True)
     for name, outcome in report.models.items():
-        doc = {
-            "kind": name,
-            "feature_names": list(report.feature_names),
-            "feature_scaler": to_json(report.feature_scaler),
-            "lookback_days": settings.features.lookback_days,
-            "payload": MODEL_KINDS[name].to_dict(outcome.fitted),
-        }
+        saved = SavedModel(
+            kind=name,
+            feature_names=list(report.feature_names),
+            feature_scaler=report.feature_scaler,
+            lookback_days=settings.features.lookback_days,
+            payload=MODEL_KINDS[name].to_dict(outcome.fitted),
+        )
         (models_dir / f"{name}.json").write_text(
-            json.dumps(doc, sort_keys=True) + "\n"
+            json.dumps(to_json(saved), sort_keys=True) + "\n"
         )
 
 
@@ -382,27 +338,18 @@ def _write_artifacts(outdir: Path, report, settings: RunSettings):
 
 
 def _run(settings: RunSettings, table):
-    """Fit and score the configured models.
-
-    Returns:
-        (report, failure): failure is the message when no model passed the
-        gate, in which case the report still carries every model's KPIs.
-    """
-    try:
-        report = run_pipeline(
-            table,
-            settings.periods,
-            feature_spec=settings.features,
-            models=settings.models,
-            p=settings.kpi.p,
-            selection=settings.ensemble.selection,
-            top_k=settings.ensemble.top_k,
-            seed=settings.seed,
-            reference_range=settings.reference_range,
-        )
-    except NoValidBaselineError as e:
-        return e.report, str(e)
-    return report, None
+    """Fit and score the configured models; see normalize.run_pipeline."""
+    return run_pipeline(
+        table,
+        settings.periods,
+        feature_spec=settings.features,
+        models=settings.models,
+        p=settings.kpi.p,
+        selection=settings.ensemble.selection,
+        top_k=settings.ensemble.top_k,
+        seed=settings.seed,
+        reference_range=settings.reference_range,
+    )
 
 
 def _evaluate_saved(settings: RunSettings, table, models_dir: Path) -> dict:
@@ -419,23 +366,23 @@ def _evaluate_saved(settings: RunSettings, table, models_dir: Path) -> dict:
             continue
         # JSONDecodeError is a ValueError; the codec raises ValueError too
         try:
-            doc = json.loads(f.read_text())
-            feature_names = doc["feature_names"]
-            scaler = from_json(Scaler, doc["feature_scaler"])
-            lookback = int(doc["lookback_days"])
-            fitted = kind.from_dict(doc["payload"])
-            shapes = {(len(feature_names),), (kind.n_inputs(fitted),)}
+            saved = from_json(SavedModel, json.loads(f.read_text()))
+            if saved.kind != name:
+                raise ValueError(f"it holds a {saved.kind!r} model")
+            fitted = kind.from_dict(saved.payload)
+            scaler = saved.feature_scaler
+            shapes = {(len(saved.feature_names),), (kind.n_inputs(fitted),)}
             shapes.update(a.shape for a in (scaler.mean, scaler.std, scaler.exempt))
             if len(shapes) > 1 or scaler.exempt.dtype != bool:
                 raise ValueError(f"feature names, scaler and model disagree: {sorted(shapes)}")
-        except (OSError, KeyError, TypeError, ValueError) as e:
+        except (OSError, ValueError) as e:
             raise ConfigError(f"cannot load model file {f}: {e}")
-        if feature_names != list(matrix.names):
+        if saved.feature_names != list(matrix.names):
             raise ConfigError(
                 f"model {name} was trained on different feature columns than configured"
             )
         scaled = apply_scaler(matrix, scaler)
-        pred = kind.predict(fitted, scaled, lookback)
+        pred = kind.predict(fitted, scaled, saved.lookback_days)
         results[name] = score(scaled, test_mask, pred, p=settings.kpi.p)
     if not results:
         raise ConfigError(f"no model files found in {models_dir}")
@@ -449,12 +396,12 @@ def cmd_normalize(args) -> int:
     table = _ingest(settings)
     log.info("aligned table: %d days, %d excluded", len(table), table.n_excluded)
 
-    report, failed = _run(settings, table)
+    report = _run(settings, table)
     _write_artifacts(settings.output_dir, report, settings)
 
     print(kpi_table({n: m.kpis for n, m in report.models.items()}))
-    if failed is not None:
-        print(f"\nno valid baseline: {failed}")
+    if report.no_valid_baseline:
+        print("\nno valid baseline: no model passed the acceptance gate")
         print(f"artifacts written to {settings.output_dir}")
         return 3
     print(f"\nmodels used: {', '.join(report.models_used)}")
@@ -472,7 +419,7 @@ def cmd_evaluate(args) -> int:
     if args.models:
         kpis = _evaluate_saved(settings, table, Path(args.models))
     else:
-        report, _ = _run(settings, table)
+        report = _run(settings, table)
         kpis = {n: m.kpis for n, m in report.models.items()}
 
     print(kpi_table(kpis))
@@ -491,12 +438,12 @@ def cmd_synth(args) -> int:
     if target is not None and "occupancy_drop" in doc:
         raise ConfigError("set either 'occupancy_drop' or 'target_reduction_fraction', not both")
 
-    cfg = _from_config(SynthConfig, doc, "")
+    cfg = _config(SynthConfig, doc)
     if target is not None:
-        cfg = configure_for_target(cfg, _typed(target, float, "target_reduction_fraction"))
+        cfg = configure_for_target(cfg, _config(float, target, "target_reduction_fraction"))
 
     base_dir = Path(args.config).resolve().parent
-    outdir = base_dir / (Path(args.out) if args.out else _typed(output_dir, Path, "output_dir"))
+    outdir = base_dir / (Path(args.out) if args.out else _config(Path, output_dir, "output_dir"))
 
     ds = generate(cfg)
     paths = write_dataset(ds, outdir)

@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
-Grouping matters for the CLI: ConfigError maps to exit code 2,
-NoValidBaselineError to exit code 3, and DataError and every other error
-here (a diverged training, say) to exit code 4, a data or training problem.
+Grouping matters for the CLI: ConfigError maps to exit code 2, and
+DataError and every other error here (a diverged training, say) to exit
+code 4, a data or training problem.
 """
 
 
@@ -67,17 +67,3 @@ class DimensionError(NormbaseError):
 class TrainingDivergedError(NormbaseError):
     """Training produced a non-finite loss or parameter."""
 
-
-class NoValidBaselineError(NormbaseError):
-    """No candidate model passed the quality gate.
-
-    The partially filled report (per-model KPIs, gate verdicts, failure flag)
-    is attached so callers can still persist it.
-
-    Attributes:
-        report: the NormalizationReport assembled before the failure.
-    """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report

@@ -312,8 +312,8 @@ class FeatureBundle:
     """
 
     features: list[int]
-    lo: list[float] = field(default_factory=list)
-    offsets: list[float] = field(default_factory=list)
+    lo: list[float]
+    offsets: list[float]
 
     @property
     def is_identity(self) -> bool:
@@ -359,7 +359,7 @@ def efb_bundle(X, max_conflict: float):
         else:
             groups.append([[f], nz[f].copy(), 0])
 
-    bundles = [FeatureBundle(features=[f]) for f in range(n_features) if f not in sparse]
+    bundles = [FeatureBundle([f], lo=[], offsets=[]) for f in range(n_features) if f not in sparse]
     for members, _, _ in groups:
         members, lo, offsets, cursor = sorted(members), [], [], 0.0
         for f in members if len(members) > 1 else ():  # a singleton passes through
@@ -532,8 +532,8 @@ class Ensemble:
     base_score: float
     learning_rate: float
     n_features: int
-    trees: list[Tree] = field(default_factory=list)
-    bundles: Optional[list[FeatureBundle]] = None
+    trees: list[Tree]
+    bundles: Optional[list[FeatureBundle]]
 
 
 def boost_fit(data, cfg: BoostConfig, kind: str = "exact"):
@@ -567,7 +567,8 @@ def boost_fit(data, cfg: BoostConfig, kind: str = "exact"):
     X_val, y_val = X[n_train:], y[n_train:]
 
     base = float(np.mean(y))
-    ens = Ensemble(kind=kind, base_score=base, learning_rate=cfg.learning_rate, n_features=X.shape[1])
+    ens = Ensemble(kind=kind, base_score=base, learning_rate=cfg.learning_rate, n_features=X.shape[1],
+                   trees=[], bundles=None)
 
     if kind == "histogram":
         ens.bundles = efb_bundle(X_train, cfg.efb_max_conflict)

@@ -232,14 +232,15 @@ def kpi_set(actual, predicted, p: int = 1) -> KpiSet:
 def kpi_report(dates, actual, predicted, p: int = 1) -> KpiReport:
     """Daily KPIs, monthly-rollup KPIs, and the gate verdict in one call.
 
-    Monthly KPIs require at least one fully covered calendar month; when none
-    exists the monthly set and gate are omitted (None) rather than raised, so
-    callers on short windows still get daily numbers.
+    Monthly KPIs need fully covered calendar months, and one month is too few
+    for R^2. When they cannot be computed the monthly set and gate are
+    omitted (None) rather than raised, so callers on short windows still get
+    daily numbers.
     """
     daily = kpi_set(actual, predicted, p=p)
     try:
         roll = monthly_rollup(dates, actual, predicted)
+        monthly = kpi_set(roll.actual, roll.predicted, p=p)
     except DataError:
         return KpiReport(daily=daily, monthly=None, gate=None, p=p)
-    monthly = kpi_set(roll.actual, roll.predicted, p=p)
     return KpiReport(daily=daily, monthly=monthly, gate=ashrae_gate(daily, monthly), p=p)

@@ -219,7 +219,7 @@ class MlpParams:
     activation: str
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    target_scaler: Optional[TargetScaler] = None
+    target_scaler: Optional[TargetScaler]
 
     def arrays(self):
         return list(self.weights) + list(self.biases)
@@ -239,7 +239,7 @@ def mlp_init(layer_sizes, activation: str = "relu", seed: int = 0) -> MlpParams:
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
         weights.append(_glorot(rng, fan_in, fan_out, (fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return MlpParams(list(layer_sizes), activation, weights, biases)
+    return MlpParams(list(layer_sizes), activation, weights, biases, target_scaler=None)
 
 
 def _mlp_forward_batch(params: MlpParams, X):
@@ -344,7 +344,7 @@ class LstmParams:
     b: np.ndarray  # (4, hidden_size)
     w_out: np.ndarray  # (hidden_size,)
     b_out: np.ndarray  # shape (1,), kept as array for in-place updates
-    target_scaler: Optional[TargetScaler] = None
+    target_scaler: Optional[TargetScaler]
 
     def arrays(self):
         return [self.W, self.U, self.b, self.w_out, self.b_out]
@@ -363,7 +363,7 @@ def lstm_init(input_size: int, hidden_size: int, seed: int = 0) -> LstmParams:
     b = np.zeros((4, hidden_size))
     b[1] = 1.0  # forget gate starts open
     w_out = _glorot(rng, hidden_size, 1, (hidden_size,))
-    return LstmParams(input_size, hidden_size, W, U, b, w_out, np.zeros(1))
+    return LstmParams(input_size, hidden_size, W, U, b, w_out, np.zeros(1), target_scaler=None)
 
 
 def _lstm_forward_batch(params: LstmParams, S, keep_steps: bool = True):

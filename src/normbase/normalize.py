@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import gbmodels, nnmodels
-from .errors import ConfigError, DataError, NoValidBaselineError, UndefinedMetricError
+from .errors import ConfigError, DataError, UndefinedMetricError
 from .features import FeatureMatrix, FeatureSpec, apply_scaler, build_features, fit_scaler, make_sequences
 from .metrics import KpiReport, kpi_report
 
@@ -462,12 +462,13 @@ def run_pipeline(
             to the test range.
 
     Returns:
-        NormalizationReport.
+        NormalizationReport. With gate-passing selection and no passer, it
+        has ``no_valid_baseline`` set, every model's KPIs and no totals.
 
     Raises:
-        DataError: too few usable rows in a period.
-        NoValidBaselineError: gate-passing selection and nothing passed; the
-            assembled report rides on the exception.
+        DataError: too few usable rows in a period, or no selected model
+            predicts a study day (a lookback window can leave them all
+            uncovered).
     """
     # the setups raise ConfigError for out-of-range values, before any model trains
     KpiSetup(p)
@@ -523,6 +524,8 @@ def run_pipeline(
     study_dates = [d for d, s in zip(scaled.dates, study_mask) if s]
     study_actual = y[study_mask]
     ens_study = ensemble[study_mask]
+    if used and np.isnan(ens_study).all():
+        raise DataError("no selected model predicts a study day")
     dlr = {name: daily_load_ratio(study_actual, results[name].pred[study_mask])[0] for name in enabled}
     dlr["ensemble"], undef = daily_load_ratio(study_actual, ens_study)
     cover = ~np.isnan(ens_study)
@@ -536,7 +539,7 @@ def run_pipeline(
     ref_lo, ref_hi = reference_range if reference_range else periods.test
     ref_rows = matrix.date_mask(ref_lo, ref_hi)
     reference_total = float(np.sum(matrix.y[ref_rows]))
-    if used and cum_dates:
+    if used:
         # Total reduction is defined off the cumulative curves so the two are
         # consistent to the last bit.
         reduction_kwh = float(cum_pred[-1] - cum_actual[-1])
@@ -546,7 +549,7 @@ def run_pipeline(
         reduction_fraction = reduction_kwh / total_pred
         share = annual_share(reduction_kwh, reference_total)
 
-    report = NormalizationReport(
+    return NormalizationReport(
         periods=periods,
         seed=seed,
         p=p,
@@ -572,7 +575,3 @@ def run_pipeline(
         annual_share=share,
         reference_total_kwh=reference_total,
     )
-
-    if not used:
-        raise NoValidBaselineError("no model passed the acceptance gate", report=report)
-    return report

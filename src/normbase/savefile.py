@@ -1,27 +1,34 @@
-"""One JSON codec for fitted model dataclasses.
+"""One JSON codec for dataclasses: saved models and config files.
 
 ``to_json`` writes a dataclass's fields as a dict: arrays become nested lists
 of plain numbers and nested dataclasses (trees, feature bundles, target
 scalers) become nested objects. ``json`` writes each float as its shortest
-repr, so float64 values reload bit-identically. ``from_json`` rebuilds the
-dataclass from its field annotations and raises ValueError on any value that
-does not match them. An array must hold bool, integer or float values; an
-empty one has no element to tell its dtype and reloads as float64. A saved
-tree keeps ``default_left``, the side NaN takes when the loaded tree routes
-a row; the side NaN took while the tree grew is not saved (see gbmodels).
+repr, so float64 values reload bit-identically.
+
+``from_json`` is the only place that maps JSON onto annotations: the CLI
+reads its config files and model file envelopes through it, and every
+model's ``from_dict`` its payload. An array must hold bool, integer or float
+values; an empty one has no element to tell its dtype and reloads as
+float64. A saved tree keeps ``default_left``, the side NaN takes when the
+loaded tree routes a row; the side NaN took while the tree grew is not
+saved (see gbmodels).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+from datetime import date
+from pathlib import Path
 from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string"}
+
 
 def to_json(obj):
-    """JSON-ready form of a fitted dataclass and everything it holds."""
+    """JSON-ready form of a dataclass and everything it holds."""
     if dataclasses.is_dataclass(obj):
         return {f.name: to_json(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, list):
@@ -31,51 +38,90 @@ def to_json(obj):
     return obj
 
 
-def from_json(kind, doc):
-    """Rebuild a value of annotation ``kind`` from ``doc``; ValueError if it does not fit."""
-    return _decoder(kind)(doc)
-
-
-@functools.cache  # one decoder per annotation, reused for every value
-def _decoder(kind):
-    if dataclasses.is_dataclass(kind):
-        return _dataclass_decoder(kind)
-    if kind is np.ndarray:
-        return _array
-    origin, args = get_origin(kind), get_args(kind)
-    if origin is list:
-        item = _decoder(args[0])
-        return lambda v: [item(x) for x in _checked(v, list)]
-    if origin is Union:  # Optional[T]
-        inner = _decoder(args[0])
-        return lambda v: None if v is None else inner(v)
-    # int, float, bool or str; a JSON boolean is not a number here
-    accepted = (float, int) if kind is float else (kind,)
-    return lambda v: kind(_checked(v, *accepted))
-
-
-def _checked(v, *types):
-    if type(v) not in types:
-        raise ValueError(f"expected {types[0].__name__}, got {v!r}")
-    return v
-
-
-def _array(v) -> np.ndarray:
-    a = np.array(v)
-    if a.dtype.kind not in "biuf":
-        raise ValueError(f"expected an array of numbers, got dtype {a.dtype}")
-    return a
-
-
-def _dataclass_decoder(cls):
+@functools.cache  # resolving the annotations costs more than decoding a small object
+def _fields(cls) -> dict:
+    """{name: (annotation, required)} of a dataclass's fields, in order."""
     hints = get_type_hints(cls)
-    fields = [(f.name, _decoder(hints[f.name])) for f in dataclasses.fields(cls)]
-    keys = {name for name, _ in fields}
+    missing = dataclasses.MISSING
+    return {
+        f.name: (hints[f.name], f.default is missing and f.default_factory is missing)
+        for f in dataclasses.fields(cls)
+    }
 
-    def decode(doc):
-        if type(doc) is not dict or doc.keys() != keys:
-            raise ValueError(f"expected an object with keys {sorted(keys)} for {cls.__name__}")
-        # fields() lists the __init__ parameters in order
-        return cls(*[decode_field(doc[name]) for name, decode_field in fields])
 
-    return decode
+def _key(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _unfit(noun: str, path: str, what: str) -> ValueError:
+    return ValueError(f"{noun} '{path}' {what}" if path else f"the document {what}")
+
+
+def from_json(kind, doc, path: str = "", noun: str = "key"):
+    """Rebuild a value of annotation ``kind`` from the decoded JSON ``doc``.
+
+    ``kind`` is a dataclass (a JSON object of its fields: an unknown key is
+    rejected, a field without a default is required), Optional[T] (T or
+    null), list[T] or tuple[T, ...] (a JSON list), a fixed tuple such as
+    tuple[date, date] (a list of that length, items named by index as in
+    ``periods.train[1]``), np.ndarray (a nested list of numbers), dict (any
+    JSON object, left to the caller), date (an ISO string), Path (a string),
+    int, float (any JSON number), bool or str. ``path`` is the dotted key of
+    ``doc``; ``noun`` says what a key is in error messages.
+
+    Raises:
+        ValueError: a value does not fit its annotation, naming its key.
+        TypeError: ``kind`` is none of the annotations above.
+    """
+    if kind is np.ndarray:  # first: a saved tree ensemble is mostly arrays
+        try:
+            a = np.array(doc)
+        except ValueError:  # a ragged nested list
+            raise _unfit(noun, path, "must be an array of one shape") from None
+        if a.dtype.kind not in "biuf":
+            raise _unfit(noun, path, f"must be an array of numbers, not of dtype {a.dtype}")
+        return a
+    if dataclasses.is_dataclass(kind):
+        if type(doc) is not dict:
+            raise _unfit(noun, path, "must be an object")
+        fields = _fields(kind)
+        for key in doc:
+            if key not in fields:
+                raise ValueError(f"unknown {noun} '{_key(path, key)}'")
+        values = {}
+        for name, (annotation, required) in fields.items():
+            if name in doc:
+                values[name] = from_json(annotation, doc[name], _key(path, name), noun)
+            elif required:
+                raise ValueError(f"missing required {noun} '{_key(path, name)}'")
+        return kind(**values)
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is Union and len(args) == 2 and args[1] is type(None):  # Optional[T]
+        return None if doc is None else from_json(args[0], doc, path, noun)
+    if origin in (list, tuple):
+        if type(doc) is not list:
+            raise _unfit(noun, path, "must be a list")
+        if origin is tuple and args[-1] is not Ellipsis:
+            if len(doc) != len(args):
+                raise _unfit(noun, path, f"must be a list of {len(args)} items")
+            return tuple(from_json(a, v, f"{path}[{i}]", noun) for i, (a, v) in enumerate(zip(args, doc)))
+        items = [from_json(args[0], v, path, noun) for v in doc]
+        return items if origin is list else tuple(items)
+    if kind is dict:
+        if type(doc) is not dict:
+            raise _unfit(noun, path, "must be an object")
+        return doc
+    if kind is date:
+        text = from_json(str, doc, path, noun)
+        try:
+            return date.fromisoformat(text)
+        except ValueError:
+            raise _unfit(noun, path, f"is not an ISO date: {text!r}") from None
+    if kind is Path:
+        return Path(from_json(str, doc, path, noun))
+    if kind in _TYPE_NAMES:
+        # a JSON boolean is not a number here, although Python counts it as one
+        if type(doc) not in ((int, float) if kind is float else (kind,)):
+            raise _unfit(noun, path, f"must be {_TYPE_NAMES[kind]}")
+        return kind(doc)
+    raise TypeError(f"no JSON decoding for annotation {kind!r}")

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from datetime import date, datetime, time, timedelta
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,7 @@ from .tsdata import (
     ENERGY_CHANNEL,
     WEATHER_CHANNELS,
     RawSeries,
+    local_midnights,
     render_csv,
     render_stamps,
     resolve_timezone,
@@ -151,11 +152,7 @@ def _latent_daily(cfg: SynthConfig, dates, weather, occupancy: np.ndarray) -> np
 
 def _day_grid(cfg: SynthConfig, dates):
     """Per-day (start_epoch, n_slots); slot counts vary only across DST shifts."""
-    tz = resolve_timezone(cfg.timezone)
-    starts = np.empty(len(dates) + 1)
-    for i in range(len(dates) + 1):
-        d = dates[0] + timedelta(days=i)
-        starts[i] = datetime.combine(d, time(0), tzinfo=tz).timestamp()
+    starts = local_midnights(dates[0], len(dates) + 1, resolve_timezone(cfg.timezone))
     spans = np.diff(starts)
     slots = spans / cfg.interval_seconds
     if np.any(slots != np.round(slots)):

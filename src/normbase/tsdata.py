@@ -701,6 +701,13 @@ class DailySeries:
     coverage: np.ndarray
 
 
+def local_midnights(first: date, n: int, tz) -> np.ndarray:
+    """Epoch seconds of the ``n`` local midnights from ``first`` on in zone ``tz``;
+    a day with a DST shift is shorter or longer than 86400 s."""
+    days = (first + timedelta(days=i) for i in range(n))
+    return np.array([datetime.combine(d, time(0), tzinfo=tz).timestamp() for d in days])
+
+
 def _day_slices(series: RawSeries):
     """Split sample indices by local calendar day.
 
@@ -711,10 +718,7 @@ def _day_slices(series: RawSeries):
     last = datetime.fromtimestamp(series.epochs[-1], tz).date()
     n_days = (last - first).days + 1
     dates = [first + timedelta(days=i) for i in range(n_days)]
-    boundaries = np.empty(n_days + 1)
-    for i in range(n_days + 1):
-        midnight = datetime.combine(first + timedelta(days=i), time(0), tzinfo=tz)
-        boundaries[i] = midnight.timestamp()
+    boundaries = local_midnights(first, n_days + 1, tz)
     return dates, np.searchsorted(series.epochs, boundaries, side="left")
 
 

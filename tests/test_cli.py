@@ -265,6 +265,36 @@ class TestNormalize:
         assert "error: non-finite predictions" in err
         assert "Traceback" not in err
 
+    def test_no_study_day_predicted_exits_4_without_artifacts(self, data_dir, tmp_path, capsys):
+        # kwh blanked for 2019-12-20..31 leaves no full 7-day window ending
+        # in 2020-01-01..03, so the only selected model predicts no study day
+        blanked = tmp_path / "kwh.csv"
+        lines = (data_dir / "kwh.csv").read_text().splitlines()
+        blanked.write_text("\n".join(
+            line.split(",")[0] + "," if "2019-12-20" <= line[:10] <= "2019-12-31" else line
+            for line in lines
+        ) + "\n")
+        doc = run_config(data_dir, output_dir=str(tmp_path / "out"),
+                         ensemble={"selection": "top_k", "top_k": 1})
+        doc["inputs"]["kwh"] = str(blanked)
+        doc["periods"] = {
+            "train": ["2019-01-01", "2019-09-30"],
+            "test": ["2019-10-01", "2019-12-31"],
+            "study": ["2020-01-01", "2020-01-03"],
+        }
+        doc["models"] = {
+            "mlp": {"enabled": False},
+            "lstm": {"epochs": 3, "early_stop_patience": 3},
+            "gbt_exact": {"enabled": False},
+            "gbt_hist": {"enabled": False},
+        }
+        rc = cli.main(["normalize", "--config", write_config(tmp_path / "c.json", doc)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "data error: no selected model predicts a study day" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_artifacts_do_not_depend_on_worker_count(self, data_dir, tmp_path, cpus, pools):
         small = {"epochs": 3, "early_stop_patience": 3}
         models = {**run_config(data_dir)["models"], "mlp": small, "lstm": small}
@@ -630,7 +660,8 @@ class TestEvaluate:
     @pytest.mark.parametrize("corruption", [
         "no_payload", "text_threshold", "json_list", "previous_format", "truncated_weights",
         "tree_feature_out_of_range", "scaler_too_short", "lstm_three_gates",
-        "lstm_ragged_gate",
+        "lstm_ragged_gate", "lookback_text", "lookback_fraction", "lookback_bool",
+        "kind_of_other_model", "mlp_no_target_scaler", "hist_no_bundles",
     ])
     def test_malformed_model_file_exits_2_without_traceback(
         self, data_dir, happy_run, tmp_path, capsys, corruption
@@ -640,6 +671,21 @@ class TestEvaluate:
         name = "gbt_exact"
         if corruption == "no_payload":
             del doc["payload"]
+        elif corruption.startswith("lookback"):
+            doc["lookback_days"] = {"text": "7", "fraction": 7.5, "bool": True}[corruption[9:]]
+        elif corruption == "kind_of_other_model":
+            doc["kind"] = "gbt_hist"
+        elif corruption == "hist_no_bundles":
+            name = "gbt_hist"
+            doc = json.loads((out / "models" / "gbt_hist.json").read_text())
+            del doc["payload"]["bundles"]
+        elif corruption == "mlp_no_target_scaler":
+            # a well-formed mlp file but for its missing target scaler
+            n = len(doc["feature_names"])
+            name = "mlp"
+            payload = nnmodels.mlp_to_dict(nnmodels.mlp_init([n, 1]))
+            del payload["target_scaler"]
+            doc = {**doc, "kind": "mlp", "lookback_days": 7, "payload": payload}
         elif corruption == "text_threshold":
             doc["payload"]["trees"][0]["threshold"][0] = "abc"
         elif corruption == "json_list":

@@ -590,7 +590,7 @@ class TestSerialization:
         # the nested form recursed once per level and failed near depth 500
         depth = 2000
         ens = gb.Ensemble(kind="exact", base_score=0.25, learning_rate=0.5, n_features=1,
-                          trees=[chain_tree(depth)])
+                          trees=[chain_tree(depth)], bundles=None)
         back = gb.ensemble_from_dict(json.loads(json.dumps(gb.ensemble_to_dict(ens))))
         X = np.append(np.arange(depth + 1.0), np.nan)[:, None]
         assert gb.boost_predict(back, X).tobytes() == gb.boost_predict(ens, X).tobytes()

@@ -226,6 +226,13 @@ class TestKpiReport:
         assert rep.monthly is None and rep.gate is None
         assert rep.daily.n == 10
 
+        # one complete month (April) is too few for a monthly R^2
+        dates = [date(2019, 4, 1) + timedelta(days=i) for i in range(45)]
+        a = rng.uniform(50, 100, 45)
+        rep = metrics.kpi_report(dates, a, a * 1.01)
+        assert rep.monthly is None and rep.gate is None
+        assert rep.daily.n == 45
+
     def test_full_window_gates(self):
         from datetime import date, timedelta
 

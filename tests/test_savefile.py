@@ -1,11 +1,17 @@
+import dataclasses
 import json
+from datetime import date
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from normbase.cli import RunSettings
 from normbase.features import Scaler, TargetScaler
+from normbase.normalize import MODEL_KINDS, PeriodSpec
 from normbase.savefile import from_json, to_json
+from normbase.synthgen import SynthConfig
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 MAX = 1.7976931348623157e308
@@ -44,3 +50,42 @@ def test_scalers_reload_bit_identical(columns, mean, std):
     assert type(back.mean) is float and type(back.std) is float
     assert same_bits(back.mean, ts.mean)
     assert same_bits(back.std, ts.std)
+
+
+# Every config dataclass at its defaults; RunSettings holds the sections.
+CONFIGS = {
+    "run": RunSettings(interval_seconds=3600, inputs={}, periods=PeriodSpec(
+        train=(date(2019, 1, 1), date(2019, 6, 30)),
+        test=(date(2019, 7, 1), date(2019, 9, 30)),
+        study=(date(2019, 10, 1), date(2019, 12, 31)),
+    )),
+    **{f"models.{name}": kind.setup() for name, kind in MODEL_KINDS.items()},
+    "synth": SynthConfig(),
+}
+
+
+@pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
+def test_config_dataclasses_round_trip_at_their_defaults(config):
+    # an annotation the decoder cannot read raises TypeError here
+    doc = json.loads(json.dumps(to_json(config), default=str))
+    assert from_json(type(config), doc) == config
+
+
+def test_an_annotation_without_a_decoding_is_a_type_error():
+    @dataclasses.dataclass
+    class Odd:
+        members: set[int]
+
+    with pytest.raises(TypeError, match="no JSON decoding"):
+        from_json(Odd, {"members": [1]})
+
+
+def test_errors_name_the_key_path():
+    doc = {"mean": [0.0], "std": [1.0], "exempt": [False], "scale": 2}
+    with pytest.raises(ValueError, match="^unknown key 'scaler.scale'$"):
+        from_json(Scaler, doc, path="scaler")
+    del doc["scale"], doc["std"]
+    with pytest.raises(ValueError, match="^missing required config key 'std'$"):
+        from_json(Scaler, doc, noun="config key")
+    with pytest.raises(ValueError, match=r"^key 'pair\[1\]' must be a number$"):
+        from_json(tuple[int, float], [1, True], path="pair")
