@@ -50,6 +50,7 @@ from .tsdata import (
     align,
     fill_gaps,
     parse_series,
+    parse_series_bytes,
     resample_daily,
     serialize_series,
 )
@@ -93,6 +94,7 @@ __all__ = [
     "align",
     "fill_gaps",
     "parse_series",
+    "parse_series_bytes",
     "resample_daily",
     "serialize_series",
     "__version__",

@@ -44,7 +44,7 @@ from .tsdata import (
     SeriesSchema,
     align,
     fill_gaps,
-    parse_series,
+    parse_series_bytes,
     resample_daily,
 )
 
@@ -153,14 +153,16 @@ def _ingest_channel(ch: str, settings: RunSettings):
     Returns only the DailySeries and the counts _ingest logs: duplicate rows
     collapsed, gaps filled, gaps left unfilled."""
     try:
-        text = settings.inputs[ch].read_text(encoding="utf-8")
+        data = settings.inputs[ch].read_bytes()
+        if not data.isascii():
+            data.decode("utf-8")  # only to find the first byte that is not UTF-8
     except OSError as e:
         raise ConfigError(f"cannot read input file for '{ch}': {e}")
     except UnicodeDecodeError as e:
         raise DataError(f"input file for '{ch}' is not UTF-8: bad byte at offset {e.start}")
     schema = SeriesSchema(ch, CHANNEL_UNITS[ch], settings.timezone, settings.interval_seconds)
     try:
-        series = parse_series(text, schema)
+        series = parse_series_bytes(data, schema)
     except ParseError as e:
         e.args = (f"{settings.inputs[ch]}: {e}",)  # name the file before the line number
         raise

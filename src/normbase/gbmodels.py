@@ -458,7 +458,12 @@ def build_tree_hist(bin_idx, edges, g, h, w, rows, cfg: BoostConfig, leaf_of=Non
         rows: row indices participating in this round.
         cfg: hyperparameters; growth stops at cfg.max_leaves leaves or when
             no leaf has a positive-gain split.
-        leaf_of: when given, receives the leaf index of each row in ``rows``.
+        leaf_of: when given, receives the leaf index of every row of
+            ``bin_idx``, also those left out of ``rows``. Those are
+            partitioned with the rows at each split: ``bin <= j`` sends a
+            row where ``value <= edges[f][j]`` does, except for a NaN
+            value, which bins to 0 and which predict_tree routes by
+            ``default_left``.
 
     The best-gain leaf is expanded first; ties fall to the older leaf.
     Thresholds are bin edges, so the tree predicate works on raw bundled
@@ -476,29 +481,31 @@ def build_tree_hist(bin_idx, edges, g, h, w, rows, cfg: BoostConfig, leaf_of=Non
     # nodes are numbered in creation order here and renumbered to pre-order below
     root_rows = np.asarray(rows, dtype=int)
     nodes = [_leaf(leaf_weight(gw[root_rows].sum(), hw[root_rows].sum(), cfg.reg_lambda))]
-    leaves = [(0, root_rows, search([root_rows])[0])]  # (node, rows, best split or None)
+    # (node, rows, best split or None, every row of bin_idx in the leaf)
+    leaves = [(0, root_rows, search([root_rows])[0], np.arange(bin_idx.shape[0]))]
     for n_leaves in range(2, cfg.max_leaves + 1):
-        growable = [i for i, (_, _, split) in enumerate(leaves) if split and split[0] > 0.0]
+        growable = [i for i, (_, _, split, _) in enumerate(leaves) if split and split[0] > 0.0]
         if not growable:
             break
         # max keeps the first, i.e. the earliest-created, of equal gains
         grow = max(growable, key=lambda i: leaves[i][2][0])
-        node, node_rows, (gain, f, j) = leaves.pop(grow)
+        node, node_rows, (gain, f, j), node_all = leaves.pop(grow)
         go_left = bin_idx[node_rows, f] <= j
         parts = [node_rows[go_left], node_rows[~go_left]]
+        all_left = bin_idx[node_all, f] <= j
         default_left = float(hw[parts[0]].sum()) >= float(hw[parts[1]].sum())
         nodes[node][:4] = f, float(edges[f][j]), default_left, gain
         nodes[node][5:] = len(nodes), len(nodes) + 1
         # the children of the last split never grow, so they need no search
         splits = search(parts) if n_leaves < cfg.max_leaves else [None, None]
-        for r, split in zip(parts, splits):
-            leaves.append((len(nodes), r, split))
+        for r, split, every in zip(parts, splits, (node_all[all_left], node_all[~all_left])):
+            leaves.append((len(nodes), r, split, every))
             nodes.append(_leaf(leaf_weight(gw[r].sum(), hw[r].sum(), cfg.reg_lambda)))
 
     tree, rank = _preorder(nodes)
     if leaf_of is not None:
-        for node, r, _ in leaves:
-            leaf_of[r] = rank[node]
+        for node, _, _, every in leaves:
+            leaf_of[every] = rank[node]
     return tree
 
 
@@ -596,17 +603,14 @@ def boost_fit(data, cfg: BoostConfig, kind: str = "exact"):
             rows, row_weights = goss_sample(g, cfg.goss_a, cfg.goss_b, cfg.seed + r + 1)
             w = np.zeros(n_train)
             w[rows] = row_weights
-            leaf_of.fill(-1)  # the rows GOSS left out are routed too
             tree = build_tree_hist(bin_idx, edges, g, h, w, rows, cfg, leaf_of=leaf_of)
         else:
             tree = build_tree_exact(X_train, g, h, cfg, order, leaf_of=leaf_of)
         ens.trees.append(tree)
 
-        leaf_of[nan_rows] = -1
         step = tree.weight[leaf_of]
-        routed = np.flatnonzero(leaf_of < 0)
-        if routed.size:
-            step[routed] = predict_tree(tree, Xb_train[routed])
+        if nan_rows.size:
+            step[nan_rows] = predict_tree(tree, Xb_train[nan_rows])
         # overflow is tolerated for one step; the finiteness check below raises
         with np.errstate(over="ignore", invalid="ignore"):
             pred_train = pred_train + cfg.learning_rate * step

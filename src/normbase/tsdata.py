@@ -5,11 +5,15 @@ single-channel CSVs with a ``timestamp,<channel>`` header, ISO-8601 timestamps
 and one numeric column where an empty cell means missing. Missing stays an
 explicit state end to end; NaN never survives ingestion.
 
-parse_series reads the canonical dialect (``YYYY-MM-DDTHH:MM:SS+HH:MM``, then
-a plain decimal or empty cell), which serialize_series and synthgen write, in
-one vector pass over the file's bytes. Other ISO-8601 forms (``...Z``
-included), and naive timestamps in an IANA zone, go through the row-by-row
-parser instead, at per-row cost, with the same results and errors.
+parse_series_bytes reads a channel file's bytes, and parse_series the same
+file as text. Both read the canonical dialect (``YYYY-MM-DDTHH:MM:SS+HH:MM``,
+then a plain decimal or empty cell), which serialize_series and synthgen
+write, in vector passes over fixed blocks of lines, so a parse holds the
+file's bytes, the per-row arrays and one block's temporaries. Other ISO-8601
+forms (``...Z`` included), and naive timestamps in an IANA zone, go through
+the row-by-row parser instead, at per-row cost, with the same results and
+errors. Lines end at "\\n" or "\\r\\n"; a file holding other line breaks is
+rejoined as ``str.splitlines()`` splits it, so line numbers do not change.
 
 The writer mirrors it: render_stamps renders the timestamp column in NumPy
 (civil dates by the inverse of _days_from_civil; for an IANA zone, datetime
@@ -202,14 +206,28 @@ def _parse_lines(numbered_lines, tz):
     return blank, epochs, values, missing
 
 
-# Characters other than "\n" that str.splitlines() breaks lines at.
-_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# Characters other than "\n" and "\r" that str.splitlines() breaks lines at,
+# UTF-8 encoded, the ASCII ones first.
+_LINE_BREAKS = tuple(c.encode() for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+_ASCII_BREAKS = _LINE_BREAKS[:5]
+# Dropped from the start of a file, as the utf-8-sig codec does; spreadsheet
+# "CSV UTF-8" exports write it.
+_BOM = b"\xef\xbb\xbf"
+# Data lines decoded at a time. A block's temporaries (stamp windows and
+# about a dozen per-line integer arrays) stay near 3 MB, so a large file
+# touches few fresh pages beyond its bytes and its per-row arrays.
+_PARSE_BLOCK = 1 << 14
+# Bytes searched for line feeds at a time, so no mask is as large as the file.
+_FEED_CHUNK = 1 << 20
 
 # Canonical timestamp 'YYYY-MM-DDTHH:MM:SS+HH:MM', then a comma. No byte of
 # the timestamp or of an accepted value cell is a comma, so a row that passes
 # has exactly two fields.
 _STAMP_WIDTH = 26
-_STAMP_DIGITS = np.array([0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18, 20, 21, 23, 24])
+# Its nine two-digit fields: century, year of the century, month, day, hour,
+# minute, second and the offset's hours and minutes, by tens and ones column.
+_STAMP_TENS = np.array([0, 2, 5, 8, 11, 14, 17, 20, 23])
+_STAMP_ONES = _STAMP_TENS + 1
 _STAMP_PUNCT = ((4, "-"), (7, "-"), (10, "T"), (13, ":"), (16, ":"), (22, ":"), (25, ","))
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
@@ -246,17 +264,11 @@ def _canonical_stamps(buf: np.ndarray, starts: np.ndarray):
     if not ok.any():  # e.g. a file of naive timestamps
         return ok, np.zeros(starts.size)
     ts -= np.uint8(ord("0"))  # wraps, so only digits fall below 10
-    ok &= (ts[:, _STAMP_DIGITS] < 10).all(axis=1)
-
-    def number(first, width):
-        out = np.zeros(starts.size, dtype=np.int32)
-        for col in range(first, first + width):
-            out = out * 10 + ts[:, col]
-        return out
-
-    year, month, day = number(0, 4), number(5, 2), number(8, 2)
-    hour, minute, second = number(11, 2), number(14, 2), number(17, 2)
-    off_h, off_m = number(20, 2), number(23, 2)
+    tens, ones = ts[:, _STAMP_TENS], ts[:, _STAMP_ONES]
+    ok &= (tens < 10).all(axis=1) & (ones < 10).all(axis=1)
+    fields = (tens * np.uint8(10) + ones).astype(np.int32).T  # wraps where ok is False
+    year, month, day = fields[0] * 100 + fields[1], fields[2], fields[3]
+    hour, minute, second, off_h, off_m = fields[4:]
     leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
     month_days = _MONTH_DAYS[np.clip(month, 0, 12)] + ((month == 2) & leap)
     ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
@@ -275,12 +287,17 @@ def _cell_values(buf: np.ndarray, first: np.ndarray, width: np.ndarray):
     w = max(int(width.max(initial=0)), 1)
     cells = sliding_window_view(buf, w)[first]
     cells *= np.arange(w) < width[:, None]  # NUL padding, which the bytes dtype drops
-    # NUL is not a number byte, so a cell passes only if all its bytes do
-    numeric = (np.count_nonzero(_NUMBER_BYTES[cells], axis=1) == width) & (width > 0)
+    # NUL is not a number byte, so a cell passes only if all its bytes do;
+    # w is at most _VALUE_WIDTH, so the count fits in uint8
+    numeric = np.take(_NUMBER_BYTES, cells).sum(axis=1, dtype=np.uint8) == width
+    numeric &= width > 0
     values = np.zeros(first.size)
-    rows = np.flatnonzero(numeric)
+    literals = cells.view(f"S{w}")[:, 0]
     try:
-        values[rows] = cells[rows].view(f"S{w}")[:, 0].astype(np.float64)
+        if numeric.all():
+            values = literals.astype(np.float64)
+        else:
+            values[numeric] = literals[numeric].astype(np.float64)
     except ValueError:  # a malformed literal; the per-row path reports it
         numeric[:] = False
     missing = (width == 0) | ~np.isfinite(values)
@@ -288,36 +305,62 @@ def _cell_values(buf: np.ndarray, first: np.ndarray, width: np.ndarray):
     return numeric | (width == 0), values, missing
 
 
-def _parse_rows(text: str, tz):
-    """Parse the lines after the header of ``text``, split at "\\n" only.
+def _line_ends(buf: np.ndarray) -> np.ndarray:
+    """Offsets of the line feeds in ``buf``, then ``buf.size``: where each line ends."""
+    feeds = [np.flatnonzero(buf[lo:lo + _FEED_CHUNK] == ord("\n")) + lo
+             for lo in range(0, buf.size, _FEED_CHUNK)]
+    return np.concatenate(feeds + [np.array([buf.size])])
 
-    Canonical rows are decoded in one vector pass; every other line goes
-    through _parse_lines in line order, so the first malformed line raises
-    exactly as a row-by-row parse would.
 
-    Returns (epochs, values, missing) in line order, blank lines dropped, or
-    None when most lines are not canonical.
+def _line_spans(buf: np.ndarray, ends: np.ndarray, lines: np.ndarray, crlf: bool):
+    """Start and end offsets of the data lines numbered ``lines`` from 0.
+
+    With ``crlf`` a line ends before the "\\r" of its "\\r\\n".
     """
-    raw = text.encode("utf-8", "surrogatepass")
-    size = len(raw)
-    # zero padding lets every line, even the last, be read at full width
-    raw += bytes(_STAMP_WIDTH + _VALUE_WIDTH)
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    starts = np.flatnonzero(buf[:size] == ord("\n")) + 1
-    ends = np.append(starts[1:] - 1, size)
+    starts, stops = ends[lines] + 1, ends[lines + 1]
+    if crlf:
+        stops -= buf[stops - 1] == ord("\r")
+    return starts, stops
 
-    ok, epochs = _canonical_stamps(buf, starts)
-    first = starts + _STAMP_WIDTH
-    width = np.clip(ends - first, 0, None)
-    ok &= width <= _VALUE_WIDTH
-    cells_ok, values, missing = _cell_values(buf, first, np.where(ok, width, 0))
-    ok &= cells_ok
+
+def _parse_rows(data: bytes, ends: np.ndarray, crlf: bool, tz):
+    """Parse the data lines of ``data``, the lines after the header.
+
+    Canonical rows are decoded in vector passes over blocks of _PARSE_BLOCK
+    lines, each reading a view of its own bytes; only a block whose windows
+    run past the end of the data reads a zero-padded copy. The lines those
+    passes reject, gathered over all blocks, go through _parse_lines in line
+    order, so the first malformed line raises exactly as a row-by-row parse
+    would.
+
+    Returns (epochs, values, missing) in line order, blank lines dropped.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    n = ends.size - 1
+    epochs, values = np.empty(n), np.empty(n)
+    missing, ok = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    for lo in range(0, n, _PARSE_BLOCK):
+        block = slice(lo, min(lo + _PARSE_BLOCK, n))
+        starts, stops = _line_spans(buf, ends, np.arange(block.start, block.stop), crlf)
+        # every line is read at full width, the stamp and the widest cell
+        head, tail = starts[0], starts[-1] + _STAMP_WIDTH + _VALUE_WIDTH
+        window = buf[head:tail]
+        if tail > buf.size:
+            window = np.zeros(tail - head, dtype=np.uint8)
+            window[:buf.size - head] = buf[head:]
+        starts -= head
+        stamps_ok, epochs[block] = _canonical_stamps(window, starts)
+        first = starts + _STAMP_WIDTH
+        width = np.clip(stops - head - first, 0, None)
+        stamps_ok &= width <= _VALUE_WIDTH
+        cells_ok, values[block], missing[block] = _cell_values(
+            window, first, np.where(stamps_ok, width, 0))
+        ok[block] = stamps_ok & cells_ok
 
     fallback = np.flatnonzero(~ok)
-    if 2 * fallback.size > starts.size:
-        return None
-    bounds = zip(starts[fallback].tolist(), ends[fallback].tolist())
-    texts = (raw[a:b].decode("utf-8", "surrogatepass") for a, b in bounds)
+    starts, stops = _line_spans(buf, ends, fallback, crlf)
+    texts = (data[a:b].decode("utf-8", "surrogatepass")
+             for a, b in zip(starts.tolist(), stops.tolist()))
     blank, e, v, m = _parse_lines(zip((fallback + 2).tolist(), texts), tz)
     at = fallback[~np.isin(fallback + 2, blank)]
     ok[at] = True
@@ -340,35 +383,28 @@ def _finite_mean(x: np.ndarray) -> float:
     return float(np.mean(x / scale) * scale)
 
 
-def parse_series(text: str, schema: SeriesSchema) -> RawSeries:
-    """Parse one channel CSV into a RawSeries.
+def parse_series_bytes(data: bytes, schema: SeriesSchema) -> RawSeries:
+    """Parse one channel file's UTF-8 bytes into a RawSeries.
 
-    Rows are sorted by timestamp; duplicate timestamps collapse to the mean of
-    their present values (counted on the result). Empty, 'nan' or infinite
-    value cells become explicit missing entries.
-
-    Rows in the canonical dialect that ``serialize_series`` and
-    ``synthgen.write_dataset`` write (``YYYY-MM-DDTHH:MM:SS+HH:MM``, a comma,
-    a plain decimal or empty value) are parsed in one vector pass. Other
-    ISO-8601 forms (``...Z`` included), and naive timestamps (read in the
-    schema zone, the earlier instant where an IANA zone repeats an hour), are
-    accepted at per-row cost.
-
-    Args:
-        text: full CSV text including the ``timestamp,<channel>`` header.
-        schema: declared channel/unit/timezone/cadence.
-
-    Raises:
-        EmptyInputError: no data rows.
-        ParseError: malformed row, with its line number.
-        SchemaError: header channel mismatch, or observed cadence inconsistent
-            with the declared interval.
+    This is parse_series for a file read as bytes, with the same results and
+    errors as for the decoded text, and it holds no decoded copy of the
+    file. One leading byte-order mark is dropped. Lines end at "\\n" or
+    "\\r\\n"; a file with any other line break that ``str.splitlines()``
+    knows (a lone "\\r", "\\x0b", "\\x85", ...) is decoded and rejoined at
+    those breaks first, so that line numbers count them.
     """
-    if not text:
+    base = len(_BOM) if data.startswith(_BOM) else 0
+    if len(data) == base:
         raise EmptyInputError(f"{schema.channel}: input is empty")
-    if any(c in text for c in _LINE_BREAKS):  # number lines as splitlines() does
-        text = "\n".join(text.splitlines())
-    head = text.partition("\n")[0]
+    crlf = b"\r" in data
+    breaks = _ASCII_BREAKS if data.isascii() else _LINE_BREAKS
+    if any(b in data for b in breaks) or (crlf and data.count(b"\r") != data.count(b"\r\n")):
+        text = data[base:].decode("utf-8", "surrogatepass")
+        data, base, crlf = "\n".join(text.splitlines()).encode("utf-8", "surrogatepass"), 0, False
+    ends = _line_ends(np.frombuffer(data, dtype=np.uint8))
+    head = data[base:ends[0]].decode("utf-8", "surrogatepass")
+    if crlf:
+        head = head.removesuffix("\r")
 
     header = [h.strip() for h in head.split(",")]
     if len(header) != 2 or header[0] != "timestamp":
@@ -378,20 +414,19 @@ def parse_series(text: str, schema: SeriesSchema) -> RawSeries:
             f"file carries channel {header[1]!r}, schema declares {schema.channel!r}"
         )
 
-    tz = resolve_timezone(schema.timezone)
-    rows = _parse_rows(text, tz)
-    if rows is None:  # mostly other forms, for which the row loop alone is cheaper
-        _, e, v, m = _parse_lines(enumerate(text.split("\n")[1:], start=2), tz)
-        rows = np.array(e), np.array(v), np.array(m, dtype=bool)
-    e, v, m = rows
+    e, v, m = _parse_rows(data, ends, crlf, resolve_timezone(schema.timezone))
     if not e.size:
         raise EmptyInputError(f"{schema.channel}: no data rows")
 
-    order = np.argsort(e, kind="stable")
-    e, v, m = e[order], v[order], m[order]
+    # one diff serves the order check, the duplicate check and the spacing
+    steps = np.diff(e)
+    if not np.all(steps > 0):
+        order = np.argsort(e, kind="stable")
+        e, v, m = e[order], v[order], m[order]
+        steps = np.diff(e)
 
     dupes = 0
-    if e.size > 1 and np.any(np.diff(e) == 0):
+    if np.any(steps == 0):
         # Collapse runs of equal timestamps to the mean of present values.
         uniq, start, counts = np.unique(e, return_index=True, return_counts=True)
         # a lone row keeps its value; + 0.0 turns -0.0 into 0.0, as np.mean does
@@ -403,9 +438,10 @@ def parse_series(text: str, schema: SeriesSchema) -> RawSeries:
             out_v[i] = 0.0 if out_m[i] else _finite_mean(v[seg][present])
         dupes = int(e.size - uniq.size)
         e, v, m = uniq, out_v, out_m
+        steps = np.diff(e)
 
     if e.size >= 3:
-        spacing = float(np.median(np.diff(e)))
+        spacing = float(np.median(steps))
         if abs(spacing - schema.interval_seconds) > CADENCE_TOLERANCE * schema.interval_seconds:
             raise SchemaError(
                 f"{schema.channel}: median spacing {spacing:.1f}s inconsistent "
@@ -422,6 +458,39 @@ def parse_series(text: str, schema: SeriesSchema) -> RawSeries:
         missing=m,
         duplicates_collapsed=dupes,
     )
+
+
+def parse_series(text: str, schema: SeriesSchema) -> RawSeries:
+    """Parse one channel CSV into a RawSeries.
+
+    Rows are sorted by timestamp; duplicate timestamps collapse to the mean of
+    their present values (counted on the result). Empty, 'nan' or infinite
+    value cells become explicit missing entries. A leading byte-order mark
+    ("\\ufeff") is dropped.
+
+    Rows in the canonical dialect that ``serialize_series`` and
+    ``synthgen.write_dataset`` write (``YYYY-MM-DDTHH:MM:SS+HH:MM``, a comma,
+    a plain decimal or empty value) are parsed in vector passes, also when
+    lines end in "\\r\\n". Other ISO-8601 forms (``...Z`` included), and
+    naive timestamps (read in the schema zone, the earlier instant where an
+    IANA zone repeats an hour), are accepted at per-row cost. Lines are
+    numbered as ``text.splitlines()`` numbers them.
+
+    The text is encoded to UTF-8 (lone surrogates kept) and parsed by
+    parse_series_bytes, which a caller holding the file's bytes calls
+    directly.
+
+    Args:
+        text: full CSV text including the ``timestamp,<channel>`` header.
+        schema: declared channel/unit/timezone/cadence.
+
+    Raises:
+        EmptyInputError: no data rows.
+        ParseError: malformed row, with its line number.
+        SchemaError: header channel mismatch, or observed cadence inconsistent
+            with the declared interval.
+    """
+    return parse_series_bytes(text.encode("utf-8", "surrogatepass"), schema)
 
 
 # Rendering the canonical dialect: a stamp row with its trailing comma and a

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from normbase import cli, nnmodels, synthgen
-from normbase.errors import ConfigError, ParseError
+from normbase.errors import ConfigError, DataError, ParseError
 from normbase.features import Scaler, apply_scaler, build_features
 from normbase.normalize import MODEL_KINDS
 from normbase.savefile import from_json
@@ -391,6 +391,39 @@ class TestIngestPool:
         assert table.n_excluded > 0  # the long blank run in rh_pct
         assert bits[0] == bits[1] == bits[2]
 
+    def test_byte_order_marks_and_crlf_give_the_same_table(self, data_dir, tmp_path, cpus):
+        doc = run_config(data_dir)
+        for ch in ("kwh", "rh_pct", "solar_wm2"):
+            raw = (data_dir / f"{ch}.csv").read_bytes()
+            if ch != "solar_wm2":
+                raw = b"\xef\xbb\xbf" + raw  # as spreadsheet "CSV UTF-8" exports start
+            if ch != "rh_pct":
+                raw = raw.replace(b"\n", b"\r\n")
+            (tmp_path / f"{ch}.csv").write_bytes(raw)
+            doc["inputs"][ch] = str(tmp_path / f"{ch}.csv")
+        cpus(1)
+        plain = cli.load_run_settings(write_config(tmp_path / "plain.json", run_config(data_dir)))
+        marked = cli.load_run_settings(write_config(tmp_path / "marked.json", doc))
+        assert table_bits(cli._ingest(marked)) == table_bits(cli._ingest(plain))
+
+    @pytest.mark.parametrize("damage", ["surrogate", "truncated", "after_bom"])
+    def test_first_bad_utf8_byte_is_reported(self, data_dir, tmp_path, damage):
+        raw = (data_dir / "kwh.csv").read_bytes()
+        at = raw.index(b"\n") + 5
+        if damage == "surrogate":  # U+D800 encoded, which surrogatepass would accept
+            raw = raw[:at] + b"\xed\xa0\x80" + raw[at:]
+        elif damage == "truncated":  # a three-byte sequence cut off at the end
+            raw, at = raw + b"\xe2\x82", len(raw)
+        else:
+            raw, at = b"\xef\xbb\xbf" + raw[:at] + b"\xff" + raw[at:], at + 3
+        (tmp_path / "kwh.csv").write_bytes(raw)
+        doc = run_config(data_dir)
+        doc["inputs"]["kwh"] = str(tmp_path / "kwh.csv")
+        settings = cli.load_run_settings(write_config(tmp_path / "c.json", doc))
+        want = f"^input file for 'kwh' is not UTF-8: bad byte at offset {at}$"
+        with pytest.raises(DataError, match=want):
+            cli._ingest_channel("kwh", settings)
+
     def test_first_failing_channel_in_order_raises(self, data_dir, tmp_path, cpus, pools,
                                                    monkeypatch):
         lines = (data_dir / "kwh.csv").read_text().splitlines()
@@ -400,14 +433,14 @@ class TestIngestPool:
         doc = run_config(data_dir)
         doc["inputs"].update(kwh=str(tmp_path / "kwh.csv"), drybulb_c=str(tmp_path / "drybulb_c.csv"))
         settings = cli.load_run_settings(write_config(tmp_path / "c.json", doc))
-        parse = cli.parse_series
+        parse = cli.parse_series_bytes
 
-        def slow_energy(text, schema):
+        def slow_energy(data, schema):
             if schema.channel == "kwh":
                 time.sleep(0.5)  # so the later channel fails first
-            return parse(text, schema)
+            return parse(data, schema)
 
-        monkeypatch.setattr(cli, "parse_series", slow_energy)
+        monkeypatch.setattr(cli, "parse_series_bytes", slow_energy)
         for n in (1, 2):
             cpus(n)
             want = f"^{re.escape(str(tmp_path / 'kwh.csv'))}: line 3: unparseable value 'not-a-number'$"

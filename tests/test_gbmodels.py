@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pickle
@@ -374,6 +375,58 @@ class TestGoss:
             gb.goss_sample(g, 0.8, 0.3, seed=0)
         with pytest.raises(DataError):
             gb.goss_sample(np.empty(0), 0.2, 0.1, seed=0)
+
+
+class TestGossRowsPlacedByBins:
+    """The rows GOSS leaves out of a histogram round get their leaf from the
+    builder's bin partition, so boost_fit sends only NaN rows and the
+    validation split through predict_tree."""
+
+    N_TRAIN = 240
+
+    @staticmethod
+    def problem(nan: bool):
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(300, 4))
+        X[:, 3] = np.round(X[:, 3])  # ties, so rows share bins and edges
+        y = X @ np.array([1.5, -2.0, 0.5, 1.0]) + rng.normal(scale=0.2, size=300)
+        if nan:
+            X[rng.random(300) < 0.05, 1] = np.nan
+        cfg = gb.BoostConfig(rounds=25, learning_rate=0.3, goss_a=0.2, goss_b=0.1,
+                             validation_fraction=0.2, early_stop_rounds=25, seed=4)
+        return X, y, cfg
+
+    def test_predict_tree_scores_only_the_validation_rows(self, monkeypatch):
+        X, y, cfg = self.problem(nan=False)
+        calls = []
+        predict = gb.predict_tree
+
+        def counting(tree, rows):
+            calls.append(len(rows))
+            return predict(tree, rows)
+
+        monkeypatch.setattr(gb, "predict_tree", counting)
+        _, trace = gb.boost_fit((X, y), cfg, kind="histogram")
+        assert calls == [300 - self.N_TRAIN] * trace.n_rounds
+
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_ensemble_equals_routing_every_row(self, monkeypatch, nan):
+        X, y, cfg = self.problem(nan)
+        binned = to_json(gb.ensemble_to_dict(gb.boost_fit((X, y), cfg, "histogram")[0]))
+        X_train = X[:self.N_TRAIN]
+        Xb = gb.apply_bundles(X_train, gb.efb_bundle(X_train, cfg.efb_max_conflict))
+        build = gb.build_tree_hist
+
+        def routed(bin_idx, edges, g, h, w, rows, cfg, leaf_of=None):
+            tree = build(bin_idx, edges, g, h, w, rows, cfg, leaf_of=leaf_of)
+            # every row's leaf as predict_tree finds it: route node numbers
+            numbered = dataclasses.replace(tree, weight=np.arange(tree.weight.size, dtype=float))
+            leaf_of[:] = gb.predict_tree(numbered, Xb).astype(np.intp)
+            return tree
+
+        monkeypatch.setattr(gb, "build_tree_hist", routed)
+        oracle = to_json(gb.ensemble_to_dict(gb.boost_fit((X, y), cfg, "histogram")[0]))
+        assert binned == oracle
 
 
 class TestEfb:

@@ -4,12 +4,16 @@
 verbatim as the oracle except for one fix both share: duplicate rows whose
 values overflow np.mean's sum collapse to their mean, not to inf. For every
 drawn CSV text the two must return bit-identical series, or raise the same
-exception with the same message and line number.
+exception with the same message and line number. That holds also with
+the parse's blocks cut down to a few lines, and ``parse_series_bytes`` must
+agree with ``parse_series`` on the encoded text.
 """
 
 import logging
 import math
+import tracemalloc
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -272,25 +276,25 @@ def test_matches_row_by_row_parser(drawn):
     assert_parsed_alike(text, zone)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "\n",
-        "\r",
-        "timestamp,kwh",
-        "timestamp,kwh\r\n",
-        "timestamp,kwh\r2020-01-01T00:00:00Z,1\r2020-01-01T01:00:00Z,2\r",
-        "timestamp,kwh\n2020-01-01T00:00:00Z,1\r\r\n2020-01-01T01:00:00Z,2\n",
-        "timestamp,kwh\x0b2020-01-01T00:00:00Z,1\x852020-01-01T01:00:00Z,bad\n",
-        "timestamp,kwh\n2020-01-01T00:00:00Z,1 2020-01-01T01:00:00Z,2,3\n",
-        "timestamp , kwh \n2020-01-01T00:00:00Z,1\n",
-        "timestamp,kwh,x\n2020-01-01T00:00:00Z,1\n",
-        "timestamp,kwh\n2020-01-01T00:00:00Z,1\x1f\n2020-01-01T00:00:00Z,\x1f\n",
-        "timestamp,kwh\n2020-01-01T00:00:00Z,\ud800\n",
-        "timestamp,kwh\n2020-01-01T00:00:00Z,1\n" * 2,
-    ],
-)
+LINE_BREAK_TEXTS = [
+    "",
+    "\n",
+    "\r",
+    "timestamp,kwh",
+    "timestamp,kwh\r\n",
+    "timestamp,kwh\r2020-01-01T00:00:00Z,1\r2020-01-01T01:00:00Z,2\r",
+    "timestamp,kwh\n2020-01-01T00:00:00Z,1\r\r\n2020-01-01T01:00:00Z,2\n",
+    "timestamp,kwh\x0b2020-01-01T00:00:00Z,1\x852020-01-01T01:00:00Z,bad\n",
+    "timestamp,kwh\n2020-01-01T00:00:00Z,1 2020-01-01T01:00:00Z,2,3\n",
+    "timestamp , kwh \n2020-01-01T00:00:00Z,1\n",
+    "timestamp,kwh,x\n2020-01-01T00:00:00Z,1\n",
+    "timestamp,kwh\n2020-01-01T00:00:00Z,1\x1f\n2020-01-01T00:00:00Z,\x1f\n",
+    "timestamp,kwh\n2020-01-01T00:00:00Z,\ud800\n",
+    "timestamp,kwh\n2020-01-01T00:00:00Z,1\n" * 2,
+]
+
+
+@pytest.mark.parametrize("text", LINE_BREAK_TEXTS)
 def test_line_breaks_and_headers_match_row_by_row_parser(text):
     assert_parsed_alike(text)
 
@@ -348,3 +352,122 @@ def test_naive_file_parses_row_by_row(monkeypatch):
     per_row = spy_on_row_parser(monkeypatch)
     assert_parsed_alike(text, "America/New_York")
     assert per_row == [f"{w},{i}" for i, w in enumerate(walls)] + [""]
+
+
+# -- the blockwise bytes core ------------------------------------------------
+
+
+SCHEMA_5MIN = SeriesSchema("kwh", "kWh", "America/New_York", 300)
+
+
+def parse_bytes(text, schema):
+    return tsdata.parse_series_bytes(text.encode("utf-8", "surrogatepass"), schema)
+
+
+def canonical_lines(n, start=datetime(2020, 1, 1, tzinfo=timezone.utc)):
+    return [f"{(start + timedelta(hours=i)).isoformat()},{i * 0.5}" for i in range(n)]
+
+
+def with_rows(rows, at):
+    """Twelve canonical rows, with ``rows`` put in place of data lines ``at``
+    (numbered from 0), which sit on a block edge for blocks of 1, 2 and 5."""
+    lines = canonical_lines(12)
+    lines[at:at + len(rows)] = rows
+    return "timestamp,kwh\n" + "\n".join(lines) + "\n"
+
+
+BLOCK_EDGE_TEXTS = [
+    pytest.param(with_rows(["2020-01-01T04:00:00Z,2", "2020-01-01T05:00:00Z,2.5"], 4),
+                 id="zulu_rows"),
+    pytest.param(with_rows(["2020-01-01T04:00:00+00:00,1e", "2020-01-01T05:00:00+00:00,x"], 4),
+                 id="bad_values"),
+    pytest.param(with_rows(["2020-01-01T04:00:00+00:00,1", "2020-01-01T05:00:00+00:00,2,3"], 4),
+                 id="three_fields"),
+    pytest.param(with_rows(["", "2020-01-01T05:00:00+00:00,2.5"], 4), id="blank_line"),
+    pytest.param(with_rows(["2020-01-01T04:00:00+00:00,1e", "2020-01-01T05:00:00+00:00,3"], 4),
+                 id="bad_then_canonical"),
+    # the last line has no "\n" and is shorter than a stamp and a cell
+    pytest.param("timestamp,kwh\n" + "\n".join(canonical_lines(6)), id="last_row"),
+    pytest.param("timestamp,kwh\r\n" + "\r\n".join(canonical_lines(6)), id="last_row_crlf"),
+    pytest.param("timestamp,kwh\n" + "\n".join(canonical_lines(6) + ["2020-01-01T06:00:00+00:00,"]),
+                 id="last_cell_empty"),
+    pytest.param("timestamp,kwh\n" + "\n".join(canonical_lines(6) + ["2020-01-01T06:00:00+00:0"]),
+                 id="last_stamp_cut"),
+    pytest.param("timestamp,kwh\n" + "\n".join(canonical_lines(6) + [" "]), id="last_line_blank"),
+    pytest.param("timestamp,kwh\n" + "\n".join(canonical_lines(6) + ["2"]), id="last_line_short"),
+]
+
+
+@settings(deadline=None, max_examples=300)
+@given(csv_texts(), st.sampled_from([1, 2, 5]))
+def test_small_blocks_match_row_by_row_parser(drawn, block):
+    zone, text = drawn
+    with mock.patch.object(tsdata, "_PARSE_BLOCK", block):
+        assert_parsed_alike(text, zone)
+
+
+@pytest.mark.parametrize("text", LINE_BREAK_TEXTS + BLOCK_EDGE_TEXTS)
+@pytest.mark.parametrize("block", [1, 2, 5, tsdata._PARSE_BLOCK])
+def test_fixed_texts_in_small_blocks_match_row_by_row_parser(text, block):
+    with mock.patch.object(tsdata, "_PARSE_BLOCK", block):
+        assert_parsed_alike(text)
+
+
+@settings(deadline=None, max_examples=300)
+@given(csv_texts())
+def test_bytes_entry_matches_text_entry(drawn):
+    zone, text = drawn
+    schema = SeriesSchema("kwh", "kWh", zone, 3600)
+    want = outcome(tsdata.parse_series, text, schema)
+    assert outcome(parse_bytes, text, schema) == want
+
+
+@settings(deadline=None, max_examples=100)
+@given(csv_texts())
+def test_leading_byte_order_mark_is_dropped(drawn):
+    zone, text = drawn
+    schema = SeriesSchema("kwh", "kWh", zone, 3600)
+    want = outcome(tsdata.parse_series, text, schema)
+    assert outcome(tsdata.parse_series, "\ufeff" + text, schema) == want
+    assert outcome(parse_bytes, "\ufeff" + text, schema) == want
+
+
+def test_only_one_byte_order_mark_is_dropped():
+    with pytest.raises(ParseError) as e:
+        tsdata.parse_series("\ufeff\ufefftimestamp,kwh\n2020-01-01T00:00:00Z,1\n", SCHEMA_5MIN)
+    assert "got '\\ufefftimestamp,kwh'" in str(e.value)
+
+
+def five_minute_channel(days: int) -> str:
+    """A canonical 5-minute channel over the spring DST change, a few cells empty."""
+    start = datetime(2020, 3, 1, tzinfo=timezone.utc).timestamp()
+    epochs = start + 300.0 * np.arange(days * 288)
+    values = np.round(np.random.default_rng(5).normal(40.0, 9.0, epochs.size), 3)
+    missing = np.zeros(epochs.size, dtype=bool)
+    missing[::997] = True
+    series = RawSeries("kwh", "kWh", 300, "America/New_York", epochs, values, missing)
+    return tsdata.serialize_series(series)
+
+
+def test_crlf_channel_stays_on_the_vector_path(monkeypatch):
+    text = five_minute_channel(60)  # 17,280 rows, more than one block
+    want = outcome(tsdata.parse_series, text, SCHEMA_5MIN)
+    per_row = spy_on_row_parser(monkeypatch)
+    crlf = text.replace("\n", "\r\n")
+    assert outcome(parse_bytes, crlf, SCHEMA_5MIN) == want
+    assert outcome(tsdata.parse_series, crlf, SCHEMA_5MIN) == want
+    assert per_row == ["", ""]  # only the empty line after each final "\r\n"
+
+
+def test_parse_memory_is_the_file_and_the_row_arrays(tmp_path):
+    path = tmp_path / "kwh.csv"
+    path.write_text(five_minute_channel(1050))  # 302,400 rows
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        series = tsdata.parse_series_bytes(path.read_bytes(), SCHEMA_5MIN)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(series) == 302_400
+    assert peak < size + 100 * len(series)
