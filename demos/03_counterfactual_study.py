@@ -50,25 +50,25 @@ def main():
         test=(date(2019, 1, 1), date(2019, 12, 31)),
         study=(cfg.study_start, cfg.study_end),
     )
-    report = normalize.run_pipeline(daily_table(ds), periods, seed=5)
+    report = normalize.run_pipeline(daily_table(ds), periods, seed=5).report
 
     print("[2] held-out KPIs; only gate passers join the ensemble:\n")
     print(kpi_table({name: m.kpis for name, m in report.models.items()}))
     print(f"\n    ensemble members: {', '.join(report.models_used)}")
 
     # -- 3. deviation metrics ------------------------------------------------
-    dlr = np.asarray(report.dlr["ensemble"], dtype=float)
+    dlr = np.asarray(report.study.dlr["ensemble"], dtype=float)
     dlr = dlr[np.isfinite(dlr)]
     print(f"[3] daily load ratio over the study: mean {dlr.mean():.3f} "
           f"(1.0 would mean no deviation)")
-    print(f"    cumulative reduction: {report.reduction_kwh:,.0f} kWh "
-          f"= {report.reduction_fraction:.1%} of predicted consumption")
+    print(f"    cumulative reduction: {report.totals.reduction_kwh:,.0f} kWh "
+          f"= {report.totals.reduction_fraction:.1%} of predicted consumption")
     print(f"    share of a reference year's consumption: "
-          f"{report.annual_share:.1%}")
+          f"{report.totals.annual_share:.1%}")
 
     # -- 4. estimate vs. planted truth ---------------------------------------
-    err = report.reduction_fraction - ds.reduction_fraction
-    print(f"[4] estimate {report.reduction_fraction:.1%} vs planted "
+    err = report.totals.reduction_fraction - ds.reduction_fraction
+    print(f"[4] estimate {report.totals.reduction_fraction:.1%} vs planted "
           f"{ds.reduction_fraction:.1%} -> error {err:+.2%}")
 
     print(

@@ -9,8 +9,8 @@ Typical library use:
     from normbase import tsdata, features, normalize
 
     table = tsdata.align(energy_daily, weather_daily)
-    report = normalize.run_pipeline(table, normalize.PeriodSpec(train, test, study))
-    print(report.reduction_fraction)
+    run = normalize.run_pipeline(table, normalize.PeriodSpec(train, test, study))
+    print(run.report.totals.reduction_fraction)
 """
 
 from .errors import (

@@ -8,7 +8,8 @@ evaluate   score models on the held-out test range and print the KPI table;
 
 Config files and saved model files (a SavedModel envelope each) are read
 with savefile.from_json against the dataclass annotations, and a value that
-does not fit is a ConfigError naming its key.
+does not fit is a ConfigError naming its key. report.json is a
+normalize.Report written with savefile.to_json.
 
 Exit codes: 0 success, 2 configuration problem (a bad config or model
 file), 3 no model passed the acceptance gate (the report's
@@ -147,6 +148,23 @@ def load_run_settings(path: Path) -> RunSettings:
 # ingestion shared by normalize and evaluate
 
 
+_UTF8_CHUNK = 1 << 20  # bytes of a channel file decoded at a time to check it
+
+
+def _first_bad_utf8(data: bytes) -> Optional[int]:
+    """Offset of the first byte of ``data`` that is not UTF-8, or None. Each
+    piece decoded ends after a line feed, which no multi-byte character holds."""
+    start = 0
+    while start < len(data):
+        end = data.find(b"\n", start + _UTF8_CHUNK) + 1 or len(data)
+        try:
+            data[start:end].decode("utf-8")
+        except UnicodeDecodeError as e:
+            return start + e.start
+        start = end
+    return None
+
+
 def _ingest_channel(ch: str, settings: RunSettings):
     """Read, parse, gap-fill and daily-resample one channel in a pool worker.
 
@@ -154,12 +172,11 @@ def _ingest_channel(ch: str, settings: RunSettings):
     collapsed, gaps filled, gaps left unfilled."""
     try:
         data = settings.inputs[ch].read_bytes()
-        if not data.isascii():
-            data.decode("utf-8")  # only to find the first byte that is not UTF-8
     except OSError as e:
         raise ConfigError(f"cannot read input file for '{ch}': {e}")
-    except UnicodeDecodeError as e:
-        raise DataError(f"input file for '{ch}' is not UTF-8: bad byte at offset {e.start}")
+    bad = None if data.isascii() else _first_bad_utf8(data)
+    if bad is not None:
+        raise DataError(f"input file for '{ch}' is not UTF-8: bad byte at offset {bad}")
     schema = SeriesSchema(ch, CHANNEL_UNITS[ch], settings.timezone, settings.interval_seconds)
     try:
         series = parse_series_bytes(data, schema)
@@ -196,12 +213,14 @@ def _fmt_cell(v: Optional[float]) -> str:
 
 
 def _gate_cell(kpis) -> str:
-    if kpis.gate is None:
+    gate = kpis.gate
+    if gate is None:
         return "n/a (window too short for monthly KPIs)"
-    if kpis.gate.passed:
+    if gate.passed:
         return "PASS"
-    failed = [k for k, ok in kpis.gate.as_dict().items() if k != "passed" and not ok]
-    return "FAIL(" + ",".join(name.removesuffix("_ok") for name in failed) + ")"
+    checks = {"monthly_cv": gate.monthly_cv_ok, "daily_cv": gate.daily_cv_ok,
+              "monthly_nmbe": gate.monthly_nmbe_ok, "daily_nmbe": gate.daily_nmbe_ok}
+    return "FAIL(" + ",".join(name for name, ok in checks.items() if not ok) + ")"
 
 
 def kpi_table(models: dict) -> str:
@@ -230,11 +249,12 @@ def _csv_num(v) -> str:
     return repr(float(v)) if np.isfinite(v) else ""
 
 
-def _write_daily_csv(path: Path, report):
+def _write_daily_csv(path: Path, run):
+    study = run.report.study
     # Cumulative curves run over the study days the ensemble covers.
-    cover = ~np.isnan(report.ensemble_study)
+    cover = ~np.isnan(study.ensemble_predicted_kwh)
     cumulative = []
-    for curve in (report.cumulative_actual, report.cumulative_predicted):
+    for curve in (run.report.cumulative.actual_kwh, run.report.cumulative.predicted_kwh):
         column = np.full(cover.size, np.nan)
         column[cover] = curve
         cumulative.append(column)
@@ -242,24 +262,25 @@ def _write_daily_csv(path: Path, report):
     header = (
         ["date", "actual_kwh", "predicted_ensemble_kwh", "dlr_ensemble",
          "cumulative_actual_kwh", "cumulative_predicted_kwh"]
-        + [f"predicted_{name}_kwh" for name in report.models]
+        + [f"predicted_{name}_kwh" for name in run.preds]
     )
     columns = (
-        [report.study_actual, report.ensemble_study, report.dlr["ensemble"], *cumulative]
-        + [m.pred[report.study_mask] for m in report.models.values()]
+        [study.actual_kwh, study.ensemble_predicted_kwh, study.dlr["ensemble"], *cumulative]
+        + [pred[run.study_mask] for pred in run.preds.values()]
     )
     rows = [",".join(header)]
-    for d, *values in zip(report.study_dates, *columns):
+    for d, *values in zip(study.dates, *columns):
         rows.append(",".join([d.isoformat()] + [_csv_num(v) for v in values]))
     path.write_text("\n".join(rows) + "\n")
 
 
-def _write_monthly_csv(path: Path, report):
+def _write_monthly_csv(path: Path, run):
     header = "month,actual_kwh,predicted_kwh,reduction_kwh"
-    cover = ~np.isnan(report.ensemble_study)
+    study = run.report.study
+    cover = ~np.isnan(study.ensemble_predicted_kwh)
     try:
-        dates = [d for d, c in zip(report.study_dates, cover) if c]
-        roll = monthly_rollup(dates, report.study_actual[cover], report.ensemble_study[cover])
+        dates = [d for d, c in zip(study.dates, cover) if c]
+        roll = monthly_rollup(dates, study.actual_kwh[cover], study.ensemble_predicted_kwh[cover])
     except DataError:
         path.write_text(header + "\n")
         return
@@ -269,27 +290,24 @@ def _write_monthly_csv(path: Path, report):
     path.write_text("\n".join(rows) + "\n")
 
 
-def _write_plots(plots_dir: Path, report):
+def _write_plots(plots_dir: Path, run):
     plots_dir.mkdir(parents=True, exist_ok=True)
 
     # Held-out overlay over the test days that at least one model predicts.
-    unpredicted = np.isnan([m.pred for m in report.models.values()]).all(axis=0)
-    rows = report.test_mask & ~unpredicted
+    unpredicted = np.isnan(list(run.preds.values())).all(axis=0)
+    rows = run.test_mask & ~unpredicted
     if rows.any():
         (plots_dir / "test_overlay.svg").write_text(overlay_chart(
-            [d for d, r in zip(report.dates, rows) if r],
-            report.actual[rows],
-            {name: m.pred[rows] for name, m in report.models.items()},
+            [d for d, r in zip(run.dates, rows) if r],
+            run.actual[rows],
+            {name: pred[rows] for name, pred in run.preds.items()},
         ))
-    if report.study_dates:
-        (plots_dir / "dlr.svg").write_text(
-            dlr_chart(report.study_dates, report.dlr["ensemble"])
-        )
-    if report.cumulative_dates:
+    study, cum = run.report.study, run.report.cumulative
+    if study.dates:
+        (plots_dir / "dlr.svg").write_text(dlr_chart(study.dates, study.dlr["ensemble"]))
+    if cum.dates:
         (plots_dir / "cumulative.svg").write_text(
-            cumulative_chart(
-                report.cumulative_dates, report.cumulative_actual, report.cumulative_predicted
-            )
+            cumulative_chart(cum.dates, cum.actual_kwh, cum.predicted_kwh)
         )
 
 
@@ -308,31 +326,31 @@ class SavedModel:
     payload: dict
 
 
-def _save_models(models_dir: Path, report, settings: RunSettings):
+def _save_models(models_dir: Path, run, settings: RunSettings):
     models_dir.mkdir(parents=True, exist_ok=True)
-    for name, outcome in report.models.items():
+    for name, fitted in run.fitted.items():
         saved = SavedModel(
             kind=name,
-            feature_names=list(report.feature_names),
-            feature_scaler=report.feature_scaler,
+            feature_names=list(run.report.feature_names),
+            feature_scaler=run.feature_scaler,
             lookback_days=settings.features.lookback_days,
-            payload=MODEL_KINDS[name].to_dict(outcome.fitted),
+            payload=MODEL_KINDS[name].to_dict(fitted),
         )
         (models_dir / f"{name}.json").write_text(
             json.dumps(to_json(saved), sort_keys=True) + "\n"
         )
 
 
-def _write_artifacts(outdir: Path, report, settings: RunSettings):
+def _write_artifacts(outdir: Path, run, settings: RunSettings):
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.json").write_text(
-        json.dumps(report.as_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        json.dumps(to_json(run.report), indent=2, sort_keys=True, allow_nan=False) + "\n"
     )
-    _write_daily_csv(outdir / "daily.csv", report)
-    _write_monthly_csv(outdir / "monthly.csv", report)
-    _write_plots(outdir / "plots", report)
+    _write_daily_csv(outdir / "daily.csv", run)
+    _write_monthly_csv(outdir / "monthly.csv", run)
+    _write_plots(outdir / "plots", run)
     if settings.save_models:
-        _save_models(outdir / "models", report, settings)
+        _save_models(outdir / "models", run, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -398,18 +416,19 @@ def cmd_normalize(args) -> int:
     table = _ingest(settings)
     log.info("aligned table: %d days, %d excluded", len(table), table.n_excluded)
 
-    report = _run(settings, table)
-    _write_artifacts(settings.output_dir, report, settings)
+    run = _run(settings, table)
+    _write_artifacts(settings.output_dir, run, settings)
 
+    report = run.report
     print(kpi_table({n: m.kpis for n, m in report.models.items()}))
-    if report.no_valid_baseline:
+    if report.flags.no_valid_baseline:
         print("\nno valid baseline: no model passed the acceptance gate")
         print(f"artifacts written to {settings.output_dir}")
         return 3
     print(f"\nmodels used: {', '.join(report.models_used)}")
-    print(f"reduction_kwh:      {report.reduction_kwh:.1f}")
-    print(f"reduction_fraction: {report.reduction_fraction:.4f}")
-    print(f"annual_share:       {report.annual_share:.4f}")
+    print(f"reduction_kwh:      {report.totals.reduction_kwh:.1f}")
+    print(f"reduction_fraction: {report.totals.reduction_fraction:.4f}")
+    print(f"annual_share:       {report.totals.annual_share:.4f}")
     print(f"artifacts written to {settings.output_dir}")
     return 0
 
@@ -421,8 +440,7 @@ def cmd_evaluate(args) -> int:
     if args.models:
         kpis = _evaluate_saved(settings, table, Path(args.models))
     else:
-        report = _run(settings, table)
-        kpis = {n: m.kpis for n, m in report.models.items()}
+        kpis = {n: m.kpis for n, m in _run(settings, table).report.models.items()}
 
     print(kpi_table(kpis))
     passed = [n for n, k in kpis.items() if k.gate is not None and k.gate.passed]

@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, UndefinedMetricError
-from .savefile import to_json
 
 # Gate limits for a daily-resolution baseline model and its monthly rollup.
 MONTHLY_CV_LIMIT = 0.15
@@ -114,24 +113,13 @@ class KpiSet:
 
 @dataclass(frozen=True)
 class GateResult:
-    """Per-criterion verdicts of the baseline acceptance gate."""
+    """Per-criterion verdicts of the baseline acceptance gate, and all four."""
 
     monthly_cv_ok: bool
     daily_cv_ok: bool
     monthly_nmbe_ok: bool
     daily_nmbe_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.monthly_cv_ok
-            and self.daily_cv_ok
-            and self.monthly_nmbe_ok
-            and self.daily_nmbe_ok
-        )
-
-    def as_dict(self):
-        return {**to_json(self), "passed": self.passed}
+    passed: bool
 
 
 @dataclass(frozen=True)
@@ -142,9 +130,6 @@ class KpiReport:
     monthly: Optional[KpiSet]
     gate: Optional[GateResult]
     p: int
-
-    def as_dict(self):
-        return {**to_json(self), "gate": self.gate.as_dict() if self.gate else None}
 
 
 @dataclass(frozen=True)
@@ -209,12 +194,13 @@ def ashrae_gate(daily: KpiSet, monthly: KpiSet) -> GateResult:
     """
     if daily is None or monthly is None:
         raise DataError("gate needs both daily and monthly KPI sets")
-    return GateResult(
+    checks = dict(
         monthly_cv_ok=monthly.cv_rmse < MONTHLY_CV_LIMIT,
         daily_cv_ok=daily.cv_rmse < DAILY_CV_LIMIT,
         monthly_nmbe_ok=abs(monthly.nmbe) < MONTHLY_NMBE_LIMIT,
         daily_nmbe_ok=abs(daily.nmbe) < DAILY_NMBE_LIMIT,
     )
+    return GateResult(**checks, passed=all(checks.values()))
 
 
 def kpi_set(actual, predicted, p: int = 1) -> KpiSet:

@@ -8,6 +8,9 @@ out as per-date load ratios (actual / predicted) and cumulative reduction.
 Study-range predictions see only study-range weather/calendar features and
 train-range targets; study targets are never shown to a model.
 
+The Report dataclasses declare report.json once: savefile.to_json writes a
+Report, and savefile.from_json(Report, doc) reads one back.
+
 The enabled models train in min(models, usable CPUs) worker processes, the
 pool (map_in_workers) the CLI also ingests its input channels in; with one
 such CPU (or where the platform cannot tell) they train one after another in
@@ -19,7 +22,7 @@ data, and every artifact is the same whatever the worker count.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from functools import partial
 from typing import Callable, Optional
@@ -288,125 +291,99 @@ def annual_share(total_reduction_kwh: float, reference_total_kwh: float) -> floa
 
 
 @dataclass
-class ModelOutcome:
-    """One trained model's predictions and quality record.
+class ModelReport:
+    """One model's test KPIs, training record and covered study-day predictions."""
 
-    ``pred`` has one value per row of the report's date axis, NaN where the
-    model has no input window.
-    """
-
-    name: str
     kpis: KpiReport
-    pred: np.ndarray
-    info: dict = field(default_factory=dict)
-    fitted: object = None
+    info: dict
+    study_predicted: list[Optional[float]]
 
 
 @dataclass
-class NormalizationReport:
-    """Everything cmd_normalize persists; see as_dict for the JSON shape.
+class Flags:
+    """No model selected; study days the ensemble covers but predicts <= 0."""
 
-    ``dates`` is the date axis shared by every per-model and ensemble
-    vector: one entry per usable feature row. The masks pick the test and
-    study rows out of it; ``dlr`` holds study-row vectors.
-    """
-
-    periods: PeriodSpec
-    seed: int
-    p: int
-    selection: str
-    feature_names: list
-    feature_scaler: object
-    dates: list
-    actual: np.ndarray
-    test_mask: np.ndarray
-    study_mask: np.ndarray
-    models: dict
-    models_used: list
     no_valid_baseline: bool
-    ensemble: np.ndarray
-    ensemble_test_kpis: Optional[KpiReport]
-    dlr: dict
-    dlr_undefined_dates: list
-    cumulative_dates: list
-    cumulative_actual: np.ndarray
-    cumulative_predicted: np.ndarray
+    dlr_undefined_dates: list[date]
+
+
+@dataclass
+class StudySeries:
+    """Per study day: actual and ensemble kWh, and the daily load ratios."""
+
+    dates: list[date]
+    actual_kwh: list[Optional[float]]
+    ensemble_predicted_kwh: list[Optional[float]]
+    dlr: dict[str, list[Optional[float]]]
+
+
+@dataclass
+class Cumulative:
+    """Running sums over the study days the ensemble covers."""
+
+    dates: list[date]
+    actual_kwh: list[Optional[float]]
+    predicted_kwh: list[Optional[float]]
+
+
+@dataclass
+class Totals:
+    """The study-range reduction (None without a selected model): in kWh, of
+    predicted consumption, and of the reference range's actual total."""
+
     reduction_kwh: Optional[float]
     reduction_fraction: Optional[float]
     annual_share: Optional[float]
     reference_total_kwh: float
 
-    @property
-    def study_dates(self) -> list:
-        return [d for d, s in zip(self.dates, self.study_mask) if s]
 
-    @property
-    def study_actual(self) -> np.ndarray:
-        return self.actual[self.study_mask]
+@dataclass
+class Report:
+    """report.json, key for key, as savefile.to_json writes it. A series is
+    a list of numbers with null for a NaN or an infinity: run_pipeline fills
+    it with a float array, from_json(Report, doc) with a list holding None.
+    """
 
-    @property
-    def ensemble_study(self) -> np.ndarray:
-        return self.ensemble[self.study_mask]
-
-    def as_dict(self) -> dict:
-        def clean(arr):
-            return [None if not np.isfinite(v) else float(v) for v in np.asarray(arr, dtype=float)]
-
-        def covered(pred):
-            study = pred[self.study_mask]
-            return study[~np.isnan(study)]
-
-        return {
-            "schema_version": 1,
-            "periods": {
-                "train": [self.periods.train[0].isoformat(), self.periods.train[1].isoformat()],
-                "test": [self.periods.test[0].isoformat(), self.periods.test[1].isoformat()],
-                "study": [self.periods.study[0].isoformat(), self.periods.study[1].isoformat()],
-            },
-            "seed": self.seed,
-            "kpi_p": self.p,
-            "selection": self.selection,
-            "feature_names": list(self.feature_names),
-            "models": {
-                name: {
-                    "kpis": m.kpis.as_dict(),
-                    "info": m.info,
-                    "study_predicted": clean(covered(m.pred)),
-                }
-                for name, m in self.models.items()
-            },
-            "models_used": list(self.models_used),
-            "flags": {
-                "no_valid_baseline": self.no_valid_baseline,
-                "dlr_undefined_dates": [d.isoformat() for d in self.dlr_undefined_dates],
-            },
-            "study": {
-                "dates": [d.isoformat() for d in self.study_dates],
-                "actual_kwh": clean(self.study_actual),
-                "ensemble_predicted_kwh": clean(self.ensemble_study),
-                "dlr": {name: clean(r) for name, r in self.dlr.items()},
-            },
-            "ensemble_test_kpis": self.ensemble_test_kpis.as_dict() if self.ensemble_test_kpis else None,
-            "cumulative": {
-                "dates": [d.isoformat() for d in self.cumulative_dates],
-                "actual_kwh": clean(self.cumulative_actual),
-                "predicted_kwh": clean(self.cumulative_predicted),
-            },
-            "totals": {
-                "reduction_kwh": self.reduction_kwh,
-                "reduction_fraction": self.reduction_fraction,
-                "annual_share": self.annual_share,
-                "reference_total_kwh": self.reference_total_kwh,
-            },
-        }
+    periods: PeriodSpec
+    seed: int
+    kpi_p: int
+    selection: str
+    feature_names: list[str]
+    models: dict[str, ModelReport]
+    models_used: list[str]
+    flags: Flags
+    study: StudySeries
+    ensemble_test_kpis: Optional[KpiReport]
+    cumulative: Cumulative
+    totals: Totals
+    schema_version: int = 1
 
 
-def _fit_one(name, setup, matrix, train_mask, test_mask, lookback, p) -> ModelOutcome:
-    """Fit, predict and score one model on the scaled feature matrix."""
+@dataclass
+class NormalizationReport:
+    """A run's report plus what its other artifacts need: ``dates`` is the
+    date axis (one entry per usable feature row) of ``actual``, ``ensemble``
+    and each model's prediction in ``preds``, NaN where the model has no
+    input window. The masks pick the test and study rows out of it.
+    """
+
+    report: Report
+    feature_scaler: object
+    dates: list
+    actual: np.ndarray
+    test_mask: np.ndarray
+    study_mask: np.ndarray
+    preds: dict
+    fitted: dict
+    ensemble: np.ndarray
+
+
+def _fit_one(name, setup, matrix, train_mask, test_mask, lookback, p) -> tuple:
+    """Fit, predict and score one model: (kpis, pred, info, fitted)."""
     kind = MODEL_KINDS[name]
     fitted, info = kind.fit(setup, matrix, train_mask, lookback)
     pred = kind.predict(fitted, matrix, lookback)
-    return ModelOutcome(name, score(matrix, test_mask, pred, p=p), pred, info, fitted)
+    return score(matrix, test_mask, pred, p=p), pred, info, fitted
 
 
 def map_in_workers(fn, *iterables) -> list:
@@ -462,8 +439,9 @@ def run_pipeline(
             to the test range.
 
     Returns:
-        NormalizationReport. With gate-passing selection and no passer, it
-        has ``no_valid_baseline`` set, every model's KPIs and no totals.
+        NormalizationReport. With gate-passing selection and no passer, its
+        report has ``flags.no_valid_baseline`` set, every model's KPIs and
+        no totals.
 
     Raises:
         DataError: too few usable rows in a period, or no selected model
@@ -499,12 +477,13 @@ def run_pipeline(
 
     fit_one = partial(_fit_one, matrix=scaled, train_mask=train_mask, test_mask=test_mask,
                       lookback=lookback, p=p)
-    results = dict(zip(enabled, map_in_workers(fit_one, enabled, [models[n] for n in enabled])))
+    fits = map_in_workers(fit_one, enabled, [models[n] for n in enabled])
+    kpis, preds, info, fitted = ({n: fit[i] for n, fit in zip(enabled, fits)} for i in range(4))
 
     if selection == SELECTION_GATE:
-        used = [n for n in enabled if results[n].kpis.gate is not None and results[n].kpis.gate.passed]
+        used = [n for n in enabled if kpis[n].gate is not None and kpis[n].gate.passed]
     else:
-        ranked = sorted(enabled, key=lambda n: results[n].kpis.daily.cv_rmse)
+        ranked = sorted(enabled, key=lambda n: kpis[n].daily.cv_rmse)
         used = ranked[: min(top_k, len(ranked))]
 
     # Each row averages whichever selected members predict it.
@@ -512,7 +491,7 @@ def run_pipeline(
     ensemble = np.full(len(y), np.nan)
     ensemble_test_kpis = None
     if used:
-        member_preds = [results[n].pred for n in used]
+        member_preds = [preds[n] for n in used]
         ensemble = ensemble_mean(member_preds)
         # Ensemble quality on the test rows where every member predicts.
         common = test_mask & ~np.isnan(member_preds).any(axis=0)
@@ -526,52 +505,48 @@ def run_pipeline(
     ens_study = ensemble[study_mask]
     if used and np.isnan(ens_study).all():
         raise DataError("no selected model predicts a study day")
-    dlr = {name: daily_load_ratio(study_actual, results[name].pred[study_mask])[0] for name in enabled}
+    study_preds = {n: pred[study_mask] for n, pred in preds.items()}
+    dlr = {n: daily_load_ratio(study_actual, pred)[0] for n, pred in study_preds.items()}
     dlr["ensemble"], undef = daily_load_ratio(study_actual, ens_study)
     cover = ~np.isnan(ens_study)
-    undefined_dates = [d for d, u, c in zip(study_dates, undef, cover) if u and c]
+    cumulative = Cumulative([d for d, c in zip(study_dates, cover) if c],
+                            np.cumsum(study_actual[cover]), np.cumsum(ens_study[cover]))
 
-    cum_dates = [d for d, c in zip(study_dates, cover) if c]
-    cum_actual = np.cumsum(study_actual[cover])
-    cum_pred = np.cumsum(ens_study[cover])
-
-    reduction_kwh = reduction_fraction = share = None
     ref_lo, ref_hi = reference_range if reference_range else periods.test
-    ref_rows = matrix.date_mask(ref_lo, ref_hi)
-    reference_total = float(np.sum(matrix.y[ref_rows]))
+    totals = Totals(None, None, None, float(np.sum(matrix.y[matrix.date_mask(ref_lo, ref_hi)])))
     if used:
         # Total reduction is defined off the cumulative curves so the two are
         # consistent to the last bit.
-        reduction_kwh = float(cum_pred[-1] - cum_actual[-1])
-        total_pred = float(cum_pred[-1])
+        total_pred = float(cumulative.predicted_kwh[-1])
+        totals.reduction_kwh = float(cumulative.predicted_kwh[-1] - cumulative.actual_kwh[-1])
         if total_pred <= 0:
             raise UndefinedMetricError("reduction fraction undefined: predicted total <= 0")
-        reduction_fraction = reduction_kwh / total_pred
-        share = annual_share(reduction_kwh, reference_total)
+        totals.reduction_fraction = totals.reduction_kwh / total_pred
+        totals.annual_share = annual_share(totals.reduction_kwh, totals.reference_total_kwh)
 
-    return NormalizationReport(
+    report = Report(
         periods=periods,
         seed=seed,
-        p=p,
+        kpi_p=p,
         selection=selection,
         feature_names=list(scaled.names),
+        models={n: ModelReport(kpis[n], info[n], pred[~np.isnan(pred)])
+                for n, pred in study_preds.items()},
+        models_used=used,
+        flags=Flags(not used, [d for d, u, c in zip(study_dates, undef, cover) if u and c]),
+        study=StudySeries(study_dates, study_actual, ens_study, dlr),
+        ensemble_test_kpis=ensemble_test_kpis,
+        cumulative=cumulative,
+        totals=totals,
+    )
+    return NormalizationReport(
+        report=report,
         feature_scaler=scaler,
         dates=scaled.dates,
         actual=y,
         test_mask=test_mask,
         study_mask=study_mask,
-        models=results,
-        models_used=used,
-        no_valid_baseline=not used,
+        preds=preds,
+        fitted=fitted,
         ensemble=ensemble,
-        ensemble_test_kpis=ensemble_test_kpis,
-        dlr=dlr,
-        dlr_undefined_dates=undefined_dates,
-        cumulative_dates=cum_dates,
-        cumulative_actual=cum_actual,
-        cumulative_predicted=cum_pred,
-        reduction_kwh=reduction_kwh,
-        reduction_fraction=reduction_fraction,
-        annual_share=share,
-        reference_total_kwh=reference_total,
     )

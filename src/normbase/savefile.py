@@ -1,23 +1,24 @@
-"""One JSON codec for dataclasses: saved models and config files.
+"""One JSON codec for dataclasses: saved models, config files and report.json.
 
 ``to_json`` writes a dataclass's fields as a dict: arrays become nested lists
 of plain numbers and nested dataclasses (trees, feature bundles, target
-scalers) become nested objects. ``json`` writes each float as its shortest
-repr, so float64 values reload bit-identically.
+scalers, the report's sections) become nested objects. ``json`` writes each
+float as its shortest repr, so float64 values reload bit-identically.
 
 ``from_json`` is the only place that maps JSON onto annotations: the CLI
-reads its config files and model file envelopes through it, and every
-model's ``from_dict`` its payload. An array must hold bool, integer or float
-values; an empty one has no element to tell its dtype and reloads as
-float64. A saved tree keeps ``default_left``, the side NaN takes when the
-loaded tree routes a row; the side NaN took while the tree grew is not
-saved (see gbmodels).
+reads its config files and model file envelopes through it, every model's
+``from_dict`` its payload, and from_json(normalize.Report, doc) a report.
+An array must hold bool, integer or float values; an empty one has no
+element to tell its dtype and reloads as float64. A saved tree keeps
+``default_left``, the side NaN takes when the loaded tree routes a row; the
+side NaN took while the tree grew is not saved (see gbmodels).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from datetime import date
 from pathlib import Path
 from typing import Union, get_args, get_origin, get_type_hints
@@ -25,17 +26,26 @@ from typing import Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 _TYPE_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string"}
+_JSON_SCALARS = (float, int, bool, str, type(None))
 
 
 def to_json(obj):
-    """JSON-ready form of a dataclass and everything it holds."""
+    """JSON-ready form of a dataclass and everything it holds: tuples become
+    lists, dates ISO strings, and a float that is not finite, alone or in an
+    array, becomes None (JSON null)."""
+    if type(obj) in _JSON_SCALARS:  # first: a saved model is mostly lists of numbers
+        return None if type(obj) is float and not math.isfinite(obj) else obj
+    if isinstance(obj, (list, tuple)):
+        return [to_json(v) for v in obj]
     if dataclasses.is_dataclass(obj):
         return {f.name: to_json(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, list):
-        return [to_json(v) for v in obj]
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    return obj
+    if isinstance(obj, dict):
+        return {k: to_json(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist() if obj.dtype.kind != "f" or np.isfinite(obj).all() else to_json(obj.tolist())
+    if isinstance(obj, np.generic):
+        return to_json(obj.item())
+    return obj.isoformat() if isinstance(obj, date) else obj
 
 
 @functools.cache  # resolving the annotations costs more than decoding a small object
@@ -64,10 +74,11 @@ def from_json(kind, doc, path: str = "", noun: str = "key"):
     rejected, a field without a default is required), Optional[T] (T or
     null), list[T] or tuple[T, ...] (a JSON list), a fixed tuple such as
     tuple[date, date] (a list of that length, items named by index as in
-    ``periods.train[1]``), np.ndarray (a nested list of numbers), dict (any
-    JSON object, left to the caller), date (an ISO string), Path (a string),
-    int, float (any JSON number), bool or str. ``path`` is the dotted key of
-    ``doc``; ``noun`` says what a key is in error messages.
+    ``periods.train[1]``), np.ndarray (a nested list of numbers), dict[str, T]
+    (an object of T values), dict (any JSON object, left to the caller), date
+    (an ISO string), Path (a string), int, float (any JSON number), bool or
+    str. ``path`` is the dotted key of ``doc``; ``noun`` says what a key is
+    in error messages.
 
     Raises:
         ValueError: a value does not fit its annotation, naming its key.
@@ -107,10 +118,10 @@ def from_json(kind, doc, path: str = "", noun: str = "key"):
             return tuple(from_json(a, v, f"{path}[{i}]", noun) for i, (a, v) in enumerate(zip(args, doc)))
         items = [from_json(args[0], v, path, noun) for v in doc]
         return items if origin is list else tuple(items)
-    if kind is dict:
+    if kind is dict or origin is dict:
         if type(doc) is not dict:
             raise _unfit(noun, path, "must be an object")
-        return doc
+        return {k: from_json(args[1], v, _key(path, k), noun) for k, v in doc.items()} if args else doc
     if kind is date:
         text = from_json(str, doc, path, noun)
         try:

@@ -1,10 +1,38 @@
 import concurrent.futures
+import importlib.resources as res
+import json
 import os
 from datetime import date
 
 import pytest
 
 from normbase import gbmodels, normalize, synthgen, tsdata
+from normbase.savefile import from_json, to_json
+
+
+def encode_report(report: normalize.Report) -> str:
+    """report.json's text, as the CLI writes it."""
+    return json.dumps(to_json(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+@pytest.fixture(scope="session")
+def read_report():
+    """read(report) decodes a report.json's text (or a Report, encoded as the
+    CLI writes it) after checking that it validates against the shipped
+    schema and reads back through from_json(Report, ...) to a Report that
+    encodes to the same text."""
+    import jsonschema
+
+    schema = json.loads(res.files("normbase").joinpath("schemas/report.schema.json").read_text())
+
+    def read(report) -> dict:
+        text = report if isinstance(report, str) else encode_report(report)
+        doc = json.loads(text)
+        jsonschema.validate(doc, schema)
+        assert encode_report(from_json(normalize.Report, doc)) == text
+        return doc
+
+    return read
 
 
 @pytest.fixture(scope="session")

@@ -135,17 +135,9 @@ class TestNormalize:
         assert (out / "models" / "gbt_exact.json").is_file()
         assert (out / "models" / "gbt_hist.json").is_file()
 
-    def test_report_validates_against_schema(self, happy_run):
-        import importlib.resources as res
-
-        import jsonschema
-
+    def test_report_validates_against_schema(self, happy_run, read_report):
         _, out, _stdout = happy_run
-        doc = json.loads((out / "report.json").read_text())
-        schema = json.loads(
-            res.files("normbase").joinpath("schemas/report.schema.json").read_text()
-        )
-        jsonschema.validate(doc, schema)
+        doc = read_report((out / "report.json").read_text())
         assert doc["flags"]["no_valid_baseline"] is False
         assert doc["models_used"]  # at least one gate passer
 
@@ -222,7 +214,7 @@ class TestNormalize:
         assert rc == 4
         assert f"data error: {broken}: line 3: unparseable value 'not-a-number'" in capsys.readouterr().err
 
-    def test_gate_failure_still_writes_report(self, data_dir, tmp_path, capsys):
+    def test_gate_failure_still_writes_report(self, data_dir, tmp_path, capsys, read_report):
         # one deliberately underfit tree: a single shallow round cannot track
         # the seasonal swing, so the gate must reject it and exit 3
         doc = run_config(data_dir, output_dir=str(tmp_path / "out"))
@@ -236,10 +228,11 @@ class TestNormalize:
         assert rc == 3
         captured = capsys.readouterr()
         assert "no valid baseline" in captured.out
-        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        report = read_report((tmp_path / "out" / "report.json").read_text())
         assert report["flags"]["no_valid_baseline"] is True
         assert report["models_used"] == []
         assert report["totals"]["reduction_kwh"] is None
+        assert report["ensemble_test_kpis"] is None
 
     def test_out_flag_overrides_config(self, data_dir, tmp_path):
         doc = run_config(data_dir, output_dir="ignored_dir")
@@ -365,6 +358,69 @@ class TestNormalize:
         assert "Traceback" not in err
 
 
+class TestReportNullPaths:
+    """Runs whose report.json holds nulls the schema allows (for a run with no
+    gate passer, see test_gate_failure_still_writes_report). Each report
+    validates, and reads back through from_json(Report, ...) to the same bytes."""
+
+    @staticmethod
+    def normalize(tmp_path, doc: dict, read_report) -> tuple:
+        doc = dict(doc, output_dir=str(tmp_path / "out"))
+        rc = cli.main(["normalize", "--config", write_config(tmp_path / "c.json", doc)])
+        return rc, read_report((tmp_path / "out" / "report.json").read_text())
+
+    def test_test_range_without_a_complete_month(self, data_dir, tmp_path, read_report):
+        doc = run_config(data_dir, ensemble={"selection": "top_k", "top_k": 2})
+        doc["periods"] = dict(doc["periods"], train=["2019-01-01", "2019-11-04"],
+                              test=["2019-11-05", "2019-12-20"])
+        rc, report = self.normalize(tmp_path, doc, read_report)
+        assert rc == 0
+        kpis = [m["kpis"] for m in report["models"].values()] + [report["ensemble_test_kpis"]]
+        assert len(kpis) == 3
+        for k in kpis:
+            assert k["monthly"] is None and k["gate"] is None and k["daily"]["n"] == 46
+
+    def test_uncovered_and_undefined_study_days(self, data_dir, tmp_path, read_report,
+                                                monkeypatch):
+        # kwh blanked on 2020-01-20 leaves the LSTM, the only model, without
+        # a full 7-day window ending on the six days after; 2020-02-10 is
+        # predicted <= 0
+        blanked = tmp_path / "kwh.csv"
+        lines = (data_dir / "kwh.csv").read_text().splitlines()
+        blanked.write_text("\n".join(
+            line.split(",")[0] + "," if line.startswith("2020-01-20") else line for line in lines
+        ) + "\n")
+        lstm = MODEL_KINDS["lstm"]
+
+        def predict(params, matrix, lookback):
+            pred = lstm.predict(params, matrix, lookback)
+            pred[list(matrix.dates).index(date(2020, 2, 10))] = -1.0
+            return pred
+
+        monkeypatch.setitem(MODEL_KINDS, "lstm", dataclasses.replace(lstm, predict=predict))
+        doc = run_config(data_dir, ensemble={"selection": "top_k", "top_k": 1})
+        doc["inputs"]["kwh"] = str(blanked)
+        doc["models"] = {
+            "mlp": {"enabled": False},
+            "lstm": {"epochs": 3, "early_stop_patience": 3},
+            "gbt_exact": {"enabled": False},
+            "gbt_hist": {"enabled": False},
+        }
+        rc, report = self.normalize(tmp_path, doc, read_report)
+        assert rc == 0
+        study = report["study"]
+        uncovered = [f"2020-01-{d}" for d in range(21, 27)]
+        assert "2020-01-20" not in study["dates"]
+        assert [d for d, p in zip(study["dates"], study["ensemble_predicted_kwh"]) if p is None] \
+            == uncovered
+        assert [d for d, r in zip(study["dates"], study["dlr"]["ensemble"]) if r is None] \
+            == sorted(uncovered + ["2020-02-10"])
+        assert study["dlr"]["lstm"] == study["dlr"]["ensemble"]
+        assert report["flags"]["dlr_undefined_dates"] == ["2020-02-10"]
+        assert len(report["models"]["lstm"]["study_predicted"]) == len(study["dates"]) - 6
+        assert -1.0 in report["models"]["lstm"]["study_predicted"]
+
+
 def table_bits(table) -> dict:
     """Every field of a DailyTable, each array as its dtype, shape and bytes."""
     def bits(v):
@@ -406,16 +462,21 @@ class TestIngestPool:
         marked = cli.load_run_settings(write_config(tmp_path / "marked.json", doc))
         assert table_bits(cli._ingest(marked)) == table_bits(cli._ingest(plain))
 
-    @pytest.mark.parametrize("damage", ["surrogate", "truncated", "after_bom"])
-    def test_first_bad_utf8_byte_is_reported(self, data_dir, tmp_path, damage):
+    @pytest.mark.parametrize("damage", ["surrogate", "truncated", "after_bom", "past_first_chunk"])
+    def test_first_bad_utf8_byte_is_reported(self, data_dir, tmp_path, damage, monkeypatch):
+        monkeypatch.setattr(cli, "_UTF8_CHUNK", 64)  # the file is checked in many pieces
         raw = (data_dir / "kwh.csv").read_bytes()
         at = raw.index(b"\n") + 5
         if damage == "surrogate":  # U+D800 encoded, which surrogatepass would accept
             raw = raw[:at] + b"\xed\xa0\x80" + raw[at:]
         elif damage == "truncated":  # a three-byte sequence cut off at the end
             raw, at = raw + b"\xe2\x82", len(raw)
-        else:
+        elif damage == "after_bom":
             raw, at = b"\xef\xbb\xbf" + raw[:at] + b"\xff" + raw[at:], at + 3
+        else:  # a two-byte character first, then a lone continuation byte
+            at = raw.index(b"\n", 1000) + 5
+            raw = b"\xef\xbb\xbf" + raw[:at] + b"\xc3\xa9\x80" + raw[at:]
+            at += 3 + 2
         (tmp_path / "kwh.csv").write_bytes(raw)
         doc = run_config(data_dir)
         doc["inputs"]["kwh"] = str(tmp_path / "kwh.csv")
@@ -423,6 +484,14 @@ class TestIngestPool:
         want = f"^input file for 'kwh' is not UTF-8: bad byte at offset {at}$"
         with pytest.raises(DataError, match=want):
             cli._ingest_channel("kwh", settings)
+
+    @pytest.mark.parametrize("char", ["\u00e9", "\u20ac", "\U0001f600"])  # 2, 3 and 4 bytes
+    def test_characters_next_to_a_piece_cut_are_utf8(self, char, monkeypatch):
+        monkeypatch.setattr(cli, "_UTF8_CHUNK", 16)
+        for pad in range(20):  # puts every byte of the character at a piece's end or start
+            data = ("a" * pad + char + "\n" + char + "b\n").encode() * 8
+            assert cli._first_bad_utf8(data) is None
+        assert cli._first_bad_utf8(data + b"\xff") == len(data)
 
     def test_first_failing_channel_in_order_raises(self, data_dir, tmp_path, cpus, pools,
                                                    monkeypatch):
@@ -663,8 +732,8 @@ class TestEvaluate:
 
         report, settings = kept["report"], kept["settings"]
         matrix = build_features(cli._ingest(settings), settings.features)
-        assert set(report.models) == set(MODEL_KINDS)
-        for name, outcome in report.models.items():
+        assert set(report.preds) == set(MODEL_KINDS)
+        for name, outcome in report.preds.items():
             text = (out_dir / "models" / f"{name}.json").read_text()
             assert text.count("\n") == 1  # no indentation, one closing newline
             doc = json.loads(text)
@@ -672,7 +741,7 @@ class TestEvaluate:
             kind = MODEL_KINDS[name]
             scaled = apply_scaler(matrix, from_json(Scaler, doc["feature_scaler"]))
             pred = kind.predict(kind.from_dict(doc["payload"]), scaled, doc["lookback_days"])
-            assert pred.tobytes() == outcome.pred.tobytes()
+            assert pred.tobytes() == outcome.tobytes()
 
     def test_saved_models_feature_mismatch(self, data_dir, tmp_path, capsys):
         out_dir = tmp_path / "out"

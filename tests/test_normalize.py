@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from normbase import cli, gbmodels
 from normbase import normalize as nb
 from normbase.features import FeatureSpec, build_features, make_sequences
+from normbase.savefile import to_json
 from normbase.errors import (
     ConfigError,
     DataError,
@@ -163,7 +164,7 @@ class TestPipelineTreeRuns:
     def test_deterministic_repeat(self, small_table, small_periods, tree_models):
         a = nb.run_pipeline(small_table, small_periods, models=tree_models, seed=5)
         b = nb.run_pipeline(small_table, small_periods, models=tree_models, seed=5)
-        assert a.as_dict() == b.as_dict()
+        assert to_json(a.report) == to_json(b.report)
 
     def test_study_actuals_never_leak_into_predictions(
         self, small_table, small_periods, tree_models
@@ -177,16 +178,16 @@ class TestPipelineTreeRuns:
         spiked_table = dataclasses.replace(small_table, energy=energy)
         spiked = nb.run_pipeline(spiked_table, small_periods, models=tree_models, seed=5)
         for name in tree_models:
-            np.testing.assert_array_equal(base.models[name].pred, spiked.models[name].pred)
+            np.testing.assert_array_equal(base.preds[name], spiked.preds[name])
 
     def test_top_k_selection_ranks_by_daily_cv(self, small_table, small_periods, tree_models):
         report = nb.run_pipeline(
             small_table, small_periods, models=tree_models,
             selection=nb.SELECTION_TOP_K, top_k=1, seed=5,
         )
-        assert len(report.models_used) == 1
-        best = min(tree_models, key=lambda n: report.models[n].kpis.daily.cv_rmse)
-        assert report.models_used == [best]
+        assert len(report.report.models_used) == 1
+        best = min(tree_models, key=lambda n: report.report.models[n].kpis.daily.cv_rmse)
+        assert report.report.models_used == [best]
 
     def test_top_k_larger_than_pool_uses_everything(
         self, small_table, small_periods, tree_models
@@ -195,7 +196,7 @@ class TestPipelineTreeRuns:
             small_table, small_periods, models=tree_models,
             selection=nb.SELECTION_TOP_K, top_k=10, seed=5,
         )
-        assert sorted(report.models_used) == sorted(tree_models)
+        assert sorted(report.report.models_used) == sorted(tree_models)
 
     def test_no_valid_baseline_carries_report(self, small_table, small_periods, tree_models):
         # pure-noise target: daily CV(RMSE) is far over the gate limit
@@ -203,12 +204,12 @@ class TestPipelineTreeRuns:
         energy = rng.uniform(500.0, 1500.0, size=len(small_table.dates))
         noisy = dataclasses.replace(small_table, energy=energy)
         report = nb.run_pipeline(noisy, small_periods, models=tree_models, seed=5)
-        assert report.no_valid_baseline
-        assert report.models_used == []
-        assert report.as_dict()["flags"]["no_valid_baseline"] is True
+        assert report.report.flags.no_valid_baseline
+        assert report.report.models_used == []
+        assert to_json(report.report)["flags"]["no_valid_baseline"] is True
         # per-model diagnostics are still present for the failure writeup
         for name in tree_models:
-            assert report.models[name].kpis.daily.cv_rmse > 0.22
+            assert report.report.models[name].kpis.daily.cv_rmse > 0.22
 
 
 class TestModelPool:
@@ -227,7 +228,7 @@ class TestModelPool:
             cpus(n)
             report = nb.run_pipeline(small_table, small_periods, models=models, seed=7)
             assert not multiprocessing.active_children()
-            docs.append(json.dumps(report.as_dict()))
+            docs.append(json.dumps(to_json(report.report)))
         assert pools == [2, 4]
         assert docs[0] == docs[1] == docs[2]
 
@@ -237,7 +238,7 @@ class TestModelPool:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         report = nb.run_pipeline(small_table, small_periods, models=tree_models, seed=5)
         assert pools == []
-        assert list(report.models) == ["gbt_exact", "gbt_hist"]
+        assert list(report.preds) == ["gbt_exact", "gbt_hist"]
 
     def test_first_failing_model_in_order_raises(
         self, small_table, small_periods, tree_models, cpus, pools, monkeypatch
@@ -260,37 +261,40 @@ class TestFullReport:
     """Consistency of a healthy four-model run (shared session fixture)."""
 
     def test_all_models_present_and_gated(self, full_report):
-        assert set(full_report.models) == set(nb.MODEL_ORDER)
-        assert full_report.models_used  # something passed
-        assert not full_report.no_valid_baseline
-        for name in full_report.models_used:
-            assert full_report.models[name].kpis.gate.passed
+        assert set(full_report.preds) == set(nb.MODEL_ORDER)
+        assert full_report.report.models_used  # something passed
+        assert not full_report.report.flags.no_valid_baseline
+        for name in full_report.report.models_used:
+            assert full_report.report.models[name].kpis.gate.passed
 
     def test_ensemble_is_mean_of_used_members(self, full_report):
         study = full_report.study_mask
-        stacks = [full_report.models[n].pred[study] for n in full_report.models_used]
+        stacks = [full_report.preds[n][study] for n in full_report.report.models_used]
         # all members cover the full study range here, so plain mean applies
         want = np.mean(np.stack(stacks), axis=0)
-        np.testing.assert_allclose(full_report.ensemble_study, want, rtol=1e-12)
+        np.testing.assert_allclose(
+            full_report.report.study.ensemble_predicted_kwh, want, rtol=1e-12
+        )
 
     def test_dlr_matches_definition(self, full_report):
-        ratio = full_report.dlr["ensemble"]
+        ratio = full_report.report.study.dlr["ensemble"]
         defined = ~np.isnan(ratio)
         np.testing.assert_allclose(
             ratio[defined],
-            full_report.study_actual[defined] / full_report.ensemble_study[defined],
+            full_report.report.study.actual_kwh[defined]
+            / full_report.report.study.ensemble_predicted_kwh[defined],
             rtol=1e-15,
         )
 
     def test_cumulative_curves_and_totals_are_consistent(self, full_report):
-        r = full_report
-        assert len(r.cumulative_dates) == len(r.cumulative_actual) == len(r.cumulative_predicted)
+        r = full_report.report
+        assert len(r.cumulative.dates) == len(r.cumulative.actual_kwh) == len(r.cumulative.predicted_kwh)
         # cumulative curves are running sums of positive consumption
-        assert np.all(np.diff(r.cumulative_actual) > 0)
+        assert np.all(np.diff(r.cumulative.actual_kwh) > 0)
         # the headline total is exactly the gap between the curve endpoints
-        assert r.reduction_kwh == float(r.cumulative_predicted[-1] - r.cumulative_actual[-1])
-        assert r.reduction_fraction == r.reduction_kwh / float(r.cumulative_predicted[-1])
-        assert r.annual_share == r.reduction_kwh / r.reference_total_kwh
+        assert r.totals.reduction_kwh == float(r.cumulative.predicted_kwh[-1] - r.cumulative.actual_kwh[-1])
+        assert r.totals.reduction_fraction == r.totals.reduction_kwh / float(r.cumulative.predicted_kwh[-1])
+        assert r.totals.annual_share == r.totals.reduction_kwh / r.totals.reference_total_kwh
 
     def test_reference_total_defaults_to_test_range_actual(
         self, full_report, small_table, small_periods
@@ -298,28 +302,20 @@ class TestFullReport:
         mask = np.array(
             [small_periods.test[0] <= d <= small_periods.test[1] for d in small_table.dates]
         )
-        assert full_report.reference_total_kwh == pytest.approx(
+        assert full_report.report.totals.reference_total_kwh == pytest.approx(
             float(np.sum(small_table.energy[mask])), rel=1e-12
         )
 
-    def test_report_serializes_and_validates(self, full_report):
-        import importlib.resources as res
-
-        import jsonschema
-
-        doc = json.loads(json.dumps(full_report.as_dict(), allow_nan=False, sort_keys=True))
-        schema = json.loads(
-            res.files("normbase").joinpath("schemas/report.schema.json").read_text()
-        )
-        jsonschema.validate(doc, schema)
+    def test_report_serializes_and_validates(self, full_report, read_report):
+        doc = read_report(full_report.report)
         assert doc["schema_version"] == 1
-        assert doc["models_used"] == list(full_report.models_used)
+        assert doc["models_used"] == list(full_report.report.models_used)
 
     def test_estimate_close_to_planted_reduction(self, full_report, small_dataset):
         # the small fixture plants a 35% occupancy cut; the estimate need only
         # be in the neighbourhood here (the acceptance suite pins tolerance)
         planted = small_dataset.reduction_fraction
-        assert abs(full_report.reduction_fraction - planted) < 0.05
+        assert abs(full_report.report.totals.reduction_fraction - planted) < 0.05
 
 
 class TestDateAxis:
@@ -361,28 +357,28 @@ class TestDateAxis:
         assert self.GAPS[0] not in test_days
         n_windowed = sum(1 for d in test_days if d in windowed)
         assert 0 < n_windowed < len(test_days)
-        assert report.models["lstm"].kpis.daily.n == n_windowed
+        assert report.report.models["lstm"].kpis.daily.n == n_windowed
         for name in ("mlp", "gbt_exact", "gbt_hist"):
-            assert report.models[name].kpis.daily.n == len(test_days)
+            assert report.report.models[name].kpis.daily.n == len(test_days)
 
-    def test_study_days_without_window(self, gapped, tmp_path):
+    def test_study_days_without_window(self, gapped, tmp_path, read_report):
         report, windowed, _ = gapped
-        doc = report.as_dict()
-        study = report.study_dates
+        doc = read_report(report.report)
+        study = report.report.study.dates
         missing = np.array([d not in windowed for d in study])
         assert self.GAPS[1] not in study
         assert 0 < missing.sum() < len(study)
-        assert sorted(report.models_used) == sorted(nb.MODEL_ORDER)
+        assert sorted(report.report.models_used) == sorted(nb.MODEL_ORDER)
 
         # the ensemble falls back to the mean of the other members
         others = np.array(
             [doc["models"][n]["study_predicted"] for n in ("mlp", "gbt_exact", "gbt_hist")]
         )
         np.testing.assert_allclose(
-            report.ensemble_study[missing], others.mean(axis=0)[missing], rtol=1e-12
+            report.report.study.ensemble_predicted_kwh[missing], others.mean(axis=0)[missing], rtol=1e-12
         )
-        assert np.all(np.isnan(report.dlr["lstm"][missing]))
-        assert not np.any(np.isnan(report.dlr["lstm"][~missing]))
+        assert np.all(np.isnan(report.report.study.dlr["lstm"][missing]))
+        assert not np.any(np.isnan(report.report.study.dlr["lstm"][~missing]))
 
         # report.json lists only the covered days for the LSTM
         lstm_study = doc["models"]["lstm"]["study_predicted"]

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 from datetime import date
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -89,3 +90,37 @@ def test_errors_name_the_key_path():
         from_json(Scaler, doc, noun="config key")
     with pytest.raises(ValueError, match=r"^key 'pair\[1\]' must be a number$"):
         from_json(tuple[int, float], [1, True], path="pair")
+
+
+def test_to_json_writes_dates_tuples_dicts_and_non_finite_numbers():
+    @dataclasses.dataclass
+    class Section:
+        span: tuple[date, date]
+        series: dict[str, list[Optional[float]]]
+        total: Optional[float]
+
+    nan, inf = float("nan"), float("inf")
+    section = Section(
+        span=(date(2020, 3, 12), date(2020, 7, 31)),
+        series={"a": np.array([1.5, nan, -inf]), "b": [np.float64(2.0), inf], "c": np.arange(2.0)},
+        total=nan,
+    )
+    doc = to_json(section)
+    assert doc == {
+        "span": ["2020-03-12", "2020-07-31"],
+        "series": {"a": [1.5, None, None], "b": [2.0, None], "c": [0.0, 1.0]},
+        "total": None,
+    }
+    assert [type(v) for v in doc["series"]["b"]] == [float, type(None)]
+    back = from_json(Section, json.loads(json.dumps(doc, allow_nan=False)))
+    assert back.span == section.span
+    assert back.series == {"a": [1.5, None, None], "b": [2.0, None], "c": [0.0, 1.0]}
+    assert to_json(back) == doc
+
+
+def test_a_typed_dict_decodes_each_value_under_its_key():
+    assert from_json(dict[str, date], {"a": "2020-01-02"}) == {"a": date(2020, 1, 2)}
+    with pytest.raises(ValueError, match="^key 'runs.b' must be an integer$"):
+        from_json(dict[str, int], {"a": 1, "b": 1.5}, path="runs")
+    with pytest.raises(ValueError, match="^key 'runs' must be an object$"):
+        from_json(dict[str, int], [1], path="runs")

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from datetime import date, datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,6 +255,41 @@ def test_round_trip_property(values):
     np.testing.assert_array_equal(s.epochs, s2.epochs)
     np.testing.assert_array_equal(s.missing, s2.missing)
     np.testing.assert_array_equal(s.values[~s.missing], s2.values[~s2.missing])
+
+
+@pytest.mark.parametrize("steps", [
+    [300.0],  # odd
+    [300.0, 600.0],  # even
+    [300.0, 300.0, 300.0, 3600.0, 300.0, 300.0],  # tied middle pair
+    [900.0, 300.0, 3600.0, 600.0, 1.5],  # unsorted
+    [3600.0, 7200.0, 1800.0, 5400.0],  # unsorted, even
+])
+def test_cadence_median_matches_np_median(steps):
+    x = np.array(steps)
+    assert tsdata._median(x) == float(np.median(x))
+    assert tsdata._median(x[::-1].copy()) == float(np.median(x))
+
+
+def test_ingest_leaves_numpy_ma_unimported(tmp_path):
+    """np.median and np.unique import numpy.ma on first use, which each fresh
+    ingest worker would pay for; parsing and resampling a file use neither."""
+    (tmp_path / "s.csv").write_text(hourly_csv([1.0, 2.0, 4.0] * 20))
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "eager = 'numpy.ma' in sys.modules  # NumPy before 2.0 imports it with numpy\n"
+        "from normbase import tsdata\n"
+        "schema = tsdata.SeriesSchema('drybulb_c', 'degC', 'UTC', 3600)\n"
+        "series = tsdata.parse_series_bytes(open(sys.argv[1], 'rb').read(), schema)\n"
+        "tsdata.resample_daily(series, 'mean')\n"
+        "print(eager or 'numpy.ma' not in sys.modules)\n"
+    )
+    src = str(Path(tsdata.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", script, str(tmp_path / "s.csv")],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                         timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "True\n"
 
 
 class TestGapFill:
