@@ -23,6 +23,11 @@ WEEKEND_FLAG = "weekend_flag"
 _CALENDAR_ORDER = (DOW_ONEHOT, MONTH_CYCLIC, WEEKEND_FLAG)
 
 _DOW_NAMES = ("mon", "tue", "wed", "thu", "fri", "sat", "sun")
+_CALENDAR_COLUMNS = {
+    DOW_ONEHOT: tuple(f"dow_{d}" for d in _DOW_NAMES),
+    MONTH_CYCLIC: ("month_sin", "month_cos"),
+    WEEKEND_FLAG: ("is_weekend",),
+}
 
 
 @dataclass(frozen=True)
@@ -71,6 +76,12 @@ class FeatureMatrix:
         return np.array([start <= d <= end for d in self.dates])
 
 
+def feature_names(spec: FeatureSpec) -> list:
+    """The column names of the matrix build_features makes for ``spec``."""
+    calendar = [_CALENDAR_COLUMNS[f] for f in _CALENDAR_ORDER if f in spec.calendar]
+    return list(spec.weather_channels) + [name for names in calendar for name in names]
+
+
 def build_features(table, spec: FeatureSpec) -> FeatureMatrix:
     """Build the feature matrix from the non-excluded rows of a daily table.
 
@@ -88,39 +99,29 @@ def build_features(table, spec: FeatureSpec) -> FeatureMatrix:
     dates = [d for d, k in zip(table.dates, keep) if k]
     n = len(dates)
 
-    cols, names, binary = [], [], []
+    cols = []
     for ch in spec.weather_channels:
         if ch not in table.weather:
             raise UnknownFeatureError(f"weather channel {ch!r} not in table")
         cols.append(table.weather[ch][keep])
-        names.append(ch)
-        binary.append(False)
+    binary = [False] * len(cols)
 
     for feat in _CALENDAR_ORDER:
         if feat not in spec.calendar:
             continue
         if feat == DOW_ONEHOT:
             dows = np.array([d.weekday() for d in dates])
-            for k, dname in enumerate(_DOW_NAMES):
-                cols.append((dows == k).astype(float))
-                names.append(f"dow_{dname}")
-                binary.append(True)
+            cols += [(dows == k).astype(float) for k in range(len(_DOW_NAMES))]
         elif feat == MONTH_CYCLIC:
             theta = np.array([2.0 * np.pi * (d.month - 1) / 12.0 for d in dates])
-            cols.append(np.sin(theta))
-            names.append("month_sin")
-            binary.append(False)
-            cols.append(np.cos(theta))
-            names.append("month_cos")
-            binary.append(False)
+            cols += [np.sin(theta), np.cos(theta)]
         elif feat == WEEKEND_FLAG:
             cols.append(np.array([1.0 if d.weekday() >= 5 else 0.0 for d in dates]))
-            names.append("is_weekend")
-            binary.append(True)
+        binary += [feat != MONTH_CYCLIC] * len(_CALENDAR_COLUMNS[feat])
 
     X = np.column_stack(cols) if cols else np.zeros((n, 0))
     y = table.energy[keep].astype(float)
-    return FeatureMatrix(dates=dates, X=X, y=y, names=names, binary=np.array(binary))
+    return FeatureMatrix(dates=dates, X=X, y=y, names=feature_names(spec), binary=np.array(binary))
 
 
 @dataclass(frozen=True)

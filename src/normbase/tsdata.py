@@ -15,6 +15,14 @@ the row-by-row parser instead, at per-row cost, with the same results and
 errors. Lines end at "\\n" or "\\r\\n"; a file holding other line breaks is
 rejoined as ``str.splitlines()`` splits it, so line numbers do not change.
 
+Given a start epoch, parse_series_bytes returns only the rows from it on.
+Every line is still read and checked, so line-level errors cover the whole
+file, but a plain decimal cell before the start is classified and not
+converted to a float. The day-level steps after the parse (fill_gaps,
+resample_daily, align's negative-energy check) then see only the rows it
+returns. The CLI's ``evaluate --models`` reads this way from the days it
+scores; ``normalize`` converts every value.
+
 The writer mirrors it: render_stamps renders the timestamp column in NumPy
 (civil dates by the inverse of _days_from_civil; for an IANA zone, datetime
 gives the UTC offset only at the two ends of each UTC day, and row by row on
@@ -231,12 +239,17 @@ _STAMP_ONES = _STAMP_TENS + 1
 _STAMP_PUNCT = ((4, "-"), (7, "-"), (10, "T"), (13, ":"), (16, ":"), (22, ":"), (25, ","))
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
-# Value cells wider than this, or holding bytes outside this set, take the
-# per-row path. Inside them Python's float() and NumPy's bytes-to-float cast
-# agree: both read plain decimal literals and round correctly.
+# Value cells wider than this, or holding bytes other than digits, signs,
+# dots and exponent marks, take the per-row path. Inside them Python's
+# float() and NumPy's bytes-to-float cast agree: both read decimal literals
+# and round correctly.
 _VALUE_WIDTH = 32
-_NUMBER_BYTES = np.zeros(256, dtype=bool)
-_NUMBER_BYTES[list(b"0123456789+-.eE")] = True
+# Each of those bytes counts 1 in its class's byte of a uint32: digits in
+# the lowest, then dots, exponent marks and signs. Summed over a cell, each
+# count is at most _VALUE_WIDTH, so none carries into the next.
+_CELL_CLASSES = np.zeros(256, dtype=np.uint32)
+for _i, _class in enumerate((b"0123456789", b".", b"eE", b"+-")):
+    _CELL_CLASSES[list(_class)] = 1 << 8 * _i
 
 
 def _days_from_civil(y, m, d):
@@ -278,26 +291,44 @@ def _canonical_stamps(buf: np.ndarray, starts: np.ndarray):
     return ok, seconds.astype(np.float64)
 
 
-def _cell_values(buf: np.ndarray, first: np.ndarray, width: np.ndarray):
+def _cell_classes(cells: np.ndarray, width: np.ndarray):
+    """Classify NUL-padded value cells, one per row of ``cells``.
+
+    Returns (numeric, plain): numeric marks non-empty cells of only digits,
+    signs, dots and exponent marks. plain marks those with at least one
+    digit, at most one dot, no exponent and at most one sign, in front:
+    decimal literals that float() always accepts.
+    """
+    # NUL is in no class, so a cell is numeric only if all its bytes are in
+    # one. Taken by column, the sum adds whole rows, which is faster.
+    counts = np.take(_CELL_CLASSES, cells.T).sum(axis=0, dtype=np.uint32)
+    digits, dots, exps, signs = (counts >> 8 * i & 0xFF for i in range(4))
+    numeric = (digits + dots + exps + signs == width) & (width > 0)
+    lead_sign = _CELL_CLASSES[cells[:, 0]] >> 24
+    return numeric, numeric & (digits > 0) & (dots <= 1) & (exps == 0) & (signs == lead_sign)
+
+
+def _cell_values(buf: np.ndarray, first: np.ndarray, width: np.ndarray, skip=None):
     """Cast the value cells buf[first:first + width] with one astype(float).
 
-    Returns (ok, values, missing): ok marks cells that are empty or a plain
+    Returns (ok, values, missing): ok marks cells that are empty or a
     decimal literal. Empty and non-finite cells are missing with value 0.
+    Where ``skip`` is True the value is not needed: a plain cell there (see
+    _cell_classes) is not cast and reads as 0. Every other cell is cast, so
+    a malformed literal fails as it does without ``skip``.
     """
     w = max(int(width.max(initial=0)), 1)
     cells = sliding_window_view(buf, w)[first]
     cells *= np.arange(w) < width[:, None]  # NUL padding, which the bytes dtype drops
-    # NUL is not a number byte, so a cell passes only if all its bytes do;
-    # w is at most _VALUE_WIDTH, so the count fits in uint8
-    numeric = np.take(_NUMBER_BYTES, cells).sum(axis=1, dtype=np.uint8) == width
-    numeric &= width > 0
+    numeric, plain = _cell_classes(cells, width)
+    cast = numeric if skip is None else numeric & ~(skip & plain)
     values = np.zeros(first.size)
     literals = cells.view(f"S{w}")[:, 0]
     try:
-        if numeric.all():
+        if cast.all():
             values = literals.astype(np.float64)
-        else:
-            values[numeric] = literals[numeric].astype(np.float64)
+        elif cast.any():
+            values[cast] = literals[cast].astype(np.float64)
     except ValueError:  # a malformed literal; the per-row path reports it
         numeric[:] = False
     missing = (width == 0) | ~np.isfinite(values)
@@ -323,7 +354,7 @@ def _line_spans(buf: np.ndarray, ends: np.ndarray, lines: np.ndarray, crlf: bool
     return starts, stops
 
 
-def _parse_rows(data: bytes, ends: np.ndarray, crlf: bool, tz):
+def _parse_rows(data: bytes, ends: np.ndarray, crlf: bool, tz, start=None):
     """Parse the data lines of ``data``, the lines after the header.
 
     Canonical rows are decoded in vector passes over blocks of _PARSE_BLOCK
@@ -331,7 +362,8 @@ def _parse_rows(data: bytes, ends: np.ndarray, crlf: bool, tz):
     run past the end of the data reads a zero-padded copy. The lines those
     passes reject, gathered over all blocks, go through _parse_lines in line
     order, so the first malformed line raises exactly as a row-by-row parse
-    would.
+    would. A canonical row before the epoch ``start`` keeps a plain decimal
+    uncast (see _cell_values), with value 0.
 
     Returns (epochs, values, missing) in line order, blank lines dropped.
     """
@@ -353,8 +385,9 @@ def _parse_rows(data: bytes, ends: np.ndarray, crlf: bool, tz):
         first = starts + _STAMP_WIDTH
         width = np.clip(stops - head - first, 0, None)
         stamps_ok &= width <= _VALUE_WIDTH
+        skip = None if start is None else stamps_ok & (epochs[block] < start)
         cells_ok, values[block], missing[block] = _cell_values(
-            window, first, np.where(stamps_ok, width, 0))
+            window, first, np.where(stamps_ok, width, 0), skip)
         ok[block] = stamps_ok & cells_ok
 
     fallback = np.flatnonzero(~ok)
@@ -391,7 +424,8 @@ def _median(x: np.ndarray) -> float:
     return float(np.mean(np.partition(x, middle)[middle[0]:mid + 1]))
 
 
-def parse_series_bytes(data: bytes, schema: SeriesSchema) -> RawSeries:
+def parse_series_bytes(data: bytes, schema: SeriesSchema,
+                       start: Optional[float] = None) -> RawSeries:
     """Parse one channel file's UTF-8 bytes into a RawSeries.
 
     This is parse_series for a file read as bytes, with the same results and
@@ -400,6 +434,13 @@ def parse_series_bytes(data: bytes, schema: SeriesSchema) -> RawSeries:
     "\\r\\n"; a file with any other line break that ``str.splitlines()``
     knows (a lone "\\r", "\\x0b", "\\x85", ...) is decoded and rejoined at
     those breaks first, so that line numbers count them.
+
+    With an epoch ``start`` only the rows from ``start`` on are returned, bit
+    for bit as the full parse returns them, with the whole file's
+    ``duplicates_collapsed``. The rows before it are read and checked as
+    always (timestamps, every value cell, sort order, duplicates and
+    cadence), so every error is the full parse's, but their plain decimal
+    values are not converted to floats, which is most of a parse's time.
     """
     base = len(_BOM) if data.startswith(_BOM) else 0
     if len(data) == base:
@@ -422,7 +463,7 @@ def parse_series_bytes(data: bytes, schema: SeriesSchema) -> RawSeries:
             f"file carries channel {header[1]!r}, schema declares {schema.channel!r}"
         )
 
-    e, v, m = _parse_rows(data, ends, crlf, resolve_timezone(schema.timezone))
+    e, v, m = _parse_rows(data, ends, crlf, resolve_timezone(schema.timezone), start)
     if not e.size:
         raise EmptyInputError(f"{schema.channel}: no data rows")
 
@@ -436,11 +477,11 @@ def parse_series_bytes(data: bytes, schema: SeriesSchema) -> RawSeries:
     dupes = 0
     if np.any(steps == 0):
         # Collapse runs of equal timestamps to the mean of present values.
-        uniq, start, counts = np.unique(e, return_index=True, return_counts=True)
+        uniq, heads, counts = np.unique(e, return_index=True, return_counts=True)
         # a lone row keeps its value; + 0.0 turns -0.0 into 0.0, as np.mean does
-        out_v, out_m = v[start] + 0.0, m[start]
+        out_v, out_m = v[heads] + 0.0, m[heads]
         for i in np.flatnonzero(counts > 1):
-            seg = slice(start[i], start[i] + counts[i])
+            seg = slice(heads[i], heads[i] + counts[i])
             present = ~m[seg]
             out_m[i] = not np.any(present)
             out_v[i] = 0.0 if out_m[i] else _finite_mean(v[seg][present])
@@ -455,6 +496,9 @@ def parse_series_bytes(data: bytes, schema: SeriesSchema) -> RawSeries:
                 f"{schema.channel}: median spacing {spacing:.1f}s inconsistent "
                 f"with declared interval {schema.interval_seconds}s"
             )
+    if start is not None:
+        first = np.searchsorted(e, start)
+        e, v, m = e[first:], v[first:], m[first:]
 
     return RawSeries(
         channel=schema.channel,

@@ -19,7 +19,7 @@ from normbase import cli, nnmodels, synthgen
 from normbase.errors import ConfigError, DataError, ParseError
 from normbase.features import Scaler, apply_scaler, build_features
 from normbase.normalize import MODEL_KINDS
-from normbase.savefile import from_json
+from normbase.savefile import from_json, to_json
 
 # ---------------------------------------------------------------------------
 # shared on-disk dataset: coarse interval keeps parsing fast
@@ -742,6 +742,29 @@ class TestEvaluate:
             scaled = apply_scaler(matrix, from_json(Scaler, doc["feature_scaler"]))
             pred = kind.predict(kind.from_dict(doc["payload"]), scaled, doc["lookback_days"])
             assert pred.tobytes() == outcome.tobytes()
+
+    def test_saved_model_files_are_the_to_json_of_their_envelope(self, data_dir, tmp_path,
+                                                                 monkeypatch):
+        kept = {}
+        monkeypatch.setattr(cli, "_write_artifacts", lambda outdir, run, settings: kept.update(
+            run=run, settings=settings))
+        small = {"epochs": 3, "early_stop_patience": 3}
+        models = {**run_config(data_dir)["models"], "mlp": small, "lstm": small}
+        cfg = write_config(tmp_path / "c.json", run_config(data_dir, models=models))
+        cli.main(["normalize", "--config", cfg])
+        run, settings = kept["run"], kept["settings"]
+        cli._save_models(tmp_path / "models", run, settings)
+        assert set(run.fitted) == set(MODEL_KINDS)
+        for name, fitted in run.fitted.items():
+            envelope = cli.SavedModel(
+                kind=name,
+                feature_names=list(run.report.feature_names),
+                feature_scaler=run.feature_scaler,
+                lookback_days=settings.features.lookback_days,
+                payload=MODEL_KINDS[name].to_dict(fitted),
+            )
+            want = json.dumps(to_json(envelope), sort_keys=True) + "\n"
+            assert (tmp_path / "models" / f"{name}.json").read_text() == want
 
     def test_saved_models_feature_mismatch(self, data_dir, tmp_path, capsys):
         out_dir = tmp_path / "out"

@@ -1,0 +1,224 @@
+"""evaluate --models reads each channel from the padding day before the first
+day it scores, and its KPIs must be bit for bit those of a full read.
+
+Each case edits the channel files of a small building whose models
+normalize saved, then compares the to_json text of every KpiReport from
+cli._evaluate_saved with the one from the full read (cli._saved_kpis over
+cli._ingest), and checks which parses ran: with a start (``W``) or over the
+whole file (``F``), in channel order.
+"""
+
+import json
+import shutil
+from datetime import date
+
+import pytest
+
+from normbase import cli, synthgen
+from normbase.savefile import to_json
+from test_cli import CHANNELS, run_config, write_config
+
+SMALL_NETWORK = {"epochs": 3, "early_stop_patience": 3}
+MODELS = {"mlp": SMALL_NETWORK, "lstm": SMALL_NETWORK,
+          "gbt_exact": {"rounds": 30, "learning_rate": 0.2},
+          "gbt_hist": {"rounds": 30, "learning_rate": 0.2}}
+HOURLY_PERIODS = {"train": ["2019-01-01", "2019-10-31"], "test": ["2019-11-01", "2019-12-31"],
+                  "study": ["2020-01-01", "2020-02-15"]}
+# the lookback of 7 days reaches back to 2019-11-04, so the padding day is
+# 2019-11-03, when New York leaves daylight saving time
+NEW_YORK_PERIODS = {"train": ["2019-01-01", "2019-10-31"], "test": ["2019-11-10", "2019-12-31"],
+                    "study": ["2020-01-01", "2020-02-15"]}
+
+
+def building(tmp_path_factory, interval, zone, periods):
+    """(channel directory, saved models, run config) of a trained building."""
+    root = tmp_path_factory.mktemp(f"building{interval}")
+    cfg = synthgen.SynthConfig(
+        start=date(2019, 1, 1), study_start=date(2020, 1, 1), study_end=date(2020, 2, 15),
+        interval_seconds=interval, timezone=zone, occupancy_drop=0.3, noise_sigma_kwh=30.0,
+        seed=3,
+    )
+    synthgen.write_dataset(synthgen.generate(cfg), root / "data")
+    doc = run_config(root / "data", interval_seconds=interval, timezone=zone, periods=periods,
+                     models=MODELS, save_models=True, output_dir=str(root / "out"))
+    assert cli.main(["normalize", "--config", write_config(root / "run.json", doc)]) in (0, 3)
+    return root / "data", root / "out" / "models", doc
+
+
+@pytest.fixture(scope="module")
+def hourly(tmp_path_factory):
+    return building(tmp_path_factory, 3600, "UTC", HOURLY_PERIODS)
+
+
+@pytest.fixture(scope="module")
+def new_york(tmp_path_factory):
+    return building(tmp_path_factory, 300, "America/New_York", NEW_YORK_PERIODS)
+
+
+def blank(lo, hi):
+    """Empty the value cells stamped from local time ``lo`` to ``hi``."""
+    return lambda lines: [line.split(",")[0] + "," if lo <= line[:19] <= hi else line
+                          for line in lines]
+
+
+def end_on(last):
+    """Drop the rows after the day ``last``."""
+    return lambda lines: lines[:1] + [line for line in lines[1:] if line[:10] <= last]
+
+
+def edited(data_dir, tmp_path, doc, edits: dict) -> dict:
+    """The run config with each channel in ``edits`` rewritten by its edit."""
+    doc = json.loads(json.dumps(doc))
+    for ch, edit in edits.items():
+        lines = (data_dir / f"{ch}.csv").read_text().splitlines()
+        (tmp_path / f"{ch}.csv").write_text("\n".join(edit(lines)) + "\n")
+        doc["inputs"][ch] = str(tmp_path / f"{ch}.csv")
+    return doc
+
+
+def kpi_texts(kpis: dict) -> dict:
+    return {name: json.dumps(to_json(k)) for name, k in kpis.items()}
+
+
+def evaluate_both(doc, models_dir, tmp_path, cpus, monkeypatch):
+    """(KPIs of the windowed evaluate, KPIs of a full read, parses it ran)."""
+    cpus(1)  # the channels are read in this process, where the spy sees them
+    settings = cli.load_run_settings(write_config(tmp_path / "run.json", doc))
+    loaded = cli._load_models(settings, models_dir)
+    parses, parse = [], cli.parse_series_bytes
+
+    def spy(data, schema, *start):
+        parses.append("W" if start else "F")
+        return parse(data, schema, *start)
+
+    monkeypatch.setattr(cli, "parse_series_bytes", spy)
+    windowed = kpi_texts(cli._evaluate_saved(settings, loaded))
+    ran = "".join(parses)
+    full = kpi_texts(cli._saved_kpis(settings, loaded, cli._ingest(settings)))
+    return windowed, full, ran
+
+
+HOURLY_CASES = {
+    "plain": ({}, "WWWWWW"),
+    "excluded_days_in_lookback": ({"kwh": blank("2019-10-28", "2019-10-28T23:59:59"),
+                                   "drybulb_c": blank("2019-10-30", "2019-10-30T12:00:00")},
+                                  "WWWWWW"),
+    # an interpolated run and an unfilled one, each from the padding day on
+    "gap_across_cut": ({"kwh": blank("2019-10-25T20", "2019-10-26T03:00:00"),
+                        "solar_wm2": blank("2019-10-25T12", "2019-10-27T00:00:00")},
+                       "WWWWWW"),
+    # the full read interpolates drybulb_c's 27 hours; read from the padding
+    # day on, they would be a leading run too long to hold
+    "outage_on_padding_day": ({"kwh": blank("2019-10-20", "2019-10-25T23:59:59"),
+                               "drybulb_c": blank("2019-10-25", "2019-10-26T02:00:00")},
+                              "WFWFWWWW"),
+    "ends_1_day_after_test": ({ch: end_on("2020-01-01") for ch in CHANNELS}, "W" * 6 + "F" * 6),
+    "ends_2_days_after_test": ({ch: end_on("2020-01-02") for ch in CHANNELS}, "W" * 6 + "F" * 6),
+    "ends_3_days_after_test": ({ch: end_on("2020-01-03") for ch in CHANNELS}, "W" * 6),
+}
+
+
+@pytest.mark.parametrize("case", HOURLY_CASES)
+def test_hourly_utc_kpis_match_a_full_read(hourly, case, tmp_path, cpus, monkeypatch):
+    data_dir, models_dir, doc = hourly
+    edits, want = HOURLY_CASES[case]
+    doc = edited(data_dir, tmp_path, doc, edits)
+    windowed, full, ran = evaluate_both(doc, models_dir, tmp_path, cpus, monkeypatch)
+    assert windowed == full
+    assert set(windowed) == set(MODELS)
+    assert ran == want
+
+
+@pytest.mark.parametrize("case", ["plain", "gap_across_cut", "outage_on_padding_day"])
+def test_table_is_the_full_reads_from_the_first_needed_day(hourly, case, tmp_path, cpus):
+    data_dir, _, doc = hourly
+    doc = edited(data_dir, tmp_path, doc, HOURLY_CASES[case][0])
+    settings = cli.load_run_settings(write_config(tmp_path / "run.json", doc))
+    cpus(1)
+    first = date(2019, 10, 26)  # 2019-11-01 - (7 - 1) days
+    full, table = cli._ingest(settings), cli._ingest(settings, first)
+    cut = full.dates.index(first)
+    assert table.dates == full.dates[cut:]
+    for name in ("energy", "energy_missing", "excluded"):
+        assert getattr(table, name).tobytes() == getattr(full, name)[cut:].tobytes()
+    for name in ("weather", "weather_missing", "coverage"):
+        mine, theirs = getattr(table, name), getattr(full, name)
+        assert {k: a.tobytes() for k, a in mine.items()} == {
+            k: a[cut:].tobytes() for k, a in theirs.items()}
+
+
+NEW_YORK_CASES = {
+    "plain": ({}, "WWWWWW"),
+    "gap_across_cut": ({"kwh": blank("2019-11-03T23:00:00", "2019-11-04T01:00:00")}, "WWWWWW"),
+    "outage_on_padding_day": ({"rh_pct": blank("2019-11-03", "2019-11-03T23:59:59")},
+                              "WWWWFWW"),
+}
+
+
+@pytest.mark.parametrize("case", NEW_YORK_CASES)
+def test_five_minute_new_york_kpis_match_a_full_read(new_york, case, tmp_path, cpus,
+                                                     monkeypatch):
+    data_dir, models_dir, doc = new_york
+    edits, want = NEW_YORK_CASES[case]
+    doc = edited(data_dir, tmp_path, doc, edits)
+    windowed, full, ran = evaluate_both(doc, models_dir, tmp_path, cpus, monkeypatch)
+    assert windowed == full
+    assert ran == want
+
+
+@pytest.mark.parametrize("lookbacks", [{"lstm": 12}, {"lstm": 3, "gbt_exact": 10},
+                                       {"gbt_hist": 10**9}])
+def test_saved_lookback_other_than_the_configured(hourly, lookbacks, tmp_path, cpus,
+                                                  monkeypatch):
+    data_dir, models_dir, doc = hourly
+    saved = tmp_path / "models"
+    shutil.copytree(models_dir, saved)
+    for name, days in lookbacks.items():
+        model = json.loads((saved / f"{name}.json").read_text())
+        (saved / f"{name}.json").write_text(json.dumps({**model, "lookback_days": days}))
+    # the padding day before 2019-11-01 - (12 - 1) days holds the only gap
+    doc = edited(data_dir, tmp_path, doc, {"kwh": blank("2019-10-20T10", "2019-10-21T08:00:00")})
+    windowed, full, ran = evaluate_both(doc, saved, tmp_path, cpus, monkeypatch)
+    assert windowed == full
+    # a lookback reaching before 0001-01-01 reads every day
+    assert ran == ("FFFFFF" if max(lookbacks.values()) > 10**6 else "WWWWWW")
+
+
+def test_malformed_value_before_the_window_exits_4(hourly, tmp_path, capsys):
+    data_dir, models_dir, doc = hourly
+    lines = (data_dir / "kwh.csv").read_text().splitlines()
+    lines[30] = lines[30].split(",")[0] + ",1.2.3"  # 2019-01-02T05:00
+    (tmp_path / "kwh.csv").write_text("\n".join(lines) + "\n")
+    doc = json.loads(json.dumps(doc))
+    doc["inputs"]["kwh"] = str(tmp_path / "kwh.csv")
+    cfg = write_config(tmp_path / "run.json", doc)
+    assert cli.main(["evaluate", "--config", cfg, "--models", str(models_dir)]) == 4
+    err = capsys.readouterr().err
+    assert err == f"data error: {tmp_path / 'kwh.csv'}: line 31: unparseable value '1.2.3'\n"
+
+
+@pytest.mark.parametrize("model_file", ["malformed", "other_features", "none"])
+def test_model_files_are_checked_before_any_channel_is_read(hourly, model_file, tmp_path,
+                                                            capsys, monkeypatch):
+    data_dir, models_dir, doc = hourly
+    (tmp_path / "kwh.csv").write_text("timestamp,kwh\n2019-01-01T00:00:00+00:00,1.2.3\n")
+    doc = json.loads(json.dumps(doc))
+    doc["inputs"]["kwh"] = str(tmp_path / "kwh.csv")
+    saved = tmp_path / "models"
+    saved.mkdir()
+    model = json.loads((models_dir / "gbt_hist.json").read_text())
+    if model_file == "malformed":
+        del model["payload"]
+    if model_file != "none":
+        if model_file == "other_features":
+            doc["features"] = {"weather_channels": ["drybulb_c"]}
+        (saved / "gbt_hist.json").write_text(json.dumps(model))
+    parses = []
+    monkeypatch.setattr(cli, "parse_series_bytes", lambda *args: parses.append(args))
+    cfg = write_config(tmp_path / "run.json", doc)
+    assert cli.main(["evaluate", "--config", cfg, "--models", str(saved)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert {"malformed": "cannot load model file", "none": "no model files found",
+            "other_features": "different feature columns"}[model_file] in err
+    assert parses == []

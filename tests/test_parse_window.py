@@ -1,0 +1,228 @@
+"""parse_series_bytes with a start epoch against the full parse.
+
+For any file and any ``start``, parse_series_bytes(data, schema, start)
+must raise exactly what the full parse raises (class, message and line
+number), or return the full parse's rows from ``start`` on, bit for bit,
+with the same ``duplicates_collapsed``. The rows before ``start`` skip only
+the cast of their plain decimal cells, which ``_cell_classes`` picks out;
+these tests also hold that rule against float().
+"""
+
+import itertools
+import re
+from datetime import datetime, timedelta, timezone
+from unittest import mock
+from zoneinfo import ZoneInfo
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from normbase import tsdata
+from normbase.errors import ParseError, SchemaError
+from normbase.tsdata import SeriesSchema
+from test_parse_differential import GRID_STARTS, csv_texts, five_minute_channel, outcome
+
+NEW_YORK = ZoneInfo("America/New_York")
+SCHEMA_5MIN = SeriesSchema("kwh", "kWh", "America/New_York", 300)
+PLAIN = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)")
+
+
+def encode(text):
+    return text.encode("utf-8", "surrogatepass")
+
+
+def windowed(text, schema, start):
+    return outcome(lambda t, s: tsdata.parse_series_bytes(encode(t), s, start), text, schema)
+
+
+def full_from(text, schema, start):
+    """The full parse's outcome, its rows cut at ``start``."""
+    try:
+        s = tsdata.parse_series_bytes(encode(text), schema)
+    except Exception as e:
+        return type(e), str(e), getattr(e, "line_number", None)
+    keep = s.epochs >= start
+    return (s.epochs[keep].tobytes(), s.values[keep].tobytes(), s.missing[keep].tobytes(),
+            s.duplicates_collapsed)
+
+
+def assert_window_alike(text, schema, start):
+    assert windowed(text, schema, start) == full_from(text, schema, start)
+
+
+# -- drawn files and starts -----------------------------------------------------
+
+
+starts = st.one_of(
+    # on and between the hourly grids the drawn rows sit on
+    st.builds(lambda t0, half_hours: (t0 + timedelta(minutes=30 * half_hours)).timestamp(),
+              st.sampled_from(GRID_STARTS), st.integers(-4, 66)),
+    st.sampled_from([-np.inf, np.inf, 0.0, -1.5, 1e18]),
+)
+
+
+@settings(deadline=None, max_examples=400)
+@given(csv_texts(), starts, st.booleans(), st.sampled_from([1, 2, 5, tsdata._PARSE_BLOCK]))
+@example(("UTC", "timestamp,kwh\n2020-11-01T02:00:00+00:00,1.2.3\n2020-11-01T03:00:00+00:00,1"),
+         datetime(2020, 11, 1, 3, tzinfo=timezone.utc).timestamp(), False, 2)
+def test_window_matches_the_full_parse_cut_at_start(drawn, start, bom, block):
+    zone, text = drawn
+    schema = SeriesSchema("kwh", "kWh", zone, 3600)
+    with mock.patch.object(tsdata, "_PARSE_BLOCK", block):
+        assert_window_alike("\ufeff" + text if bom else text, schema, start)
+
+
+# -- fixed files ------------------------------------------------------------------
+
+
+def hourly(values, t0=datetime(2020, 1, 1, tzinfo=timezone.utc)):
+    lines = [f"{(t0 + timedelta(hours=i)).isoformat()},{v}" for i, v in enumerate(values)]
+    return "timestamp,kwh\n" + "\n".join(lines) + "\n"
+
+
+HOURLY = SeriesSchema("kwh", "kWh", "UTC", 3600)
+AT_ROW_4 = datetime(2020, 1, 1, 4, tzinfo=timezone.utc).timestamp()
+
+
+@pytest.mark.parametrize("cell", ["1.2.3", "+-1", "1e", ".", "-", "e5", "1-", "1" * 40 + "x"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_malformed_cell_before_start_raises_at_its_line(cell, newline):
+    text = hourly(["1.5", cell, "2", "2.5", "3", "3.5"]).replace("\n", newline)
+    assert_window_alike(text, HOURLY, AT_ROW_4)
+    with pytest.raises(ParseError) as e:
+        tsdata.parse_series_bytes(encode(text), HOURLY, AT_ROW_4)
+    assert e.value.line_number == 3
+    assert f"unparseable value {cell!r}" in str(e.value)
+
+
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "1e400", "1e-5", "-2.5E+3", "1" * 40,
+                                  "", " 1.5", "+.5", "5.", "-0"])
+def test_unusual_cells_before_start_leave_the_window_alone(cell):
+    text = hourly(["1.5", cell, "2", "2.5", "3", "3.5", "4"])
+    assert_window_alike(text, HOURLY, AT_ROW_4)
+    assert_window_alike("\ufeff" + text.replace("\n", "\r\n"), HOURLY, AT_ROW_4)
+
+
+def test_exponent_cells_after_start_are_cast():
+    text = hourly(["1e3", "2", "3", "4", "5E-3", "-6.5e+2", "7e0"])
+    series = tsdata.parse_series_bytes(encode(text), HOURLY, AT_ROW_4)
+    assert series.values.tolist() == [5e-3, -650.0, 7.0]
+
+
+def test_unsorted_and_duplicate_rows_across_start():
+    t0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
+    stamps = [(t0 + timedelta(hours=h)).isoformat() for h in (5, 0, 1, 4, 2, 3, 4, 1, 6, 4)]
+    text = "timestamp,kwh\n" + "\n".join(f"{s},{i}.25" for i, s in enumerate(stamps)) + "\n"
+    for start in (AT_ROW_4, AT_ROW_4 - 1, AT_ROW_4 + 1, t0.timestamp()):
+        assert_window_alike(text, HOURLY, start)
+    series = tsdata.parse_series_bytes(encode(text), HOURLY, AT_ROW_4)
+    assert series.duplicates_collapsed == 3
+    assert series.values.tolist() == [(3.25 + 6.25 + 9.25) / 3, 0.25, 8.25]
+
+
+def test_duplicate_count_covers_rows_before_start():
+    text = hourly(["1", "2", "3", "4", "5", "6"]).replace("\n", "\n2020-01-01T00:00:00+00:00,9\n", 1)
+    series = tsdata.parse_series_bytes(encode(text), HOURLY, AT_ROW_4)
+    assert series.duplicates_collapsed == 1
+    assert len(series) == 2
+
+
+def test_cadence_check_covers_rows_before_start():
+    t0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
+    lines = [f"{(t0 + timedelta(hours=2 * i)).isoformat()},1" for i in range(9)]
+    text = "timestamp,kwh\n" + "\n".join(lines) + "\n"
+    start = (t0 + timedelta(hours=16)).timestamp()
+    assert_window_alike(text, HOURLY, start)
+    with pytest.raises(SchemaError, match="median spacing 7200.0s"):
+        tsdata.parse_series_bytes(encode(text), HOURLY, start)
+
+
+@pytest.mark.parametrize("day", [datetime(2020, 3, 8), datetime(2020, 3, 9), datetime(2020, 3, 7)])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_new_york_dst_day_at_start(day, newline):
+    text = five_minute_channel(10).replace("\n", newline)  # 2020-03-01 on, DST on 03-08
+    start = day.replace(tzinfo=NEW_YORK).timestamp()
+    assert_window_alike(text, SCHEMA_5MIN, start)
+    assert_window_alike("\ufeff" + text, SCHEMA_5MIN, start)
+    series = tsdata.parse_series_bytes(encode(text), SCHEMA_5MIN, start)
+    assert series.epochs[0] == start
+
+
+def test_every_row_before_start_is_checked():
+    """A start past the end returns no row but still checks every line."""
+    lines = five_minute_channel(3).splitlines()
+    assert len(tsdata.parse_series_bytes(encode("\n".join(lines)), SCHEMA_5MIN, 1e18)) == 0
+    lines[700] = lines[700].split(",")[0] + ",1.2.3"
+    with pytest.raises(ParseError) as e:
+        tsdata.parse_series_bytes(encode("\n".join(lines)), SCHEMA_5MIN, 1e18)
+    assert e.value.line_number == 701
+
+
+# -- the plain-decimal rule -------------------------------------------------------
+
+
+def classes(strings):
+    """_cell_classes of byte strings, as lists."""
+    width = np.array([len(s) for s in strings])
+    cells = np.zeros((len(strings), max(width.max(initial=0), 1)), dtype=np.uint8)
+    for row, s in zip(cells, strings):
+        row[:len(s)] = list(s)
+    numeric, plain = tsdata._cell_classes(cells, width)
+    return numeric.tolist(), plain.tolist()
+
+
+def float_accepts(s: str) -> bool:
+    try:
+        float(s)
+    except ValueError:
+        return False
+    return True
+
+
+def test_plain_rule_exhaustively_over_short_cells():
+    strings = [""] + ["".join(p) for n in range(1, 5) for p in itertools.product("1+-.e", repeat=n)]
+    numeric, plain = classes([s.encode() for s in strings])
+    for s, is_numeric, is_plain in zip(strings, numeric, plain):
+        assert is_numeric == (s != "")
+        assert is_plain == bool(PLAIN.fullmatch(s)), s
+        assert not is_plain or float_accepts(s), s
+    assert sum(plain) == sum(1 for s in strings if float_accepts(s) and "e" not in s)
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.text("0123456789+-.eE", min_size=1, max_size=tsdata._VALUE_WIDTH))
+@example("+.5")
+@example("-5.")
+@example("1e5")
+def test_plain_rule_against_float(s):
+    numeric, plain = classes([s.encode()])
+    assert numeric == [True]
+    assert plain[0] == bool(PLAIN.fullmatch(s))
+    assert not plain[0] or float_accepts(s)
+
+
+@pytest.mark.parametrize("s", [" 1", "1 ", "1_0", "0x1", "1\x00", "١", "nan", "inf", "1,5"])
+def test_other_bytes_are_not_numeric(s):
+    assert classes([s.encode()]) == ([False], [False])
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.lists(st.text("0123456789+-.eE", max_size=8), min_size=1, max_size=6))
+def test_skipping_never_hides_a_malformed_cell(strings):
+    """Skipped or not, a block of cells is accepted alike, and every cell
+    cast under ``skip`` keeps its value."""
+    data = ",".join(strings).encode() + b"\0" * 8
+    width = np.array([len(s) for s in strings])
+    first = np.cumsum(np.r_[0, width[:-1] + 1])
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ok, values, missing = tsdata._cell_values(buf, first, width)
+    ok_skip, values_skip, missing_skip = tsdata._cell_values(buf, first, width, np.ones(len(strings), bool))
+    assert ok_skip.tolist() == ok.tolist()
+    assert ok.all() == all(s == "" or float_accepts(s) for s in strings)
+    if ok.all():
+        _, plain = classes([s.encode() for s in strings])
+        cast = ~np.array(plain)
+        assert values_skip[cast].tobytes() == values[cast].tobytes()
+        assert not values_skip[~cast].any() and not missing_skip[~cast].any()
