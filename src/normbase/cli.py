@@ -7,11 +7,12 @@ evaluate   score models on the held-out test range and print the KPI table;
            loads saved model files when --models is given, trains otherwise.
 
 ``evaluate --models`` loads and checks every model file before it reads any
-channel, so a bad model directory exits 2 ahead of any data error. It then
-reads the channels from the test range's first day minus the longest saved
-lookback on (see _evaluate_saved): line-level errors still cover the whole
-file, but the day-level checks (the gap fills it logs, negative daily
-energy) cover only the days it reads.
+channel, so a bad model directory exits 2 ahead of any data error. The
+models then score the days from the test range's first day minus the
+longest saved lookback to the test range's last (see _saved_kpis), and the
+channels are read from the day before those on (see _evaluate_saved):
+line-level errors still cover the whole file, but the day-level checks (the
+gap fills it logs, negative daily energy) cover only the days it reads.
 
 Config files and saved model files (a SavedModel envelope each) are read
 with savefile.from_json against the dataclass annotations, and a value that
@@ -29,14 +30,15 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NoOverlapError, NormbaseError, ParseError
+from .errors import ConfigError, DataError, NormbaseError, ParseError
 from .features import FeatureSpec, Scaler, apply_scaler, build_features, feature_names
 from .metrics import monthly_rollup
 from .normalize import (
@@ -416,6 +418,8 @@ def _load_models(settings: RunSettings, models_dir: Path) -> dict:
             saved = from_json(SavedModel, json.loads(f.read_text()))
             if saved.kind != name:
                 raise ValueError(f"it holds a {saved.kind!r} model")
+            if saved.lookback_days < 1:
+                raise ValueError(f"lookback_days is {saved.lookback_days}, not at least 1")
             fitted = kind.from_dict(saved.payload)
             scaler = saved.feature_scaler
             shapes = {(len(saved.feature_names),), (kind.n_inputs(fitted),)}
@@ -434,10 +438,29 @@ def _load_models(settings: RunSettings, models_dir: Path) -> dict:
     return loaded
 
 
+def _first_scored_day(settings: RunSettings, loaded: dict) -> Optional[date]:
+    """``test_start - (L - 1)`` for the longest saved lookback L: the first day
+    the test rows' windows reach. None when its padding day, the day before,
+    would fall before 0001-01-01."""
+    lookback = max(saved.lookback_days for saved, _ in loaded.values())
+    day = settings.periods.test[0].toordinal() - (lookback - 1)
+    return date.fromordinal(day) if day > 1 else None
+
+
 def _saved_kpis(settings: RunSettings, loaded: dict, table) -> dict:
-    """Test-range KPIs on ``table`` of the models _load_models loaded."""
+    """Test-range KPIs of the models _load_models loaded.
+
+    The models score the feature rows of ``table`` dated from
+    _first_scored_day (or the first row, without one) to the test end. That
+    batch does not depend on where the table starts before that day or ends
+    after the test range, so the networks' sums round alike on any table that
+    holds those days."""
     matrix = build_features(table, settings.features)
-    test_mask = matrix.date_mask(*settings.periods.test)
+    test_start, test_end = settings.periods.test
+    first = _first_scored_day(settings, loaded) or date.min
+    rows = slice(bisect_left(matrix.dates, first), bisect_right(matrix.dates, test_end))
+    matrix = replace(matrix, dates=matrix.dates[rows], X=matrix.X[rows], y=matrix.y[rows])
+    test_mask = matrix.date_mask(test_start, test_end)
     if int(test_mask.sum()) < 1:
         raise DataError("test range has no usable rows")
     results = {}
@@ -448,44 +471,14 @@ def _saved_kpis(settings: RunSettings, loaded: dict, table) -> dict:
     return results
 
 
-# A network scores the last rows of a batch, up to three, on OpenBLAS's tail
-# path, whose sums round differently. A read that starts later than the full
-# one keeps the test rows out of that tail only if this many scored days
-# follow the test range.
-_TAIL_ROWS = 3
-
-
-def _days_closing_runs(table, after: date, lookback: int) -> int:
-    """Usable days after ``after`` that close a run of ``lookback`` consecutive
-    usable days: the rows after it that every loaded model scores."""
-    days = np.array([d.toordinal() for d, x in zip(table.dates, table.excluded) if not x])
-    row = np.arange(days.size)
-    opens_run = np.ones(days.size, dtype=bool)
-    opens_run[1:] = np.diff(days) != 1
-    run_start = np.maximum.accumulate(np.where(opens_run, row, 0))
-    return int(np.sum((row - run_start >= lookback - 1) & (days > after.toordinal())))
-
-
 def _evaluate_saved(settings: RunSettings, loaded: dict) -> dict:
     """Test-range KPIs of the loaded models, bit for bit those of a full read.
 
-    The test days and the longest saved lookback before them need the days
-    from ``test_start - (lookback - 1)`` on, so the channels are read from
-    the padding day before that (see _parse_from) to the end of the data.
-    That table is scored if at least _TAIL_ROWS days after the test range
-    close a lookback window; otherwise, or if no day is left, every day is
-    read.
+    The channels are read from the padding day before _first_scored_day on
+    (see _parse_from), or whole without that day, and _saved_kpis scores
+    the same rows of either table.
     """
-    test_start, test_end = settings.periods.test
-    lookback = max(1, *(saved.lookback_days for saved, _ in loaded.values()))
-    if lookback < test_start.toordinal() - 1:  # the padding day is after 0001-01-01
-        try:
-            table = _ingest(settings, test_start - timedelta(days=lookback - 1))
-        except NoOverlapError:  # no day from the first needed one on
-            table = None
-        if table is not None and _days_closing_runs(table, test_end, lookback) >= _TAIL_ROWS:
-            return _saved_kpis(settings, loaded, table)
-    return _saved_kpis(settings, loaded, _ingest(settings))
+    return _saved_kpis(settings, loaded, _ingest(settings, _first_scored_day(settings, loaded)))
 
 
 def cmd_normalize(args) -> int:

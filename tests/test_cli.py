@@ -786,7 +786,8 @@ class TestEvaluate:
         "no_payload", "text_threshold", "json_list", "previous_format", "truncated_weights",
         "tree_feature_out_of_range", "scaler_too_short", "lstm_three_gates",
         "lstm_ragged_gate", "lookback_text", "lookback_fraction", "lookback_bool",
-        "kind_of_other_model", "mlp_no_target_scaler", "hist_no_bundles",
+        "lookback_zero", "lookback_negative", "kind_of_other_model", "mlp_no_target_scaler",
+        "hist_no_bundles",
     ])
     def test_malformed_model_file_exits_2_without_traceback(
         self, data_dir, happy_run, tmp_path, capsys, corruption
@@ -797,7 +798,8 @@ class TestEvaluate:
         if corruption == "no_payload":
             del doc["payload"]
         elif corruption.startswith("lookback"):
-            doc["lookback_days"] = {"text": "7", "fraction": 7.5, "bool": True}[corruption[9:]]
+            doc["lookback_days"] = {"text": "7", "fraction": 7.5, "bool": True, "zero": 0,
+                                   "negative": -3}[corruption[9:]]
         elif corruption == "kind_of_other_model":
             doc["kind"] = "gbt_hist"
         elif corruption == "hist_no_bundles":

@@ -1,11 +1,12 @@
 """evaluate --models reads each channel from the padding day before the first
 day it scores, and its KPIs must be bit for bit those of a full read.
 
-Each case edits the channel files of a small building whose models
-normalize saved, then compares the to_json text of every KpiReport from
-cli._evaluate_saved with the one from the full read (cli._saved_kpis over
-cli._ingest), and checks which parses ran: with a start (``W``) or over the
-whole file (``F``), in channel order.
+The models score the rows from that first day to the test end, whatever the
+table holds around them. Each case edits the channel files of a small
+building whose models normalize saved, then compares the to_json text of
+every KpiReport from cli._evaluate_saved with the one from the full read
+(cli._saved_kpis over cli._ingest), and checks which parses ran: with a
+start (``W``) or over the whole file (``F``), in channel order.
 """
 
 import json
@@ -112,9 +113,11 @@ HOURLY_CASES = {
     "outage_on_padding_day": ({"kwh": blank("2019-10-20", "2019-10-25T23:59:59"),
                                "drybulb_c": blank("2019-10-25", "2019-10-26T02:00:00")},
                               "WFWFWWWW"),
-    "ends_1_day_after_test": ({ch: end_on("2020-01-01") for ch in CHANNELS}, "W" * 6 + "F" * 6),
-    "ends_2_days_after_test": ({ch: end_on("2020-01-02") for ch in CHANNELS}, "W" * 6 + "F" * 6),
-    "ends_3_days_after_test": ({ch: end_on("2020-01-03") for ch in CHANNELS}, "W" * 6),
+    "ends_inside_test": ({ch: end_on("2019-12-20") for ch in CHANNELS}, "WWWWWW"),
+    "ends_on_last_test_day": ({ch: end_on("2019-12-31") for ch in CHANNELS}, "WWWWWW"),
+    "ends_1_day_after_test": ({ch: end_on("2020-01-01") for ch in CHANNELS}, "WWWWWW"),
+    "ends_2_days_after_test": ({ch: end_on("2020-01-02") for ch in CHANNELS}, "WWWWWW"),
+    "ends_3_days_after_test": ({ch: end_on("2020-01-03") for ch in CHANNELS}, "WWWWWW"),
 }
 
 
@@ -127,6 +130,26 @@ def test_hourly_utc_kpis_match_a_full_read(hourly, case, tmp_path, cpus, monkeyp
     assert windowed == full
     assert set(windowed) == set(MODELS)
     assert ran == want
+
+
+def test_days_after_the_test_range_move_no_bit(hourly, tmp_path, cpus):
+    data_dir, models_dir, doc = hourly
+    cpus(1)
+    kpis = []
+    for edits in ({}, {ch: end_on("2020-01-01") for ch in CHANNELS}):
+        cfg = write_config(tmp_path / "run.json", edited(data_dir, tmp_path, doc, edits))
+        settings = cli.load_run_settings(cfg)
+        loaded = cli._load_models(settings, models_dir)
+        kpis.append(kpi_texts(cli._evaluate_saved(settings, loaded)))
+    assert kpis[0] == kpis[1]
+
+
+def test_no_day_from_the_first_scored_one_exits_4(hourly, tmp_path, capsys):
+    data_dir, models_dir, doc = hourly
+    doc = edited(data_dir, tmp_path, doc, {ch: end_on("2019-10-25") for ch in CHANNELS})
+    cfg = write_config(tmp_path / "run.json", doc)
+    assert cli.main(["evaluate", "--config", cfg, "--models", str(models_dir)]) == 4
+    assert capsys.readouterr().err == "data error: energy and weather share no dates in range\n"
 
 
 @pytest.mark.parametrize("case", ["plain", "gap_across_cut", "outage_on_padding_day"])
