@@ -9,10 +9,10 @@ evaluate   score models on the held-out test range and print the KPI table;
 ``evaluate --models`` loads and checks every model file before it reads any
 channel, so a bad model directory exits 2 ahead of any data error. The
 models then score the days from the test range's first day minus the
-longest saved lookback to the test range's last (see _saved_kpis), and the
-channels are read from the day before those on (see _evaluate_saved):
-line-level errors still cover the whole file, but the day-level checks (the
-gap fills it logs, negative daily energy) cover only the days it reads.
+longest saved lookback to the test range's last (see _saved_kpis). Each
+channel is parsed once, from its last present sample before those days:
+line-level errors cover the whole file, the day-level checks (the gap fills
+it logs, negative daily energy) only the rows from that sample on.
 
 Config files and saved model files (a SavedModel envelope each) are read
 with savefile.from_json against the dataclass annotations, and a value that
@@ -32,7 +32,7 @@ import logging
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 from typing import Optional
 
@@ -147,6 +147,9 @@ def load_run_settings(path: Path) -> RunSettings:
     for ch in settings.features.weather_channels:
         if ch not in settings.inputs:
             raise ConfigError(f"features use channel {ch!r} but 'inputs.{ch}' is missing")
+    resolve_timezone(settings.timezone)
+    if settings.interval_seconds <= 0:
+        raise ConfigError("interval_seconds must be positive")
     reference = settings.reference_range
     if reference is not None and reference[1] < reference[0]:
         raise ConfigError("config key 'reference_range' ends before it starts")
@@ -176,26 +179,14 @@ def _first_bad_utf8(data: bytes) -> Optional[int]:
     return None
 
 
-def _parse_from(data: bytes, schema: SeriesSchema, first: date):
-    """The rows from the local midnight of the padding day before ``first`` on.
-
-    If the padding day holds no present sample, all rows: fill_gaps could
-    then treat a missing run at the cut unlike the full read, which the
-    padding day's last present sample otherwise bounds."""
-    pad, cut = local_midnights(first - timedelta(days=1), 2, resolve_timezone(schema.timezone))
-    series = parse_series_bytes(data, schema, pad)
-    if series.missing[:np.searchsorted(series.epochs, cut)].all():
-        series = parse_series_bytes(data, schema)
-    return series
-
-
 def _ingest_channel(ch: str, settings: RunSettings, first: Optional[date] = None):
     """Read, parse, gap-fill and daily-resample one channel in a pool worker.
 
-    With ``first``, the days before it are checked but not converted (see
-    _parse_from), and the days from ``first`` on come out as a full read
-    gives them. Returns only the DailySeries and the counts _ingest logs:
-    duplicate rows collapsed, gaps filled, gaps left unfilled."""
+    With ``first``, the rows before the last present sample before it are
+    checked but not converted (see parse_series_bytes), and the days from
+    ``first`` on come out as a full read gives them. Returns only the
+    DailySeries and the counts _ingest logs: duplicate rows collapsed, gaps
+    filled, gaps left unfilled."""
     try:
         data = settings.inputs[ch].read_bytes()
     except OSError as e:
@@ -208,7 +199,8 @@ def _ingest_channel(ch: str, settings: RunSettings, first: Optional[date] = None
         if first is None:
             series = parse_series_bytes(data, schema)
         else:
-            series = _parse_from(data, schema, first)
+            start = local_midnights(first, 1, resolve_timezone(settings.timezone))[0]
+            series = parse_series_bytes(data, schema, start)
     except ParseError as e:
         e.args = (f"{settings.inputs[ch]}: {e}",)  # name the file before the line number
         raise
@@ -440,11 +432,10 @@ def _load_models(settings: RunSettings, models_dir: Path) -> dict:
 
 def _first_scored_day(settings: RunSettings, loaded: dict) -> Optional[date]:
     """``test_start - (L - 1)`` for the longest saved lookback L: the first day
-    the test rows' windows reach. None when its padding day, the day before,
-    would fall before 0001-01-01."""
+    the test rows' windows reach. None when it would fall before 0001-01-01."""
     lookback = max(saved.lookback_days for saved, _ in loaded.values())
     day = settings.periods.test[0].toordinal() - (lookback - 1)
-    return date.fromordinal(day) if day > 1 else None
+    return date.fromordinal(day) if day > 0 else None
 
 
 def _saved_kpis(settings: RunSettings, loaded: dict, table) -> dict:
@@ -474,17 +465,25 @@ def _saved_kpis(settings: RunSettings, loaded: dict, table) -> dict:
 def _evaluate_saved(settings: RunSettings, loaded: dict) -> dict:
     """Test-range KPIs of the loaded models, bit for bit those of a full read.
 
-    The channels are read from the padding day before _first_scored_day on
-    (see _parse_from), or whole without that day, and _saved_kpis scores
-    the same rows of either table.
+    Each channel is parsed once, from the last present sample before
+    _first_scored_day (see _ingest_channel), or whole without that day, and
+    _saved_kpis scores the same rows of either table.
     """
     return _saved_kpis(settings, loaded, _ingest(settings, _first_scored_day(settings, loaded)))
+
+
+def _check_output_dir(path: Path):
+    """Refuse an output ``path`` that is, or lies below, an existing file."""
+    existing = next((p for p in (path, *path.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigError(f"cannot write to {path}: {existing} is not a directory")
 
 
 def cmd_normalize(args) -> int:
     settings = load_run_settings(args.config)
     if args.out:
         settings.output_dir = Path(args.out)
+    _check_output_dir(settings.output_dir)
     table = _ingest(settings)
     log.info("aligned table: %d days, %d excluded", len(table), table.n_excluded)
 
@@ -533,7 +532,8 @@ def cmd_synth(args) -> int:
         cfg = configure_for_target(cfg, _config(float, target, "target_reduction_fraction"))
 
     base_dir = Path(args.config).resolve().parent
-    outdir = base_dir / (Path(args.out) if args.out else _config(Path, output_dir, "output_dir"))
+    outdir = Path(args.out) if args.out else base_dir / _config(Path, output_dir, "output_dir")
+    _check_output_dir(outdir)
 
     ds = generate(cfg)
     paths = write_dataset(ds, outdir)

@@ -362,9 +362,9 @@ class Report:
 @dataclass
 class NormalizationReport:
     """A run's report plus what its other artifacts need: ``dates`` is the
-    date axis (one entry per usable feature row) of ``actual``, ``ensemble``
-    and each model's prediction in ``preds``, NaN where the model has no
-    input window. The masks pick the test and study rows out of it.
+    date axis (one entry per usable feature row) of ``actual`` and each
+    model's prediction in ``preds``, NaN where the model has no input
+    window. The masks pick the test and study rows out of it.
     """
 
     report: Report
@@ -375,7 +375,6 @@ class NormalizationReport:
     study_mask: np.ndarray
     preds: dict
     fitted: dict
-    ensemble: np.ndarray
 
 
 def _fit_one(name, setup, matrix, train_mask, test_mask, lookback, p) -> tuple:
@@ -548,5 +547,4 @@ def run_pipeline(
         study_mask=study_mask,
         preds=preds,
         fitted=fitted,
-        ensemble=ensemble,
     )

@@ -15,13 +15,13 @@ the row-by-row parser instead, at per-row cost, with the same results and
 errors. Lines end at "\\n" or "\\r\\n"; a file holding other line breaks is
 rejoined as ``str.splitlines()`` splits it, so line numbers do not change.
 
-Given a start epoch, parse_series_bytes returns only the rows from it on.
-Every line is still read and checked, so line-level errors cover the whole
-file, but a plain decimal cell before the start is classified and not
-converted to a float. The day-level steps after the parse (fill_gaps,
-resample_daily, align's negative-energy check) then see only the rows it
-returns. The CLI's ``evaluate --models`` reads this way from the days it
-scores; ``normalize`` converts every value.
+Given a start epoch, parse_series_bytes returns the rows from the last
+present sample before it on (all rows without one), so the days from the
+start on fill and resample as in a full parse. Every line is still read and
+checked, but a plain decimal cell before that sample is not converted to a
+float, and the day-level steps (fill_gaps, resample_daily, align's
+negative-energy check) see only the rows returned. ``evaluate --models``
+reads this way from the days it scores; ``normalize`` converts every value.
 
 The writer mirrors it: render_stamps renders the timestamp column in NumPy
 (civil dates by the inverse of _days_from_civil; for an IANA zone, datetime
@@ -363,9 +363,10 @@ def _parse_rows(data: bytes, ends: np.ndarray, crlf: bool, tz, start=None):
     passes reject, gathered over all blocks, go through _parse_lines in line
     order, so the first malformed line raises exactly as a row-by-row parse
     would. A canonical row before the epoch ``start`` keeps a plain decimal
-    uncast (see _cell_values), with value 0.
+    uncast (see _cell_values), with value 0, unless it is stamped at the
+    ``anchor``, the last present sample before ``start`` (-inf without one).
 
-    Returns (epochs, values, missing) in line order, blank lines dropped.
+    Returns (epochs, values, missing, anchor), in line order, blank lines dropped.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
     n = ends.size - 1
@@ -395,10 +396,18 @@ def _parse_rows(data: bytes, ends: np.ndarray, crlf: bool, tz, start=None):
     texts = (data[a:b].decode("utf-8", "surrogatepass")
              for a, b in zip(starts.tolist(), stops.tolist()))
     blank, e, v, m = _parse_lines(zip((fallback + 2).tolist(), texts), tz)
+    canonical = ok.copy()  # _parse_lines converts every value it reads
     at = fallback[~np.isin(fallback + 2, blank)]
     ok[at] = True
     epochs[at], values[at], missing[at] = e, v, m
-    return epochs[ok], values[ok], missing[ok]
+    anchor = -np.inf
+    if start is not None:
+        anchor = epochs[ok & ~missing & (epochs < start)].max(initial=-np.inf)
+        redo = np.flatnonzero(canonical & ~missing & (epochs == anchor))
+        starts, stops = _line_spans(buf, ends, redo, crlf)
+        cells = [data[a + _STAMP_WIDTH:b] for a, b in zip(starts.tolist(), stops.tolist())]
+        values[redo] = np.array(cells, dtype=bytes).astype(np.float64)
+    return epochs[ok], values[ok], missing[ok], anchor
 
 
 def _finite_mean(x: np.ndarray) -> float:
@@ -435,12 +444,13 @@ def parse_series_bytes(data: bytes, schema: SeriesSchema,
     knows (a lone "\\r", "\\x0b", "\\x85", ...) is decoded and rejoined at
     those breaks first, so that line numbers count them.
 
-    With an epoch ``start`` only the rows from ``start`` on are returned, bit
-    for bit as the full parse returns them, with the whole file's
-    ``duplicates_collapsed``. The rows before it are read and checked as
-    always (timestamps, every value cell, sort order, duplicates and
-    cadence), so every error is the full parse's, but their plain decimal
-    values are not converted to floats, which is most of a parse's time.
+    With an epoch ``start`` only the rows from the last present sample before
+    it on (all rows without one) are returned, bit for bit as the full parse
+    returns them, with the whole file's ``duplicates_collapsed``. That sample
+    bounds any missing run across ``start``, in the full parse too. The rows
+    before it are read and checked as always (timestamps, every value cell,
+    sort order, duplicates and cadence), so every error is the full parse's,
+    but their plain decimal values are not converted to floats.
     """
     base = len(_BOM) if data.startswith(_BOM) else 0
     if len(data) == base:
@@ -463,7 +473,7 @@ def parse_series_bytes(data: bytes, schema: SeriesSchema,
             f"file carries channel {header[1]!r}, schema declares {schema.channel!r}"
         )
 
-    e, v, m = _parse_rows(data, ends, crlf, resolve_timezone(schema.timezone), start)
+    e, v, m, anchor = _parse_rows(data, ends, crlf, resolve_timezone(schema.timezone), start)
     if not e.size:
         raise EmptyInputError(f"{schema.channel}: no data rows")
 
@@ -496,9 +506,8 @@ def parse_series_bytes(data: bytes, schema: SeriesSchema,
                 f"{schema.channel}: median spacing {spacing:.1f}s inconsistent "
                 f"with declared interval {schema.interval_seconds}s"
             )
-    if start is not None:
-        first = np.searchsorted(e, start)
-        e, v, m = e[first:], v[first:], m[first:]
+    first = np.searchsorted(e, anchor)
+    e, v, m = e[first:], v[first:], m[first:]
 
     return RawSeries(
         channel=schema.channel,

@@ -234,13 +234,19 @@ class TestNormalize:
         assert report["totals"]["reduction_kwh"] is None
         assert report["ensemble_test_kpis"] is None
 
-    def test_out_flag_overrides_config(self, data_dir, tmp_path):
+    def test_out_flag_overrides_config(self, data_dir, tmp_path, monkeypatch):
         doc = run_config(data_dir, output_dir="ignored_dir")
         cfg = write_config(tmp_path / "c.json", doc)
         rc = cli.main(["normalize", "--config", cfg, "--out", str(tmp_path / "flagged")])
         assert rc == 0
         assert (tmp_path / "flagged" / "report.json").is_file()
         assert not (tmp_path / "ignored_dir").exists()
+        # a relative --out resolves against the working directory, not the config's
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        assert cli.main(["normalize", "--config", cfg, "--out", "relative"]) == 0
+        assert (tmp_path / "cwd" / "relative" / "report.json").is_file()
+        assert not (tmp_path / "relative").exists()
 
     def test_feature_channel_without_input(self, data_dir, tmp_path, capsys):
         doc = run_config(data_dir)
@@ -553,6 +559,10 @@ class TestConfigValidation:
              "unknown config key 'output'"),
             ("ensemble", "top_k", 0,
              "top_k must be at least 1"),
+            ("", "timezone", "Mars/Olympus",
+             "unrecognized timezone 'Mars/Olympus'"),
+            ("", "interval_seconds", 0,
+             "interval_seconds must be positive"),
         ],
     )
     def test_run_config(self, data_dir, tmp_path, section, key, value, message):
@@ -612,6 +622,29 @@ class TestConfigValidation:
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize("command", ["normalize", "synth"])
+    @pytest.mark.parametrize("via", ["output_dir", "--out", "--out below"])
+    def test_output_path_that_is_a_file_exits_2(self, data_dir, tmp_path, capsys, monkeypatch,
+                                                command, via):
+        def no_input(*args, **kwargs):
+            raise AssertionError("input was read before the output path was checked")
+
+        monkeypatch.setattr(cli, "_ingest", no_input)
+        monkeypatch.setattr(cli, "generate", no_input)
+        (tmp_path / "taken").write_text("a file\n")
+        out = str(tmp_path / "taken" / "sub" if via == "--out below" else tmp_path / "taken")
+        doc = run_config(data_dir) if command == "normalize" else {"seed": 1}
+        flag = []
+        if via == "output_dir":
+            doc["output_dir"] = out
+        else:
+            flag = ["--out", out]
+        assert cli.main([command, "--config", write_config(tmp_path / "c.json", doc), *flag]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: cannot write to {out}: {tmp_path / 'taken'} is not a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "taken"]
+        assert (tmp_path / "taken").read_text() == "a file\n"
+
     def test_synth_config(self, tmp_path):
         cfg = write_config(tmp_path / "s.json", {"weekly_pattern": ["a"]})
         with pytest.raises(ConfigError) as exc:
@@ -640,6 +673,18 @@ class TestSynth:
         assert truth["reduction_fraction"] == pytest.approx(0.2, rel=1e-12)
         assert (tmp_path / "data" / "kwh.csv").is_file()
         assert (tmp_path / "data" / "drybulb_c.csv").is_file()
+
+    def test_relative_out_flag_resolves_against_the_working_directory(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        doc = {"seed": 9, "start": "2019-01-01", "study_start": "2019-03-01",
+               "study_end": "2019-03-10", "interval_seconds": 3600, "output_dir": "ignored"}
+        (tmp_path / "cfg").mkdir()
+        write_config(tmp_path / "cfg" / "s.json", doc)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["synth", "--config", "cfg/s.json", "--out", "data"]) == 0
+        assert (tmp_path / "data" / "kwh.csv").is_file()
+        assert sorted(p.name for p in (tmp_path / "cfg").iterdir()) == ["s.json"]
+        assert "to data\n" in capsys.readouterr().out
 
     def test_drop_and_target_are_mutually_exclusive(self, tmp_path, capsys):
         doc = {

@@ -1,5 +1,6 @@
-"""evaluate --models reads each channel from the padding day before the first
-day it scores, and its KPIs must be bit for bit those of a full read.
+"""evaluate --models parses each channel once, from its last present sample
+before the first day it scores, and its KPIs must be bit for bit those of a
+full read.
 
 The models score the rows from that first day to the test end, whatever the
 table holds around them. Each case edits the channel files of a small
@@ -25,7 +26,7 @@ MODELS = {"mlp": SMALL_NETWORK, "lstm": SMALL_NETWORK,
           "gbt_hist": {"rounds": 30, "learning_rate": 0.2}}
 HOURLY_PERIODS = {"train": ["2019-01-01", "2019-10-31"], "test": ["2019-11-01", "2019-12-31"],
                   "study": ["2020-01-01", "2020-02-15"]}
-# the lookback of 7 days reaches back to 2019-11-04, so the padding day is
+# the lookback of 7 days reaches back to 2019-11-04, and the day before is
 # 2019-11-03, when New York leaves daylight saving time
 NEW_YORK_PERIODS = {"train": ["2019-01-01", "2019-10-31"], "test": ["2019-11-10", "2019-12-31"],
                     "study": ["2020-01-01", "2020-02-15"]}
@@ -104,15 +105,18 @@ HOURLY_CASES = {
     "excluded_days_in_lookback": ({"kwh": blank("2019-10-28", "2019-10-28T23:59:59"),
                                    "drybulb_c": blank("2019-10-30", "2019-10-30T12:00:00")},
                                   "WWWWWW"),
-    # an interpolated run and an unfilled one, each from the padding day on
+    # an interpolated run and an unfilled one, each from the day before on
     "gap_across_cut": ({"kwh": blank("2019-10-25T20", "2019-10-26T03:00:00"),
                         "solar_wm2": blank("2019-10-25T12", "2019-10-27T00:00:00")},
                        "WWWWWW"),
-    # the full read interpolates drybulb_c's 27 hours; read from the padding
-    # day on, they would be a leading run too long to hold
+    # the full read interpolates drybulb_c's 27 hours; read from the day
+    # before on, they would be a leading run too long to hold
     "outage_on_padding_day": ({"kwh": blank("2019-10-20", "2019-10-25T23:59:59"),
                                "drybulb_c": blank("2019-10-25", "2019-10-26T02:00:00")},
-                              "WFWFWWWW"),
+                              "WWWWWW"),
+    # 71 blank hours, more than max_interior, from three days before the cut
+    "long_run_across_cut": ({"drybulb_c": blank("2019-10-23T07", "2019-10-26T05:00:00")},
+                            "WWWWWW"),
     "ends_inside_test": ({ch: end_on("2019-12-20") for ch in CHANNELS}, "WWWWWW"),
     "ends_on_last_test_day": ({ch: end_on("2019-12-31") for ch in CHANNELS}, "WWWWWW"),
     "ends_1_day_after_test": ({ch: end_on("2020-01-01") for ch in CHANNELS}, "WWWWWW"),
@@ -152,7 +156,8 @@ def test_no_day_from_the_first_scored_one_exits_4(hourly, tmp_path, capsys):
     assert capsys.readouterr().err == "data error: energy and weather share no dates in range\n"
 
 
-@pytest.mark.parametrize("case", ["plain", "gap_across_cut", "outage_on_padding_day"])
+@pytest.mark.parametrize("case", ["plain", "gap_across_cut", "outage_on_padding_day",
+                                  "long_run_across_cut"])
 def test_table_is_the_full_reads_from_the_first_needed_day(hourly, case, tmp_path, cpus):
     data_dir, _, doc = hourly
     doc = edited(data_dir, tmp_path, doc, HOURLY_CASES[case][0])
@@ -174,7 +179,7 @@ NEW_YORK_CASES = {
     "plain": ({}, "WWWWWW"),
     "gap_across_cut": ({"kwh": blank("2019-11-03T23:00:00", "2019-11-04T01:00:00")}, "WWWWWW"),
     "outage_on_padding_day": ({"rh_pct": blank("2019-11-03", "2019-11-03T23:59:59")},
-                              "WWWWFWW"),
+                              "WWWWWW"),
 }
 
 
@@ -199,7 +204,7 @@ def test_saved_lookback_other_than_the_configured(hourly, lookbacks, tmp_path, c
     for name, days in lookbacks.items():
         model = json.loads((saved / f"{name}.json").read_text())
         (saved / f"{name}.json").write_text(json.dumps({**model, "lookback_days": days}))
-    # the padding day before 2019-11-01 - (12 - 1) days holds the only gap
+    # the day before 2019-11-01 - (12 - 1) days holds the only gap
     doc = edited(data_dir, tmp_path, doc, {"kwh": blank("2019-10-20T10", "2019-10-21T08:00:00")})
     windowed, full, ran = evaluate_both(doc, saved, tmp_path, cpus, monkeypatch)
     assert windowed == full

@@ -2,10 +2,12 @@
 
 For any file and any ``start``, parse_series_bytes(data, schema, start)
 must raise exactly what the full parse raises (class, message and line
-number), or return the full parse's rows from ``start`` on, bit for bit,
-with the same ``duplicates_collapsed``. The rows before ``start`` skip only
-the cast of their plain decimal cells, which ``_cell_classes`` picks out;
-these tests also hold that rule against float().
+number), or return the full parse's rows from the anchor on, bit for bit,
+with the same ``duplicates_collapsed``. The anchor is the last present
+sample before ``start``; without one, every row is returned. The rows
+before the anchor skip only the cast of their plain decimal cells, which
+``_cell_classes`` picks out; these tests also hold that rule against
+float().
 """
 
 import itertools
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 
 from normbase import tsdata
 from normbase.errors import ParseError, SchemaError
-from normbase.tsdata import SeriesSchema
+from normbase.tsdata import GapFillPolicy, SeriesSchema
 from test_parse_differential import GRID_STARTS, csv_texts, five_minute_channel, outcome
 
 NEW_YORK = ZoneInfo("America/New_York")
@@ -38,13 +40,15 @@ def windowed(text, schema, start):
 
 
 def full_from(text, schema, start):
-    """The full parse's outcome, its rows cut at ``start``."""
+    """The full parse's outcome, its rows cut at the last present row before
+    ``start``, or all of them when there is none."""
     try:
         s = tsdata.parse_series_bytes(encode(text), schema)
     except Exception as e:
         return type(e), str(e), getattr(e, "line_number", None)
-    keep = s.epochs >= start
-    return (s.epochs[keep].tobytes(), s.values[keep].tobytes(), s.missing[keep].tobytes(),
+    before = [i for i, (t, m) in enumerate(zip(s.epochs, s.missing)) if t < start and not m]
+    cut = before[-1] if before else 0
+    return (s.epochs[cut:].tobytes(), s.values[cut:].tobytes(), s.missing[cut:].tobytes(),
             s.duplicates_collapsed)
 
 
@@ -108,7 +112,7 @@ def test_unusual_cells_before_start_leave_the_window_alone(cell):
 def test_exponent_cells_after_start_are_cast():
     text = hourly(["1e3", "2", "3", "4", "5E-3", "-6.5e+2", "7e0"])
     series = tsdata.parse_series_bytes(encode(text), HOURLY, AT_ROW_4)
-    assert series.values.tolist() == [5e-3, -650.0, 7.0]
+    assert series.values.tolist() == [4.0, 5e-3, -650.0, 7.0]
 
 
 def test_unsorted_and_duplicate_rows_across_start():
@@ -119,14 +123,14 @@ def test_unsorted_and_duplicate_rows_across_start():
         assert_window_alike(text, HOURLY, start)
     series = tsdata.parse_series_bytes(encode(text), HOURLY, AT_ROW_4)
     assert series.duplicates_collapsed == 3
-    assert series.values.tolist() == [(3.25 + 6.25 + 9.25) / 3, 0.25, 8.25]
+    assert series.values.tolist() == [5.25, (3.25 + 6.25 + 9.25) / 3, 0.25, 8.25]
 
 
 def test_duplicate_count_covers_rows_before_start():
     text = hourly(["1", "2", "3", "4", "5", "6"]).replace("\n", "\n2020-01-01T00:00:00+00:00,9\n", 1)
     series = tsdata.parse_series_bytes(encode(text), HOURLY, AT_ROW_4)
     assert series.duplicates_collapsed == 1
-    assert len(series) == 2
+    assert len(series) == 3
 
 
 def test_cadence_check_covers_rows_before_start():
@@ -147,17 +151,66 @@ def test_new_york_dst_day_at_start(day, newline):
     assert_window_alike(text, SCHEMA_5MIN, start)
     assert_window_alike("\ufeff" + text, SCHEMA_5MIN, start)
     series = tsdata.parse_series_bytes(encode(text), SCHEMA_5MIN, start)
-    assert series.epochs[0] == start
+    assert series.epochs[:2].tolist() == [start - 300, start]
 
 
 def test_every_row_before_start_is_checked():
-    """A start past the end returns no row but still checks every line."""
+    """A start past the end returns the last row only but still checks every line."""
     lines = five_minute_channel(3).splitlines()
-    assert len(tsdata.parse_series_bytes(encode("\n".join(lines)), SCHEMA_5MIN, 1e18)) == 0
+    assert len(tsdata.parse_series_bytes(encode("\n".join(lines)), SCHEMA_5MIN, 1e18)) == 1
     lines[700] = lines[700].split(",")[0] + ",1.2.3"
     with pytest.raises(ParseError) as e:
         tsdata.parse_series_bytes(encode("\n".join(lines)), SCHEMA_5MIN, 1e18)
     assert e.value.line_number == 701
+
+
+# -- the anchor: the last present sample before start ------------------------------
+
+
+def test_anchor_duplicates_average_as_in_the_full_parse():
+    """The anchor's rows are cast, empty and non-canonical ones included."""
+    text = hourly(["1.5", "2", "3", "0.1", "5", "6"]) + (
+        "2020-01-01T03:00:00+00:00,0.7\n2020-01-01T03:00:00+00:00,\n"
+        "2020-01-01T03:00:00Z,0.25\n2020-01-01T02:00:00+00:00,9\n")
+    assert_window_alike(text, HOURLY, AT_ROW_4)
+    series = tsdata.parse_series_bytes(encode(text), HOURLY, AT_ROW_4)
+    full = tsdata.parse_series_bytes(encode(text), HOURLY)
+    assert series.epochs[0] == AT_ROW_4 - 3600
+    assert series.values[0] == full.values[3] == pytest.approx((0.1 + 0.7 + 0.25) / 3)
+    assert series.duplicates_collapsed == 4
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_anchor_blocks_back_behind_a_blank_run(block, monkeypatch):
+    """Two and a half blank days before and after ``start``: the run is
+    filled from the same two samples as in the full parse."""
+    text = hourly(["1.5", "2.25"] + [""] * 60 + ["7", "8"])
+    start = datetime(2020, 1, 2, tzinfo=timezone.utc).timestamp()  # row 24
+    monkeypatch.setattr(tsdata, "_PARSE_BLOCK", block)
+    assert_window_alike(text, HOURLY, start)
+    series = tsdata.parse_series_bytes(encode(text), HOURLY, start)
+    assert series.values[0] == 2.25 and len(series) == 63
+    policy = GapFillPolicy(max_interior=60)
+    windowed, _ = tsdata.fill_gaps(series, policy)
+    full, _ = tsdata.fill_gaps(tsdata.parse_series_bytes(encode(text), HOURLY), policy)
+    assert windowed.values[23:].tobytes() == full.values[24:].tobytes()
+
+
+def test_non_canonical_anchor():
+    text = hourly(["1.5", "2", "", "", "5", "6"]).replace(
+        "2020-01-01T01:00:00+00:00,2", "2020-01-01T01:00:00Z,2.5")
+    assert_window_alike(text, HOURLY, AT_ROW_4)
+    series = tsdata.parse_series_bytes(encode(text), HOURLY, AT_ROW_4)
+    assert series.values.tolist() == [2.5, 0.0, 0.0, 5.0, 6.0]
+    assert series.missing.tolist() == [False, True, True, False, False]
+
+
+@pytest.mark.parametrize("start", [AT_ROW_4, -np.inf])
+def test_no_present_row_before_start_returns_every_row(start):
+    text = hourly(["", "", "", "", "5", "6"])
+    assert_window_alike(text, HOURLY, start)
+    series = tsdata.parse_series_bytes(encode(text), HOURLY, start)
+    assert len(series) == 6 and series.missing[:4].all()
 
 
 # -- the plain-decimal rule -------------------------------------------------------
