@@ -50,7 +50,8 @@ def main():
         test=(date(2019, 1, 1), date(2019, 12, 31)),
         study=(cfg.study_start, cfg.study_end),
     )
-    report = normalize.run_pipeline(daily_table(ds), periods, seed=5).report
+    setup = normalize.RunSetup(periods=periods, seed=5)
+    report = normalize.run_pipeline(daily_table(ds), setup).report
 
     print("[2] held-out KPIs; only gate passers join the ensemble:\n")
     print(kpi_table({name: m.kpis for name, m in report.models.items()}))

@@ -9,7 +9,8 @@ Typical library use:
     from normbase import tsdata, features, normalize
 
     table = tsdata.align(energy_daily, weather_daily)
-    run = normalize.run_pipeline(table, normalize.PeriodSpec(train, test, study))
+    setup = normalize.RunSetup(periods=normalize.PeriodSpec(train, test, study))
+    run = normalize.run_pipeline(table, setup)
     print(run.report.totals.reduction_fraction)
 """
 
@@ -36,6 +37,7 @@ from .normalize import (
     MODEL_ORDER,
     NormalizationReport,
     PeriodSpec,
+    RunSetup,
     annual_share,
     daily_load_ratio,
     default_model_configs,
@@ -79,6 +81,7 @@ __all__ = [
     "MODEL_ORDER",
     "NormalizationReport",
     "PeriodSpec",
+    "RunSetup",
     "annual_share",
     "daily_load_ratio",
     "default_model_configs",

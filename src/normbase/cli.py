@@ -16,8 +16,9 @@ it logs, negative daily energy) only the rows from that sample on.
 
 Config files and saved model files (a SavedModel envelope each) are read
 with savefile.from_json against the dataclass annotations, and a value that
-does not fit is a ConfigError naming its key. report.json is a
-normalize.Report written with savefile.to_json.
+does not fit is a ConfigError naming its key. A run config is a RunSettings:
+the normalize.RunSetup that run_pipeline takes, plus the input and output
+keys. report.json is a normalize.Report written with savefile.to_json.
 
 Exit codes: 0 success, 2 configuration problem (a bad config or model
 file), 3 no model passed the acceptance gate (the report's
@@ -39,11 +40,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DataError, NormbaseError, ParseError
-from .features import FeatureSpec, Scaler, apply_scaler, build_features, feature_names
+from .features import Scaler, apply_scaler, build_features, feature_names
 from .metrics import monthly_rollup
-from .normalize import (
-    MODEL_KINDS, EnsembleSetup, KpiSetup, PeriodSpec, map_in_workers, run_pipeline, score,
-)
+from .normalize import MODEL_KINDS, RunSetup, map_in_workers, run_pipeline, score
 from .savefile import from_json, to_json
 from .svgchart import cumulative_chart, dlr_chart, overlay_chart
 from .synthgen import SynthConfig, configure_for_target, generate, write_dataset
@@ -109,26 +108,21 @@ def _model_setups(section: dict, run_seed: int) -> dict:
 
 
 @dataclass(kw_only=True)
-class RunSettings:
-    """Validated normalize/evaluate configuration.
+class RunSettings(RunSetup):
+    """Validated normalize/evaluate configuration: the RunSetup that
+    run_pipeline reads, plus where the run reads and writes.
 
     Each field is a top-level config key, and a field without a default is a
-    required key. load_run_settings resolves ``inputs`` and ``output_dir``
-    against the config file's directory and turns ``models`` into per-model
-    setups.
+    required key. ``models`` is a dict here, so the key rejects null.
+    load_run_settings resolves ``inputs`` and ``output_dir`` against the
+    config file's directory and turns ``models`` into per-model setups.
     """
 
-    seed: int = 0
     timezone: str = "UTC"
     interval_seconds: int
     inputs: dict
-    periods: PeriodSpec
-    features: FeatureSpec = FeatureSpec()
     gap_fill: GapFillPolicy = GapFillPolicy()
-    kpi: KpiSetup = KpiSetup()
-    ensemble: EnsembleSetup = EnsembleSetup()
     models: dict = field(default_factory=dict)
-    reference_range: Optional[tuple[date, date]] = None
     output_dir: Path = Path("normbase_out")
     save_models: bool = False
 
@@ -150,9 +144,6 @@ def load_run_settings(path: Path) -> RunSettings:
     resolve_timezone(settings.timezone)
     if settings.interval_seconds <= 0:
         raise ConfigError("interval_seconds must be positive")
-    reference = settings.reference_range
-    if reference is not None and reference[1] < reference[0]:
-        raise ConfigError("config key 'reference_range' ends before it starts")
     settings.models = _model_setups(settings.models, settings.seed)
     settings.output_dir = base_dir / settings.output_dir
     return settings
@@ -314,8 +305,15 @@ def _write_monthly_csv(path: Path, run):
     path.write_text("\n".join(rows) + "\n")
 
 
+_CHARTS = ("test_overlay.svg", "dlr.svg", "cumulative.svg")
+
+
 def _write_plots(plots_dir: Path, run):
+    """Draw the charts the run has days for. Every chart is unlinked first,
+    so a reused directory holds only the charts this run drew."""
     plots_dir.mkdir(parents=True, exist_ok=True)
+    for name in _CHARTS:
+        (plots_dir / name).unlink(missing_ok=True)
 
     # Held-out overlay over the test days that at least one model predicts.
     unpredicted = np.isnan(list(run.preds.values())).all(axis=0)
@@ -351,7 +349,11 @@ class SavedModel:
 
 
 def _save_models(models_dir: Path, run, settings: RunSettings):
+    """Write one file per fitted model and unlink the file of every other
+    model kind, so a reused directory holds only this run's models."""
     models_dir.mkdir(parents=True, exist_ok=True)
+    for name in MODEL_KINDS.keys() - run.fitted.keys():
+        (models_dir / f"{name}.json").unlink(missing_ok=True)
     for name, fitted in run.fitted.items():
         envelope = SavedModel(
             kind=name,
@@ -379,21 +381,6 @@ def _write_artifacts(outdir: Path, run, settings: RunSettings):
 
 # ---------------------------------------------------------------------------
 # subcommands
-
-
-def _run(settings: RunSettings, table):
-    """Fit and score the configured models; see normalize.run_pipeline."""
-    return run_pipeline(
-        table,
-        settings.periods,
-        feature_spec=settings.features,
-        models=settings.models,
-        p=settings.kpi.p,
-        selection=settings.ensemble.selection,
-        top_k=settings.ensemble.top_k,
-        seed=settings.seed,
-        reference_range=settings.reference_range,
-    )
 
 
 def _load_models(settings: RunSettings, models_dir: Path) -> dict:
@@ -487,7 +474,7 @@ def cmd_normalize(args) -> int:
     table = _ingest(settings)
     log.info("aligned table: %d days, %d excluded", len(table), table.n_excluded)
 
-    run = _run(settings, table)
+    run = run_pipeline(table, settings)
     _write_artifacts(settings.output_dir, run, settings)
 
     report = run.report
@@ -509,7 +496,7 @@ def cmd_evaluate(args) -> int:
     if args.models:
         kpis = _evaluate_saved(settings, _load_models(settings, Path(args.models)))
     else:
-        kpis = {n: m.kpis for n, m in _run(settings, _ingest(settings)).report.models.items()}
+        kpis = {n: m.kpis for n, m in run_pipeline(_ingest(settings), settings).report.models.items()}
 
     print(kpi_table(kpis))
     passed = [n for n, k in kpis.items() if k.gate is not None and k.gate.passed]

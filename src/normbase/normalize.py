@@ -8,8 +8,11 @@ out as per-date load ratios (actual / predicted) and cumulative reduction.
 Study-range predictions see only study-range weather/calendar features and
 train-range targets; study targets are never shown to a model.
 
-The Report dataclasses declare report.json once: savefile.to_json writes a
-Report, and savefile.from_json(Report, doc) reads one back.
+RunSetup declares a run's settings once: run_pipeline(table, setup) reads
+them from it, and cli.RunSettings extends it with the config file's input
+and output keys. The Report dataclasses declare report.json once:
+savefile.to_json writes a Report, and savefile.from_json(Report, doc) reads
+one back.
 
 The enabled models train in min(models, usable CPUs) worker processes, the
 pool (map_in_workers) the CLI also ingests its input channels in; with one
@@ -84,6 +87,29 @@ class EnsembleSetup:
             )
         if self.top_k < 1:
             raise ConfigError("top_k must be at least 1")
+
+
+@dataclass(kw_only=True)
+class RunSetup:
+    """What one run_pipeline call trains, gates and reports.
+
+    ``models`` maps model names to their setups; None enables all four with
+    defaults and seeds ``seed`` plus their offsets. ``reference_range`` is
+    the annual share's denominator period, the test range when None.
+    """
+
+    periods: PeriodSpec
+    features: FeatureSpec = FeatureSpec()
+    models: Optional[dict] = None
+    kpi: KpiSetup = KpiSetup()
+    ensemble: EnsembleSetup = EnsembleSetup()
+    seed: int = 0
+    reference_range: Optional[tuple[date, date]] = None
+
+    def __post_init__(self):
+        reference = self.reference_range
+        if reference is not None and reference[1] < reference[0]:
+            raise ConfigError("config key 'reference_range' ends before it starts")
 
 
 @dataclass(frozen=True)
@@ -410,32 +436,9 @@ def map_in_workers(fn, *iterables) -> list:
         return list(pool.map(fn, *iterables))
 
 
-def run_pipeline(
-    table,
-    periods: PeriodSpec,
-    feature_spec: FeatureSpec = FeatureSpec(),
-    models: Optional[dict] = None,
-    p: int = KpiSetup.p,
-    selection: str = EnsembleSetup.selection,
-    top_k: int = EnsembleSetup.top_k,
-    seed: int = 0,
-    reference_range: Optional[tuple] = None,
-) -> NormalizationReport:
-    """Train all enabled models and quantify study-range deviation.
-
-    Args:
-        table: aligned daily table covering all three periods.
-        periods: train/test/study ranges.
-        feature_spec: feature layout, shared by all models.
-        models: mapping of model name to its setup; None enables all four
-            with defaults and seeds derived from ``seed``.
-        p: NMBE adjustment.
-        selection: 'gate-passing' (ensemble over gate passers) or 'top_k'
-            (best k by daily CV(RMSE) regardless of gate).
-        top_k: k for the top_k selection.
-        seed: run seed, echoed in the report and used for default configs.
-        reference_range: denominator period for the annual share; defaults
-            to the test range.
+def run_pipeline(table, setup: RunSetup) -> NormalizationReport:
+    """Train the models ``setup`` enables on ``table``, an aligned daily
+    table covering all three periods, and quantify study-range deviation.
 
     Returns:
         NormalizationReport. With gate-passing selection and no passer, its
@@ -443,15 +446,12 @@ def run_pipeline(
         no totals.
 
     Raises:
-        DataError: too few usable rows in a period, or no selected model
-            predicts a study day (a lookback window can leave them all
-            uncovered).
+        ConfigError: ``setup.models`` names an unknown model, or none.
+        DataError: too few usable rows in a period or the reference range,
+            or no selected model predicts a study day (a lookback window
+            can leave them all uncovered).
     """
-    # the setups raise ConfigError for out-of-range values, before any model trains
-    KpiSetup(p)
-    EnsembleSetup(selection, top_k)
-    if models is None:
-        models = default_model_configs(seed)
+    models = default_model_configs(setup.seed) if setup.models is None else setup.models
     unknown = set(models) - set(MODEL_KINDS)
     if unknown:
         raise ConfigError(f"unknown model names: {sorted(unknown)}")
@@ -459,31 +459,34 @@ def run_pipeline(
     if not enabled:
         raise ConfigError("no models enabled")
 
-    matrix = build_features(table, feature_spec)
+    periods, p = setup.periods, setup.kpi.p
+    matrix = build_features(table, setup.features)
     train_mask = matrix.date_mask(*periods.train)
     test_mask = matrix.date_mask(*periods.test)
     study_mask = matrix.date_mask(*periods.study)
+    reference_mask = matrix.date_mask(*(setup.reference_range or periods.test))
     if int(train_mask.sum()) < MIN_TRAIN_ROWS:
         raise DataError(f"train range has {int(train_mask.sum())} usable rows, needs {MIN_TRAIN_ROWS}")
     if int(test_mask.sum()) < MIN_TEST_ROWS:
         raise DataError(f"test range has {int(test_mask.sum())} usable rows, needs {MIN_TEST_ROWS}")
     if int(study_mask.sum()) < 1:
         raise DataError("study range has no usable rows")
+    if int(reference_mask.sum()) < 1:
+        raise DataError("reference_range has no usable rows")
 
     scaler = fit_scaler(matrix, train_mask)
     scaled = apply_scaler(matrix, scaler)
-    lookback = feature_spec.lookback_days
 
     fit_one = partial(_fit_one, matrix=scaled, train_mask=train_mask, test_mask=test_mask,
-                      lookback=lookback, p=p)
+                      lookback=setup.features.lookback_days, p=p)
     fits = map_in_workers(fit_one, enabled, [models[n] for n in enabled])
     kpis, preds, info, fitted = ({n: fit[i] for n, fit in zip(enabled, fits)} for i in range(4))
 
-    if selection == SELECTION_GATE:
+    if setup.ensemble.selection == SELECTION_GATE:
         used = [n for n in enabled if kpis[n].gate is not None and kpis[n].gate.passed]
     else:
         ranked = sorted(enabled, key=lambda n: kpis[n].daily.cv_rmse)
-        used = ranked[: min(top_k, len(ranked))]
+        used = ranked[: min(setup.ensemble.top_k, len(ranked))]
 
     # Each row averages whichever selected members predict it.
     y = scaled.y
@@ -511,8 +514,7 @@ def run_pipeline(
     cumulative = Cumulative([d for d, c in zip(study_dates, cover) if c],
                             np.cumsum(study_actual[cover]), np.cumsum(ens_study[cover]))
 
-    ref_lo, ref_hi = reference_range if reference_range else periods.test
-    totals = Totals(None, None, None, float(np.sum(matrix.y[matrix.date_mask(ref_lo, ref_hi)])))
+    totals = Totals(None, None, None, float(np.sum(matrix.y[reference_mask])))
     if used:
         # Total reduction is defined off the cumulative curves so the two are
         # consistent to the last bit.
@@ -525,9 +527,9 @@ def run_pipeline(
 
     report = Report(
         periods=periods,
-        seed=seed,
+        seed=setup.seed,
         kpi_p=p,
-        selection=selection,
+        selection=setup.ensemble.selection,
         feature_names=list(scaled.names),
         models={n: ModelReport(kpis[n], info[n], pred[~np.isnan(pred)])
                 for n, pred in study_preds.items()},

@@ -89,7 +89,7 @@ def full_report(small_table, small_periods):
         "gbt_hist": gbmodels.BoostConfig(rounds=150, learning_rate=0.1, seed=44),
     }
     return normalize.run_pipeline(
-        small_table, small_periods, models=models, seed=7
+        small_table, normalize.RunSetup(periods=small_periods, models=models, seed=7)
     )
 
 

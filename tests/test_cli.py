@@ -15,10 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from normbase import cli, nnmodels, synthgen
+from conftest import encode_report
+from normbase import cli, gbmodels, nnmodels, synthgen
 from normbase.errors import ConfigError, DataError, ParseError
-from normbase.features import Scaler, apply_scaler, build_features
-from normbase.normalize import MODEL_KINDS
+from normbase.features import FeatureSpec, Scaler, apply_scaler, build_features
+from normbase.normalize import MODEL_KINDS, EnsembleSetup, KpiSetup, PeriodSpec, RunSetup, run_pipeline
 from normbase.savefile import from_json, to_json
 
 # ---------------------------------------------------------------------------
@@ -425,6 +426,100 @@ class TestReportNullPaths:
         assert report["flags"]["dlr_undefined_dates"] == ["2020-02-10"]
         assert len(report["models"]["lstm"]["study_predicted"]) == len(study["dates"]) - 6
         assert -1.0 in report["models"]["lstm"]["study_predicted"]
+
+
+class TestOutputDirReuse:
+    """A run into a directory an earlier run wrote leaves only its own charts
+    and, with save_models, only its own model files."""
+
+    @staticmethod
+    def normalize(out: Path, tmp_path, doc: dict) -> tuple:
+        doc = dict(doc, save_models=True, output_dir=str(out))
+        rc = cli.main(["normalize", "--config", write_config(tmp_path / "c.json", doc)])
+        report = json.loads((out / "report.json").read_text())
+        assert sorted(p.name for p in (out / "models").iterdir()) == sorted(f"{n}.json" for n in report["models"])
+        return rc, report
+
+    def test_fewer_models_leave_no_earlier_model_file(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        small = {"epochs": 3, "early_stop_patience": 3}
+        doc = run_config(data_dir)
+        rc, report = self.normalize(out, tmp_path, dict(doc, models={**doc["models"], "mlp": small, "lstm": small}))
+        assert rc == 0 and sorted(report["models"]) == ["gbt_exact", "gbt_hist", "lstm", "mlp"]
+        rc, report = self.normalize(out, tmp_path, doc)
+        assert rc == 0 and report["models_used"] == ["gbt_exact", "gbt_hist"]
+        capsys.readouterr()  # drop normalize output
+
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert cli.main(["evaluate", "--config", cfg, "--models", str(out / "models")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [row.split()[0] for row in lines[2:lines.index("")]] == ["gbt_exact", "gbt_hist"]
+
+    def test_run_without_a_baseline_leaves_no_earlier_chart(self, data_dir, tmp_path):
+        out = tmp_path / "out"
+        rc, _ = self.normalize(out, tmp_path, run_config(data_dir))
+        assert rc == 0
+        assert sorted(p.name for p in (out / "plots").iterdir()) == [
+            "cumulative.svg", "dlr.svg", "test_overlay.svg"]
+        # the underfit single tree of test_gate_failure_still_writes_report
+        doc = run_config(data_dir)
+        doc["models"] = {
+            "mlp": {"enabled": False},
+            "lstm": {"enabled": False},
+            "gbt_hist": {"enabled": False},
+            "gbt_exact": {"rounds": 1, "learning_rate": 0.01},
+        }
+        rc, report = self.normalize(out, tmp_path, doc)
+        assert rc == 3 and report["flags"]["no_valid_baseline"] is True
+        assert sorted(p.name for p in (out / "plots").iterdir()) == ["dlr.svg", "test_overlay.svg"]
+
+
+class TestRunSetup:
+    """A config file is a cli.RunSettings, which is a normalize.RunSetup: the
+    library runs a hand-built RunSetup as the CLI runs the config."""
+
+    def test_hand_built_setup_gives_the_cli_report(self, data_dir, tmp_path):
+        out = tmp_path / "out"
+        doc = run_config(
+            data_dir, output_dir=str(out), features={"calendar": ["dow_onehot"]}, kpi={"p": 2},
+            ensemble={"selection": "top_k", "top_k": 1}, reference_range=["2019-06-01", "2019-12-31"],
+        )
+        cfg = Path(write_config(tmp_path / "c.json", doc))
+        assert cli.main(["normalize", "--config", str(cfg)]) == 0
+        setup = RunSetup(
+            periods=PeriodSpec(
+                train=(date(2019, 1, 1), date(2019, 10, 31)),
+                test=(date(2019, 11, 1), date(2019, 12, 31)),
+                study=(date(2020, 1, 1), date(2020, 2, 15)),
+            ),
+            features=FeatureSpec(calendar=("dow_onehot",)),
+            models={
+                "gbt_exact": gbmodels.BoostConfig(rounds=60, learning_rate=0.2, seed=5 + 33),
+                "gbt_hist": gbmodels.BoostConfig(rounds=60, learning_rate=0.2, seed=5 + 44),
+            },
+            kpi=KpiSetup(p=2),
+            ensemble=EnsembleSetup(selection="top_k", top_k=1),
+            seed=5,
+            reference_range=(date(2019, 6, 1), date(2019, 12, 31)),
+        )
+        settings = cli.load_run_settings(cfg)
+        table = cli._ingest(settings)
+        texts = [encode_report(run_pipeline(table, s).report) for s in (settings, setup)]
+        assert texts[0] == texts[1] == (out / "report.json").read_text()
+
+    def test_reference_range_without_a_usable_day_exits_4_before_any_fit(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a model trained before the reference range was checked")
+
+        monkeypatch.setattr(gbmodels, "boost_fit", no_fit)
+        doc = run_config(data_dir, output_dir=str(tmp_path / "out"),
+                         reference_range=["2015-01-01", "2015-12-31"])
+        rc = cli.main(["normalize", "--config", write_config(tmp_path / "c.json", doc)])
+        assert rc == 4
+        assert capsys.readouterr().err == "data error: reference_range has no usable rows\n"
+        assert not (tmp_path / "out").exists()
 
 
 def table_bits(table) -> dict:

@@ -124,31 +124,51 @@ def test_default_model_configs_cover_all_models():
 
 
 class TestPipelineValidation:
-    def test_unknown_selection(self, small_table, small_periods):
-        with pytest.raises(ConfigError):
-            nb.run_pipeline(small_table, small_periods, selection="best")
-
-    def test_bad_top_k(self, small_table, small_periods):
-        with pytest.raises(ConfigError):
-            nb.run_pipeline(small_table, small_periods, selection=nb.SELECTION_TOP_K, top_k=0)
-
-    def test_negative_p_fails_before_any_fit(self, small_table, small_periods, tree_models, monkeypatch):
+    @pytest.fixture()
+    def no_fit(self, monkeypatch):
         def no_fit(*args, **kwargs):
             raise AssertionError("a model trained before the settings were checked")
 
         monkeypatch.setattr(gbmodels, "boost_fit", no_fit)
+
+    def test_unknown_selection(self, small_table, small_periods):
+        with pytest.raises(ConfigError):
+            nb.run_pipeline(small_table, nb.RunSetup(
+                periods=small_periods, ensemble=nb.EnsembleSetup(selection="best")))
+
+    def test_bad_top_k(self, small_table, small_periods):
+        with pytest.raises(ConfigError):
+            nb.run_pipeline(small_table, nb.RunSetup(
+                periods=small_periods, ensemble=nb.EnsembleSetup(selection=nb.SELECTION_TOP_K, top_k=0)))
+
+    def test_negative_p_fails_before_any_fit(self, small_table, small_periods, tree_models, no_fit):
         with pytest.raises(ConfigError, match="'kpi.p' must be non-negative"):
-            nb.run_pipeline(small_table, small_periods, models=tree_models, p=-1)
+            nb.run_pipeline(small_table, nb.RunSetup(
+                periods=small_periods, models=tree_models, kpi=nb.KpiSetup(p=-1)))
+
+    def test_reversed_reference_range_fails_at_construction(self, small_periods):
+        with pytest.raises(ConfigError) as exc:
+            nb.RunSetup(periods=small_periods, reference_range=(date(2018, 8, 31), date(2018, 7, 1)))
+        assert str(exc.value) == "config key 'reference_range' ends before it starts"
+
+    def test_reference_range_without_a_usable_day_fails_before_any_fit(
+        self, small_table, small_periods, tree_models, no_fit
+    ):
+        setup = nb.RunSetup(periods=small_periods, models=tree_models,
+                            reference_range=(date(2015, 1, 1), date(2015, 12, 31)))
+        with pytest.raises(DataError) as exc:
+            nb.run_pipeline(small_table, setup)
+        assert str(exc.value) == "reference_range has no usable rows"
 
     def test_unknown_model_name(self, small_table, small_periods, tree_models):
         bad = dict(tree_models)
         bad["boosted"] = bad.pop("gbt_exact")
         with pytest.raises(ConfigError):
-            nb.run_pipeline(small_table, small_periods, models=bad)
+            nb.run_pipeline(small_table, nb.RunSetup(periods=small_periods, models=bad))
 
     def test_no_models(self, small_table, small_periods):
         with pytest.raises(ConfigError):
-            nb.run_pipeline(small_table, small_periods, models={})
+            nb.run_pipeline(small_table, nb.RunSetup(periods=small_periods, models={}))
 
     def test_short_train_window(self, small_table, tree_models):
         periods = nb.PeriodSpec(
@@ -157,34 +177,34 @@ class TestPipelineValidation:
             study=(date(2018, 9, 1), date(2018, 10, 15)),
         )
         with pytest.raises(DataError):
-            nb.run_pipeline(small_table, periods, models=tree_models)
+            nb.run_pipeline(small_table, nb.RunSetup(periods=periods, models=tree_models))
 
 
 class TestPipelineTreeRuns:
     def test_deterministic_repeat(self, small_table, small_periods, tree_models):
-        a = nb.run_pipeline(small_table, small_periods, models=tree_models, seed=5)
-        b = nb.run_pipeline(small_table, small_periods, models=tree_models, seed=5)
+        a = nb.run_pipeline(small_table, nb.RunSetup(periods=small_periods, models=tree_models, seed=5))
+        b = nb.run_pipeline(small_table, nb.RunSetup(periods=small_periods, models=tree_models, seed=5))
         assert to_json(a.report) == to_json(b.report)
 
     def test_study_actuals_never_leak_into_predictions(
         self, small_table, small_periods, tree_models
     ):
-        base = nb.run_pipeline(small_table, small_periods, models=tree_models, seed=5)
+        base = nb.run_pipeline(small_table, nb.RunSetup(periods=small_periods, models=tree_models, seed=5))
         study_mask = np.array(
             [small_periods.study[0] <= d <= small_periods.study[1] for d in small_table.dates]
         )
         energy = small_table.energy.copy()
         energy[study_mask] *= 10.0
         spiked_table = dataclasses.replace(small_table, energy=energy)
-        spiked = nb.run_pipeline(spiked_table, small_periods, models=tree_models, seed=5)
+        spiked = nb.run_pipeline(spiked_table, nb.RunSetup(periods=small_periods, models=tree_models, seed=5))
         for name in tree_models:
             np.testing.assert_array_equal(base.preds[name], spiked.preds[name])
 
     def test_top_k_selection_ranks_by_daily_cv(self, small_table, small_periods, tree_models):
-        report = nb.run_pipeline(
-            small_table, small_periods, models=tree_models,
-            selection=nb.SELECTION_TOP_K, top_k=1, seed=5,
-        )
+        report = nb.run_pipeline(small_table, nb.RunSetup(
+            periods=small_periods, models=tree_models,
+            ensemble=nb.EnsembleSetup(selection=nb.SELECTION_TOP_K, top_k=1), seed=5,
+        ))
         assert len(report.report.models_used) == 1
         best = min(tree_models, key=lambda n: report.report.models[n].kpis.daily.cv_rmse)
         assert report.report.models_used == [best]
@@ -192,10 +212,10 @@ class TestPipelineTreeRuns:
     def test_top_k_larger_than_pool_uses_everything(
         self, small_table, small_periods, tree_models
     ):
-        report = nb.run_pipeline(
-            small_table, small_periods, models=tree_models,
-            selection=nb.SELECTION_TOP_K, top_k=10, seed=5,
-        )
+        report = nb.run_pipeline(small_table, nb.RunSetup(
+            periods=small_periods, models=tree_models,
+            ensemble=nb.EnsembleSetup(selection=nb.SELECTION_TOP_K, top_k=10), seed=5,
+        ))
         assert sorted(report.report.models_used) == sorted(tree_models)
 
     def test_no_valid_baseline_carries_report(self, small_table, small_periods, tree_models):
@@ -203,7 +223,7 @@ class TestPipelineTreeRuns:
         rng = np.random.default_rng(0)
         energy = rng.uniform(500.0, 1500.0, size=len(small_table.dates))
         noisy = dataclasses.replace(small_table, energy=energy)
-        report = nb.run_pipeline(noisy, small_periods, models=tree_models, seed=5)
+        report = nb.run_pipeline(noisy, nb.RunSetup(periods=small_periods, models=tree_models, seed=5))
         assert report.report.flags.no_valid_baseline
         assert report.report.models_used == []
         assert to_json(report.report)["flags"]["no_valid_baseline"] is True
@@ -226,7 +246,7 @@ class TestModelPool:
         docs = []
         for n in (1, 2, 8):
             cpus(n)
-            report = nb.run_pipeline(small_table, small_periods, models=models, seed=7)
+            report = nb.run_pipeline(small_table, nb.RunSetup(periods=small_periods, models=models, seed=7))
             assert not multiprocessing.active_children()
             docs.append(json.dumps(to_json(report.report)))
         assert pools == [2, 4]
@@ -236,7 +256,7 @@ class TestModelPool:
         self, small_table, small_periods, tree_models, pools, monkeypatch
     ):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        report = nb.run_pipeline(small_table, small_periods, models=tree_models, seed=5)
+        report = nb.run_pipeline(small_table, nb.RunSetup(periods=small_periods, models=tree_models, seed=5))
         assert pools == []
         assert list(report.preds) == ["gbt_exact", "gbt_hist"]
 
@@ -252,7 +272,7 @@ class TestModelPool:
         for n in (1, 2):
             cpus(n)
             with pytest.raises(DataError, match="^exact fit failed$"):
-                nb.run_pipeline(small_table, small_periods, models=tree_models)
+                nb.run_pipeline(small_table, nb.RunSetup(periods=small_periods, models=tree_models))
             assert not multiprocessing.active_children()
         assert pools == [2]
 
@@ -343,9 +363,10 @@ class TestDateAxis:
             "gbt_exact": gbmodels.BoostConfig(rounds=60, learning_rate=0.2, seed=33),
             "gbt_hist": gbmodels.BoostConfig(rounds=60, learning_rate=0.2, seed=44),
         }
-        report = nb.run_pipeline(
-            table, self.PERIODS, models=models, selection=nb.SELECTION_TOP_K, top_k=4, seed=5
-        )
+        report = nb.run_pipeline(table, nb.RunSetup(
+            periods=self.PERIODS, models=models,
+            ensemble=nb.EnsembleSetup(selection=nb.SELECTION_TOP_K, top_k=4), seed=5,
+        ))
         spec = FeatureSpec()
         windowed = set(make_sequences(build_features(table, spec), spec.lookback_days).target_dates)
         return report, windowed, table
