@@ -6,8 +6,9 @@ decided on a held-out span by four KPIs — monthly and daily CV(RMSE) and
 NMBE — against fixed acceptance limits (0.15 / 0.22 / 0.05 / 0.07, strict).
 
 This script builds the feature matrix explicitly, trains one boosted-tree
-model and one MLP directly against the low-level APIs, and prints the KPI
-table. The full four-model ensemble pipeline is demos/03_counterfactual_study.py.
+model and one MLP directly against the low-level APIs, prints where each
+stopped (the FitTrace both trainers return, curves in kWh RMSE), and prints
+the KPI table. The full four-model ensemble pipeline is demos/03_counterfactual_study.py.
 
 Run:  python3 demos/02_baseline_models.py
 """
@@ -66,7 +67,8 @@ def main():
     cfg = gbmodels.BoostConfig(rounds=300, learning_rate=0.1, seed=1)
     ensemble, trace = gbmodels.boost_fit((X_tr, y_tr), cfg, kind="exact")
     print(f"[4] boosted trees: {len(ensemble.trees)} rounds kept "
-          f"(best validation round {trace.best_round + 1}); "
+          f"(best validation round {trace.best + 1}, "
+          f"validation RMSE {trace.val[trace.best]:.1f} kWh); "
           "row sampling by gradient magnitude and sparse-feature bundling "
           "are on by default")
     pred_gbt = gbmodels.boost_predict(ensemble, X_te)
@@ -78,8 +80,9 @@ def main():
         hidden_sizes=(16,),
         activation="relu",
     )
-    print(f"[5] MLP: stopped after epoch {nn_trace.n_epochs}, "
-          f"kept snapshot from epoch {nn_trace.best_epoch + 1}")
+    print(f"[5] MLP: stopped after epoch {len(nn_trace.train)}, "
+          f"kept snapshot from epoch {nn_trace.best + 1} "
+          f"(validation RMSE {nn_trace.val[nn_trace.best]:.1f} kWh)")
     pred_mlp = nnmodels.mlp_predict(params, X_te)
 
     # -- 6. KPIs on the held-out span and the acceptance verdict ------------

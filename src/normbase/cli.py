@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
@@ -309,11 +310,8 @@ _CHARTS = ("test_overlay.svg", "dlr.svg", "cumulative.svg")
 
 
 def _write_plots(plots_dir: Path, run):
-    """Draw the charts the run has days for. Every chart is unlinked first,
-    so a reused directory holds only the charts this run drew."""
+    """Draw the charts the run has days for."""
     plots_dir.mkdir(parents=True, exist_ok=True)
-    for name in _CHARTS:
-        (plots_dir / name).unlink(missing_ok=True)
 
     # Held-out overlay over the test days that at least one model predicts.
     unpredicted = np.isnan(list(run.preds.values())).all(axis=0)
@@ -349,11 +347,8 @@ class SavedModel:
 
 
 def _save_models(models_dir: Path, run, settings: RunSettings):
-    """Write one file per fitted model and unlink the file of every other
-    model kind, so a reused directory holds only this run's models."""
+    """Write one file per fitted model."""
     models_dir.mkdir(parents=True, exist_ok=True)
-    for name in MODEL_KINDS.keys() - run.fitted.keys():
-        (models_dir / f"{name}.json").unlink(missing_ok=True)
     for name, fitted in run.fitted.items():
         envelope = SavedModel(
             kind=name,
@@ -367,16 +362,28 @@ def _save_models(models_dir: Path, run, settings: RunSettings):
         (models_dir / f"{name}.json").write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
+def _unlink_artifacts(settings: RunSettings):
+    """Unlink every file a run writes (model files only with save_models), so
+    a run that fails leaves no earlier run's file to read as its own."""
+    names = ["report.json", "daily.csv", "monthly.csv", *(f"plots/{c}" for c in _CHARTS)]
+    if settings.save_models:
+        names += [f"models/{name}.json" for name in MODEL_KINDS]
+    for name in names:
+        (settings.output_dir / name).unlink(missing_ok=True)
+
+
 def _write_artifacts(outdir: Path, run, settings: RunSettings):
+    """Write the artifacts, report.json last and in one rename, so a
+    report.json on disk always belongs to a complete set."""
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "report.json").write_text(
-        json.dumps(to_json(run.report), indent=2, sort_keys=True, allow_nan=False) + "\n"
-    )
     _write_daily_csv(outdir / "daily.csv", run)
     _write_monthly_csv(outdir / "monthly.csv", run)
     _write_plots(outdir / "plots", run)
     if settings.save_models:
         _save_models(outdir / "models", run, settings)
+    tmp = outdir / "report.json.tmp"
+    tmp.write_text(json.dumps(to_json(run.report), indent=2, sort_keys=True, allow_nan=False) + "\n")
+    os.replace(tmp, outdir / "report.json")
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +478,7 @@ def cmd_normalize(args) -> int:
     if args.out:
         settings.output_dir = Path(args.out)
     _check_output_dir(settings.output_dir)
+    _unlink_artifacts(settings)
     table = _ingest(settings)
     log.info("aligned table: %d days, %d excluded", len(table), table.n_excluded)
 

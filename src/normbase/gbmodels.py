@@ -20,7 +20,9 @@ hessian sum, and boost_fit routes such training rows that way too.
 
 Squared-error loss throughout: gradient = prediction - target, hessian = 1.
 Split scoring and leaf weights follow the second-order objective with L2 leaf
-regularization ``reg_lambda`` and per-split penalty ``gamma``.
+regularization ``reg_lambda`` and per-split penalty ``gamma``. boost_fit
+records each round's training and validation RMSE, in target units, in a
+metrics.FitTrace, the record the networks' trainer fills too.
 
 Everything is deterministic given the config seed; nothing here spawns
 threads, so results never depend on available parallelism.
@@ -29,12 +31,13 @@ threads, so results never depend on available parallelism.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, DataError, TrainingDivergedError
+from .metrics import FitTrace
 from .savefile import from_json, to_json
 
 # ---------------------------------------------------------------------------
@@ -514,19 +517,6 @@ def build_tree_hist(bin_idx, edges, g, h, w, rows, cfg: BoostConfig, leaf_of=Non
 
 
 @dataclass
-class BoostTrace:
-    """Per-round RMSE record from boost_fit."""
-
-    train_rmse: list = field(default_factory=list)
-    val_rmse: list = field(default_factory=list)
-    best_round: int = -1
-
-    @property
-    def n_rounds(self) -> int:
-        return len(self.train_rmse)
-
-
-@dataclass
 class Ensemble:
     """A fitted boosted-tree model.
 
@@ -553,7 +543,7 @@ def boost_fit(data, cfg: BoostConfig, kind: str = "exact"):
         kind: 'exact' or 'histogram'.
 
     Returns:
-        (Ensemble, BoostTrace). With a validation split, training stops once
+        (Ensemble, FitTrace). With a validation split, training stops once
         validation RMSE has not improved for cfg.early_stop_rounds rounds and
         the ensemble is truncated to its best round.
 
@@ -591,7 +581,7 @@ def boost_fit(data, cfg: BoostConfig, kind: str = "exact"):
 
     pred_train = np.full(n_train, base)
     pred_val = np.full(n_val, base)
-    trace = BoostTrace()
+    trace = FitTrace()
     best_val = np.inf
     # growth and routing place NaN on different sides, so these rows are routed
     nan_rows = np.flatnonzero(np.isnan(Xb_train).any(axis=1))
@@ -618,22 +608,22 @@ def boost_fit(data, cfg: BoostConfig, kind: str = "exact"):
             raise TrainingDivergedError(f"non-finite predictions at round {r}")
         # a huge-but-finite pred squares to inf; keep it as an inf trace entry
         with np.errstate(over="ignore"):
-            trace.train_rmse.append(float(np.sqrt(np.mean((pred_train - y_train) ** 2))))
+            trace.train.append(float(np.sqrt(np.mean((pred_train - y_train) ** 2))))
 
         if n_val:
             pred_val = pred_val + cfg.learning_rate * predict_tree(tree, Xb_val)
             v = float(np.sqrt(np.mean((pred_val - y_val) ** 2)))
-            trace.val_rmse.append(v)
+            trace.val.append(v)
             if v < best_val:
                 best_val = v
-                trace.best_round = r
-            elif r - trace.best_round >= cfg.early_stop_rounds:
+                trace.best = r
+            elif r - trace.best >= cfg.early_stop_rounds:
                 break
         else:
-            trace.best_round = r
+            trace.best = r
 
-    if n_val and trace.best_round >= 0:
-        del ens.trees[trace.best_round + 1 :]
+    if n_val and trace.best >= 0:
+        del ens.trees[trace.best + 1 :]
     return ens, trace
 
 

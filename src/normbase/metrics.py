@@ -1,4 +1,4 @@
-"""Prediction-quality metrics and the baseline acceptance gate.
+"""Prediction-quality metrics, the baseline acceptance gate and FitTrace.
 
 All metric functions take daily actual/predicted vectors. Conventions that
 downstream code relies on:
@@ -11,7 +11,7 @@ downstream code relies on:
 """
 
 import calendar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -98,6 +98,21 @@ def nmbe(actual, predicted, p: int = 1) -> float:
     if mean == 0.0:
         raise UndefinedMetricError("NMBE undefined: actual mean is zero")
     return float(np.sum(a - pr) / ((n - p) * mean))
+
+
+@dataclass
+class FitTrace:
+    """One model's training record. ``train[i]`` and ``val[i]`` are RMSEs in
+    target units (kWh) over the training and the validation split in epoch
+    or round i (``val`` is empty without a validation split), and ``best``
+    is the step the returned model stops at. perfbench's tracer reads
+    ``n_epochs``/``n_rounds``; drop them once it reads len(r[1].train).
+    """
+
+    train: list = field(default_factory=list)
+    val: list = field(default_factory=list)
+    best: int = -1
+    n_epochs = n_rounds = property(lambda self: len(self.train))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ vectors, updated by whole-vector operations. Only the mini-batches are
 backpropagated; an epoch's training loss is the row-weighted mean of its
 mini-batch losses, and only the validation split gets a forward pass.
 Targets are z-scored internally with a dedicated scaler fitted on the
-training split; predictions come back in original units.
+training split; predictions come back in original units, and so does the
+returned metrics.FitTrace, whose curves are per-epoch RMSEs in kWh.
 
 Gradients are derived by hand (full backpropagation through time for the
 recurrent model) and are verified against central finite differences in the
@@ -33,13 +34,15 @@ one BLAS thread and with the default number and compares the bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, TrainingDivergedError
 from .features import TargetScaler
+from .metrics import FitTrace
 from .savefile import from_json, to_json
 
 ADAM_BETA1 = 0.9
@@ -76,26 +79,6 @@ class TrainConfig:
             raise ConfigError("gradient_clip_norm must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-
-
-@dataclass
-class TrainTrace:
-    """Per-epoch loss record (z-scored target space).
-
-    ``train_loss[e]`` is the row-weighted mean of the mini-batch losses of
-    epoch e, each taken before that batch's update (Keras's convention), so
-    the parameters move while it accumulates. ``val_loss[e]`` is the MSE of
-    a forward pass over the validation split with the parameters at the end
-    of epoch e; early stopping and ``best_epoch`` follow it.
-    """
-
-    train_loss: list = field(default_factory=list)
-    val_loss: list = field(default_factory=list)
-    best_epoch: int = -1
-
-    @property
-    def n_epochs(self) -> int:
-        return len(self.train_loss)
 
 
 def _glorot(rng, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -136,12 +119,15 @@ def _fit(params, loss_grad, forward, data, cfg: TrainConfig):
     flat vectors; the norm adds one sum of squares per params.norm_blocks()
     block, in order: one per gate, as when each gate was its own array.
     Each epoch's training loss is sum(loss_b * |b|) / n_train over its
-    mini-batches b, the losses loss_grad returned; its validation loss is
-    the MSE of a forward pass over the validation split, and only that
-    split is scored.
+    mini-batches b, the losses loss_grad returned before each update
+    (Keras's convention); its validation loss is the MSE of a forward pass
+    over the validation split at the epoch's end, and only that split is
+    scored. Early stopping and the snapshot compare the z-scored validation
+    loss; the FitTrace records sqrt(loss) * effective_std of both, RMSEs in
+    target units.
 
     Returns:
-        (params at the best-validation epoch, TrainTrace).
+        (params at the best-validation epoch, FitTrace).
     """
     X, y = data
     n_train = y.size - max(1, int(round(cfg.validation_fraction * y.size)))
@@ -157,7 +143,7 @@ def _fit(params, loss_grad, forward, data, cfg: TrainConfig):
     blocks = [p.reshape(k, -1) for p, k in zip(parts, params.norm_blocks())]
     t = 0
     rng = np.random.default_rng(cfg.seed + 1)
-    trace = TrainTrace()
+    trace = FitTrace()
     best_val = np.inf
     best_state = [a.copy() for a in arrays]
 
@@ -189,13 +175,13 @@ def _fit(params, loss_grad, forward, data, cfg: TrainConfig):
         val_loss = float(np.mean((forward(params, X_val) - z_val) ** 2))
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
             raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-        trace.train_loss.append(train_loss)
-        trace.val_loss.append(val_loss)
+        trace.train.append(math.sqrt(train_loss) * scaler.effective_std)
+        trace.val.append(math.sqrt(val_loss) * scaler.effective_std)
         if val_loss < best_val:
             best_val = val_loss
-            trace.best_epoch = epoch
+            trace.best = epoch
             best_state = [a.copy() for a in arrays]
-        elif epoch - trace.best_epoch >= cfg.early_stop_patience:
+        elif epoch - trace.best >= cfg.early_stop_patience:
             break
 
     for a, b in zip(arrays, best_state):
@@ -296,7 +282,7 @@ def mlp_train(data, cfg: TrainConfig, hidden_sizes=(32,), activation: str = "rel
     mlp_predict reports original units.
 
     Returns:
-        (MlpParams at the best-validation epoch, TrainTrace).
+        (MlpParams at the best-validation epoch, FitTrace).
 
     Raises:
         DataError: fewer than 30 rows.

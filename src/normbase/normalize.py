@@ -19,7 +19,9 @@ pool (map_in_workers) the CLI also ingests its input channels in; with one
 such CPU (or where the platform cannot tell) they train one after another in
 this process. Each model owns a seeded RNG and runs the same code on the same
 bits in either case, so a model's result depends only on its setup and the
-data, and every artifact is the same whatever the worker count.
+data, and every artifact is the same whatever the worker count. A worker
+returns the fit's metrics.FitTrace, from which ModelKind.info derives the
+report's v1 ``info``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 from . import gbmodels, nnmodels
 from .errors import ConfigError, DataError, UndefinedMetricError
 from .features import FeatureMatrix, FeatureSpec, apply_scaler, build_features, fit_scaler, make_sequences
-from .metrics import KpiReport, kpi_report
+from .metrics import FitTrace, KpiReport, kpi_report
 
 SELECTION_GATE = "gate-passing"
 SELECTION_TOP_K = "top_k"
@@ -151,17 +153,18 @@ class LstmSetup(nnmodels.TrainConfig):
 class ModelKind:
     """How the pipeline fits, predicts and saves one model family.
 
-    fit(setup, matrix, train_mask, lookback) -> (fitted, info) trains on the
-    masked rows of a scaled FeatureMatrix. predict(fitted, matrix, lookback)
-    returns one value per matrix row, NaN where the model has no input (a
-    row without a full lookback window). to_dict/from_dict convert the
-    fitted model to and from its saved JSON payload. n_inputs(fitted) is the
-    number of feature columns the model reads.
+    fit(setup, matrix, train_mask, lookback) -> (fitted, FitTrace) trains on
+    the masked rows of a scaled FeatureMatrix; info(fitted, trace) is its v1
+    report ``info``. predict(fitted, matrix, lookback) returns one value per
+    matrix row, NaN where the model has no input (no full lookback window).
+    to_dict/from_dict convert the fitted model to and from its saved JSON
+    payload. n_inputs(fitted) is the number of feature columns it reads.
     """
 
     setup: type
     seed_offset: int
     fit: Callable
+    info: Callable
     predict: Callable
     to_dict: Callable
     from_dict: Callable
@@ -169,11 +172,10 @@ class ModelKind:
 
 
 def _fit_mlp(setup: MlpSetup, matrix: FeatureMatrix, rows, lookback: int):
-    params, trace = nnmodels.mlp_train(
+    return nnmodels.mlp_train(
         (matrix.X[rows], matrix.y[rows]), setup,
         hidden_sizes=setup.hidden_sizes, activation=setup.activation,
     )
-    return params, {"epochs": trace.n_epochs, "best_epoch": trace.best_epoch}
 
 
 def _fit_lstm(setup: LstmSetup, matrix: FeatureMatrix, rows, lookback: int):
@@ -181,10 +183,13 @@ def _fit_lstm(setup: LstmSetup, matrix: FeatureMatrix, rows, lookback: int):
     train = rows[seqs.rows]
     if int(train.sum()) < 30:
         raise DataError(f"lstm has {int(train.sum())} training sequences, needs 30")
-    params, trace = nnmodels.lstm_train(
+    return nnmodels.lstm_train(
         (seqs.windows[train], seqs.targets[train]), setup, hidden_size=setup.hidden_size
     )
-    return params, {"epochs": trace.n_epochs, "best_epoch": trace.best_epoch}
+
+
+def _net_info(params, trace: FitTrace) -> dict:
+    return {"epochs": len(trace.train), "best_epoch": trace.best}
 
 
 def _predict_lstm(params, matrix: FeatureMatrix, lookback: int) -> np.ndarray:
@@ -194,12 +199,12 @@ def _predict_lstm(params, matrix: FeatureMatrix, lookback: int) -> np.ndarray:
     return pred
 
 
-def _fit_trees(kind: str):
-    def fit(cfg: gbmodels.BoostConfig, matrix: FeatureMatrix, rows, lookback: int):
-        ens, trace = gbmodels.boost_fit((matrix.X[rows], matrix.y[rows]), cfg, kind=kind)
-        return ens, {"rounds": trace.n_rounds, "best_round": trace.best_round, "n_trees": len(ens.trees)}
+def _fit_trees(kind: str, cfg: gbmodels.BoostConfig, matrix: FeatureMatrix, rows, lookback: int):
+    return gbmodels.boost_fit((matrix.X[rows], matrix.y[rows]), cfg, kind=kind)
 
-    return fit
+
+def _tree_info(ens, trace: FitTrace) -> dict:
+    return {"rounds": len(trace.train), "best_round": trace.best, "n_trees": len(ens.trees)}
 
 
 def _predict_trees(ens, matrix: FeatureMatrix, lookback: int) -> np.ndarray:
@@ -211,6 +216,7 @@ MODEL_KINDS = {
         setup=MlpSetup,
         seed_offset=11,
         fit=_fit_mlp,
+        info=_net_info,
         predict=lambda params, matrix, lookback: nnmodels.mlp_predict(params, matrix.X),
         to_dict=lambda params: nnmodels.mlp_to_dict(params),
         from_dict=lambda doc: nnmodels.mlp_from_dict(doc),
@@ -220,6 +226,7 @@ MODEL_KINDS = {
         setup=LstmSetup,
         seed_offset=22,
         fit=_fit_lstm,
+        info=_net_info,
         predict=_predict_lstm,
         to_dict=lambda params: nnmodels.lstm_to_dict(params),
         from_dict=lambda doc: nnmodels.lstm_from_dict(doc),
@@ -228,7 +235,8 @@ MODEL_KINDS = {
     "gbt_exact": ModelKind(
         setup=gbmodels.BoostConfig,
         seed_offset=33,
-        fit=_fit_trees("exact"),
+        fit=partial(_fit_trees, "exact"),
+        info=_tree_info,
         predict=_predict_trees,
         to_dict=lambda ens: gbmodels.ensemble_to_dict(ens),
         from_dict=lambda doc: gbmodels.ensemble_from_dict(doc),
@@ -237,7 +245,8 @@ MODEL_KINDS = {
     "gbt_hist": ModelKind(
         setup=gbmodels.BoostConfig,
         seed_offset=44,
-        fit=_fit_trees("histogram"),
+        fit=partial(_fit_trees, "histogram"),
+        info=_tree_info,
         predict=_predict_trees,
         to_dict=lambda ens: gbmodels.ensemble_to_dict(ens),
         from_dict=lambda doc: gbmodels.ensemble_from_dict(doc),
@@ -318,7 +327,7 @@ def annual_share(total_reduction_kwh: float, reference_total_kwh: float) -> floa
 
 @dataclass
 class ModelReport:
-    """One model's test KPIs, training record and covered study-day predictions."""
+    """One model's test KPIs, its ModelKind.info and covered study-day predictions."""
 
     kpis: KpiReport
     info: dict
@@ -404,11 +413,11 @@ class NormalizationReport:
 
 
 def _fit_one(name, setup, matrix, train_mask, test_mask, lookback, p) -> tuple:
-    """Fit, predict and score one model: (kpis, pred, info, fitted)."""
+    """Fit, predict and score one model: (kpis, pred, FitTrace, fitted)."""
     kind = MODEL_KINDS[name]
-    fitted, info = kind.fit(setup, matrix, train_mask, lookback)
+    fitted, trace = kind.fit(setup, matrix, train_mask, lookback)
     pred = kind.predict(fitted, matrix, lookback)
-    return score(matrix, test_mask, pred, p=p), pred, info, fitted
+    return score(matrix, test_mask, pred, p=p), pred, trace, fitted
 
 
 def map_in_workers(fn, *iterables) -> list:
@@ -480,7 +489,7 @@ def run_pipeline(table, setup: RunSetup) -> NormalizationReport:
     fit_one = partial(_fit_one, matrix=scaled, train_mask=train_mask, test_mask=test_mask,
                       lookback=setup.features.lookback_days, p=p)
     fits = map_in_workers(fit_one, enabled, [models[n] for n in enabled])
-    kpis, preds, info, fitted = ({n: fit[i] for n, fit in zip(enabled, fits)} for i in range(4))
+    kpis, preds, traces, fitted = ({n: fit[i] for n, fit in zip(enabled, fits)} for i in range(4))
 
     if setup.ensemble.selection == SELECTION_GATE:
         used = [n for n in enabled if kpis[n].gate is not None and kpis[n].gate.passed]
@@ -531,8 +540,8 @@ def run_pipeline(table, setup: RunSetup) -> NormalizationReport:
         kpi_p=p,
         selection=setup.ensemble.selection,
         feature_names=list(scaled.names),
-        models={n: ModelReport(kpis[n], info[n], pred[~np.isnan(pred)])
-                for n, pred in study_preds.items()},
+        models={n: ModelReport(kpis[n], MODEL_KINDS[n].info(fitted[n], traces[n]),
+                               pred[~np.isnan(pred)]) for n, pred in study_preds.items()},
         models_used=used,
         flags=Flags(not used, [d for d, u, c in zip(study_dates, undef, cover) if u and c]),
         study=StudySeries(study_dates, study_actual, ens_study, dlr),

@@ -430,7 +430,8 @@ class TestReportNullPaths:
 
 class TestOutputDirReuse:
     """A run into a directory an earlier run wrote leaves only its own charts
-    and, with save_models, only its own model files."""
+    and, with save_models, only its own model files. A run that fails leaves
+    no report.json, neither its own nor an earlier run's."""
 
     @staticmethod
     def normalize(out: Path, tmp_path, doc: dict) -> tuple:
@@ -472,6 +473,28 @@ class TestOutputDirReuse:
         rc, report = self.normalize(out, tmp_path, doc)
         assert rc == 3 and report["flags"]["no_valid_baseline"] is True
         assert sorted(p.name for p in (out / "plots").iterdir()) == ["dlr.svg", "test_overlay.svg"]
+
+    def test_failed_run_leaves_no_earlier_artifact(self, data_dir, tmp_path):
+        out = tmp_path / "out"
+        doc = run_config(data_dir, output_dir=str(out))
+        assert cli.main(["normalize", "--config", write_config(tmp_path / "c.json", doc)]) == 0
+        assert (out / "report.json").exists() and len(list((out / "plots").iterdir())) == 3
+        doc["models"]["gbt_hist"]["learning_rate"] = 1e308
+        assert cli.main(["normalize", "--config", write_config(tmp_path / "c.json", doc)]) == 4
+        left = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+        assert left == []
+
+    def test_failing_chart_writer_leaves_no_report(self, data_dir, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+
+        def broken(*args):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(cli, "cumulative_chart", broken)
+        cfg = write_config(tmp_path / "c.json", run_config(data_dir, output_dir=str(out)))
+        with pytest.raises(OSError, match="no space"):
+            cli.main(["normalize", "--config", cfg])
+        assert (out / "daily.csv").exists() and not (out / "report.json").exists()
 
 
 class TestRunSetup:

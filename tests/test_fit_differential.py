@@ -9,12 +9,17 @@ recurrent model on the 14 per-gate views of its gate-stacked arrays, as the
 per-gate parameter lists were; the current loop updates flat moment vectors
 and sums one partial norm per gate. For every drawn problem both must end with
 the same parameters and the same per-epoch losses and best epoch, compared
-as raw bytes, so every bit agrees.
+as raw bytes, so every bit agrees. The oracle records z-scored MSEs in its
+own TrainTrace; the current loop records sqrt(loss) * effective_std of each
+in a FitTrace, and the comparison converts the oracle's the same way.
 
 The draws cover a clip norm that fires (0.05) and one that never does
 (1000), and patiences short enough that early stopping and the
 best-validation restore run.
 """
+
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -24,9 +29,18 @@ from hypothesis import strategies as st
 from normbase import nnmodels as nn
 from normbase.errors import TrainingDivergedError
 from normbase.features import TargetScaler
-from normbase.nnmodels import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LstmParams, TrainConfig, TrainTrace
+from normbase.nnmodels import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LstmParams, TrainConfig
 
 # -- oracle: the array-by-array loop, unchanged -------------------------------
+
+
+@dataclass
+class TrainTrace:
+    """The oracle's per-epoch loss record (z-scored target space)."""
+
+    train_loss: list = field(default_factory=list)
+    val_loss: list = field(default_factory=list)
+    best_epoch: int = -1
 
 
 def _global_norm(arrays) -> float:
@@ -156,9 +170,10 @@ def _assert_same(got, want):
     for a, w in zip(params.arrays(), type(params).arrays(want_params), strict=True):
         assert a.shape == w.shape
         assert _bits(a) == _bits(w)
-    assert _bits(trace.train_loss) == _bits(want_trace.train_loss)
-    assert _bits(trace.val_loss) == _bits(want_trace.val_loss)
-    assert trace.best_epoch == want_trace.best_epoch
+    std = want_params.target_scaler.effective_std
+    assert _bits(trace.train) == _bits([math.sqrt(x) * std for x in want_trace.train_loss])
+    assert _bits(trace.val) == _bits([math.sqrt(x) * std for x in want_trace.val_loss])
+    assert trace.best == want_trace.best_epoch
     assert params.target_scaler == want_params.target_scaler
 
 
@@ -210,9 +225,9 @@ def test_bench_shaped_fits_stop_early_and_match(clip, learning_rate):
     cfg = TrainConfig(learning_rate=learning_rate, epochs=30, early_stop_patience=3,
                       gradient_clip_norm=clip, seed=4)
     got, want = _lstm_both(S, y, cfg, 32)
-    assert got[1].n_epochs < cfg.epochs and got[1].best_epoch < got[1].n_epochs - 1
+    assert len(got[1].train) < cfg.epochs and got[1].best < len(got[1].train) - 1
     _assert_same(got, want)
     X = S[:, -1, :]
     got, want = _mlp_both(X, y, cfg, (32, 16), "relu")
-    assert got[1].n_epochs < cfg.epochs and got[1].best_epoch < got[1].n_epochs - 1
+    assert len(got[1].train) < cfg.epochs and got[1].best < len(got[1].train) - 1
     _assert_same(got, want)

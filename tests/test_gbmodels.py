@@ -268,11 +268,11 @@ class TestBoostHandFixture:
     def test_geometric_error_decay(self, kind):
         ens, trace = gb.boost_fit((HAND_X, HAND_Y), hand_cfg(rounds=4), kind=kind)
         # all quantities are exact binary fractions, so equality is exact
-        assert trace.train_rmse == [0.25, 0.125, 0.0625, 0.03125]
+        assert trace.train == [0.25, 0.125, 0.0625, 0.03125]
 
     def test_zero_rounds_predicts_mean(self):
         ens, trace = gb.boost_fit((HAND_X, HAND_Y), hand_cfg(rounds=0))
-        assert trace.n_rounds == 0
+        assert len(trace.train) == 0
         assert gb.boost_predict(ens, HAND_X).tolist() == [1.5] * 10
 
     def test_base_score_uses_all_rows(self):
@@ -297,7 +297,7 @@ class TestTrainRmseMonotone:
             validation_fraction=0.0, goss_a=1.0, goss_b=0.0,
         )
         _, trace = gb.boost_fit((X, y), cfg, kind="exact")
-        diffs = np.diff(trace.train_rmse)
+        diffs = np.diff(trace.train)
         assert np.all(diffs <= 1e-12)
 
 
@@ -312,9 +312,9 @@ class TestEarlyStop:
             validation_fraction=0.2, goss_a=1.0, goss_b=0.0,
         )
         ens, trace = gb.boost_fit((X, y), cfg, kind="exact")
-        assert trace.n_rounds < 200
-        assert len(ens.trees) == trace.best_round + 1
-        assert trace.val_rmse[trace.best_round] == min(trace.val_rmse)
+        assert len(trace.train) < 200
+        assert len(ens.trees) == trace.best + 1
+        assert trace.val[trace.best] == min(trace.val)
 
     def test_divergence_detected(self):
         rng = np.random.default_rng(1)
@@ -407,7 +407,7 @@ class TestGossRowsPlacedByBins:
 
         monkeypatch.setattr(gb, "predict_tree", counting)
         _, trace = gb.boost_fit((X, y), cfg, kind="histogram")
-        assert calls == [300 - self.N_TRAIN] * trace.n_rounds
+        assert calls == [300 - self.N_TRAIN] * len(trace.train)
 
     @pytest.mark.parametrize("nan", [False, True])
     def test_ensemble_equals_routing_every_row(self, monkeypatch, nan):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -60,6 +61,11 @@ def epoch_means(seen, n_train, batch_size):
             total += loss * rows
         means.append(total / n_train)
     return means
+
+
+def kwh_rmse(params, loss):
+    """A z-scored MSE in the unit _fit records it: an RMSE in target units."""
+    return math.sqrt(loss) * params.target_scaler.effective_std
 
 
 def worst_rel_err(analytic, numeric):
@@ -197,7 +203,7 @@ class TestClippingContract:
         )
         before = nn.mlp_init([1, 4, 1], activation="tanh", seed=cfg.seed)
         fitted, trace = nn.mlp_train((X, y), cfg, hidden_sizes=(4,), activation="tanh")
-        assert trace.n_epochs == 1
+        assert len(trace.train) == 1
         moved = np.sqrt(sum(
             float(np.sum((a - b) ** 2))
             for a, b in zip(fitted.arrays(), before.arrays())
@@ -243,21 +249,22 @@ class TestMlpTraining:
         X, y = linear_rows(50, seed=8)
         cfg = nn.TrainConfig(learning_rate=0.02, epochs=60, batch_size=16, seed=2)
         _, trace = nn.mlp_train((X, y), cfg, hidden_sizes=(4,))
-        assert trace.val_loss[trace.best_epoch] == min(trace.val_loss)
+        assert trace.val[trace.best] == min(trace.val)
 
     def test_epoch_losses_are_batch_means_and_validation_mse(self, monkeypatch):
-        # train_loss[e] is the row-weighted mean of epoch e's mini-batch
-        # losses; the validation loss at the best epoch is the plain MSE of
-        # the returned (best-snapshot) params, in z-scored units
+        # train[e] is the row-weighted mean of epoch e's mini-batch losses;
+        # the validation loss at the best epoch is the plain MSE of the
+        # returned (best-snapshot) params; both are z-scored MSEs recorded
+        # as RMSEs in target units
         X, y = linear_rows(50, seed=8)
         cfg = nn.TrainConfig(learning_rate=0.02, epochs=40, batch_size=16, seed=2)
         seen = record_batch_losses(monkeypatch, "mlp_loss_grad")
         params, trace = nn.mlp_train((X, y), cfg, hidden_sizes=(4,))
         n_train = 50 - max(1, round(0.2 * 50))
-        assert trace.train_loss == epoch_means(seen, n_train, cfg.batch_size)
+        assert trace.train == [kwh_rmse(params, m) for m in epoch_means(seen, n_train, cfg.batch_size)]
         z = params.target_scaler.transform(y)
         va = nn.mlp_loss_grad(params, X[n_train:], z[n_train:])[0]
-        assert trace.val_loss[trace.best_epoch] == va
+        assert trace.val[trace.best] == kwh_rmse(params, va)
 
     def test_early_stopping_and_snapshot_restore(self):
         # training longer must return the same parameters as stopping at the
@@ -270,9 +277,9 @@ class TestMlpTraining:
             early_stop_patience=8, seed=4,
         )
         params_long, trace = nn.mlp_train((X, y), cfg_long, hidden_sizes=(8,))
-        assert trace.n_epochs < 300  # patience tripped
+        assert len(trace.train) < 300  # patience tripped
         cfg_short = nn.TrainConfig(
-            learning_rate=0.05, epochs=trace.best_epoch + 1, batch_size=16,
+            learning_rate=0.05, epochs=trace.best + 1, batch_size=16,
             early_stop_patience=8, seed=4,
         )
         params_short, _ = nn.mlp_train((X, y), cfg_short, hidden_sizes=(8,))
@@ -286,7 +293,7 @@ class TestMlpTraining:
         p2, t2 = nn.mlp_train((X, y), cfg, hidden_sizes=(4,))
         for a, b in zip(p1.arrays(), p2.arrays()):
             np.testing.assert_array_equal(a, b)
-        assert t1.train_loss == t2.train_loss
+        assert t1.train == t2.train
 
     def test_too_few_rows(self):
         with pytest.raises(DataError):
@@ -349,10 +356,10 @@ class TestLstmTraining:
         seen = record_batch_losses(monkeypatch, "lstm_loss_grad")
         params, trace = nn.lstm_train((S, y), cfg, hidden_size=4)
         n_train = 40 - max(1, round(0.2 * 40))
-        assert trace.train_loss == epoch_means(seen, n_train, cfg.batch_size)
+        assert trace.train == [kwh_rmse(params, m) for m in epoch_means(seen, n_train, cfg.batch_size)]
         z = params.target_scaler.transform(y)
         va = nn.lstm_loss_grad(params, S[n_train:], z[n_train:])[0]
-        assert trace.val_loss[trace.best_epoch] == va
+        assert trace.val[trace.best] == kwh_rmse(params, va)
 
     def test_parameters_do_not_depend_on_blas_threads(self):
         # batches of 256 windows and 48 hidden units make (256, 48) @ (48, 48)
@@ -366,7 +373,7 @@ class TestLstmTraining:
             "cfg = nn.TrainConfig(epochs=3, batch_size=256, seed=2)\n"
             "params, trace = nn.lstm_train((S, y), cfg, hidden_size=48)\n"
             "blob = b''.join(a.tobytes() for a in params.arrays())\n"
-            "print(hashlib.sha256(blob).hexdigest(), trace.train_loss, trace.val_loss)\n"
+            "print(hashlib.sha256(blob).hexdigest(), trace.train, trace.val)\n"
         )
         src = str(Path(nn.__file__).resolve().parents[1])
         outputs = []

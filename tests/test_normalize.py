@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from normbase import cli, gbmodels
 from normbase import normalize as nb
-from normbase.features import FeatureSpec, build_features, make_sequences
+from normbase.features import FeatureSpec, apply_scaler, build_features, fit_scaler, make_sequences
 from normbase.savefile import to_json
 from normbase.errors import (
     ConfigError,
@@ -232,6 +232,34 @@ class TestPipelineTreeRuns:
             assert report.report.models[name].kpis.daily.cv_rmse > 0.22
 
 
+class TestFitTrace:
+    """Every trainer returns a FitTrace in target units: val[best] is the
+    returned model's RMSE in kWh over the validation tail of its training rows."""
+
+    SETUPS = {
+        "mlp": nb.MlpSetup(hidden_sizes=(8,), epochs=30, seed=11),
+        "lstm": nb.LstmSetup(hidden_size=8, epochs=8, batch_size=64, seed=22),
+        "gbt_exact": gbmodels.BoostConfig(rounds=40, learning_rate=0.2, seed=33),
+        "gbt_hist": gbmodels.BoostConfig(rounds=40, learning_rate=0.2, seed=44),
+    }
+
+    @pytest.mark.parametrize("name", nb.MODEL_ORDER)
+    def test_val_at_best_is_the_models_kwh_rmse(self, name, small_table, small_periods):
+        spec, setup, kind = FeatureSpec(), self.SETUPS[name], nb.MODEL_KINDS[name]
+        matrix = build_features(small_table, spec)
+        train = matrix.date_mask(*small_periods.train)
+        scaled = apply_scaler(matrix, fit_scaler(matrix, train))
+        fitted, trace = kind.fit(setup, scaled, train, spec.lookback_days)
+        pred = kind.predict(fitted, scaled, spec.lookback_days)
+        # the rows the model trained on, and their validation tail
+        rows = np.flatnonzero(train & ~np.isnan(pred))
+        tail = rows[rows.size - round(setup.validation_fraction * rows.size):]
+        rmse = float(np.sqrt(np.mean((pred[tail] - scaled.y[tail]) ** 2)))
+        assert len(trace.train) == len(trace.val)
+        assert trace.val[trace.best] == pytest.approx(rmse, rel=1e-12, abs=0)
+        assert trace.val[trace.best] == min(trace.val)
+
+
 class TestModelPool:
     """The enabled models fit in worker processes, one per model up to the
     usable CPUs; one worker means the serial loop in this process."""
@@ -330,6 +358,18 @@ class TestFullReport:
         doc = read_report(full_report.report)
         assert doc["schema_version"] == 1
         assert doc["models_used"] == list(full_report.report.models_used)
+
+    def test_info_counts_the_fit(self, full_report, read_report):
+        # report.json's v1 info, 0-based best step; the trees keep their
+        # best round's ensemble, as every fit here has a validation split
+        models = read_report(full_report.report)["models"]
+        for name in ("mlp", "lstm"):
+            info = models[name]["info"]
+            assert 0 <= info["best_epoch"] < info["epochs"]
+        for name in ("gbt_exact", "gbt_hist"):
+            info = models[name]["info"]
+            assert info["n_trees"] == len(full_report.fitted[name].trees) == info["best_round"] + 1
+            assert info["best_round"] < info["rounds"]
 
     def test_estimate_close_to_planted_reduction(self, full_report, small_dataset):
         # the small fixture plants a 35% occupancy cut; the estimate need only
