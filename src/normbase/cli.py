@@ -10,9 +10,10 @@ evaluate   score models on the held-out test range and print the KPI table;
 channel, so a bad model directory exits 2 ahead of any data error. The
 models then score the days from the test range's first day minus the
 longest saved lookback to the test range's last (see _saved_kpis). Each
-channel is parsed once, from its last present sample before those days:
-line-level errors cover the whole file, the day-level checks (the gap fills
-it logs, negative daily energy) only the rows from that sample on.
+channel is parsed once, from its last present sample before those days to
+its first present sample after them: line-level errors cover the whole
+file, the day-level checks (the gap fills it logs, negative daily energy)
+only those rows and days.
 
 Config files and saved model files (a SavedModel envelope each) are read
 with savefile.from_json against the dataclass annotations, and a value that
@@ -22,7 +23,8 @@ keys. report.json is a normalize.Report written with savefile.to_json.
 
 Exit codes: 0 success, 2 configuration problem (a bad config or model
 file), 3 no model passed the acceptance gate (the report's
-``no_valid_baseline`` flag), 4 data or training problem.
+``no_valid_baseline`` flag), 4 data or training problem, or an output file
+that cannot be written (see _writing).
 """
 
 from __future__ import annotations
@@ -33,8 +35,9 @@ import logging
 import os
 import sys
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 from typing import Optional
 
@@ -171,14 +174,14 @@ def _first_bad_utf8(data: bytes) -> Optional[int]:
     return None
 
 
-def _ingest_channel(ch: str, settings: RunSettings, first: Optional[date] = None):
+def _ingest_channel(ch: str, settings: RunSettings, days: Optional[tuple] = None):
     """Read, parse, gap-fill and daily-resample one channel in a pool worker.
 
-    With ``first``, the rows before the last present sample before it are
-    checked but not converted (see parse_series_bytes), and the days from
-    ``first`` on come out as a full read gives them. Returns only the
-    DailySeries and the counts _ingest logs: duplicate rows collapsed, gaps
-    filled, gaps left unfilled."""
+    With ``days``, a (first, last) pair of dates, the rows outside the present
+    samples that bound the days ``first..last`` are checked but not converted
+    (see parse_series_bytes), and those days come out as a full read gives
+    them. Returns only the DailySeries and the counts _ingest logs: duplicate
+    rows collapsed, gaps filled, gaps left unfilled."""
     try:
         data = settings.inputs[ch].read_bytes()
     except OSError as e:
@@ -187,12 +190,12 @@ def _ingest_channel(ch: str, settings: RunSettings, first: Optional[date] = None
     if bad is not None:
         raise DataError(f"input file for '{ch}' is not UTF-8: bad byte at offset {bad}")
     schema = SeriesSchema(ch, CHANNEL_UNITS[ch], settings.timezone, settings.interval_seconds)
+    cut = ()
+    if days is not None:  # the midnights that open the first day and close the last
+        tz = resolve_timezone(settings.timezone)
+        cut = [local_midnights(d, 1, tz)[0] for d in (days[0], days[1] + timedelta(days=1))]
     try:
-        if first is None:
-            series = parse_series_bytes(data, schema)
-        else:
-            start = local_midnights(first, 1, resolve_timezone(settings.timezone))[0]
-            series = parse_series_bytes(data, schema, start)
+        series = parse_series_bytes(data, schema, *cut)
     except ParseError as e:
         e.args = (f"{settings.inputs[ch]}: {e}",)  # name the file before the line number
         raise
@@ -202,14 +205,15 @@ def _ingest_channel(ch: str, settings: RunSettings, first: Optional[date] = None
     return daily, series.duplicates_collapsed, n_filled, gaps.count("left-unfilled")
 
 
-def _ingest(settings: RunSettings, first: Optional[date] = None):
+def _ingest(settings: RunSettings, days: Optional[tuple] = None):
     """Ingest and align the channels the features need; log in channel order.
 
-    With ``first``, the table holds the days from ``first`` on."""
+    With ``days``, a (first, last) pair, the table holds only the days
+    ``first..last``."""
     needed = (ENERGY_CHANNEL,) + tuple(settings.features.weather_channels)
     daily = {}
     n = len(needed)
-    results = map_in_workers(_ingest_channel, needed, [settings] * n, [first] * n)
+    results = map_in_workers(_ingest_channel, needed, [settings] * n, [days] * n)
     for ch, (series, dupes, n_filled, n_unfilled) in zip(needed, results):
         if dupes:
             log.warning("%s: collapsed %d duplicate timestamp rows", ch, dupes)
@@ -217,7 +221,7 @@ def _ingest(settings: RunSettings, first: Optional[date] = None):
             log.info("%s: filled %d gap(s), left %d unfillable", ch, n_filled, n_unfilled)
         daily[ch] = series
     energy = daily.pop(ENERGY_CHANNEL)
-    return align(energy, daily, None if first is None else (first, date.max))
+    return align(energy, daily, days)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +366,16 @@ def _save_models(models_dir: Path, run, settings: RunSettings):
         (models_dir / f"{name}.json").write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
+@contextmanager
+def _writing(path: Path):
+    """Turn an OSError while writing below ``path`` (a full disk, a file where
+    a directory goes, ...) into a NormbaseError that names the file, exit 4."""
+    try:
+        yield
+    except OSError as e:
+        raise NormbaseError(f"cannot write {e.filename or path}: {e.strerror or e}") from None
+
+
 def _unlink_artifacts(settings: RunSettings):
     """Unlink every file a run writes (model files only with save_models), so
     a run that fails leaves no earlier run's file to read as its own."""
@@ -460,10 +474,13 @@ def _evaluate_saved(settings: RunSettings, loaded: dict) -> dict:
     """Test-range KPIs of the loaded models, bit for bit those of a full read.
 
     Each channel is parsed once, from the last present sample before
-    _first_scored_day (see _ingest_channel), or whole without that day, and
+    _first_scored_day to the first present sample after the test range's
+    last day (see _ingest_channel), or whole without that first day, and
     _saved_kpis scores the same rows of either table.
     """
-    return _saved_kpis(settings, loaded, _ingest(settings, _first_scored_day(settings, loaded)))
+    first = _first_scored_day(settings, loaded)
+    days = None if first is None else (first, settings.periods.test[1])
+    return _saved_kpis(settings, loaded, _ingest(settings, days))
 
 
 def _check_output_dir(path: Path):
@@ -478,12 +495,14 @@ def cmd_normalize(args) -> int:
     if args.out:
         settings.output_dir = Path(args.out)
     _check_output_dir(settings.output_dir)
-    _unlink_artifacts(settings)
+    with _writing(settings.output_dir):
+        _unlink_artifacts(settings)
     table = _ingest(settings)
     log.info("aligned table: %d days, %d excluded", len(table), table.n_excluded)
 
     run = run_pipeline(table, settings)
-    _write_artifacts(settings.output_dir, run, settings)
+    with _writing(settings.output_dir):
+        _write_artifacts(settings.output_dir, run, settings)
 
     report = run.report
     print(kpi_table({n: m.kpis for n, m in report.models.items()}))
@@ -531,7 +550,8 @@ def cmd_synth(args) -> int:
     _check_output_dir(outdir)
 
     ds = generate(cfg)
-    paths = write_dataset(ds, outdir)
+    with _writing(outdir):
+        paths = write_dataset(ds, outdir)
     print(f"wrote {len(paths) - 1} channel files + ground_truth.json to {outdir}")
     print(f"planted reduction_kwh:      {ds.reduction_kwh:.1f}")
     print(f"planted reduction_fraction: {ds.reduction_fraction:.4f}")
@@ -580,7 +600,7 @@ def main(argv=None) -> int:
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return 4
-    except NormbaseError as e:  # a diverged training, say
+    except NormbaseError as e:  # a diverged training or an unwritable output, say
         print(f"error: {e}", file=sys.stderr)
         return 4
 

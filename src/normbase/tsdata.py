@@ -15,13 +15,14 @@ the row-by-row parser instead, at per-row cost, with the same results and
 errors. Lines end at "\\n" or "\\r\\n"; a file holding other line breaks is
 rejoined as ``str.splitlines()`` splits it, so line numbers do not change.
 
-Given a start epoch, parse_series_bytes returns the rows from the last
-present sample before it on (all rows without one), so the days from the
-start on fill and resample as in a full parse. Every line is still read and
-checked, but a plain decimal cell before that sample is not converted to a
-float, and the day-level steps (fill_gaps, resample_daily, align's
-negative-energy check) see only the rows returned. ``evaluate --models``
-reads this way from the days it scores; ``normalize`` converts every value.
+Given a start and an end epoch, parse_series_bytes returns the rows from the
+last present sample before the start to the first present one at or after
+the end (to either end of the file without one), so the days between fill
+and resample as in a full parse. Every line is still read and checked, but a
+plain decimal cell outside those two samples is not converted to a float,
+and the day-level steps (fill_gaps, resample_daily, align's negative-energy
+check) see only the rows returned. ``evaluate --models`` reads this way the
+days it scores; ``normalize`` converts every value.
 
 The writer mirrors it: render_stamps renders the timestamp column in NumPy
 (civil dates by the inverse of _days_from_civil; for an IANA zone, datetime
@@ -308,20 +309,20 @@ def _cell_classes(cells: np.ndarray, width: np.ndarray):
     return numeric, numeric & (digits > 0) & (dots <= 1) & (exps == 0) & (signs == lead_sign)
 
 
-def _cell_values(buf: np.ndarray, first: np.ndarray, width: np.ndarray, skip=None):
+def _cell_values(buf: np.ndarray, first: np.ndarray, width: np.ndarray, skip: np.ndarray):
     """Cast the value cells buf[first:first + width] with one astype(float).
 
     Returns (ok, values, missing): ok marks cells that are empty or a
     decimal literal. Empty and non-finite cells are missing with value 0.
     Where ``skip`` is True the value is not needed: a plain cell there (see
     _cell_classes) is not cast and reads as 0. Every other cell is cast, so
-    a malformed literal fails as it does without ``skip``.
+    a malformed literal fails as it does where ``skip`` is False.
     """
     w = max(int(width.max(initial=0)), 1)
     cells = sliding_window_view(buf, w)[first]
     cells *= np.arange(w) < width[:, None]  # NUL padding, which the bytes dtype drops
     numeric, plain = _cell_classes(cells, width)
-    cast = numeric if skip is None else numeric & ~(skip & plain)
+    cast = numeric & ~(skip & plain)
     values = np.zeros(first.size)
     literals = cells.view(f"S{w}")[:, 0]
     try:
@@ -354,7 +355,7 @@ def _line_spans(buf: np.ndarray, ends: np.ndarray, lines: np.ndarray, crlf: bool
     return starts, stops
 
 
-def _parse_rows(data: bytes, ends: np.ndarray, crlf: bool, tz, start=None):
+def _parse_rows(data: bytes, ends: np.ndarray, crlf: bool, tz, start: float, end: float):
     """Parse the data lines of ``data``, the lines after the header.
 
     Canonical rows are decoded in vector passes over blocks of _PARSE_BLOCK
@@ -362,11 +363,15 @@ def _parse_rows(data: bytes, ends: np.ndarray, crlf: bool, tz, start=None):
     run past the end of the data reads a zero-padded copy. The lines those
     passes reject, gathered over all blocks, go through _parse_lines in line
     order, so the first malformed line raises exactly as a row-by-row parse
-    would. A canonical row before the epoch ``start`` keeps a plain decimal
-    uncast (see _cell_values), with value 0, unless it is stamped at the
-    ``anchor``, the last present sample before ``start`` (-inf without one).
+    would. A canonical row before the epoch ``start``, or at or after the
+    epoch ``end``, keeps a plain decimal uncast (see _cell_values), with
+    value 0, unless it is stamped at the ``anchor``, the last present sample
+    before ``start`` (-inf without one), or at ``last``, the first present
+    sample at or after ``end`` (inf without one). Pass -inf and inf to cast
+    every value.
 
-    Returns (epochs, values, missing, anchor), in line order, blank lines dropped.
+    Returns (epochs, values, missing, anchor, last), in line order, blank
+    lines dropped.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
     n = ends.size - 1
@@ -386,7 +391,7 @@ def _parse_rows(data: bytes, ends: np.ndarray, crlf: bool, tz, start=None):
         first = starts + _STAMP_WIDTH
         width = np.clip(stops - head - first, 0, None)
         stamps_ok &= width <= _VALUE_WIDTH
-        skip = None if start is None else stamps_ok & (epochs[block] < start)
+        skip = stamps_ok & ((epochs[block] < start) | (epochs[block] >= end))
         cells_ok, values[block], missing[block] = _cell_values(
             window, first, np.where(stamps_ok, width, 0), skip)
         ok[block] = stamps_ok & cells_ok
@@ -400,14 +405,14 @@ def _parse_rows(data: bytes, ends: np.ndarray, crlf: bool, tz, start=None):
     at = fallback[~np.isin(fallback + 2, blank)]
     ok[at] = True
     epochs[at], values[at], missing[at] = e, v, m
-    anchor = -np.inf
-    if start is not None:
-        anchor = epochs[ok & ~missing & (epochs < start)].max(initial=-np.inf)
-        redo = np.flatnonzero(canonical & ~missing & (epochs == anchor))
-        starts, stops = _line_spans(buf, ends, redo, crlf)
-        cells = [data[a + _STAMP_WIDTH:b] for a, b in zip(starts.tolist(), stops.tolist())]
-        values[redo] = np.array(cells, dtype=bytes).astype(np.float64)
-    return epochs[ok], values[ok], missing[ok], anchor
+    present = ok & ~missing
+    anchor = epochs[present & (epochs < start)].max(initial=-np.inf)
+    last = epochs[present & (epochs >= end)].min(initial=np.inf)
+    redo = np.flatnonzero(canonical & present & ((epochs == anchor) | (epochs == last)))
+    starts, stops = _line_spans(buf, ends, redo, crlf)
+    cells = [data[a + _STAMP_WIDTH:b] for a, b in zip(starts.tolist(), stops.tolist())]
+    values[redo] = np.array(cells, dtype=bytes).astype(np.float64)
+    return epochs[ok], values[ok], missing[ok], anchor, last
 
 
 def _finite_mean(x: np.ndarray) -> float:
@@ -433,8 +438,8 @@ def _median(x: np.ndarray) -> float:
     return float(np.mean(np.partition(x, middle)[middle[0]:mid + 1]))
 
 
-def parse_series_bytes(data: bytes, schema: SeriesSchema,
-                       start: Optional[float] = None) -> RawSeries:
+def parse_series_bytes(data: bytes, schema: SeriesSchema, start: Optional[float] = None,
+                       end: Optional[float] = None) -> RawSeries:
     """Parse one channel file's UTF-8 bytes into a RawSeries.
 
     This is parse_series for a file read as bytes, with the same results and
@@ -445,12 +450,14 @@ def parse_series_bytes(data: bytes, schema: SeriesSchema,
     those breaks first, so that line numbers count them.
 
     With an epoch ``start`` only the rows from the last present sample before
-    it on (all rows without one) are returned, bit for bit as the full parse
-    returns them, with the whole file's ``duplicates_collapsed``. That sample
-    bounds any missing run across ``start``, in the full parse too. The rows
-    before it are read and checked as always (timestamps, every value cell,
-    sort order, duplicates and cadence), so every error is the full parse's,
-    but their plain decimal values are not converted to floats.
+    it on (all rows without one) are returned, and with an epoch ``end`` only
+    those up to the first present sample at or after it (all rows without
+    one). They come bit for bit as the full parse returns them, with the
+    whole file's ``duplicates_collapsed``. Each of the two samples bounds any
+    missing run across its epoch, in the full parse too. The rows outside
+    them are read and checked as always (timestamps, every value cell, sort
+    order, duplicates and cadence), so every error is the full parse's, but
+    their plain decimal values are not converted to floats.
     """
     base = len(_BOM) if data.startswith(_BOM) else 0
     if len(data) == base:
@@ -473,7 +480,9 @@ def parse_series_bytes(data: bytes, schema: SeriesSchema,
             f"file carries channel {header[1]!r}, schema declares {schema.channel!r}"
         )
 
-    e, v, m, anchor = _parse_rows(data, ends, crlf, resolve_timezone(schema.timezone), start)
+    e, v, m, anchor, last = _parse_rows(
+        data, ends, crlf, resolve_timezone(schema.timezone),
+        -np.inf if start is None else start, np.inf if end is None else end)
     if not e.size:
         raise EmptyInputError(f"{schema.channel}: no data rows")
 
@@ -506,8 +515,8 @@ def parse_series_bytes(data: bytes, schema: SeriesSchema,
                 f"{schema.channel}: median spacing {spacing:.1f}s inconsistent "
                 f"with declared interval {schema.interval_seconds}s"
             )
-    first = np.searchsorted(e, anchor)
-    e, v, m = e[first:], v[first:], m[first:]
+    cut = slice(np.searchsorted(e, anchor), np.searchsorted(e, last, side="right"))
+    e, v, m = e[cut], v[cut], m[cut]
 
     return RawSeries(
         channel=schema.channel,

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import dataclasses
+import errno
 import io
 import json
 import multiprocessing
@@ -484,7 +485,8 @@ class TestOutputDirReuse:
         left = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
         assert left == []
 
-    def test_failing_chart_writer_leaves_no_report(self, data_dir, tmp_path, monkeypatch):
+    def test_failing_chart_writer_leaves_no_report(self, data_dir, tmp_path, monkeypatch,
+                                                   capsys):
         out = tmp_path / "out"
 
         def broken(*args):
@@ -492,9 +494,20 @@ class TestOutputDirReuse:
 
         monkeypatch.setattr(cli, "cumulative_chart", broken)
         cfg = write_config(tmp_path / "c.json", run_config(data_dir, output_dir=str(out)))
-        with pytest.raises(OSError, match="no space"):
-            cli.main(["normalize", "--config", cfg])
+        assert cli.main(["normalize", "--config", cfg]) == 4
+        assert capsys.readouterr().err == f"error: cannot write {out}: no space left on device\n"
         assert (out / "daily.csv").exists() and not (out / "report.json").exists()
+
+    def test_plots_path_that_is_a_file_exits_4_before_any_input_is_read(
+            self, data_dir, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "plots").write_text("not a directory\n")
+        monkeypatch.setattr(cli, "_ingest", lambda *args: pytest.fail("input was read"))
+        cfg = write_config(tmp_path / "c.json", run_config(data_dir, output_dir=str(out)))
+        assert cli.main(["normalize", "--config", cfg]) == 4
+        chart = out / "plots" / "test_overlay.svg"
+        assert capsys.readouterr().err == f"error: cannot write {chart}: Not a directory\n"
 
 
 class TestRunSetup:
@@ -815,6 +828,19 @@ class TestSynth:
         rc = cli.main(["synth", "--config", write_config(tmp_path / "s.json", doc)])
         assert rc == 2
         assert "not both" in capsys.readouterr().err
+
+    def test_failing_writer_exits_4(self, tmp_path, capsys, monkeypatch):
+        def broken(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(synthgen, "render_csv", broken)
+        doc = {"seed": 9, "start": "2019-01-01", "study_start": "2019-03-01",
+               "study_end": "2019-03-10", "interval_seconds": 3600}
+        cfg = write_config(tmp_path / "s.json", doc)
+        assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "data")]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {tmp_path / 'data'}: No space left on device\n"
+        assert "wrote" not in captured.out
 
     def test_unknown_key(self, tmp_path, capsys):
         doc = {"start": "2019-01-01", "tempcoeff": 12.0}

@@ -1,6 +1,6 @@
 """evaluate --models parses each channel once, from its last present sample
-before the first day it scores, and its KPIs must be bit for bit those of a
-full read.
+before the first day it scores to its first present sample after the test
+range's last day, and its KPIs must be bit for bit those of a full read.
 
 The models score the rows from that first day to the test end, whatever the
 table holds around them. Each case edits the channel files of a small
@@ -68,6 +68,38 @@ def end_on(last):
     return lambda lines: lines[:1] + [line for line in lines[1:] if line[:10] <= last]
 
 
+def end_at(stamp):
+    """Drop the rows stamped after local time ``stamp``."""
+    return lambda lines: lines[:1] + [line for line in lines[1:] if line[:19] <= stamp]
+
+
+def duplicate_at(stamp, *cells):
+    """Follow the row stamped at local time ``stamp`` with one row per cell, stamped alike."""
+    def edit(lines):
+        out = []
+        for line in lines:
+            out.append(line)
+            if line[:19] == stamp:
+                out += [f"{line.split(',')[0]},{cell}" for cell in cells]
+        return out
+    return edit
+
+
+# The test ranges below end on 2019-12-31, so both parses are cut at the
+# local midnight that opens 2020-01-01.
+AFTER_TEST = "2020-01-01T00:00:00"
+END_CASES = {
+    # interpolated in the hourly file, left unfilled in the 5-minute one
+    "gap_across_end": ({"kwh": blank("2019-12-31T20", "2020-01-01T03:00:00")}, "WWWWWW"),
+    # 71 hours, more than max_interior, and 25 hours that hold the midnight
+    "outage_across_end": ({"drybulb_c": blank("2019-12-30T07", "2020-01-02T05:00:00"),
+                           "kwh": blank("2019-12-31T00", AFTER_TEST)}, "WWWWWW"),
+    "duplicates_at_end": ({"kwh": duplicate_at(AFTER_TEST, "", "123.5"),
+                           "rh_pct": duplicate_at(AFTER_TEST, "55.25")}, "WWWWWW"),
+    "ends_on_the_midnight_after_test": ({ch: end_at(AFTER_TEST) for ch in CHANNELS}, "WWWWWW"),
+}
+
+
 def edited(data_dir, tmp_path, doc, edits: dict) -> dict:
     """The run config with each channel in ``edits`` rewritten by its edit."""
     doc = json.loads(json.dumps(doc))
@@ -122,6 +154,7 @@ HOURLY_CASES = {
     "ends_1_day_after_test": ({ch: end_on("2020-01-01") for ch in CHANNELS}, "WWWWWW"),
     "ends_2_days_after_test": ({ch: end_on("2020-01-02") for ch in CHANNELS}, "WWWWWW"),
     "ends_3_days_after_test": ({ch: end_on("2020-01-03") for ch in CHANNELS}, "WWWWWW"),
+    **END_CASES,
 }
 
 
@@ -157,22 +190,23 @@ def test_no_day_from_the_first_scored_one_exits_4(hourly, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["plain", "gap_across_cut", "outage_on_padding_day",
-                                  "long_run_across_cut"])
+                                  "long_run_across_cut", "gap_across_end", "outage_across_end"])
 def test_table_is_the_full_reads_from_the_first_needed_day(hourly, case, tmp_path, cpus):
+    """The table holds the days from the first scored one to the test end."""
     data_dir, _, doc = hourly
     doc = edited(data_dir, tmp_path, doc, HOURLY_CASES[case][0])
     settings = cli.load_run_settings(write_config(tmp_path / "run.json", doc))
     cpus(1)
-    first = date(2019, 10, 26)  # 2019-11-01 - (7 - 1) days
-    full, table = cli._ingest(settings), cli._ingest(settings, first)
-    cut = full.dates.index(first)
-    assert table.dates == full.dates[cut:]
+    first, last = date(2019, 10, 26), date(2019, 12, 31)  # 2019-11-01 - (7 - 1) days
+    full, table = cli._ingest(settings), cli._ingest(settings, (first, last))
+    cut = slice(full.dates.index(first), full.dates.index(last) + 1)
+    assert table.dates == full.dates[cut]
     for name in ("energy", "energy_missing", "excluded"):
-        assert getattr(table, name).tobytes() == getattr(full, name)[cut:].tobytes()
+        assert getattr(table, name).tobytes() == getattr(full, name)[cut].tobytes()
     for name in ("weather", "weather_missing", "coverage"):
         mine, theirs = getattr(table, name), getattr(full, name)
         assert {k: a.tobytes() for k, a in mine.items()} == {
-            k: a[cut:].tobytes() for k, a in theirs.items()}
+            k: a[cut].tobytes() for k, a in theirs.items()}
 
 
 NEW_YORK_CASES = {
@@ -180,6 +214,10 @@ NEW_YORK_CASES = {
     "gap_across_cut": ({"kwh": blank("2019-11-03T23:00:00", "2019-11-04T01:00:00")}, "WWWWWW"),
     "outage_on_padding_day": ({"rh_pct": blank("2019-11-03", "2019-11-03T23:59:59")},
                               "WWWWWW"),
+    # six samples, filled by interpolation
+    "short_gap_across_end": ({"kwh": blank("2019-12-31T23:40", "2020-01-01T00:05:00")},
+                             "WWWWWW"),
+    **END_CASES,
 }
 
 
@@ -212,17 +250,41 @@ def test_saved_lookback_other_than_the_configured(hourly, lookbacks, tmp_path, c
     assert ran == ("FFFFFF" if max(lookbacks.values()) > 10**6 else "WWWWWW")
 
 
-def test_malformed_value_before_the_window_exits_4(hourly, tmp_path, capsys):
+@pytest.mark.parametrize("line, want", [
+    ("2019-01-02T05:00:00+00:00,1.2.3", "unparseable value '1.2.3'"),
+    # in the study range, after the test range
+    ("2020-02-10T02:00:00+00:00,1.2.3", "unparseable value '1.2.3'"),
+    ("2020-02-10T02:00:00+00:0,5", "unparseable timestamp '2020-02-10T02:00:00+00:0'"),
+])
+def test_malformed_line_outside_the_window_exits_4(hourly, line, want, tmp_path, capsys):
     data_dir, models_dir, doc = hourly
     lines = (data_dir / "kwh.csv").read_text().splitlines()
-    lines[30] = lines[30].split(",")[0] + ",1.2.3"  # 2019-01-02T05:00
+    row = next(i for i, old in enumerate(lines) if old[:19] == line[:19])
+    lines[row] = line
     (tmp_path / "kwh.csv").write_text("\n".join(lines) + "\n")
     doc = json.loads(json.dumps(doc))
     doc["inputs"]["kwh"] = str(tmp_path / "kwh.csv")
     cfg = write_config(tmp_path / "run.json", doc)
     assert cli.main(["evaluate", "--config", cfg, "--models", str(models_dir)]) == 4
     err = capsys.readouterr().err
-    assert err == f"data error: {tmp_path / 'kwh.csv'}: line 31: unparseable value '1.2.3'\n"
+    assert err == f"data error: {tmp_path / 'kwh.csv'}: line {row + 1}: {want}\n"
+
+
+def test_test_range_ending_on_9999_12_30(hourly, tmp_path, cpus, monkeypatch):
+    """The midnight after the test range is the last one a date can name."""
+    data_dir, models_dir, doc = hourly
+    years = {"2019": "9998", "2020": "9999"}
+
+    def far(lines):
+        return [years.get(line[:4], line[:4]) + line[4:] for line in lines]
+
+    doc = edited(data_dir, tmp_path, doc, {ch: far for ch in CHANNELS})
+    doc["periods"] = {"train": ["9998-01-01", "9998-10-31"], "test": ["9998-11-01", "9999-12-30"],
+                      "study": ["9999-12-31", "9999-12-31"]}
+    windowed, full, ran = evaluate_both(doc, models_dir, tmp_path, cpus, monkeypatch)
+    assert windowed == full
+    assert set(windowed) == set(MODELS)
+    assert ran == "WWWWWW"
 
 
 @pytest.mark.parametrize("model_file", ["malformed", "other_features", "none"])
