@@ -14,6 +14,16 @@ Typical library use:
     print(run.report.totals.reduction_fraction)
 """
 
+import os
+import sys
+
+# OpenBLAS starts its thread pool when NumPy loads, and the idle threads
+# busy-wait. The parallelism here is in worker processes, which inherit this,
+# and no product is large enough to gain from BLAS threads; an explicit
+# setting wins. Set before anything loads NumPy, or it has no effect.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import (
     ConfigError,
     DataError,

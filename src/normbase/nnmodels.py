@@ -28,8 +28,10 @@ windows (see _lstm_output). Saved, a stacked array is the nested lists of
 its four gates, the format that the earlier per-gate lists wrote.
 
 Everything is deterministic given (seed, data, config). Results do not
-depend on available parallelism: the test suite trains the same model with
-one BLAS thread and with the default number and compares the bits.
+depend on available parallelism. Importing normbase runs OpenBLAS on one
+thread unless OPENBLAS_NUM_THREADS is set, since the fits already run in
+worker processes; the test suite trains the same model with one BLAS thread
+and with two and compares the bits.
 """
 
 from __future__ import annotations

@@ -427,12 +427,13 @@ def map_in_workers(fn, *iterables) -> list:
     min(tasks, usable CPUs) workers, where a task is one item of the first
     iterable. With one worker the calls run here, one after another.
     Otherwise they run in forked workers, which inherit the loaded modules
-    and need no fresh import. Results and errors are read back in input
-    order, so the first failing item raises its own exception, as it would
-    in the serial loop. Items not yet handed to a worker are then cancelled,
-    the others finish, and every worker has exited before this returns or
-    raises. Where the platform cannot report the usable CPUs (and ``fork``
-    may be unsafe) it runs serially.
+    and need no fresh import, and with them the one BLAS thread that
+    importing normbase sets (see __init__). Results and errors are read back
+    in input order, so the first failing item raises its own exception, as
+    it would in the serial loop. Items not yet handed to a worker are then
+    cancelled, the others finish, and every worker has exited before this
+    returns or raises. Where the platform cannot report the usable CPUs (and
+    ``fork`` may be unsafe) it runs serially.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(iterables[0]), cpus)

@@ -35,6 +35,7 @@ from .errors import ConfigError, DataError
 from .tsdata import (
     CHANNEL_UNITS,
     ENERGY_CHANNEL,
+    LAST_DAY,
     WEATHER_CHANNELS,
     RawSeries,
     local_midnights,
@@ -73,6 +74,8 @@ class SynthConfig:
     def __post_init__(self):
         if not self.start < self.study_start <= self.study_end:
             raise ConfigError("need start < study_start <= study_end")
+        if self.study_end > LAST_DAY:
+            raise ConfigError(f"study_end must be on or before {LAST_DAY}")
         if self.interval_seconds <= 0 or DAY_SECONDS % self.interval_seconds:
             raise ConfigError("interval_seconds must divide a day evenly")
         if self.base_load_kwh <= 0:

@@ -34,7 +34,9 @@ row.
 
 Timestamps are stored internally as float64 epoch seconds plus the series
 zone, which keeps multi-million-row series cheap. Day boundaries are always
-computed in the series-local zone.
+computed in the series-local zone, and a local day must lie on
+FIRST_DAY..LAST_DAY, so that the midnight closing it is a date too
+(fill_gaps and resample_daily raise DataError for a sample outside).
 """
 
 from __future__ import annotations
@@ -787,11 +789,13 @@ def fill_gaps(series: RawSeries, policy: GapFillPolicy = GapFillPolicy()):
 
     Raises:
         UnfillableChannelError: if the series has no present values at all.
+        DataError: a sample falls on a local day outside FIRST_DAY..LAST_DAY.
     """
     n = len(series)
     if n == 0 or np.all(series.missing):
         raise UnfillableChannelError(f"{series.channel}: no present values to fill from")
 
+    _check_calendar(series)
     values = series.values.copy()
     missing = series.missing.copy()
     tz = series.tzinfo
@@ -799,7 +803,7 @@ def fill_gaps(series: RawSeries, policy: GapFillPolicy = GapFillPolicy()):
 
     for s, e in _missing_runs(series.missing):
         length = int(e - s + 1)
-        start_dt = datetime.fromtimestamp(series.epochs[s], tz)
+        start_dt = _local_datetime(series.epochs[s], tz)
 
         if s == 0 or e == n - 1:  # touches an edge; only hold is safe
             if length <= policy.max_edge:
@@ -840,6 +844,11 @@ class DailySeries:
     coverage: np.ndarray
 
 
+# The local days a series or a synthetic building may hold: every day's
+# closing midnight must be a date too.
+FIRST_DAY, LAST_DAY = date.min, date.max - timedelta(days=1)
+
+
 def local_midnights(first: date, n: int, tz) -> np.ndarray:
     """Epoch seconds of the ``n`` local midnights from ``first`` on in zone ``tz``;
     a day with a DST shift is shorter or longer than 86400 s."""
@@ -847,14 +856,42 @@ def local_midnights(first: date, n: int, tz) -> np.ndarray:
     return np.array([datetime.combine(d, time(0), tzinfo=tz).timestamp() for d in days])
 
 
+def _check_calendar(series: RawSeries):
+    """Raise DataError if a sample of ``series`` falls on a local day outside
+    FIRST_DAY..LAST_DAY."""
+    tz = series.tzinfo
+    lo, hi = (local_midnights(d, 1, tz)[0] for d in (FIRST_DAY, LAST_DAY + timedelta(days=1)))
+    if series.epochs[0] < lo or series.epochs[-1] >= hi:
+        raise DataError(
+            f"{series.channel}: samples fall on local days outside {FIRST_DAY}..{LAST_DAY}"
+        )
+
+
+def _local_datetime(epoch: float, tz) -> datetime:
+    """``datetime.fromtimestamp(epoch, tz)`` for an instant on a local day in
+    FIRST_DAY..LAST_DAY.
+
+    Within a day of the ends of the calendar the instant's UTC date need not
+    be a date, which fromtimestamp rejects; there the local midnights find
+    the day, and the time is counted from its midnight."""
+    if _FIRST_SAFE_EPOCH <= epoch <= _LAST_SAFE_EPOCH:
+        return datetime.fromtimestamp(epoch, tz)
+    day, step = (FIRST_DAY, timedelta(days=1)) if epoch < 0 else (LAST_DAY, -timedelta(days=1))
+    while True:
+        start, end = local_midnights(day, 2, tz)
+        if start <= epoch < end:
+            return datetime.combine(day, time(0), tzinfo=tz) + timedelta(seconds=epoch - start)
+        day += step
+
+
 def _day_slices(series: RawSeries):
     """Split sample indices by local calendar day.
 
     Returns (list of dates, boundary index array of length len(dates)+1).
     """
+    _check_calendar(series)
     tz = series.tzinfo
-    first = datetime.fromtimestamp(series.epochs[0], tz).date()
-    last = datetime.fromtimestamp(series.epochs[-1], tz).date()
+    first, last = (_local_datetime(series.epochs[i], tz).date() for i in (0, -1))
     n_days = (last - first).days + 1
     dates = [first + timedelta(days=i) for i in range(n_days)]
     boundaries = local_midnights(first, n_days + 1, tz)
@@ -871,6 +908,7 @@ def resample_daily(series: RawSeries, how: str) -> DailySeries:
     Only present samples enter the aggregate. A day whose present-sample
     coverage falls below VALID_DAY_COVERAGE is marked missing (its coverage is
     still recorded).
+    A sample on a local day outside FIRST_DAY..LAST_DAY raises DataError.
     """
     if how not in ("sum", "mean"):
         raise ConfigError(f"unknown aggregation {how!r}")

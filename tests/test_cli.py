@@ -10,7 +10,7 @@ import re
 import subprocess
 import sys
 import time
-from datetime import date
+from datetime import date, datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -847,6 +847,36 @@ class TestSynth:
         rc = cli.main(["synth", "--config", write_config(tmp_path / "s.json", doc)])
         assert rc == 2
         assert "unknown config key 'tempcoeff'" in capsys.readouterr().err
+
+
+class TestCalendarEnds:
+    """Every local day must lie on 0001-01-01..9999-12-30, so that the
+    midnight closing it is a date too."""
+
+    @pytest.mark.parametrize("first, timezone", [
+        ("9999-12-31T00:00:00+00:00", "UTC"),
+        ("9999-12-30T00:00:00+00:00", "Asia/Tokyo"),
+        ("0001-01-01T00:00:00+00:00", "America/New_York"),
+    ])
+    def test_data_outside_exits_4(self, first, timezone, tmp_path, capsys):
+        t0 = datetime.fromisoformat(first)
+        for ch in CHANNELS:
+            rows = "".join(f"{(t0 + timedelta(hours=h)).isoformat()},1.0\n" for h in range(24))
+            (tmp_path / f"{ch}.csv").write_text(f"timestamp,{ch}\n{rows}")
+        doc = run_config(tmp_path, interval_seconds=3600, timezone=timezone)
+        cfg = write_config(tmp_path / "run.json", doc)
+        assert cli.main(["normalize", "--config", cfg]) == 4
+        assert capsys.readouterr().err == (
+            "data error: kwh: samples fall on local days outside 0001-01-01..9999-12-30\n"
+        )
+
+    def test_synth_past_9999_12_30_exits_2(self, tmp_path, capsys):
+        doc = {"start": "9999-12-01", "study_start": "9999-12-20", "study_end": "9999-12-31",
+               "interval_seconds": 3600}
+        cfg = write_config(tmp_path / "s.json", doc)
+        assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "data")]) == 2
+        assert capsys.readouterr().err == "config error: study_end must be on or before 9999-12-30\n"
+        assert not (tmp_path / "data").exists()
 
 
 class TestEvaluate:

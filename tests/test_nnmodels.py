@@ -363,9 +363,10 @@ class TestLstmTraining:
 
     def test_parameters_do_not_depend_on_blas_threads(self):
         # batches of 256 windows and 48 hidden units make (256, 48) @ (48, 48)
-        # products, large enough for OpenBLAS to split them over threads
+        # products, large enough for OpenBLAS to split them over threads; the
+        # second line is the process's thread count, or 0 without /proc
         script = (
-            "import hashlib, numpy as np\n"
+            "import hashlib, os, numpy as np\n"
             "from normbase import nnmodels as nn\n"
             "rng = np.random.default_rng(4)\n"
             "S = rng.normal(size=(400, 4, 6))\n"
@@ -374,19 +375,26 @@ class TestLstmTraining:
             "params, trace = nn.lstm_train((S, y), cfg, hidden_size=48)\n"
             "blob = b''.join(a.tobytes() for a in params.arrays())\n"
             "print(hashlib.sha256(blob).hexdigest(), trace.train, trace.val)\n"
+            "status = '/proc/self/status'\n"
+            "print(open(status).read().split('Threads:')[1].split()[0] if os.path.exists(status) else 0)\n"
         )
         src = str(Path(nn.__file__).resolve().parents[1])
-        outputs = []
-        for threads in ("1", None):
-            env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-            env.pop("OPENBLAS_NUM_THREADS", None)
-            if threads is not None:
-                env["OPENBLAS_NUM_THREADS"] = threads
+        outputs, threads_seen = [], []
+        # importing normbase pins one thread only where the variable is unset,
+        # so the threaded arm names its count
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                       OPENBLAS_NUM_THREADS=threads)
             proc = subprocess.run([sys.executable, "-c", script], env=env,
                                   capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
-            outputs.append(proc.stdout)
+            result, seen = proc.stdout.splitlines()
+            outputs.append(result)
+            threads_seen.append(int(seen))
         assert outputs[0] == outputs[1]
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        if threads_seen[1] and cpus >= 2:
+            assert threads_seen[1] > 1
 
     def test_too_few_sequences(self):
         with pytest.raises(DataError):

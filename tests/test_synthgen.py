@@ -53,6 +53,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="seed must be non-negative"):
             tiny_cfg(seed=-1)
 
+    def test_study_end_needs_a_closing_midnight(self):
+        ends = dict(start=date(9999, 12, 1), study_start=date(9999, 12, 20))
+        with pytest.raises(ConfigError, match="study_end must be on or before 9999-12-30"):
+            tiny_cfg(study_end=date(9999, 12, 31), **ends)
+        ds = synthgen.generate(tiny_cfg(study_end=date(9999, 12, 30), **ends))
+        assert ds.dates[-1] == date(9999, 12, 30)
+
 
 @pytest.fixture(scope="module")
 def ds():

@@ -404,6 +404,37 @@ class TestResample:
         assert d.coverage[i] == pytest.approx(23 / 24)
         assert not d.missing[i]  # 23/24 is still over the threshold
 
+    @pytest.mark.parametrize("start, zone, day", [
+        ("0001-01-01T00:00:00+00:00", "UTC", date(1, 1, 1)),
+        ("9999-12-30T00:00:00+00:00", "UTC", date(9999, 12, 30)),
+        # instants whose UTC date is not a date, on local days that are
+        ("0001-01-01T00:00:00+09:00", "Asia/Tokyo", date(1, 1, 1)),
+        ("9999-12-30T00:00:00-05:00", "America/New_York", date(9999, 12, 30)),
+    ])
+    def test_first_and_last_days_of_the_calendar(self, start, zone, day):
+        schema = tsdata.SeriesSchema("drybulb_c", "degC", zone, 3600)
+        s = tsdata.parse_series(hourly_csv([2.0, None] + [2.0] * 22, start), schema)
+        filled, gaps = tsdata.fill_gaps(s, tsdata.GapFillPolicy())
+        assert gaps.records[0].start - datetime.fromisoformat(start) == timedelta(hours=1)
+        assert gaps.records[0].start.date() == day
+        d = tsdata.resample_daily(filled, "mean")
+        assert d.dates == [day]
+        assert d.values.tolist() == [2.0]
+
+    @pytest.mark.parametrize("start, zone", [
+        ("9999-12-31T00:00:00+00:00", "UTC"),
+        ("9999-12-30T00:00:00+00:00", "Asia/Tokyo"),
+        ("0001-01-01T00:00:00+00:00", "America/New_York"),
+    ])
+    def test_day_outside_the_calendar_is_a_data_error(self, start, zone):
+        schema = tsdata.SeriesSchema("drybulb_c", "degC", zone, 3600)
+        s = tsdata.parse_series(hourly_csv([2.0, None] + [2.0] * 22, start), schema)
+        message = "^drybulb_c: samples fall on local days outside 0001-01-01..9999-12-30$"
+        with pytest.raises(DataError, match=message):
+            tsdata.fill_gaps(s, tsdata.GapFillPolicy())
+        with pytest.raises(DataError, match=message):
+            tsdata.resample_daily(s, "mean")
+
 
 class TestAlign:
     def daily(self, channel, start, values):
