@@ -181,8 +181,6 @@ def _fit_mlp(setup: MlpSetup, matrix: FeatureMatrix, rows, lookback: int):
 def _fit_lstm(setup: LstmSetup, matrix: FeatureMatrix, rows, lookback: int):
     seqs = make_sequences(matrix, lookback)
     train = rows[seqs.rows]
-    if int(train.sum()) < 30:
-        raise DataError(f"lstm has {int(train.sum())} training sequences, needs 30")
     return nnmodels.lstm_train(
         (seqs.windows[train], seqs.targets[train]), setup, hidden_size=setup.hidden_size
     )
@@ -211,6 +209,19 @@ def _predict_trees(ens, matrix: FeatureMatrix, lookback: int) -> np.ndarray:
     return gbmodels.boost_predict(ens, matrix.X)
 
 
+def _tree_kind(kind: str, seed_offset: int) -> ModelKind:
+    return ModelKind(
+        setup=gbmodels.BoostConfig,
+        seed_offset=seed_offset,
+        fit=partial(_fit_trees, kind),
+        info=_tree_info,
+        predict=_predict_trees,
+        to_dict=lambda ens: gbmodels.ensemble_to_dict(ens),
+        from_dict=lambda doc: gbmodels.ensemble_from_dict(doc),
+        n_inputs=lambda ens: ens.n_features,
+    )
+
+
 MODEL_KINDS = {
     "mlp": ModelKind(
         setup=MlpSetup,
@@ -232,26 +243,8 @@ MODEL_KINDS = {
         from_dict=lambda doc: nnmodels.lstm_from_dict(doc),
         n_inputs=lambda params: params.input_size,
     ),
-    "gbt_exact": ModelKind(
-        setup=gbmodels.BoostConfig,
-        seed_offset=33,
-        fit=partial(_fit_trees, "exact"),
-        info=_tree_info,
-        predict=_predict_trees,
-        to_dict=lambda ens: gbmodels.ensemble_to_dict(ens),
-        from_dict=lambda doc: gbmodels.ensemble_from_dict(doc),
-        n_inputs=lambda ens: ens.n_features,
-    ),
-    "gbt_hist": ModelKind(
-        setup=gbmodels.BoostConfig,
-        seed_offset=44,
-        fit=partial(_fit_trees, "histogram"),
-        info=_tree_info,
-        predict=_predict_trees,
-        to_dict=lambda ens: gbmodels.ensemble_to_dict(ens),
-        from_dict=lambda doc: gbmodels.ensemble_from_dict(doc),
-        n_inputs=lambda ens: ens.n_features,
-    ),
+    "gbt_exact": _tree_kind("exact", 33),
+    "gbt_hist": _tree_kind("histogram", 44),
 }
 
 MODEL_ORDER = tuple(MODEL_KINDS)

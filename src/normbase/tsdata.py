@@ -12,8 +12,9 @@ write, in vector passes over fixed blocks of lines, so a parse holds the
 file's bytes, the per-row arrays and one block's temporaries. Other ISO-8601
 forms (``...Z`` included), and naive timestamps in an IANA zone, go through
 the row-by-row parser instead, at per-row cost, with the same results and
-errors. Lines end at "\\n" or "\\r\\n"; a file holding other line breaks is
-rejoined as ``str.splitlines()`` splits it, so line numbers do not change.
+errors. A file holding a line break other than "\\n" and "\\r\\n" (a lone
+"\\r" too) is first rejoined at "\\n" as ``str.splitlines()`` splits it, so
+line numbers do not change and any "\\r" left before a "\\n" ends a line.
 
 Given a start and an end epoch, parse_series_bytes returns the rows from the
 last present sample before the start to the first present one at or after
@@ -30,7 +31,9 @@ gives the UTC offset only at the two ends of each UTC day, and row by row on
 a day whose ends disagree), and render_csv joins the stamps with the repr of
 each value into rows. serialize_series and synthgen.write_dataset write
 through them, byte for byte what datetime.isoformat() and repr give row by
-row.
+row. The rows left to datetime, those within a day of the calendar's ends
+among them, take the reader's local day (_local_datetime), so a first day of
+0001-01-01 east of UTC, whose morning is 0000-12-31 in UTC, is written too.
 
 Timestamps are stored internally as float64 epoch seconds plus the series
 zone, which keeps multi-million-row series cheap. Day boundaries are always
@@ -135,7 +138,7 @@ class RawSeries:
         unit: unit string matching the channel.
         interval_seconds: declared sample cadence.
         tz: zone name used for day bucketing.
-        epochs: float64 epoch seconds, strictly increasing.
+        epochs: float64 epoch seconds, finite and strictly increasing.
         values: float64 sample values; entries under ``missing`` are ignored.
         missing: bool mask, True where the value is absent.
         duplicates_collapsed: how many duplicate-timestamp rows were averaged
@@ -157,6 +160,8 @@ class RawSeries:
         self.missing = np.asarray(self.missing, dtype=bool)
         if not (self.epochs.shape == self.values.shape == self.missing.shape):
             raise DataError("epochs, values and missing must have equal length")
+        if not np.all(np.isfinite(self.epochs)):
+            raise DataError("timestamps must be finite")
         if self.epochs.size and np.any(np.diff(self.epochs) <= 0):
             raise DataError("timestamps must be strictly increasing")
         present = self.values[~self.missing]
@@ -346,18 +351,18 @@ def _line_ends(buf: np.ndarray) -> np.ndarray:
     return np.concatenate(feeds + [np.array([buf.size])])
 
 
-def _line_spans(buf: np.ndarray, ends: np.ndarray, lines: np.ndarray, crlf: bool):
+def _line_spans(buf: np.ndarray, ends: np.ndarray, lines: np.ndarray):
     """Start and end offsets of the data lines numbered ``lines`` from 0.
 
-    With ``crlf`` a line ends before the "\\r" of its "\\r\\n".
+    A line ends before the "\\r" of its "\\r\\n" (parse_series_bytes
+    rejoins a file with any other "\\r" first).
     """
     starts, stops = ends[lines] + 1, ends[lines + 1]
-    if crlf:
-        stops -= buf[stops - 1] == ord("\r")
+    stops -= buf[stops - 1] == ord("\r")
     return starts, stops
 
 
-def _parse_rows(data: bytes, ends: np.ndarray, crlf: bool, tz, start: float, end: float):
+def _parse_rows(data: bytes, ends: np.ndarray, tz, start: float, end: float):
     """Parse the data lines of ``data``, the lines after the header.
 
     Canonical rows are decoded in vector passes over blocks of _PARSE_BLOCK
@@ -381,7 +386,7 @@ def _parse_rows(data: bytes, ends: np.ndarray, crlf: bool, tz, start: float, end
     missing, ok = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
     for lo in range(0, n, _PARSE_BLOCK):
         block = slice(lo, min(lo + _PARSE_BLOCK, n))
-        starts, stops = _line_spans(buf, ends, np.arange(block.start, block.stop), crlf)
+        starts, stops = _line_spans(buf, ends, np.arange(block.start, block.stop))
         # every line is read at full width, the stamp and the widest cell
         head, tail = starts[0], starts[-1] + _STAMP_WIDTH + _VALUE_WIDTH
         window = buf[head:tail]
@@ -399,7 +404,7 @@ def _parse_rows(data: bytes, ends: np.ndarray, crlf: bool, tz, start: float, end
         ok[block] = stamps_ok & cells_ok
 
     fallback = np.flatnonzero(~ok)
-    starts, stops = _line_spans(buf, ends, fallback, crlf)
+    starts, stops = _line_spans(buf, ends, fallback)
     texts = (data[a:b].decode("utf-8", "surrogatepass")
              for a, b in zip(starts.tolist(), stops.tolist()))
     blank, e, v, m = _parse_lines(zip((fallback + 2).tolist(), texts), tz)
@@ -411,7 +416,7 @@ def _parse_rows(data: bytes, ends: np.ndarray, crlf: bool, tz, start: float, end
     anchor = epochs[present & (epochs < start)].max(initial=-np.inf)
     last = epochs[present & (epochs >= end)].min(initial=np.inf)
     redo = np.flatnonzero(canonical & present & ((epochs == anchor) | (epochs == last)))
-    starts, stops = _line_spans(buf, ends, redo, crlf)
+    starts, stops = _line_spans(buf, ends, redo)
     cells = [data[a + _STAMP_WIDTH:b] for a, b in zip(starts.tolist(), stops.tolist())]
     values[redo] = np.array(cells, dtype=bytes).astype(np.float64)
     return epochs[ok], values[ok], missing[ok], anchor, last
@@ -464,15 +469,12 @@ def parse_series_bytes(data: bytes, schema: SeriesSchema, start: Optional[float]
     base = len(_BOM) if data.startswith(_BOM) else 0
     if len(data) == base:
         raise EmptyInputError(f"{schema.channel}: input is empty")
-    crlf = b"\r" in data
     breaks = _ASCII_BREAKS if data.isascii() else _LINE_BREAKS
-    if any(b in data for b in breaks) or (crlf and data.count(b"\r") != data.count(b"\r\n")):
+    if any(b in data for b in breaks) or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
         text = data[base:].decode("utf-8", "surrogatepass")
-        data, base, crlf = "\n".join(text.splitlines()).encode("utf-8", "surrogatepass"), 0, False
+        data, base = "\n".join(text.splitlines()).encode("utf-8", "surrogatepass"), 0
     ends = _line_ends(np.frombuffer(data, dtype=np.uint8))
-    head = data[base:ends[0]].decode("utf-8", "surrogatepass")
-    if crlf:
-        head = head.removesuffix("\r")
+    head = data[base:ends[0]].decode("utf-8", "surrogatepass").removesuffix("\r")
 
     header = [h.strip() for h in head.split(",")]
     if len(header) != 2 or header[0] != "timestamp":
@@ -483,7 +485,7 @@ def parse_series_bytes(data: bytes, schema: SeriesSchema, start: Optional[float]
         )
 
     e, v, m, anchor, last = _parse_rows(
-        data, ends, crlf, resolve_timezone(schema.timezone),
+        data, ends, resolve_timezone(schema.timezone),
         -np.inf if start is None else start, np.inf if end is None else end)
     if not e.size:
         raise EmptyInputError(f"{schema.channel}: no data rows")
@@ -650,11 +652,13 @@ def render_stamps(epochs: np.ndarray, tz) -> list:
     """Canonical timestamp cells, comma included, one per epoch.
 
     Each cell is ``datetime.fromtimestamp(e, tz).isoformat() + ","``, and is
-    built by that expression for the rows the vector pass leaves out:
-    non-integer or non-finite epochs, epochs within a day of the ends of
-    years 1..9999, and instants where the zone's offset is not a whole
-    minute (local mean time, e.g. New York before 1883). Such rows are
-    rendered in order, so the first that datetime rejects raises its error.
+    built by ``_local_datetime(e, tz).isoformat()`` for the rows the vector
+    pass leaves out: non-integer or non-finite epochs, epochs within a day of
+    the ends of years 1..9999 (an instant on local day 0001-01-01 whose UTC
+    date is in year 0 included), and instants where the zone's offset is not
+    a whole minute (local mean time, e.g. New York before 1883). Such rows are
+    rendered in order, so the first that datetime rejects (NaN, a local day
+    off the calendar) raises its error.
 
     Every other row is rendered by NumPy: local seconds are the epoch plus
     its UTC offset (see _utc_offsets), civil dates come from
@@ -674,7 +678,7 @@ def render_stamps(epochs: np.ndarray, tz) -> list:
         block = slice(lo, lo + _RENDER_BLOCK)
         stamps += _stamp_block(whole[block] + offsets[block], offsets[block])
     for i in np.flatnonzero(~ok).tolist():
-        stamps[i] = datetime.fromtimestamp(epochs[i], tz).isoformat() + ","
+        stamps[i] = _local_datetime(epochs[i], tz).isoformat() + ","
     return stamps
 
 
@@ -868,20 +872,20 @@ def _check_calendar(series: RawSeries):
 
 
 def _local_datetime(epoch: float, tz) -> datetime:
-    """``datetime.fromtimestamp(epoch, tz)`` for an instant on a local day in
-    FIRST_DAY..LAST_DAY.
-
-    Within a day of the ends of the calendar the instant's UTC date need not
-    be a date, which fromtimestamp rejects; there the local midnights find
-    the day, and the time is counted from its midnight."""
-    if _FIRST_SAFE_EPOCH <= epoch <= _LAST_SAFE_EPOCH:
-        return datetime.fromtimestamp(epoch, tz)
-    day, step = (FIRST_DAY, timedelta(days=1)) if epoch < 0 else (LAST_DAY, -timedelta(days=1))
-    while True:
-        start, end = local_midnights(day, 2, tz)
-        if start <= epoch < end:
-            return datetime.combine(day, time(0), tzinfo=tz) + timedelta(seconds=epoch - start)
-        day += step
+    """``datetime.fromtimestamp(epoch, tz)``, also where the local day is in
+    FIRST_DAY..LAST_DAY but the UTC date is not a date (Tokyo's 0001-01-01
+    morning). Outside _FIRST_SAFE_EPOCH.._LAST_SAFE_EPOCH only the two local
+    days at the nearer end of the calendar are checked, and an instant on one
+    is timed from its midnight; any other epoch (NaN, an infinity, a day off
+    the calendar) goes to fromtimestamp as it is."""
+    if not _FIRST_SAFE_EPOCH <= epoch <= _LAST_SAFE_EPOCH:
+        first = FIRST_DAY if epoch < 0 else LAST_DAY - timedelta(days=1)
+        midnights = local_midnights(first, 3, tz)
+        if midnights[0] <= epoch < midnights[2]:
+            i = int(epoch >= midnights[1])
+            day = datetime.combine(first + timedelta(days=i), time(0), tzinfo=tz)
+            return day + timedelta(seconds=epoch - midnights[i])
+    return datetime.fromtimestamp(epoch, tz)
 
 
 def _day_slices(series: RawSeries):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import encode_report
-from normbase import cli, gbmodels, nnmodels, synthgen
+from normbase import cli, gbmodels, nnmodels, synthgen, tsdata
 from normbase.errors import ConfigError, DataError, ParseError
 from normbase.features import FeatureSpec, Scaler, apply_scaler, build_features
 from normbase.normalize import MODEL_KINDS, EnsembleSetup, KpiSetup, PeriodSpec, RunSetup, run_pipeline
@@ -877,6 +877,23 @@ class TestCalendarEnds:
         assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "data")]) == 2
         assert capsys.readouterr().err == "config error: study_end must be on or before 9999-12-30\n"
         assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("timezone, offset", [("Asia/Tokyo", "+09:18:59"), ("+09:00", "+09:00")])
+    def test_synth_from_0001_01_01_east_of_utc(self, timezone, offset, tmp_path):
+        # the first day's morning is 0000-12-31 in UTC
+        doc = {"start": "0001-01-01", "study_start": "0001-01-20", "study_end": "0001-01-30",
+               "interval_seconds": 3600, "timezone": timezone}
+        cfg = write_config(tmp_path / "s.json", doc)
+        assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "data")]) == 0
+        for ch, unit in tsdata.CHANNEL_UNITS.items():
+            data = (tmp_path / "data" / f"{ch}.csv").read_bytes()
+            assert data.startswith(f"timestamp,{ch}\n0001-01-01T00:00:00{offset},".encode())
+            schema = tsdata.SeriesSchema(ch, unit, timezone, 3600)
+            series, _ = tsdata.fill_gaps(tsdata.parse_series_bytes(data, schema))
+            daily = tsdata.resample_daily(series, "sum")
+            assert len(series) == 720
+            assert daily.dates == [date(1, 1, 1) + timedelta(days=i) for i in range(30)]
+            assert daily.values[0] == np.sum(series.values[:24])
 
 
 class TestEvaluate:

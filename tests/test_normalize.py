@@ -179,6 +179,27 @@ class TestPipelineValidation:
         with pytest.raises(DataError):
             nb.run_pipeline(small_table, nb.RunSetup(periods=periods, models=tree_models))
 
+    def test_too_few_lstm_windows_in_the_train_range(self, small_table, small_periods, cpus, pools):
+        # every fourth day excluded before June 2018: enough usable train
+        # rows, but the only runs of seven days start in June
+        dates = np.array(small_table.dates)
+        broken = (dates < date(2018, 6, 1)) & (np.arange(dates.size) % 4 == 3)
+        table = dataclasses.replace(small_table, excluded=small_table.excluded | broken)
+        matrix = build_features(table, FeatureSpec())
+        train = matrix.date_mask(*small_periods.train)
+        windows = int(train[make_sequences(matrix, FeatureSpec().lookback_days).rows].sum())
+        assert train.sum() >= nb.MIN_TRAIN_ROWS and 0 < windows < 30
+        models = {
+            "lstm": nb.LstmSetup(hidden_size=4, epochs=3, batch_size=64, seed=22),
+            "gbt_exact": gbmodels.BoostConfig(rounds=5, learning_rate=0.2, seed=33),
+        }
+        for n in (1, 2):
+            cpus(n)
+            with pytest.raises(DataError, match=f"^lstm_train needs at least 30 sequences, got {windows}$"):
+                nb.run_pipeline(table, nb.RunSetup(periods=small_periods, models=models))
+            assert not multiprocessing.active_children()
+        assert pools == [2]
+
 
 class TestPipelineTreeRuns:
     def test_deterministic_repeat(self, small_table, small_periods, tree_models):

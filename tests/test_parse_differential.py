@@ -471,3 +471,17 @@ def test_parse_memory_is_the_file_and_the_row_arrays(tmp_path):
         tracemalloc.stop()
     assert len(series) == 302_400
     assert peak < size + 100 * len(series)
+
+
+def test_crlf_parse_holds_no_copy_of_the_file():
+    lf = five_minute_channel(1050).encode()  # 302,400 rows
+    peaks = []
+    for data in (lf, lf.replace(b"\n", b"\r\n")):
+        tracemalloc.start()
+        try:
+            tsdata.parse_series_bytes(data, SCHEMA_5MIN)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # a CRLF file copied to LF would add its own 12 MB
+    assert peaks[1] < 1.1 * peaks[0]

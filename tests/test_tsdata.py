@@ -292,6 +292,14 @@ def test_ingest_leaves_numpy_ma_unimported(tmp_path):
     assert run.stdout == "True\n"
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_raw_series_rejects_non_finite_epochs(bad):
+    # NaN passes the order check, np.diff(epochs) <= 0, and resample_daily
+    # then dropped the day's samples after it
+    with pytest.raises(DataError, match="^timestamps must be finite$"):
+        tsdata.RawSeries("kwh", "kWh", 3600, "UTC", [0, bad, 7200], [1, 2, 3], [False] * 3)
+
+
 class TestGapFill:
     def series(self, values):
         return tsdata.parse_series(hourly_csv(values), UTC_SCHEMA)

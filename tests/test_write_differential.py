@@ -2,9 +2,12 @@
 
 ``reference_serialize_series`` and ``reference_write_dataset`` are the
 earlier ``tsdata.serialize_series`` and ``synthgen.write_dataset``, kept
-verbatim as oracles. For every drawn series the two must produce the same
-text byte for byte, or raise the same exception with the same message; for
-every small synthetic building they must write the same files.
+verbatim as oracles except for one fix the writer shares: an instant whose
+UTC date is in year 0 but whose local day is 0001-01-01 (east of UTC) is
+rendered, not rejected as datetime.fromtimestamp rejects it. For every drawn
+series the two must produce the same text byte for byte, or raise the same
+exception with the same message; for every small synthetic building they
+must write the same files.
 """
 
 import json
@@ -21,7 +24,26 @@ from normbase import synthgen, tsdata
 from normbase.synthgen import SynthDataset
 from normbase.tsdata import WEATHER_CHANNELS, RawSeries, SeriesSchema, resolve_timezone
 
-# -- oracles: the per-row writers, unchanged ---------------------------------
+# -- oracles: the per-row writers, unchanged but for reference_stamp ---------
+
+
+# 400 Gregorian years repeat the calendar, weekdays included, and every zone
+# keeps its local mean time through year 401
+GREGORIAN_CYCLE = 146097 * 86400
+
+
+def reference_stamp(e, tz) -> str:
+    try:
+        return datetime.fromtimestamp(e, tz).isoformat()
+    except ValueError:
+        if e < 0:  # UTC year 0: the same wall time 400 years on, if that is year 401
+            try:
+                later = datetime.fromtimestamp(e + GREGORIAN_CYCLE, tz)
+                if later.year > 400:
+                    return later.replace(year=later.year - 400).isoformat()
+            except ValueError:
+                pass
+        raise
 
 
 def reference_serialize_series(series: RawSeries) -> str:
@@ -30,7 +52,7 @@ def reference_serialize_series(series: RawSeries) -> str:
     out = [f"timestamp,{series.channel}"]
     # tolist() yields Python floats, whose repr round-trips exactly
     for e, v, m in zip(series.epochs.tolist(), series.values.tolist(), series.missing):
-        ts = datetime.fromtimestamp(e, tz).isoformat()
+        ts = reference_stamp(e, tz)
         out.append(f"{ts}," if m else f"{ts},{v!r}")
     return "\n".join(out) + "\n"
 
@@ -149,12 +171,42 @@ def new_york(epochs):
                      np.arange(len(epochs), dtype=float), np.zeros(len(epochs), dtype=bool))
 
 
+def east_of_utc(epochs, zone):
+    return RawSeries("kwh", "kWh", 1800, zone, np.array(epochs, dtype=float),
+                     np.arange(len(epochs), dtype=float), np.zeros(len(epochs), dtype=bool))
+
+
 @settings(deadline=None, max_examples=300)
 @given(series())
 @example(new_york([-2717650800 - 3600.0, -2717650800.0, -2717650800 + 3600.0]))
 @example(new_york([1604210400 + 3600.0 * k for k in range(4)]))
+@example(east_of_utc([-62135596800 - 5 * 3600 + 1800.0 * k for k in range(8)], "+05:30"))
+@example(east_of_utc([-62135596800 - 9 * 3600 + 3600.0 * k for k in range(30)], "Asia/Tokyo"))
 def test_serialize_matches_per_row_writer(s):
     assert outcome(tsdata.serialize_series, s) == outcome(reference_serialize_series, s)
+
+
+def test_first_day_of_the_calendar_east_of_utc():
+    # Tokyo keeps local mean time, +09:18:59, so its 0001-01-01 opens on 0000-12-31 in UTC
+    s = east_of_utc([-62135596800 - 33539 + 3600.0 * k for k in range(3)], "Asia/Tokyo")
+    assert tsdata.render_stamps(s.epochs, s.tzinfo) == [
+        f"0001-01-01T0{k}:00:00+09:18:59," for k in range(3)
+    ]
+
+
+@pytest.mark.parametrize("epoch, zone", [
+    (np.nan, "Asia/Tokyo"),
+    (np.nan, "UTC"),
+    (-62135596800 - 3600.0, "UTC"),  # 0000-12-31T23:00
+    (-62135596800 - 10 * 3600.0, "+09:00"),  # 0000-12-31T23:00+09:00
+    (-62135596800 - 33539 - 1.0, "Asia/Tokyo"),  # 0000-12-31T23:59:59+09:18:59
+])
+def test_nan_and_local_year_0_raise(epoch, zone):
+    tz = resolve_timezone(zone)
+    with pytest.raises(ValueError):
+        tsdata.render_stamps(np.array([0.0, epoch]), tz)
+    with pytest.raises(ValueError):
+        tsdata._local_datetime(epoch, tz)
 
 
 @pytest.mark.parametrize("epoch", [np.nan, np.inf, 1e20, -62135596800 - 86400, 0.5])
