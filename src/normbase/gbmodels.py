@@ -5,13 +5,19 @@ Two tree builders share one boosting loop:
 * ``exact``: depth-wise growth, split candidates at midpoints between every
   pair of consecutive distinct feature values. Each column is sorted once per
   fit (XGBoost's presorted column block) and every node keeps its rows in
-  that per-column order, so a node scores all (feature, cut) pairs with one
-  2-D cumulative sum.
+  that per-column order, so a node gathers its sorted values with one flat
+  take and scores all (feature, cut) pairs with one 2-D cumulative sum.
 * ``histogram``: leaf-wise (best-first) growth over quantile-binned features,
   with gradient one-side sampling (keep the large-gradient rows, subsample the
   rest with a compensating weight) and exclusive-feature bundling (sparse
-  features whose nonzero rows barely overlap share one column). A node builds
-  every column's histogram with one flat bincount per statistic.
+  features whose nonzero rows barely overlap share one column). Both
+  children of a split build every column's histogram with one flat bincount
+  per statistic, and one vectorized pass scores their (children, columns,
+  cuts) candidates, with each child's totals broadcast over its block.
+
+Both builders score candidates with one function, ``_best_candidate``, over
+a leading axis of row sets: the exact builder passes one node, the histogram
+builder both children of a split.
 
 A NaN feature value goes right while an exact tree grows (NaN <= t is
 false) and left while a histogram tree grows (it sits in bin 0); a fitted
@@ -100,30 +106,45 @@ def grad_hess(y, pred):
     return pred - y, np.ones_like(y)
 
 
-def _best_candidate(gl, hl, g_total, h_total, cfg, valid):
-    """First best (flat index, gain) among candidate splits, or None if none is valid.
+def _best_candidate(gl, hl, g_total, h_total, cfg, valid) -> list:
+    """First best (flat index, gain) of each part's candidate splits, or None if none is valid.
 
-    gl and hl are (features, cuts) matrices: candidate [f, k] sends gradient
-    sum gl[f, k] and hessian sum hl[f, k] to the left child. Its gain is
+    gl and hl are (parts, features, cuts) arrays: candidate [p, f, k] sends
+    gradient sum gl[p, f, k] and hessian sum hl[p, f, k] of part p's rows to
+    the left child, and g_total and h_total are the parts' sums, as scalars
+    for one part or broadcast as (parts, 1, 1). A candidate's gain is
     0.5 * [GL^2/(HL+lam) + GR^2/(HR+lam) - (GL+GR)^2/(HL+HR+lam)] - gamma.
     A candidate is valid when ``valid`` holds, both children carry at least
     min_child_hessian and its gain is a number (a child hessian sum of 0 with
-    reg_lambda 0 makes it NaN). The first maximum in row-major order wins, so
-    ties go to the lowest feature, then the lowest threshold.
+    reg_lambda 0 makes it NaN) above -inf; both callers split only on a
+    positive gain. Within each part the first maximum in row-major order
+    wins, so ties go to the lowest feature, then the lowest threshold; the
+    flat index counts within the part.
     """
     hr = h_total - hl
     ok = (hl >= cfg.min_child_hessian) & (hr >= cfg.min_child_hessian) & valid
-    if not ok.any():
-        return None
+    if not ok.any():  # also the exit when there are no candidates: argmax needs one
+        return [None] * len(ok)
     gr = g_total - gl
     lam = cfg.reg_lambda
     parent = (g_total * g_total) / (h_total + lam)
     # invalid candidates may divide by zero here; they are masked right after
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent) - cfg.gamma
-    gains[~ok | np.isnan(gains)] = -np.inf
-    best = int(gains.argmax())
-    return best, float(gains.flat[best])
+        gains = gl * gl
+        gains /= hl + lam
+        gr *= gr
+        gr /= hr + lam
+        gains += gr
+        gains -= parent
+        gains *= 0.5
+        gains -= cfg.gamma
+    ok &= gains == gains  # a NaN gain is no candidate
+    gains = np.where(ok, gains, -np.inf).reshape(len(ok), -1)
+    found = []
+    for best, part in zip(gains.argmax(axis=1).tolist(), gains):
+        gain = float(part[best])
+        found.append((best, gain) if gain > -math.inf else None)
+    return found
 
 
 def leaf_weight(g_sum, h_sum, reg_lambda) -> float:
@@ -216,24 +237,23 @@ def build_tree_exact(X, g, h, cfg: BoostConfig, order=None, leaf_of=None) -> Tre
     if X.ndim != 2 or X.shape[0] != g.size or g.size != h.size:
         raise DataError("X, g, h shapes disagree")
     n, n_features = X.shape
-    Xt, columns = X.T, np.arange(n_features)[:, None]
+    # row-major, so that one flat take gathers every column in its node order
+    Xt, starts = np.ascontiguousarray(X.T), n * np.arange(n_features)[:, None]
     leaf_of = np.empty(n, dtype=np.intp) if leaf_of is None else leaf_of
     nodes = []  # a node is appended before its subtrees grow, so in pre-order
 
-    def grow(rows: np.ndarray, order: np.ndarray, depth: int):
+    def grow(rows: np.ndarray, order: np.ndarray, depth: int, h_total: float):
         i = len(nodes)
-        g_total, h_total = float(g[rows].sum()), float(h[rows].sum())
+        g_total = float(g.take(rows).sum())
         nodes.append(_leaf(leaf_weight(g_total, h_total, cfg.reg_lambda)))
-        leaf_of[rows] = i
-        if depth >= cfg.max_depth or rows.size < 2:
-            return
-
-        xs = Xt[columns, order]
-        found = _best_candidate(
-            g[order].cumsum(axis=1)[:, :-1], h[order].cumsum(axis=1)[:, :-1],
-            g_total, h_total, cfg, valid=xs[:, :-1] < xs[:, 1:],
-        )
+        found = None
+        if depth < cfg.max_depth and rows.size > 1:
+            xs = Xt.take(order + starts)
+            gl = g.take(order).cumsum(axis=1)[None, :, :-1]
+            hl = h.take(order).cumsum(axis=1)[None, :, :-1]
+            found = _best_candidate(gl, hl, g_total, h_total, cfg, valid=xs[:, :-1] < xs[:, 1:])[0]
         if found is None or found[1] <= 0.0:
+            leaf_of[rows] = i
             return
         (f, k), gain = divmod(found[0], rows.size - 1), found[1]
         lo, hi = xs[f, k], xs[f, k + 1]
@@ -242,15 +262,18 @@ def build_tree_exact(X, g, h, cfg: BoostConfig, order=None, leaf_of=None) -> Tre
         # overflows; either sends every row left, so lo splits instead.
         thr = float(mid if lo <= mid < hi else lo)
         is_left = Xt[f] <= thr
-        left_rows, right_rows = rows[is_left[rows]], rows[~is_left[rows]]
-        in_left = is_left[order]
-        default_left = float(h[left_rows].sum()) >= float(h[right_rows].sum())
-        nodes[i][:4], nodes[i][5] = (f, thr, default_left, gain), i + 1
-        grow(left_rows, order[in_left].reshape(n_features, -1), depth + 1)
+        at_left = is_left.take(rows)
+        left_rows, right_rows = rows.compress(at_left), rows.compress(~at_left)
+        in_left = is_left.take(order).ravel()
+        h_left, h_right = float(h.take(left_rows).sum()), float(h.take(right_rows).sum())
+        nodes[i][:4], nodes[i][5] = (f, thr, h_left >= h_right, gain), i + 1
+        grow(left_rows, order.compress(in_left, axis=None).reshape(n_features, -1), depth + 1, h_left)
         nodes[i][6] = len(nodes)
-        grow(right_rows, order[~in_left].reshape(n_features, -1), depth + 1)
+        grow(right_rows, order.compress(~in_left, axis=None).reshape(n_features, -1), depth + 1, h_right)
 
-    grow(np.arange(n), np.argsort(Xt, axis=1, kind="stable") if order is None else order, 0)
+    rows = np.arange(n)
+    order = np.argsort(Xt, axis=1, kind="stable") if order is None else order
+    grow(rows, order, 0, float(h.take(rows).sum()))
     return _preorder(nodes)[0]
 
 
@@ -419,19 +442,22 @@ def _bin_column(values, edges) -> np.ndarray:
     return np.searchsorted(edges, v, side="left").astype(np.int32)
 
 
-def _best_hist_splits(parts, flat_bins, can_cut, gw, hw, cfg) -> list:
+def _best_hist_splits(parts, totals, flat_bins, can_cut, gw, hw, cfg) -> list:
     """Best valid (gain, column, edge index) of each row set in ``parts``, or None.
 
-    ``flat_bins`` holds column f's bin indices shifted by f * width, and each
-    part's bins sit past those of the parts before it, so one bincount per
-    statistic fills every histogram of both children of a split, each bin
-    adding the same rows in the same order. ``can_cut`` masks the padding
-    slots j >= edges[f].size of the (columns, width - 1) candidates.
+    ``totals`` holds each part's (gradient, hessian) sums. ``flat_bins``
+    holds column f's bin indices shifted by f * width, and each part's bins
+    sit past those of the parts before it, so one bincount per statistic
+    fills every histogram of both children of a split, each bin adding the
+    same rows in the same order, and one _best_candidate pass scores every
+    part's (columns, width - 1) candidates. ``can_cut`` masks the padding
+    slots j >= edges[f].size of each column.
     """
     n_cols, n_cuts = can_cut.shape
     size = n_cols * (n_cuts + 1)
     rows = np.concatenate(parts)
-    part = np.repeat(np.arange(len(parts)), [r.size for r in parts])
+    sizes = [r.size for r in parts]
+    part = np.repeat(np.arange(len(parts)), sizes)
     b = (flat_bins[rows] + size * part[:, None]).ravel()
 
     def left_sums(weights):
@@ -440,14 +466,10 @@ def _best_hist_splits(parts, flat_bins, can_cut, gw, hw, cfg) -> list:
 
     nl = left_sums(None)
     gl, hl = left_sums(gw[rows].repeat(n_cols)), left_sums(hw[rows].repeat(n_cols))
-    splits = []
-    for p, r in enumerate(parts):
-        found = _best_candidate(
-            gl[p], hl[p], float(gw[r].sum()), float(hw[r].sum()), cfg,
-            valid=can_cut & (nl[p] > 0) & (nl[p] < r.size),
-        )
-        splits.append(found and (found[1], *divmod(found[0], n_cuts)))
-    return splits
+    g_total, h_total = np.array(totals, dtype=float).T[:, :, None, None]
+    valid = can_cut & (nl > 0) & (nl < np.array(sizes)[:, None, None])
+    found = _best_candidate(gl, hl, g_total, h_total, cfg, valid)
+    return [f and (f[1], *divmod(f[0], n_cuts)) for f in found]
 
 
 def build_tree_hist(bin_idx, edges, g, h, w, rows, cfg: BoostConfig, leaf_of=None) -> Tree:
@@ -478,14 +500,15 @@ def build_tree_hist(bin_idx, edges, g, h, w, rows, cfg: BoostConfig, leaf_of=Non
     flat_bins = bin_idx + (n_cuts + 1) * np.arange(bin_idx.shape[1])
     can_cut = np.arange(n_cuts) < sizes[:, None]
 
-    def search(parts):
-        return _best_hist_splits(parts, flat_bins, can_cut, gw, hw, cfg)
+    def search(parts, totals):
+        return _best_hist_splits(parts, totals, flat_bins, can_cut, gw, hw, cfg)
 
     # nodes are numbered in creation order here and renumbered to pre-order below
     root_rows = np.asarray(rows, dtype=int)
-    nodes = [_leaf(leaf_weight(gw[root_rows].sum(), hw[root_rows].sum(), cfg.reg_lambda))]
+    totals = [(gw[root_rows].sum(), hw[root_rows].sum())]
+    nodes = [_leaf(leaf_weight(*totals[0], cfg.reg_lambda))]
     # (node, rows, best split or None, every row of bin_idx in the leaf)
-    leaves = [(0, root_rows, search([root_rows])[0], np.arange(bin_idx.shape[0]))]
+    leaves = [(0, root_rows, search([root_rows], totals)[0], np.arange(bin_idx.shape[0]))]
     for n_leaves in range(2, cfg.max_leaves + 1):
         growable = [i for i, (_, _, split, _) in enumerate(leaves) if split and split[0] > 0.0]
         if not growable:
@@ -496,14 +519,15 @@ def build_tree_hist(bin_idx, edges, g, h, w, rows, cfg: BoostConfig, leaf_of=Non
         go_left = bin_idx[node_rows, f] <= j
         parts = [node_rows[go_left], node_rows[~go_left]]
         all_left = bin_idx[node_all, f] <= j
-        default_left = float(hw[parts[0]].sum()) >= float(hw[parts[1]].sum())
+        totals = [(gw[r].sum(), hw[r].sum()) for r in parts]
+        default_left = float(totals[0][1]) >= float(totals[1][1])
         nodes[node][:4] = f, float(edges[f][j]), default_left, gain
         nodes[node][5:] = len(nodes), len(nodes) + 1
         # the children of the last split never grow, so they need no search
-        splits = search(parts) if n_leaves < cfg.max_leaves else [None, None]
-        for r, split, every in zip(parts, splits, (node_all[all_left], node_all[~all_left])):
+        splits = search(parts, totals) if n_leaves < cfg.max_leaves else [None, None]
+        for r, split, every, sums in zip(parts, splits, (node_all[all_left], node_all[~all_left]), totals):
             leaves.append((len(nodes), r, split, every))
-            nodes.append(_leaf(leaf_weight(gw[r].sum(), hw[r].sum(), cfg.reg_lambda)))
+            nodes.append(_leaf(leaf_weight(*sums, cfg.reg_lambda)))
 
     tree, rank = _preorder(nodes)
     if leaf_of is not None:

@@ -3,8 +3,12 @@
 Both models are trained by one loop, ``_fit``: mini-batch MSE,
 moment-estimation updates (beta1 = 0.9, beta2 = 0.999) with bias correction,
 global-norm clipping of the moment-normalized update, chronological-tail
-validation and best-validation early stopping. The moments are two flat
-vectors, updated by whole-vector operations. Only the mini-batches are
+validation and best-validation early stopping. At the start of a fit the
+parameters are copied into one flat vector and each params field is rebound
+to a view of it (``set_arrays``); the moments, the update and one scratch
+vector share its layout, so a step is a fixed sequence of whole-vector
+operations writing in place, one subtraction updates every parameter and
+the best-validation snapshot is one copy. Only the mini-batches are
 backpropagated; an epoch's training loss is the row-weighted mean of its
 mini-batch losses, and only the validation split gets a forward pass.
 Targets are z-scored internally with a dedicated scaler fitted on the
@@ -101,8 +105,19 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.divide(e, d, out=e)
 
 
+def _mse(resid) -> float:
+    """Mean of resid * resid: np.mean's own reduce and divide, without its wrapper."""
+    return float(np.add.reduce(resid * resid)) / resid.size
+
+
+def _views(flat, arrays) -> list:
+    """Views of the vector ``flat`` shaped like ``arrays``, laid end to end."""
+    parts = np.split(flat, np.cumsum([a.size for a in arrays])[:-1])
+    return [p.reshape(a.shape) for p, a in zip(parts, arrays)]
+
+
 def _fit(params, loss_grad, forward, data, cfg: TrainConfig):
-    """Shared training loop; updates the arrays of ``params`` in place.
+    """Shared training loop; rebinds the arrays of ``params`` to views of one vector.
 
     Args:
         params: MlpParams or LstmParams at their initial values.
@@ -117,9 +132,12 @@ def _fit(params, loss_grad, forward, data, cfg: TrainConfig):
     on the returned params. The update direction is the bias-corrected
     moment ratio; its global L2 norm is clipped at cfg.gradient_clip_norm
     before the learning-rate multiply, so one step never moves parameters
-    further than learning_rate * gradient_clip_norm. Moments and update are
-    flat vectors; the norm adds one sum of squares per params.norm_blocks()
-    block, in order: one per gate, as when each gate was its own array.
+    further than learning_rate * gradient_clip_norm. The parameters, the
+    moments, the update and the scratch vector of the temporaries share one
+    flat layout (see the module docstring), and the returned params' arrays
+    are views of the parameter vector. The norm adds one sum of squares per
+    params.norm_blocks() block, in order: one per gate, as when each gate
+    was its own array.
     Each epoch's training loss is sum(loss_b * |b|) / n_train over its
     mini-batches b, the losses loss_grad returned before each update
     (Keras's convention); its validation loss is the MSE of a forward pass
@@ -139,15 +157,15 @@ def _fit(params, loss_grad, forward, data, cfg: TrainConfig):
     X_val, z_val = X[n_train:], z[n_train:]
 
     arrays = params.arrays()
-    ends = np.cumsum([a.size for a in arrays])
-    m, v, u = np.zeros((3, ends[-1]))
-    parts = np.split(u, ends[:-1])
-    blocks = [p.reshape(k, -1) for p, k in zip(parts, params.norm_blocks())]
+    theta = np.concatenate(arrays, axis=None)
+    params.set_arrays(_views(theta, arrays))
+    g, m, v, u, s = np.zeros((5, theta.size))
+    squares = [q.reshape(k, -1) for q, k in zip(_views(s, arrays), params.norm_blocks())]
     t = 0
     rng = np.random.default_rng(cfg.seed + 1)
     trace = FitTrace()
     best_val = np.inf
-    best_state = [a.copy() for a in arrays]
+    best = theta.copy()
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_train)
@@ -155,39 +173,45 @@ def _fit(params, loss_grad, forward, data, cfg: TrainConfig):
         for start in range(0, n_train, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             loss, grads = loss_grad(params, X[idx], z[idx])
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
             loss_sum += loss * idx.size
             t += 1
-            g = np.concatenate(grads, axis=None)
+            np.concatenate(grads, axis=None, out=g)
+            # the operations of the whole-array expressions, in their order,
+            # with each temporary written to s
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=s)
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
+            np.multiply(g, 1.0 - ADAM_BETA2, out=s)
+            s *= g
+            v += s
             np.divide(m, 1.0 - ADAM_BETA1**t, out=u)
-            u /= np.sqrt(v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS
-            norm = float(np.sqrt(sum(s for q in blocks for s in (q * q).sum(axis=1).tolist())))
+            np.divide(v, 1.0 - ADAM_BETA2**t, out=s)
+            np.sqrt(s, out=s)
+            s += ADAM_EPS
+            u /= s
+            np.multiply(u, u, out=s)
+            norm = math.sqrt(sum(r for q in squares for r in np.add.reduce(q, axis=1).tolist()))
             if norm > cfg.gradient_clip_norm:
                 u *= cfg.gradient_clip_norm / norm
             u *= cfg.learning_rate
-            for a, p in zip(arrays, parts):
-                a -= p.reshape(a.shape)
+            theta -= u
 
         train_loss = loss_sum / n_train
-        val_loss = float(np.mean((forward(params, X_val) - z_val) ** 2))
-        if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
+        val_loss = _mse(forward(params, X_val) - z_val)
+        if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
             raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
         trace.train.append(math.sqrt(train_loss) * scaler.effective_std)
         trace.val.append(math.sqrt(val_loss) * scaler.effective_std)
         if val_loss < best_val:
             best_val = val_loss
             trace.best = epoch
-            best_state = [a.copy() for a in arrays]
+            best = theta.copy()
         elif epoch - trace.best >= cfg.early_stop_patience:
             break
 
-    for a, b in zip(arrays, best_state):
-        a[...] = b
+    theta[...] = best
     return params, trace
 
 
@@ -211,6 +235,11 @@ class MlpParams:
 
     def arrays(self):
         return list(self.weights) + list(self.biases)
+
+    def set_arrays(self, arrays):
+        """Inverse of arrays(): bind each field to its array."""
+        k = len(self.weights)
+        self.weights, self.biases = list(arrays[:k]), list(arrays[k:])
 
     def norm_blocks(self):
         return [1] * (2 * len(self.weights))
@@ -259,14 +288,14 @@ def mlp_loss_grad(params: MlpParams, X, y):
     out = acts[-1][:, 0]
     resid = out - y
     n = y.size
-    loss = float(np.mean(resid**2))
+    loss = _mse(resid)
 
     delta = (2.0 * resid / n)[:, None]  # d loss / d output
     dW = [None] * len(params.weights)
     db = [None] * len(params.biases)
     for l in range(len(params.weights) - 1, -1, -1):
         dW[l] = acts[l].T @ delta
-        db[l] = delta.sum(axis=0)
+        db[l] = np.add.reduce(delta, axis=0)
         if l > 0:
             delta = delta @ params.weights[l].T
             if params.activation == "relu":
@@ -336,6 +365,10 @@ class LstmParams:
 
     def arrays(self):
         return [self.W, self.U, self.b, self.w_out, self.b_out]
+
+    def set_arrays(self, arrays):
+        """Inverse of arrays(): bind each field to its array."""
+        self.W, self.U, self.b, self.w_out, self.b_out = arrays
 
     def norm_blocks(self):
         return [4, 4, 4, 1, 1]
@@ -409,7 +442,7 @@ def lstm_loss_grad(params: LstmParams, S, y):
     out, h_last, steps = _lstm_forward_batch(params, S)
     resid = out - y
     n = y.size
-    loss = float(np.mean(resid**2))
+    loss = _mse(resid)
 
     H = params.hidden_size
     B = S.shape[0]
@@ -418,7 +451,7 @@ def lstm_loss_grad(params: LstmParams, S, y):
     dU = np.zeros((4, H, H))
     db = np.zeros((4, H))
     dw_out = h_last.T @ d_out
-    db_out = np.array([float(np.sum(d_out))])
+    db_out = np.add.reduce(d_out, keepdims=True)
     UT = params.U.transpose(0, 2, 1)
 
     dh = d_out[:, None] * params.w_out[None, :]  # (B, H)
@@ -435,7 +468,7 @@ def lstm_loss_grad(params: LstmParams, S, y):
         da[3] = dc * i * (1.0 - g**2)
         dW += x.T @ da
         dU += h_prev.T @ da
-        db += da.sum(axis=1)
+        db += np.add.reduce(da, axis=1)
         # summed from zero in gate order, as the gradients of four separate
         # products were; one (B, 4H) @ (4H, H) product rounds differently
         dh = np.add.reduce(da @ UT, axis=0, initial=0.0)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -314,17 +315,18 @@ class TestMlpTraining:
             nn.mlp_predict(params, np.ones(3))
 
 
-class TestLstmTraining:
-    def make_recall_task(self, n=80, length=5, seed=6):
-        # target depends only on the final step: the cell must carry the
-        # last input through the readout
-        rng = np.random.default_rng(seed)
-        S = rng.normal(size=(n, length, 2))
-        y = 2.0 * S[:, -1, 0] + 10.0
-        return S, y
+def recall_task(n=80, length=5, seed=6):
+    # target depends only on the final step: the cell must carry the last
+    # input through the readout
+    rng = np.random.default_rng(seed)
+    S = rng.normal(size=(n, length, 2))
+    y = 2.0 * S[:, -1, 0] + 10.0
+    return S, y
 
+
+class TestLstmTraining:
     def test_learns_last_step_readout(self):
-        S, y = self.make_recall_task()
+        S, y = recall_task()
         cfg = nn.TrainConfig(learning_rate=0.02, epochs=300, batch_size=32, seed=1)
         params, _ = nn.lstm_train((S, y), cfg, hidden_size=8)
         n_val = max(1, round(0.2 * len(y)))
@@ -343,7 +345,7 @@ class TestLstmTraining:
         assert nn.lstm_predict(params, S).tolist() == [7.25] * 3
 
     def test_retrain_is_bit_identical(self):
-        S, y = self.make_recall_task(n=40)
+        S, y = recall_task(n=40)
         cfg = nn.TrainConfig(learning_rate=0.02, epochs=20, batch_size=16, seed=3)
         p1, _ = nn.lstm_train((S, y), cfg, hidden_size=4)
         p2, _ = nn.lstm_train((S, y), cfg, hidden_size=4)
@@ -351,7 +353,7 @@ class TestLstmTraining:
             np.testing.assert_array_equal(a, b)
 
     def test_epoch_losses_are_batch_means_and_validation_mse(self, monkeypatch):
-        S, y = self.make_recall_task(n=40)
+        S, y = recall_task(n=40)
         cfg = nn.TrainConfig(learning_rate=0.02, epochs=20, batch_size=16, seed=3)
         seen = record_batch_losses(monkeypatch, "lstm_loss_grad")
         params, trace = nn.lstm_train((S, y), cfg, hidden_size=4)
@@ -508,3 +510,48 @@ class TestSerialization:
         back = nn.mlp_from_dict(nn.mlp_to_dict(params))
         assert back.target_scaler.mean == params.target_scaler.mean
         assert back.target_scaler.std == params.target_scaler.std
+
+
+# (train, init, to_dict, data) per network; the fit leaves its arrays as views
+# of one parameter vector, where each was its own array before
+FITTED = {
+    "mlp": (
+        lambda data, cfg: nn.mlp_train(data, cfg, hidden_sizes=(5, 3), activation="tanh"),
+        lambda: nn.mlp_init([1, 5, 3, 1], activation="tanh"),
+        nn.mlp_to_dict,
+        linear_rows(40, seed=3),
+    ),
+    "lstm": (
+        lambda data, cfg: nn.lstm_train(data, cfg, hidden_size=3),
+        lambda: nn.lstm_init(2, 3),
+        nn.lstm_to_dict,
+        recall_task(n=40),
+    ),
+}
+
+
+@pytest.mark.parametrize("model", sorted(FITTED))
+class TestFittedParams:
+    CFG = nn.TrainConfig(learning_rate=0.02, epochs=6, batch_size=8, seed=5)
+
+    def test_arrays_keep_their_shapes_and_are_writeable(self, model):
+        train, init, _, data = FITTED[model]
+        params, _ = train(data, self.CFG)
+        assert [a.shape for a in params.arrays()] == [a.shape for a in init().arrays()]
+        assert all(a.flags.writeable for a in params.arrays())
+
+    def test_arrays_share_no_memory_with_another_fit_or_the_inputs(self, model):
+        train, _, to_dict, data = FITTED[model]
+        first, _ = train(data, self.CFG)
+        second, _ = train(data, self.CFG)
+        assert json.dumps(to_dict(first)) == json.dumps(to_dict(second))
+        for a in first.arrays():
+            assert not any(np.shares_memory(a, b) for b in (*second.arrays(), *data))
+
+    def test_pickle_round_trip_keeps_every_bit(self, model):
+        # the fit workers send their fitted params back pickled
+        train, _, to_dict, data = FITTED[model]
+        params, _ = train(data, self.CFG)
+        back = pickle.loads(pickle.dumps(params))
+        assert json.dumps(to_dict(back)) == json.dumps(to_dict(params))
+        assert [a.shape for a in back.arrays()] == [a.shape for a in params.arrays()]

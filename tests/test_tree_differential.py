@@ -296,9 +296,50 @@ ADJACENT_FLOATS = (
 )
 
 
+# Edge cases of the split search, which scores the candidates of every part
+# (the exact builder's node, or both children of a histogram split) in one
+# pass; a random draw reaches them only now and then.
+NO_COLUMNS = (np.zeros((6, 0)), np.arange(6.0), np.ones(6), BoostConfig())
+# the root cuts off row 3 alone, and the histogram builder then scores a
+# one-row child, which has no candidate, beside a child that has one
+ONE_ROW_CHILD = (
+    np.array([[0.0], [1.0], [2.0], [9.0]]),
+    np.array([1.0, -1.0, 1.0, -20.0]),
+    np.ones(4),
+    BoostConfig(max_depth=2, max_leaves=3, min_child_hessian=0.0),
+)
+# six rows of hessian 0.3: every cut leaves a child below 1.0
+STARVED_CHILDREN = (
+    np.arange(6.0)[:, None],
+    np.array([3.0, -1.0, 2.0, -4.0, 5.0, -6.0]),
+    np.full(6, 0.3),
+    BoostConfig(min_child_hessian=1.0),
+)
+# one split, whose children are never searched
+TWO_LEAVES = (
+    np.column_stack([np.arange(8.0), np.arange(8.0) % 3]),
+    np.array([1.0, 2.0, 1.0, 3.0, -2.0, -1.0, -3.0, -2.0]),
+    np.ones(8),
+    BoostConfig(max_depth=1, max_leaves=2),
+)
+_rng = np.random.default_rng(3)
+# 30 rows: GOSS keeps 6 at weight 1 and samples 3 at weight 8
+SAMPLED = (
+    np.column_stack([np.arange(30.0), _rng.integers(0, 4, 30).astype(float)]),
+    3.0 * _rng.normal(size=30),
+    np.ones(30),
+    BoostConfig(max_leaves=4),
+)
+
+
 @settings(deadline=None, max_examples=300)
 @given(problems())
 @example(ADJACENT_FLOATS)
+@example(NO_COLUMNS)
+@example(ONE_ROW_CHILD)
+@example(STARVED_CHILDREN)
+@example(TWO_LEAVES)
+@example(SAMPLED)
 def test_exact_builder_matches_per_feature_search(problem):
     X, g, h, cfg = problem
     assert_same_nodes(gb.build_tree_exact(X, g, h, cfg), build_tree_exact(X, g, h, cfg))
@@ -306,6 +347,11 @@ def test_exact_builder_matches_per_feature_search(problem):
 
 @settings(deadline=None, max_examples=300)
 @given(problems(), st.sampled_from([None, (0.2, 0.1), (0.5, 0.25)]), st.integers(0, 99))
+@example(NO_COLUMNS, None, 0)
+@example(ONE_ROW_CHILD, None, 0)
+@example(STARVED_CHILDREN, None, 0)
+@example(TWO_LEAVES, None, 0)
+@example(SAMPLED, (0.2, 0.1), 7)
 def test_hist_builder_matches_per_feature_search(problem, goss, seed):
     X, g, h, cfg = problem
     n, n_cols = X.shape
