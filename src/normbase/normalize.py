@@ -501,9 +501,7 @@ def run_pipeline(table, setup: RunSetup) -> NormalizationReport:
         # Ensemble quality on the test rows where every member predicts.
         common = test_mask & ~np.isnan(member_preds).any(axis=0)
         if common.any():
-            ensemble_test_kpis = kpi_report(
-                [d for d, c in zip(scaled.dates, common) if c], y[common], ensemble[common], p=p
-            )
+            ensemble_test_kpis = score(scaled, common, ensemble, p=p)
 
     study_dates = [d for d, s in zip(scaled.dates, study_mask) if s]
     study_actual = y[study_mask]

@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import sys
 from datetime import date
 from pathlib import Path
 from typing import Union, get_args, get_origin, get_type_hints
@@ -76,8 +77,8 @@ def from_json(kind, doc, path: str = "", noun: str = "key"):
     tuple[date, date] (a list of that length, items named by index as in
     ``periods.train[1]``), np.ndarray (a nested list of numbers), dict[str, T]
     (an object of T values), dict (any JSON object, left to the caller), date
-    (an ISO string), Path (a string), int, float (any JSON number), bool or
-    str. ``path`` is the dotted key of ``doc``; ``noun`` says what a key is
+    (an ISO string), Path (a string), int, float (a finite JSON number), bool
+    or str. ``path`` is the dotted key of ``doc``; ``noun`` says what a key is
     in error messages.
 
     Raises:
@@ -134,5 +135,9 @@ def from_json(kind, doc, path: str = "", noun: str = "key"):
         # a JSON boolean is not a number here, although Python counts it as one
         if type(doc) not in ((int, float) if kind is float else (kind,)):
             raise _unfit(noun, path, f"must be {_TYPE_NAMES[kind]}")
+        # json reads NaN, Infinity and 1e999 as floats, and an integer past
+        # the float range has no float; a NaN fails every comparison
+        if kind is float and not abs(doc) <= sys.float_info.max:
+            raise _unfit(noun, path, "must be a finite number")
         return kind(doc)
     raise TypeError(f"no JSON decoding for annotation {kind!r}")

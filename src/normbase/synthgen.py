@@ -12,13 +12,16 @@ The daily latent model is multiplicative-weekly over an additive core:
                                  + temp_coeff * max(0, T - balance)
                                  + solar_coeff * S)
 
-Occupancy is 1.0 before the study window and (1 - occupancy_drop) inside
-it. The planted reduction is the noiseless difference between occ=1 and
-the configured occupancy, summed over study days.
+This is the one daily model: _daily_inputs decides the days, the study
+mask, the daily weather and each day's weekly weight, and generate and
+occupancy_drop_for_target both start from it. Occupancy is 1.0 before the
+study window and (1 - occupancy_drop) inside it. The planted reduction is
+the noiseless difference between occ=1 and the configured occupancy, summed
+over study days.
 
-Interval emission is shaped so that daily aggregation is exact: weather
-samples are the daily value plus a zero-mean (or unit-mean multiplicative)
-diurnal profile, and each day's energy is spread evenly over its samples.
+Interval emission is shaped so that daily aggregation is exact: a weather
+sample is its daily value times a unit-mean or plus a zero-mean diurnal
+shape (_SHAPES), and each day's energy is spread evenly over its samples.
 """
 
 from __future__ import annotations
@@ -99,6 +102,7 @@ class SynthDataset:
 
     config: SynthConfig
     dates: list
+    study_mask: np.ndarray
     daily_energy: np.ndarray
     latent_actual: np.ndarray
     latent_counterfactual: np.ndarray
@@ -107,16 +111,6 @@ class SynthDataset:
     reduction_fraction: float
     energy: RawSeries
     weather: dict
-
-    @property
-    def study_mask(self) -> np.ndarray:
-        lo, hi = self.config.study_start, self.config.study_end
-        return np.array([lo <= d <= hi for d in self.dates])
-
-
-def _dates_span(cfg: SynthConfig):
-    n = (cfg.study_end - cfg.start).days + 1
-    return [cfg.start + timedelta(days=i) for i in range(n)]
 
 
 def _seasonal(doy: np.ndarray, mean, amp, peak_doy):
@@ -145,72 +139,68 @@ def _daily_weather(cfg: SynthConfig, dates) -> dict:
     }
 
 
-def _latent_daily(cfg: SynthConfig, dates, weather, occupancy: np.ndarray) -> np.ndarray:
-    wp = np.array([cfg.weekly_pattern[d.weekday()] for d in dates])
+def _daily_inputs(cfg: SynthConfig):
+    """The daily model's inputs, decided once for generate and
+    occupancy_drop_for_target: the dates from ``start`` through ``study_end``,
+    the mask of study days, the daily weather and each day's weekly weight."""
+    n = (cfg.study_end - cfg.start).days + 1
+    dates = [cfg.start + timedelta(days=i) for i in range(n)]
+    in_study = np.arange(n) >= (cfg.study_start - cfg.start).days
+    weekly = np.array(cfg.weekly_pattern)[(cfg.start.weekday() + np.arange(n)) % 7]
+    return dates, in_study, _daily_weather(cfg, dates), weekly
+
+
+def _latent_daily(cfg: SynthConfig, weekly, weather, occupancy: np.ndarray) -> np.ndarray:
     heat = cfg.temp_coeff * np.maximum(0.0, weather["drybulb_c"] - cfg.balance_temp_c)
     sun = cfg.solar_coeff * weather["solar_wm2"]
     people = cfg.occupant_share * cfg.base_load_kwh * occupancy
-    return wp * (cfg.base_load_kwh + people + heat + sun)
+    return weekly * (cfg.base_load_kwh + people + heat + sun)
 
 
-def _day_grid(cfg: SynthConfig, dates):
-    """Per-day (start_epoch, n_slots); slot counts vary only across DST shifts."""
-    starts = local_midnights(dates[0], len(dates) + 1, resolve_timezone(cfg.timezone))
-    spans = np.diff(starts)
-    slots = spans / cfg.interval_seconds
-    if np.any(slots != np.round(slots)):
-        raise ConfigError("interval_seconds must divide every local day in this zone")
-    return starts[:-1], slots.astype(int)
+def _wave(amp, peak):
+    """A daily cosine of amplitude ``amp`` that peaks at hour ``peak``."""
+    return lambda hour: amp * np.cos(2.0 * math.pi * (hour - peak) / 24.0)
 
 
-# Diurnal profiles. Additive ones are centered to exact zero mean per slot
-# grid; multiplicative ones are normalized to exact unit mean. That keeps the
-# daily aggregate equal to the daily latent value to float precision.
-_ADDITIVE_SHAPE = {
-    "drybulb_c": (4.0, 15.0),   # (amplitude, peak hour)
-    "dewpoint_c": (1.5, 16.0),
-    "rh_pct": (-6.0, 15.0),
-    "winddir_deg": (0.0, 0.0),
-}
-_MULTIPLICATIVE_SHAPE = {
-    "windspeed_ms": 0.25,
+# Each weather channel's diurnal shape over the slot hours of a day, and
+# whether it scales the daily value (True) or adds to it (False).
+_SHAPES = {
+    "drybulb_c": (False, _wave(4.0, 15.0)),
+    "solar_wm2": (True, lambda hour: np.maximum(0.0, np.sin(math.pi * (hour - 6.0) / 12.0))),
+    "rh_pct": (False, _wave(-6.0, 15.0)),
+    "dewpoint_c": (False, _wave(1.5, 16.0)),
+    "windspeed_ms": (True, lambda hour: 1.0 + 0.25 * np.sin(2.0 * math.pi * (hour - 13.0) / 24.0)),
+    "winddir_deg": (False, _wave(0.0, 0.0)),
 }
 
 
-def _slot_hours(n_slots: int, interval: int) -> np.ndarray:
-    return np.arange(n_slots) * (interval / 3600.0)
-
-
-def _additive_profile(channel: str, n_slots: int, interval: int) -> np.ndarray:
-    amp, peak = _ADDITIVE_SHAPE[channel]
-    prof = amp * np.cos(2.0 * math.pi * (_slot_hours(n_slots, interval) - peak) / 24.0)
-    return prof - prof.mean()
-
-
-def _solar_profile(n_slots: int, interval: int) -> np.ndarray:
-    hod = _slot_hours(n_slots, interval)
-    bell = np.maximum(0.0, np.sin(math.pi * (hod - 6.0) / 12.0))
-    if not bell.any():  # no slot in daylight (daily cadence): spread evenly
+def _day_shape(channel: str, n_slots: int, interval: int) -> np.ndarray:
+    """``channel``'s shape over a day of ``n_slots`` samples, normalised to an
+    exact unit mean if it scales and an exact zero mean if it adds, so that
+    the day's samples average to its daily value to float precision."""
+    scales, shape = _SHAPES[channel]
+    s = shape(np.arange(n_slots) * (interval / 3600.0))
+    if not scales:
+        return s - s.mean()
+    if not s.any():  # no slot in daylight (daily cadence): spread evenly
         return np.ones(n_slots)
-    return bell / bell.mean()
-
-
-def _mult_profile(channel: str, n_slots: int, interval: int) -> np.ndarray:
-    swing = _MULTIPLICATIVE_SHAPE[channel]
-    prof = 1.0 + swing * np.sin(2.0 * math.pi * (_slot_hours(n_slots, interval) - 13.0) / 24.0)
-    return prof / prof.mean()
+    return s / s.mean()
 
 
 def generate(cfg: SynthConfig = SynthConfig()) -> SynthDataset:
-    """Build the full dataset for one configuration."""
-    dates = _dates_span(cfg)
-    n_days = len(dates)
-    in_study = np.array([cfg.study_start <= d <= cfg.study_end for d in dates])
+    """Build the full dataset for one configuration from the one daily model.
 
-    weather = _daily_weather(cfg, dates)
+    _daily_inputs decides the days, the study mask, the weather and the
+    weekly weights; the latents and the planted reduction follow from them.
+    Every interval series is then a whole-array expansion of its daily
+    values over each day's slots: a weather channel times or plus its day
+    shape, the energy split evenly.
+    """
+    dates, in_study, weather, weekly = _daily_inputs(cfg)
+    n_days = len(dates)
     occ = np.where(in_study, 1.0 - cfg.occupancy_drop, 1.0)
-    latent_actual = _latent_daily(cfg, dates, weather, occ)
-    latent_cf = _latent_daily(cfg, dates, weather, np.ones(n_days))
+    latent_actual = _latent_daily(cfg, weekly, weather, occ)
+    latent_cf = _latent_daily(cfg, weekly, weather, np.ones(n_days))
 
     rng_energy = np.random.default_rng(cfg.seed + 1)
     daily_energy = latent_actual + rng_energy.normal(0.0, cfg.noise_sigma_kwh, n_days)
@@ -221,65 +211,38 @@ def generate(cfg: SynthConfig = SynthConfig()) -> SynthDataset:
     reduction_kwh = float(np.sum(gap))
     reduction_fraction = reduction_kwh / float(np.sum(latent_cf[in_study]))
 
-    day_starts, day_slots = _day_grid(cfg, dates)
-    epoch_parts = [
-        start + np.arange(k) * float(cfg.interval_seconds)
-        for start, k in zip(day_starts, day_slots)
-    ]
-    epochs = np.concatenate(epoch_parts)
-    total = epochs.size
-    no_missing = np.zeros(total, dtype=bool)
+    midnights = local_midnights(cfg.start, n_days + 1, resolve_timezone(cfg.timezone))
+    day_slots = np.diff(midnights) / cfg.interval_seconds  # varies only across DST shifts
+    if np.any(day_slots != np.round(day_slots)):
+        raise ConfigError("interval_seconds must divide every local day in this zone")
+    day_slots = day_slots.astype(int)
+    slot = np.arange(day_slots.sum()) - np.repeat(np.cumsum(day_slots) - day_slots, day_slots)
+    epochs = np.repeat(midnights[:-1], day_slots) + slot * float(cfg.interval_seconds)
+    no_missing = np.zeros(epochs.size, dtype=bool)
 
-    def emit(channel, values):
-        return RawSeries(
-            channel=channel,
-            unit=CHANNEL_UNITS[channel],
-            interval_seconds=cfg.interval_seconds,
-            tz=cfg.timezone,
-            epochs=epochs,
-            values=values,
-            missing=no_missing,
-        )
-
-    profile_cache = {}
-
-    def profiles(n_slots):
-        if n_slots not in profile_cache:
-            iv = cfg.interval_seconds
-            profile_cache[n_slots] = {
-                "solar_wm2": _solar_profile(n_slots, iv),
-                **{c: _additive_profile(c, n_slots, iv) for c in _ADDITIVE_SHAPE},
-                **{c: _mult_profile(c, n_slots, iv) for c in _MULTIPLICATIVE_SHAPE},
-            }
-        return profile_cache[n_slots]
-
-    weather_series = {}
+    values = {ENERGY_CHANNEL: np.repeat(daily_energy / day_slots, day_slots)}
     for channel in WEATHER_CHANNELS:
-        parts = []
-        for i, k in enumerate(day_slots):
-            prof = profiles(int(k))[channel]
-            if channel in ("solar_wm2", *_MULTIPLICATIVE_SHAPE):
-                parts.append(weather[channel][i] * prof)
-            else:
-                parts.append(weather[channel][i] + prof)
-        weather_series[channel] = emit(channel, np.concatenate(parts))
-
-    energy_parts = [
-        np.full(int(k), daily_energy[i] / float(k)) for i, k in enumerate(day_slots)
-    ]
-    energy_series = emit(ENERGY_CHANNEL, np.concatenate(energy_parts))
+        shapes = {k: _day_shape(channel, k, cfg.interval_seconds) for k in set(day_slots.tolist())}
+        shape = np.concatenate([shapes[k] for k in day_slots.tolist()])
+        daily = np.repeat(weather[channel], day_slots)
+        values[channel] = daily * shape if _SHAPES[channel][0] else daily + shape
+    series = {
+        c: RawSeries(c, CHANNEL_UNITS[c], cfg.interval_seconds, cfg.timezone, epochs, v, no_missing)
+        for c, v in values.items()
+    }
 
     return SynthDataset(
         config=cfg,
         dates=dates,
+        study_mask=in_study,
         daily_energy=daily_energy,
         latent_actual=latent_actual,
         latent_counterfactual=latent_cf,
         daily_weather=weather,
         reduction_kwh=reduction_kwh,
         reduction_fraction=reduction_fraction,
-        energy=energy_series,
-        weather=weather_series,
+        energy=series.pop(ENERGY_CHANNEL),
+        weather=series,
     )
 
 
@@ -294,13 +257,9 @@ def occupancy_drop_for_target(cfg: SynthConfig, target_fraction: float) -> float
     """
     if not 0.0 <= target_fraction < 1.0:
         raise ConfigError("target_fraction must lie in [0, 1)")
-    dates = _dates_span(cfg)
-    in_study = np.array([cfg.study_start <= d <= cfg.study_end for d in dates])
-    weather = _daily_weather(cfg, dates)
-    cf = _latent_daily(cfg, dates, weather, np.ones(len(dates)))[in_study]
-
-    wp = np.array([cfg.weekly_pattern[d.weekday()] for d, s in zip(dates, in_study) if s])
-    per_unit_drop = float(np.sum(wp)) * cfg.occupant_share * cfg.base_load_kwh
+    dates, in_study, weather, weekly = _daily_inputs(cfg)
+    cf = _latent_daily(cfg, weekly, weather, np.ones(len(dates)))[in_study]
+    per_unit_drop = float(np.sum(weekly[in_study])) * cfg.occupant_share * cfg.base_load_kwh
     if per_unit_drop <= 0:
         raise ConfigError("occupant_share is zero; no reachable reduction target")
     drop = target_fraction * float(np.sum(cf)) / per_unit_drop

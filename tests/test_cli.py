@@ -730,6 +730,40 @@ class TestConfigValidation:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    # json reads these literals as NaN, -inf and inf, and the last as an int
+    # no float holds
+    @pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e999", "1" + "0" * 400])
+    @pytest.mark.parametrize("command, key", [
+        ("normalize", "models.gbt_exact.gamma"),
+        ("normalize", "models.mlp.gradient_clip_norm"),
+        ("synth", "noise_sigma_kwh"),
+        ("synth", "target_reduction_fraction"),
+    ])
+    def test_non_finite_number_exits_2_and_writes_nothing(self, data_dir, tmp_path, capsys,
+                                                         monkeypatch, command, key, literal):
+        def no_input(*args, **kwargs):
+            raise AssertionError("input was read before the config was checked")
+
+        monkeypatch.setattr(cli, "_ingest", no_input)
+        monkeypatch.setattr(cli, "generate", no_input)
+        out = str(tmp_path / "out")
+        if command == "normalize":
+            doc = run_config(data_dir, output_dir=out)
+        else:
+            doc = {"seed": 5, "interval_seconds": 3600, "target_reduction_fraction": 0.3,
+                   "output_dir": out}
+        *section, leaf = key.split(".")
+        sub = doc
+        for part in section:
+            sub = sub[part]
+        sub.pop("enabled", None)  # disabled models go unchecked
+        sub[leaf] = "<number>"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc).replace('"<number>"', literal))
+        assert cli.main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: config key '{key}' must be a finite number\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
     @pytest.mark.parametrize(
         "model, key, value, message",
         [

@@ -124,3 +124,11 @@ def test_a_typed_dict_decodes_each_value_under_its_key():
         from_json(dict[str, int], {"a": 1, "b": 1.5}, path="runs")
     with pytest.raises(ValueError, match="^key 'runs' must be an object$"):
         from_json(dict[str, int], [1], path="runs")
+
+
+def test_a_float_must_be_finite_but_an_array_may_hold_nan():
+    for value in (float("nan"), float("-inf"), float("inf"), 10**400):
+        with pytest.raises(ValueError, match=r"^key 'scale\[0\]' must be a finite number$"):
+            from_json(tuple[float], [value], path="scale")
+    assert from_json(float, 10**308) == 1e308
+    assert np.isnan(from_json(np.ndarray, [1.0, float("nan")])[1])

@@ -1,6 +1,7 @@
 import json
+import math
 from dataclasses import replace
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -238,3 +239,189 @@ class TestWriteDataset:
         assert truth["reduction_fraction"] == ds.reduction_fraction
         assert truth["study"] == ["2019-03-01", "2019-03-21"]
         assert truth["occupancy_drop"] == 0.4
+
+
+# -- generate against the per-day emission it replaced ------------------------
+#
+# reference_generate and reference_drop_for_target are the earlier generate
+# and occupancy_drop_for_target, kept verbatim with their helpers as the
+# oracle: each works the study mask and the weekly weights out from the date
+# list and emits every sample day by day, through a per-slot-count cache of
+# diurnal profiles. Only the daily weather is shared (synthgen._daily_weather,
+# which draws the same stream for both). generate must agree bit for bit.
+
+_REF_ADDITIVE_SHAPE = {
+    "drybulb_c": (4.0, 15.0),
+    "dewpoint_c": (1.5, 16.0),
+    "rh_pct": (-6.0, 15.0),
+    "winddir_deg": (0.0, 0.0),
+}
+_REF_MULTIPLICATIVE_SHAPE = {"windspeed_ms": 0.25}
+
+
+def _ref_dates_span(cfg):
+    n = (cfg.study_end - cfg.start).days + 1
+    return [cfg.start + timedelta(days=i) for i in range(n)]
+
+
+def _ref_latent_daily(cfg, dates, weather, occupancy):
+    wp = np.array([cfg.weekly_pattern[d.weekday()] for d in dates])
+    heat = cfg.temp_coeff * np.maximum(0.0, weather["drybulb_c"] - cfg.balance_temp_c)
+    sun = cfg.solar_coeff * weather["solar_wm2"]
+    people = cfg.occupant_share * cfg.base_load_kwh * occupancy
+    return wp * (cfg.base_load_kwh + people + heat + sun)
+
+
+def _ref_day_grid(cfg, dates):
+    starts = tsdata.local_midnights(dates[0], len(dates) + 1, tsdata.resolve_timezone(cfg.timezone))
+    spans = np.diff(starts)
+    slots = spans / cfg.interval_seconds
+    if np.any(slots != np.round(slots)):
+        raise ConfigError("interval_seconds must divide every local day in this zone")
+    return starts[:-1], slots.astype(int)
+
+
+def _ref_slot_hours(n_slots, interval):
+    return np.arange(n_slots) * (interval / 3600.0)
+
+
+def _ref_additive_profile(channel, n_slots, interval):
+    amp, peak = _REF_ADDITIVE_SHAPE[channel]
+    prof = amp * np.cos(2.0 * math.pi * (_ref_slot_hours(n_slots, interval) - peak) / 24.0)
+    return prof - prof.mean()
+
+
+def _ref_solar_profile(n_slots, interval):
+    hod = _ref_slot_hours(n_slots, interval)
+    bell = np.maximum(0.0, np.sin(math.pi * (hod - 6.0) / 12.0))
+    if not bell.any():
+        return np.ones(n_slots)
+    return bell / bell.mean()
+
+
+def _ref_mult_profile(channel, n_slots, interval):
+    swing = _REF_MULTIPLICATIVE_SHAPE[channel]
+    prof = 1.0 + swing * np.sin(2.0 * math.pi * (_ref_slot_hours(n_slots, interval) - 13.0) / 24.0)
+    return prof / prof.mean()
+
+
+def reference_generate(cfg):
+    dates = _ref_dates_span(cfg)
+    n_days = len(dates)
+    in_study = np.array([cfg.study_start <= d <= cfg.study_end for d in dates])
+
+    weather = synthgen._daily_weather(cfg, dates)
+    occ = np.where(in_study, 1.0 - cfg.occupancy_drop, 1.0)
+    latent_actual = _ref_latent_daily(cfg, dates, weather, occ)
+    latent_cf = _ref_latent_daily(cfg, dates, weather, np.ones(n_days))
+
+    rng_energy = np.random.default_rng(cfg.seed + 1)
+    daily_energy = latent_actual + rng_energy.normal(0.0, cfg.noise_sigma_kwh, n_days)
+    if np.any(daily_energy <= 0):
+        raise DataError("noise drove a daily energy value non-positive; lower noise_sigma_kwh")
+
+    gap = latent_cf[in_study] - latent_actual[in_study]
+    reduction_kwh = float(np.sum(gap))
+    reduction_fraction = reduction_kwh / float(np.sum(latent_cf[in_study]))
+
+    day_starts, day_slots = _ref_day_grid(cfg, dates)
+    epoch_parts = [
+        start + np.arange(k) * float(cfg.interval_seconds)
+        for start, k in zip(day_starts, day_slots)
+    ]
+    epochs = np.concatenate(epoch_parts)
+
+    profile_cache = {}
+
+    def profiles(n_slots):
+        if n_slots not in profile_cache:
+            iv = cfg.interval_seconds
+            profile_cache[n_slots] = {
+                "solar_wm2": _ref_solar_profile(n_slots, iv),
+                **{c: _ref_additive_profile(c, n_slots, iv) for c in _REF_ADDITIVE_SHAPE},
+                **{c: _ref_mult_profile(c, n_slots, iv) for c in _REF_MULTIPLICATIVE_SHAPE},
+            }
+        return profile_cache[n_slots]
+
+    values = {}
+    for channel in tsdata.WEATHER_CHANNELS:
+        parts = []
+        for i, k in enumerate(day_slots):
+            prof = profiles(int(k))[channel]
+            if channel in ("solar_wm2", *_REF_MULTIPLICATIVE_SHAPE):
+                parts.append(weather[channel][i] * prof)
+            else:
+                parts.append(weather[channel][i] + prof)
+        values[channel] = np.concatenate(parts)
+
+    energy_parts = [
+        np.full(int(k), daily_energy[i] / float(k)) for i, k in enumerate(day_slots)
+    ]
+    values[tsdata.ENERGY_CHANNEL] = np.concatenate(energy_parts)
+    return dict(dates=dates, study_mask=in_study, daily_weather=weather,
+                latent_actual=latent_actual, latent_counterfactual=latent_cf,
+                daily_energy=daily_energy, reduction_kwh=reduction_kwh,
+                reduction_fraction=reduction_fraction, epochs=epochs, values=values)
+
+
+def reference_drop_for_target(cfg, target_fraction):
+    dates = _ref_dates_span(cfg)
+    in_study = np.array([cfg.study_start <= d <= cfg.study_end for d in dates])
+    weather = synthgen._daily_weather(cfg, dates)
+    cf = _ref_latent_daily(cfg, dates, weather, np.ones(len(dates)))[in_study]
+
+    wp = np.array([cfg.weekly_pattern[d.weekday()] for d, s in zip(dates, in_study) if s])
+    per_unit_drop = float(np.sum(wp)) * cfg.occupant_share * cfg.base_load_kwh
+    return target_fraction * float(np.sum(cf)) / per_unit_drop
+
+
+DIFFERENTIAL_CONFIGS = {
+    "utc_hourly": dict(interval_seconds=3600),
+    # 2019-03-10 has 23 local hours and 2019-11-03 has 25
+    "new_york_5min_both_dst_days": dict(
+        timezone="America/New_York", interval_seconds=300, start=date(2019, 3, 1),
+        study_start=date(2019, 10, 1), study_end=date(2019, 11, 10)),
+    "daily_cadence": dict(interval_seconds=86400),
+    "kolkata_15min": dict(timezone="+05:30", interval_seconds=900),
+    "london_30min": dict(
+        timezone="Europe/London", interval_seconds=1800, start=date(2019, 2, 1),
+        study_start=date(2019, 10, 1), study_end=date(2019, 11, 5)),
+    "tokyo_from_0001": dict(
+        timezone="Asia/Tokyo", interval_seconds=3600, start=date(1, 1, 1),
+        study_start=date(1, 2, 1), study_end=date(1, 3, 1)),
+    # local mean time: midnights fall at offsets of whole seconds, not hours
+    "new_york_1850": dict(
+        timezone="America/New_York", interval_seconds=3600, start=date(1850, 1, 1),
+        study_start=date(1850, 2, 1), study_end=date(1850, 3, 1)),
+}
+
+
+def assert_same_bits(a, b, what):
+    """array_equal, and also the same dtype and bytes: -0.0 is not 0.0 here."""
+    np.testing.assert_array_equal(a, b, err_msg=what)
+    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), what
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CONFIGS))
+def test_generate_matches_per_day_emission(name):
+    cfg = tiny_cfg(occupancy_drop=0.0, **DIFFERENTIAL_CONFIGS[name])
+    drop = synthgen.occupancy_drop_for_target(cfg, 0.4)
+    assert drop == reference_drop_for_target(cfg, 0.4)
+    cfg = replace(cfg, occupancy_drop=drop)
+    ds, ref = synthgen.generate(cfg), reference_generate(cfg)
+
+    assert ds.dates == ref["dates"]
+    for key in ("study_mask", "latent_actual", "latent_counterfactual", "daily_energy"):
+        assert_same_bits(getattr(ds, key), ref[key], key)
+    for channel, daily in ref["daily_weather"].items():
+        assert_same_bits(ds.daily_weather[channel], daily, channel)
+    assert ds.reduction_kwh == ref["reduction_kwh"]
+    assert ds.reduction_fraction == ref["reduction_fraction"]
+
+    assert list(ds.weather) == list(tsdata.WEATHER_CHANNELS)
+    series = {s.channel: s for s in (ds.energy, *ds.weather.values())}
+    assert set(series) == set(ref["values"])
+    for channel, s in series.items():
+        assert_same_bits(s.epochs, ref["epochs"], channel)
+        assert_same_bits(s.values, ref["values"][channel], channel)
+        assert not s.missing.any() and s.missing.size == s.values.size
