@@ -92,7 +92,7 @@ def main():
     }
     print("\n" + kpi_table(reports))
     for name, rep in reports.items():
-        verdict = "usable as a baseline" if rep.gate.passed else "rejected"
+        verdict = "usable as a baseline" if rep.passed else "rejected"
         print(f"    {name}: {verdict}")
 
 

@@ -22,9 +22,9 @@ the normalize.RunSetup that run_pipeline takes, plus the input and output
 keys. report.json is a normalize.Report written with savefile.to_json.
 
 Exit codes: 0 success, 2 configuration problem (a bad config or model
-file), 3 no model passed the acceptance gate (the report's
-``no_valid_baseline`` flag), 4 data or training problem, or an output file
-that cannot be written (see _writing).
+file), 3 no model selected in normalize (``no_valid_baseline``) or none
+passing the gate in evaluate, 4 data or training problem, or an output
+file that cannot be written (see _writing).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -233,14 +234,12 @@ def _fmt_cell(v: Optional[float]) -> str:
 
 
 def _gate_cell(kpis) -> str:
-    gate = kpis.gate
-    if gate is None:
+    if kpis.gate is None:
         return "n/a (window too short for monthly KPIs)"
-    if gate.passed:
+    if kpis.passed:
         return "PASS"
-    checks = {"monthly_cv": gate.monthly_cv_ok, "daily_cv": gate.daily_cv_ok,
-              "monthly_nmbe": gate.monthly_nmbe_ok, "daily_nmbe": gate.daily_nmbe_ok}
-    return "FAIL(" + ",".join(name for name, ok in checks.items() if not ok) + ")"
+    failed = [k.removesuffix("_ok") for k, ok in vars(kpis.gate).items() if k.endswith("_ok") and not ok]
+    return "FAIL(" + ",".join(failed) + ")"
 
 
 def kpi_table(models: dict) -> str:
@@ -269,7 +268,7 @@ def _csv_num(v) -> str:
     return repr(float(v)) if np.isfinite(v) else ""
 
 
-def _write_daily_csv(path: Path, run):
+def _daily_csv(run, settings) -> str:
     study = run.report.study
     # Cumulative curves run over the study days the ensemble covers.
     cover = ~np.isnan(study.ensemble_predicted_kwh)
@@ -291,10 +290,10 @@ def _write_daily_csv(path: Path, run):
     rows = [",".join(header)]
     for d, *values in zip(study.dates, *columns):
         rows.append(",".join([d.isoformat()] + [_csv_num(v) for v in values]))
-    path.write_text("\n".join(rows) + "\n")
+    return "\n".join(rows) + "\n"
 
 
-def _write_monthly_csv(path: Path, run):
+def _monthly_csv(run, settings) -> str:
     header = "month,actual_kwh,predicted_kwh,reduction_kwh"
     study = run.report.study
     cover = ~np.isnan(study.ensemble_predicted_kwh)
@@ -302,37 +301,30 @@ def _write_monthly_csv(path: Path, run):
         dates = [d for d, c in zip(study.dates, cover) if c]
         roll = monthly_rollup(dates, study.actual_kwh[cover], study.ensemble_predicted_kwh[cover])
     except DataError:
-        path.write_text(header + "\n")
-        return
+        return header + "\n"
     rows = [header]
     for (yy, mm), a, p in zip(roll.months, roll.actual, roll.predicted):
         rows.append(f"{yy:04d}-{mm:02d},{_csv_num(a)},{_csv_num(p)},{_csv_num(p - a)}")
-    path.write_text("\n".join(rows) + "\n")
+    return "\n".join(rows) + "\n"
 
 
-_CHARTS = ("test_overlay.svg", "dlr.svg", "cumulative.svg")
+def _test_overlay_svg(run, settings) -> Optional[str]:
+    """Held-out overlay over the test days that at least one model predicts."""
+    rows = run.test_mask & ~np.isnan(list(run.preds.values())).all(axis=0)
+    if not rows.any():
+        return None
+    dates = [d for d, r in zip(run.dates, rows) if r]
+    return overlay_chart(dates, run.actual[rows], {n: pred[rows] for n, pred in run.preds.items()})
 
 
-def _write_plots(plots_dir: Path, run):
-    """Draw the charts the run has days for."""
-    plots_dir.mkdir(parents=True, exist_ok=True)
+def _dlr_svg(run, settings) -> Optional[str]:
+    study = run.report.study
+    return dlr_chart(study.dates, study.dlr["ensemble"]) if study.dates else None
 
-    # Held-out overlay over the test days that at least one model predicts.
-    unpredicted = np.isnan(list(run.preds.values())).all(axis=0)
-    rows = run.test_mask & ~unpredicted
-    if rows.any():
-        (plots_dir / "test_overlay.svg").write_text(overlay_chart(
-            [d for d, r in zip(run.dates, rows) if r],
-            run.actual[rows],
-            {name: pred[rows] for name, pred in run.preds.items()},
-        ))
-    study, cum = run.report.study, run.report.cumulative
-    if study.dates:
-        (plots_dir / "dlr.svg").write_text(dlr_chart(study.dates, study.dlr["ensemble"]))
-    if cum.dates:
-        (plots_dir / "cumulative.svg").write_text(
-            cumulative_chart(cum.dates, cum.actual_kwh, cum.predicted_kwh)
-        )
+
+def _cumulative_svg(run, settings) -> Optional[str]:
+    cum = run.report.cumulative
+    return cumulative_chart(cum.dates, cum.actual_kwh, cum.predicted_kwh) if cum.dates else None
 
 
 @dataclass
@@ -350,20 +342,31 @@ class SavedModel:
     payload: dict
 
 
-def _save_models(models_dir: Path, run, settings: RunSettings):
-    """Write one file per fitted model."""
-    models_dir.mkdir(parents=True, exist_ok=True)
-    for name, fitted in run.fitted.items():
-        envelope = SavedModel(
-            kind=name,
-            feature_names=list(run.report.feature_names),
-            feature_scaler=run.feature_scaler,
-            lookback_days=settings.features.lookback_days,
-            payload={},
-        )
-        # to_dict's payload is JSON-ready already, so only the envelope is encoded
-        doc = dict(to_json(envelope), payload=MODEL_KINDS[name].to_dict(fitted))
-        (models_dir / f"{name}.json").write_text(json.dumps(doc, sort_keys=True) + "\n")
+def _model_json(name: str, run, settings: RunSettings) -> Optional[str]:
+    """The ``models/<name>.json`` file of model ``name``, if it was fitted."""
+    if name not in run.fitted:
+        return None
+    envelope = SavedModel(
+        kind=name,
+        feature_names=list(run.report.feature_names),
+        feature_scaler=run.feature_scaler,
+        lookback_days=settings.features.lookback_days,
+        payload={},
+    )
+    # to_dict's payload is JSON-ready already, so only the envelope is encoded
+    doc = dict(to_json(envelope), payload=MODEL_KINDS[name].to_dict(run.fitted[name]))
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
+def _artifact_table(settings: RunSettings) -> dict:
+    """{path under output_dir: renderer} of each file but report.json that a
+    run unlinks and writes, in that order. A renderer maps (run, settings) to
+    the file's text, or to None where the run has no such file."""
+    models = MODEL_KINDS if settings.save_models else ()
+    return {"daily.csv": _daily_csv, "monthly.csv": _monthly_csv,
+            "plots/test_overlay.svg": _test_overlay_svg, "plots/dlr.svg": _dlr_svg,
+            "plots/cumulative.svg": _cumulative_svg,
+            **{f"models/{name}.json": partial(_model_json, name) for name in models}}
 
 
 @contextmanager
@@ -377,24 +380,21 @@ def _writing(path: Path):
 
 
 def _unlink_artifacts(settings: RunSettings):
-    """Unlink every file a run writes (model files only with save_models), so
-    a run that fails leaves no earlier run's file to read as its own."""
-    names = ["report.json", "daily.csv", "monthly.csv", *(f"plots/{c}" for c in _CHARTS)]
-    if settings.save_models:
-        names += [f"models/{name}.json" for name in MODEL_KINDS]
-    for name in names:
+    """Unlink report.json and every file of the artifact table, so a run that
+    fails leaves no earlier run's file to read as its own."""
+    for name in ("report.json", *_artifact_table(settings)):
         (settings.output_dir / name).unlink(missing_ok=True)
 
 
 def _write_artifacts(outdir: Path, run, settings: RunSettings):
-    """Write the artifacts, report.json last and in one rename, so a
-    report.json on disk always belongs to a complete set."""
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_daily_csv(outdir / "daily.csv", run)
-    _write_monthly_csv(outdir / "monthly.csv", run)
-    _write_plots(outdir / "plots", run)
-    if settings.save_models:
-        _save_models(outdir / "models", run, settings)
+    """Write the artifact table's files, report.json last and in one rename,
+    so a report.json on disk always belongs to a complete set."""
+    for name, render in _artifact_table(settings).items():
+        path = outdir / name
+        path.parent.mkdir(parents=True, exist_ok=True)  # plots/ even without a chart
+        text = render(run, settings)
+        if text is not None:
+            path.write_text(text)
     tmp = outdir / "report.json.tmp"
     tmp.write_text(json.dumps(to_json(run.report), indent=2, sort_keys=True, allow_nan=False) + "\n")
     os.replace(tmp, outdir / "report.json")
@@ -438,25 +438,25 @@ def _load_models(settings: RunSettings, models_dir: Path) -> dict:
     return loaded
 
 
-def _first_scored_day(settings: RunSettings, loaded: dict) -> Optional[date]:
+def _first_scored_day(settings: RunSettings, loaded: dict) -> date:
     """``test_start - (L - 1)`` for the longest saved lookback L: the first day
-    the test rows' windows reach. None when it would fall before 0001-01-01."""
+    the test rows' windows reach, clamped at date.min (0001-01-01)."""
     lookback = max(saved.lookback_days for saved, _ in loaded.values())
     day = settings.periods.test[0].toordinal() - (lookback - 1)
-    return date.fromordinal(day) if day > 0 else None
+    return date.fromordinal(max(day, date.min.toordinal()))
 
 
 def _saved_kpis(settings: RunSettings, loaded: dict, table) -> dict:
     """Test-range KPIs of the models _load_models loaded.
 
     The models score the feature rows of ``table`` dated from
-    _first_scored_day (or the first row, without one) to the test end. That
-    batch does not depend on where the table starts before that day or ends
-    after the test range, so the networks' sums round alike on any table that
-    holds those days."""
+    _first_scored_day, which is never before 0001-01-01, to the test end.
+    That batch does not depend on where the table starts before that day or
+    ends after the test range, so the networks' sums round alike on any
+    table that holds those days."""
     matrix = build_features(table, settings.features)
     test_start, test_end = settings.periods.test
-    first = _first_scored_day(settings, loaded) or date.min
+    first = _first_scored_day(settings, loaded)
     rows = slice(bisect_left(matrix.dates, first), bisect_right(matrix.dates, test_end))
     matrix = replace(matrix, dates=matrix.dates[rows], X=matrix.X[rows], y=matrix.y[rows])
     test_mask = matrix.date_mask(test_start, test_end)
@@ -475,11 +475,10 @@ def _evaluate_saved(settings: RunSettings, loaded: dict) -> dict:
 
     Each channel is parsed once, from the last present sample before
     _first_scored_day to the first present sample after the test range's
-    last day (see _ingest_channel), or whole without that first day, and
-    _saved_kpis scores the same rows of either table.
+    last day (see _ingest_channel), and _saved_kpis scores the rows that a
+    full read's table would give it.
     """
-    first = _first_scored_day(settings, loaded)
-    days = None if first is None else (first, settings.periods.test[1])
+    days = (_first_scored_day(settings, loaded), settings.periods.test[1])
     return _saved_kpis(settings, loaded, _ingest(settings, days))
 
 
@@ -526,7 +525,7 @@ def cmd_evaluate(args) -> int:
         kpis = {n: m.kpis for n, m in run_pipeline(_ingest(settings), settings).report.models.items()}
 
     print(kpi_table(kpis))
-    passed = [n for n, k in kpis.items() if k.gate is not None and k.gate.passed]
+    passed = [n for n, k in kpis.items() if k.passed]
     if not passed:
         print("\nno model passed the acceptance gate")
         return 3

@@ -207,15 +207,13 @@ class TargetScaler:
 class SequenceSet:
     """Fixed-length daily windows for sequence models.
 
-    windows[i] covers the lookback_days ending at target_dates[i], which is
-    row rows[i] of the source matrix; the target is that final day's energy.
-    Windows never span a break in the date sequence (an excluded or absent
-    day).
+    windows[i] covers the lookback_days ending at row rows[i] of the source
+    matrix; the target is that final day's energy. Windows never span a
+    break in the date sequence (an excluded or absent day).
     """
 
     windows: np.ndarray  # (S, L, F)
     targets: np.ndarray  # (S,)
-    target_dates: list
     rows: np.ndarray  # (S,) int
 
 
@@ -240,23 +238,13 @@ def make_sequences(matrix: FeatureMatrix, lookback: int) -> SequenceSet:
     if n < lookback:
         raise InsufficientHistoryError(f"{n} rows < window of {lookback}")
 
-    # Maximal runs of consecutive calendar dates.
-    gaps = [
-        i + 1
-        for i in range(n - 1)
-        if (matrix.dates[i + 1] - matrix.dates[i]).days != 1
-    ]
-    starts = [0] + gaps
-    ends = gaps + [n]
-
-    rows = [t for s, e in zip(starts, ends) for t in range(s + lookback - 1, e)]
-    if not rows:
-        raise InsufficientHistoryError(
-            f"no contiguous run of {lookback} days in {n} rows"
-        )
-    return SequenceSet(
-        windows=np.stack([matrix.X[t - lookback + 1 : t + 1] for t in rows]),
-        targets=matrix.y[rows],
-        target_dates=[matrix.dates[t] for t in rows],
-        rows=np.array(rows),
-    )
+    # breaks[t] counts the rows up to t that are not the day after the row
+    # before (repeated and earlier dates too), so a window ends on row t
+    # exactly when its rows t - L + 2..t add none.
+    ordinals = np.array([d.toordinal() for d in matrix.dates])
+    breaks = np.cumsum(np.diff(ordinals, prepend=0) != 1)
+    rows = np.flatnonzero(breaks[lookback - 1:] == breaks[: n - lookback + 1]) + (lookback - 1)
+    if rows.size == 0:
+        raise InsufficientHistoryError(f"no contiguous run of {lookback} days in {n} rows")
+    windows = matrix.X[(rows - (lookback - 1))[:, None] + np.arange(lookback)]
+    return SequenceSet(windows=windows, targets=matrix.y[rows], rows=rows)

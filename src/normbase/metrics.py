@@ -139,12 +139,14 @@ class GateResult:
 
 @dataclass(frozen=True)
 class KpiReport:
-    """Daily and monthly KPI sets for one model plus its gate verdict."""
+    """Daily and monthly KPI sets for one model plus its gate verdict.
+    ``passed`` is the one acceptance rule: a gate exists and it passed."""
 
     daily: KpiSet
     monthly: Optional[KpiSet]
     gate: Optional[GateResult]
     p: int
+    passed = property(lambda self: self.gate is not None and self.gate.passed)
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,7 @@ class KpiSetup:
 
     def __post_init__(self):
         if self.p < 0:
-            raise ConfigError("config key 'kpi.p' must be non-negative")
+            raise ConfigError("p must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -486,7 +486,7 @@ def run_pipeline(table, setup: RunSetup) -> NormalizationReport:
     kpis, preds, traces, fitted = ({n: fit[i] for n, fit in zip(enabled, fits)} for i in range(4))
 
     if setup.ensemble.selection == SELECTION_GATE:
-        used = [n for n in enabled if kpis[n].gate is not None and kpis[n].gate.passed]
+        used = [n for n in enabled if kpis[n].passed]
     else:
         ranked = sorted(enabled, key=lambda n: kpis[n].daily.cv_rmse)
         used = ranked[: min(setup.ensemble.top_k, len(ranked))]

@@ -26,6 +26,8 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from .errors import ConfigError
+
 _TYPE_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string"}
 _JSON_SCALARS = (float, int, bool, str, type(None))
 
@@ -82,7 +84,7 @@ def from_json(kind, doc, path: str = "", noun: str = "key"):
     in error messages.
 
     Raises:
-        ValueError: a value does not fit its annotation, naming its key.
+        ValueError: a value fails its annotation or a nested dataclass's checks, naming its key.
         TypeError: ``kind`` is none of the annotations above.
     """
     if kind is np.ndarray:  # first: a saved tree ensemble is mostly arrays
@@ -106,7 +108,12 @@ def from_json(kind, doc, path: str = "", noun: str = "key"):
                 values[name] = from_json(annotation, doc[name], _key(path, name), noun)
             elif required:
                 raise ValueError(f"missing required {noun} '{_key(path, name)}'")
-        return kind(**values)
+        try:
+            return kind(**values)
+        except ConfigError as e:  # a range check of the dataclass, which knows no key
+            if not path:
+                raise
+            raise ValueError(f"{noun} '{path}': {e}") from None
     origin, args = get_origin(kind), get_args(kind)
     if origin is Union and len(args) == 2 and args[1] is type(None):  # Optional[T]
         return None if doc is None else from_json(args[0], doc, path, noun)

@@ -475,15 +475,20 @@ class TestOutputDirReuse:
         assert rc == 3 and report["flags"]["no_valid_baseline"] is True
         assert sorted(p.name for p in (out / "plots").iterdir()) == ["dlr.svg", "test_overlay.svg"]
 
-    def test_failed_run_leaves_no_earlier_artifact(self, data_dir, tmp_path):
+    @pytest.mark.parametrize("save_models", [True, False])
+    def test_failed_run_leaves_no_earlier_artifact(self, data_dir, tmp_path, save_models):
         out = tmp_path / "out"
-        doc = run_config(data_dir, output_dir=str(out))
+        doc = run_config(data_dir, output_dir=str(out), save_models=True)
         assert cli.main(["normalize", "--config", write_config(tmp_path / "c.json", doc)]) == 0
         assert (out / "report.json").exists() and len(list((out / "plots").iterdir())) == 3
+        models = {f"models/{p.name}": p.read_bytes() for p in (out / "models").iterdir()}
+        assert sorted(models) == ["models/gbt_exact.json", "models/gbt_hist.json"]
+        doc.update(save_models=save_models)
         doc["models"]["gbt_hist"]["learning_rate"] = 1e308
         assert cli.main(["normalize", "--config", write_config(tmp_path / "c.json", doc)]) == 4
-        left = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
-        assert left == []
+        left = {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        # a run without save_models neither writes nor unlinks the model files
+        assert left == ({} if save_models else models)
 
     def test_failing_chart_writer_leaves_no_report(self, data_dir, tmp_path, monkeypatch,
                                                    capsys):
@@ -683,13 +688,13 @@ class TestConfigValidation:
             ("periods", "train", ["2019-01-01", "2019-10-3l"],
              "config key 'periods.train[1]' is not an ISO date: '2019-10-3l'"),
             ("kpi", "p", -1,
-             "config key 'kpi.p' must be non-negative"),
+             "config key 'kpi': p must be non-negative"),
             ("", "seed", "1",
              "config key 'seed' must be an integer"),
             ("", "output", "out",
              "unknown config key 'output'"),
             ("ensemble", "top_k", 0,
-             "top_k must be at least 1"),
+             "config key 'ensemble': top_k must be at least 1"),
             ("", "timezone", "Mars/Olympus",
              "unrecognized timezone 'Mars/Olympus'"),
             ("", "interval_seconds", 0,
@@ -726,7 +731,9 @@ class TestConfigValidation:
         rc = cli.main([command, "--config", write_config(tmp_path / "c.json", doc)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "config error: seed must be non-negative" in err
+        # a synth config is one top-level object, so its keys name no section
+        section = "config key 'models.gbt_hist': " if command == "normalize" else ""
+        assert f"config error: {section}seed must be non-negative\n" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -783,7 +790,7 @@ class TestConfigValidation:
         rc = cli.main(["normalize", "--config", write_config(tmp_path / "c.json", doc)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert f"config error: {message}" in err
+        assert f"config error: config key 'models.{model}': {message}\n" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "report.json").exists()
 
@@ -985,13 +992,13 @@ class TestEvaluate:
 
     def test_saved_model_files_reload_bit_identically(self, data_dir, tmp_path, monkeypatch):
         kept = {}
-        save = cli._save_models
+        render = cli._model_json
 
-        def keep(models_dir, report, settings):
+        def keep(name, report, settings):
             kept.update(report=report, settings=settings)
-            save(models_dir, report, settings)
+            return render(name, report, settings)
 
-        monkeypatch.setattr(cli, "_save_models", keep)
+        monkeypatch.setattr(cli, "_model_json", keep)
         out_dir = tmp_path / "out"
         small = {"epochs": 3, "early_stop_patience": 3}
         models = {**run_config(data_dir)["models"], "mlp": small, "lstm": small}
@@ -1023,7 +1030,6 @@ class TestEvaluate:
         cfg = write_config(tmp_path / "c.json", run_config(data_dir, models=models))
         cli.main(["normalize", "--config", cfg])
         run, settings = kept["run"], kept["settings"]
-        cli._save_models(tmp_path / "models", run, settings)
         assert set(run.fitted) == set(MODEL_KINDS)
         for name, fitted in run.fitted.items():
             envelope = cli.SavedModel(
@@ -1034,7 +1040,7 @@ class TestEvaluate:
                 payload=MODEL_KINDS[name].to_dict(fitted),
             )
             want = json.dumps(to_json(envelope), sort_keys=True) + "\n"
-            assert (tmp_path / "models" / f"{name}.json").read_text() == want
+            assert cli._model_json(name, run, settings) == want
 
     def test_saved_models_feature_mismatch(self, data_dir, tmp_path, capsys):
         out_dir = tmp_path / "out"

@@ -246,8 +246,8 @@ def test_saved_lookback_other_than_the_configured(hourly, lookbacks, tmp_path, c
     doc = edited(data_dir, tmp_path, doc, {"kwh": blank("2019-10-20T10", "2019-10-21T08:00:00")})
     windowed, full, ran = evaluate_both(doc, saved, tmp_path, cpus, monkeypatch)
     assert windowed == full
-    # a lookback reaching before 0001-01-01 reads every day
-    assert ran == ("FFFFFF" if max(lookbacks.values()) > 10**6 else "WWWWWW")
+    # a lookback reaching before 0001-01-01 reads from that day on
+    assert ran == "WWWWWW"
 
 
 @pytest.mark.parametrize("line, want", [

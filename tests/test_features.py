@@ -243,10 +243,11 @@ class TestSequences:
         )
 
     def test_contiguous_count(self):
-        seqs = features.make_sequences(self.matrix(10), lookback=3)
+        matrix = self.matrix(10)
+        seqs = features.make_sequences(matrix, lookback=3)
         assert seqs.windows.shape == (8, 3, 1)
         assert seqs.targets.tolist() == list(range(2, 10))
-        assert seqs.target_dates[0] == date(2020, 1, 3)
+        assert matrix.dates[seqs.rows[0]] == date(2020, 1, 3)
 
     def test_window_contents(self):
         seqs = features.make_sequences(self.matrix(5), lookback=2)
@@ -255,10 +256,11 @@ class TestSequences:
 
     def test_gap_breaks_runs(self):
         # dropping row 4 splits 10 days into runs of 4 and 5
-        seqs = features.make_sequences(self.matrix(10, drop={4}), lookback=3)
+        matrix = self.matrix(10, drop={4})
+        seqs = features.make_sequences(matrix, lookback=3)
         assert seqs.windows.shape[0] == (4 - 2) + (5 - 2)
         # no window may straddle the missing day
-        for w, d in zip(seqs.windows, seqs.target_dates):
+        for w, d in zip(seqs.windows, [matrix.dates[t] for t in seqs.rows]):
             assert d != date(2020, 1, 5)
             span = w[-1, 0] - w[0, 0]
             assert span == 2.0  # strictly consecutive values
@@ -280,3 +282,79 @@ class TestSequences:
     def test_bad_lookback(self):
         with pytest.raises(ConfigError):
             features.make_sequences(self.matrix(4), lookback=0)
+
+
+# -- make_sequences against the run-splitting loop it replaced ----------------
+
+
+def reference_make_sequences(matrix, lookback: int) -> dict:
+    """The earlier make_sequences, kept as the oracle with its fields
+    returned as a dict: split the rows into maximal runs of consecutive
+    dates, then stack one window per row with lookback - 1 predecessors in
+    its run."""
+    if lookback < 1:
+        raise ConfigError("lookback must be at least 1")
+    n = len(matrix)
+    if n < lookback:
+        raise InsufficientHistoryError(f"{n} rows < window of {lookback}")
+
+    # Maximal runs of consecutive calendar dates.
+    gaps = [
+        i + 1
+        for i in range(n - 1)
+        if (matrix.dates[i + 1] - matrix.dates[i]).days != 1
+    ]
+    starts = [0] + gaps
+    ends = gaps + [n]
+
+    rows = [t for s, e in zip(starts, ends) for t in range(s + lookback - 1, e)]
+    if not rows:
+        raise InsufficientHistoryError(
+            f"no contiguous run of {lookback} days in {n} rows"
+        )
+    return dict(
+        windows=np.stack([matrix.X[t - lookback + 1 : t + 1] for t in rows]),
+        targets=matrix.y[rows],
+        rows=np.array(rows),
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except Exception as e:  # the exception class and message are compared
+        return None, (type(e), str(e))
+
+
+# mostly the next day, with repeats (0), reversals (< 0) and gaps (> 1)
+_STEPS = st.sampled_from([1, 1, 1, 1, 1, 0, -1, -3, 2, 5])
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    start=st.dates(min_value=date(1, 6, 1), max_value=date(9999, 6, 1)),
+    steps=st.lists(_STEPS, min_size=0, max_size=39),
+    n_features=st.integers(0, 3),
+    lookback=st.integers(1, 8),
+)
+@example(start=date(1, 6, 1), steps=[1] * 7, n_features=2, lookback=8)
+@example(start=date(2020, 1, 1), steps=[1, 1, -2, 1, 1, 1], n_features=1, lookback=3)
+def test_make_sequences_differential(start, steps, n_features, lookback):
+    ordinals = start.toordinal() + np.cumsum([0] + steps)
+    n = ordinals.size
+    matrix = features.FeatureMatrix(
+        dates=[date.fromordinal(int(o)) for o in ordinals],
+        X=np.arange(n * n_features, dtype=float).reshape(n, n_features) / 7.0,
+        y=np.arange(n, dtype=float) * 1.5,
+        names=[f"f{i}" for i in range(n_features)],
+        binary=np.zeros(n_features, dtype=bool),
+    )
+    got, got_error = _outcome(features.make_sequences, matrix, lookback)
+    want, want_error = _outcome(reference_make_sequences, matrix, lookback)
+    assert got_error == want_error
+    if want is None:
+        return
+    for name, a in want.items():
+        b = getattr(got, name)
+        assert (b.dtype, b.shape, b.flags.c_contiguous) == (a.dtype, a.shape, a.flags.c_contiguous)
+        assert b.tobytes() == a.tobytes()

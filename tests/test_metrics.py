@@ -243,3 +243,14 @@ class TestKpiReport:
         rep = metrics.kpi_report(dates, a, p)
         assert rep.monthly is not None and rep.gate is not None
         assert rep.gate.passed
+
+    def test_passed_is_a_gate_that_passed(self):
+        from datetime import date, timedelta
+
+        dates = [date(2019, 4, 1) + timedelta(days=i) for i in range(61)]
+        a = np.random.default_rng(1).uniform(100, 200, 61)
+        assert metrics.kpi_report(dates, a, a * 1.01).passed
+        failed = metrics.kpi_report(dates, a, a * 1.1)  # a 10% bias fails both NMBE checks
+        assert failed.gate is not None and not failed.passed
+        short = metrics.kpi_report(dates[:45], a[:45], a[:45] * 1.01)
+        assert short.gate is None and not short.passed
