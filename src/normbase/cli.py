@@ -47,7 +47,7 @@ import numpy as np
 from .errors import ConfigError, DataError, NormbaseError, ParseError
 from .features import Scaler, apply_scaler, build_features, feature_names
 from .metrics import monthly_rollup
-from .normalize import MODEL_KINDS, RunSetup, map_in_workers, run_pipeline, score
+from .normalize import MODEL_KINDS, RunSetup, fit_models, map_in_workers, run_pipeline, score
 from .savefile import from_json, to_json
 from .svgchart import cumulative_chart, dlr_chart, overlay_chart
 from .synthgen import SynthConfig, configure_for_target, generate, write_dataset
@@ -522,7 +522,8 @@ def cmd_evaluate(args) -> int:
     if args.models:
         kpis = _evaluate_saved(settings, _load_models(settings, Path(args.models)))
     else:
-        kpis = {n: m.kpis for n, m in run_pipeline(_ingest(settings), settings).report.models.items()}
+        *_, fits = fit_models(_ingest(settings), settings)
+        kpis = {n: fit[0] for n, fit in fits.items()}
 
     print(kpi_table(kpis))
     passed = [n for n, k in kpis.items() if k.passed]

@@ -673,26 +673,6 @@ def ensemble_to_dict(ensemble: Ensemble) -> dict:
     return to_json(ensemble)
 
 
-def _flat_tree(doc):
-    """A saved tree in the flat form, converting one in the nested form: an
-    object per node with the Tree field names, ``left`` and ``right`` holding the
-    child objects. It is read breadth-first, so its depth does not matter."""
-    if type(doc) is not dict or type(doc.get("feature")) is list:
-        return doc
-    objects, nodes, keys = [doc], [], Tree.__dataclass_fields__.keys()
-    for node in objects:  # objects grows while it is read
-        if type(node) is not dict or node.keys() != keys or type(node["feature"]) is not int:
-            raise ValueError("a tree node of the nested form is not a node object")
-        values = [node[k] for k in keys]
-        if values[0] < 0:
-            values[0] = values[5] = values[6] = -1
-        else:
-            objects += values[5:]
-            values[5:] = len(objects) - 2, len(objects) - 1
-        nodes.append(values)
-    return vars(_preorder(nodes)[0])
-
-
 def _check_trees(trees, width: int) -> None:
     """ValueError unless every tree is laid out as Tree describes; one vector pass.
 
@@ -724,11 +704,9 @@ def _check_trees(trees, width: int) -> None:
 def ensemble_from_dict(doc: dict) -> Ensemble:
     """Inverse of ensemble_to_dict; reloaded models predict bit-identically.
 
-    Trees in the nested form load too. Raises ValueError unless the bundles
-    cover every feature once and _check_trees passes.
+    Trees come in Tree's flat pre-order layout only. Raises ValueError unless
+    the bundles cover every feature once and _check_trees passes.
     """
-    if type(doc) is dict and type(doc.get("trees")) is list:
-        doc = {**doc, "trees": [_flat_tree(t) for t in doc["trees"]]}
     ens = from_json(Ensemble, doc)
     width = ens.n_features if ens.bundles is None else len(ens.bundles)
     if ens.bundles is not None and (

@@ -10,9 +10,10 @@ train-range targets; study targets are never shown to a model.
 
 RunSetup declares a run's settings once: run_pipeline(table, setup) reads
 them from it, and cli.RunSettings extends it with the config file's input
-and output keys. The Report dataclasses declare report.json once:
-savefile.to_json writes a Report, and savefile.from_json(Report, doc) reads
-one back.
+and output keys. fit_models, the pipeline up to the test KPIs, is what
+``evaluate`` without ``--models`` runs. The Report dataclasses declare
+report.json once: savefile.to_json writes a Report, and
+savefile.from_json(Report, doc) reads one back.
 
 The enabled models train in min(models, usable CPUs) worker processes, the
 pool (map_in_workers) the CLI also ingests its input channels in; with one
@@ -439,6 +440,47 @@ def map_in_workers(fn, *iterables) -> list:
         return list(pool.map(fn, *iterables))
 
 
+def fit_models(table, setup: RunSetup, ranges: tuple = ()) -> tuple:
+    """Fit the models ``setup`` enables on the train rows of ``table``, an
+    aligned daily table, and score them on its test rows.
+
+    Before any fit, the train and test ranges must have enough usable rows,
+    then each (name, (first, last)) of ``ranges`` one. Returns (scaler fitted
+    on the train rows, scaled matrix, test mask, fits), fits mapping each
+    enabled model, in MODEL_ORDER, to (test KPIs, prediction per matrix row,
+    FitTrace, fitted model).
+
+    Raises:
+        ConfigError: ``setup.models`` names an unknown model, or none.
+        DataError: too few usable rows in a range.
+    """
+    models = default_model_configs(setup.seed) if setup.models is None else setup.models
+    unknown = set(models) - set(MODEL_KINDS)
+    if unknown:
+        raise ConfigError(f"unknown model names: {sorted(unknown)}")
+    enabled = [name for name in MODEL_ORDER if name in models]
+    if not enabled:
+        raise ConfigError("no models enabled")
+
+    matrix = build_features(table, setup.features)
+    train_mask = matrix.date_mask(*setup.periods.train)
+    test_mask = matrix.date_mask(*setup.periods.test)
+    if int(train_mask.sum()) < MIN_TRAIN_ROWS:
+        raise DataError(f"train range has {int(train_mask.sum())} usable rows, needs {MIN_TRAIN_ROWS}")
+    if int(test_mask.sum()) < MIN_TEST_ROWS:
+        raise DataError(f"test range has {int(test_mask.sum())} usable rows, needs {MIN_TEST_ROWS}")
+    for name, (first, last) in ranges:
+        if not matrix.date_mask(first, last).any():
+            raise DataError(f"{name} has no usable rows")
+
+    scaler = fit_scaler(matrix, train_mask)
+    scaled = apply_scaler(matrix, scaler)
+    fit_one = partial(_fit_one, matrix=scaled, train_mask=train_mask, test_mask=test_mask,
+                      lookback=setup.features.lookback_days, p=setup.kpi.p)
+    fits = map_in_workers(fit_one, enabled, [models[n] for n in enabled])
+    return scaler, scaled, test_mask, dict(zip(enabled, fits))
+
+
 def run_pipeline(table, setup: RunSetup) -> NormalizationReport:
     """Train the models ``setup`` enables on ``table``, an aligned daily
     table covering all three periods, and quantify study-range deviation.
@@ -454,41 +496,17 @@ def run_pipeline(table, setup: RunSetup) -> NormalizationReport:
             or no selected model predicts a study day (a lookback window
             can leave them all uncovered).
     """
-    models = default_model_configs(setup.seed) if setup.models is None else setup.models
-    unknown = set(models) - set(MODEL_KINDS)
-    if unknown:
-        raise ConfigError(f"unknown model names: {sorted(unknown)}")
-    enabled = [name for name in MODEL_ORDER if name in models]
-    if not enabled:
-        raise ConfigError("no models enabled")
-
     periods, p = setup.periods, setup.kpi.p
-    matrix = build_features(table, setup.features)
-    train_mask = matrix.date_mask(*periods.train)
-    test_mask = matrix.date_mask(*periods.test)
-    study_mask = matrix.date_mask(*periods.study)
-    reference_mask = matrix.date_mask(*(setup.reference_range or periods.test))
-    if int(train_mask.sum()) < MIN_TRAIN_ROWS:
-        raise DataError(f"train range has {int(train_mask.sum())} usable rows, needs {MIN_TRAIN_ROWS}")
-    if int(test_mask.sum()) < MIN_TEST_ROWS:
-        raise DataError(f"test range has {int(test_mask.sum())} usable rows, needs {MIN_TEST_ROWS}")
-    if int(study_mask.sum()) < 1:
-        raise DataError("study range has no usable rows")
-    if int(reference_mask.sum()) < 1:
-        raise DataError("reference_range has no usable rows")
-
-    scaler = fit_scaler(matrix, train_mask)
-    scaled = apply_scaler(matrix, scaler)
-
-    fit_one = partial(_fit_one, matrix=scaled, train_mask=train_mask, test_mask=test_mask,
-                      lookback=setup.features.lookback_days, p=p)
-    fits = map_in_workers(fit_one, enabled, [models[n] for n in enabled])
-    kpis, preds, traces, fitted = ({n: fit[i] for n, fit in zip(enabled, fits)} for i in range(4))
+    reference = setup.reference_range or periods.test
+    scaler, scaled, test_mask, fits = fit_models(
+        table, setup, (("study range", periods.study), ("reference_range", reference)))
+    kpis, preds, traces, fitted = ({n: fit[i] for n, fit in fits.items()} for i in range(4))
+    study_mask = scaled.date_mask(*periods.study)
 
     if setup.ensemble.selection == SELECTION_GATE:
-        used = [n for n in enabled if kpis[n].passed]
+        used = [n for n in fits if kpis[n].passed]
     else:
-        ranked = sorted(enabled, key=lambda n: kpis[n].daily.cv_rmse)
+        ranked = sorted(fits, key=lambda n: kpis[n].daily.cv_rmse)
         used = ranked[: min(setup.ensemble.top_k, len(ranked))]
 
     # Each row averages whichever selected members predict it.
@@ -515,7 +533,7 @@ def run_pipeline(table, setup: RunSetup) -> NormalizationReport:
     cumulative = Cumulative([d for d, c in zip(study_dates, cover) if c],
                             np.cumsum(study_actual[cover]), np.cumsum(ens_study[cover]))
 
-    totals = Totals(None, None, None, float(np.sum(matrix.y[reference_mask])))
+    totals = Totals(None, None, None, float(np.sum(y[scaled.date_mask(*reference)])))
     if used:
         # Total reduction is defined off the cumulative curves so the two are
         # consistent to the last bit.

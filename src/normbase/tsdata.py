@@ -12,9 +12,9 @@ write, in vector passes over fixed blocks of lines, so a parse holds the
 file's bytes, the per-row arrays and one block's temporaries. Other ISO-8601
 forms (``...Z`` included), and naive timestamps in an IANA zone, go through
 the row-by-row parser instead, at per-row cost, with the same results and
-errors. A file holding a line break other than "\\n" and "\\r\\n" (a lone
-"\\r" too) is first rejoined at "\\n" as ``str.splitlines()`` splits it, so
-line numbers do not change and any "\\r" left before a "\\n" ends a line.
+errors. Lines end at "\\n", "\\r\\n" or a lone "\\r" (universal newlines);
+any other byte, "\\x0b" or "\\x85" say, belongs to its line. A line that
+is not UTF-8 is a ParseError naming it.
 
 Given a start and an end epoch, parse_series_bytes returns the rows from the
 last present sample before the start to the first present one at or after
@@ -222,10 +222,6 @@ def _parse_lines(numbered_lines, tz):
     return blank, epochs, values, missing
 
 
-# Characters other than "\n" and "\r" that str.splitlines() breaks lines at,
-# UTF-8 encoded, the ASCII ones first.
-_LINE_BREAKS = tuple(c.encode() for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
-_ASCII_BREAKS = _LINE_BREAKS[:5]
 # Dropped from the start of a file, as the utf-8-sig codec does; spreadsheet
 # "CSV UTF-8" exports write it.
 _BOM = b"\xef\xbb\xbf"
@@ -344,6 +340,14 @@ def _cell_values(buf: np.ndarray, first: np.ndarray, width: np.ndarray, skip: np
     return numeric | (width == 0), values, missing
 
 
+def _decode_line(line: bytes, line_number: int) -> str:
+    """``line`` decoded, lone surrogates kept; ParseError unless it is UTF-8."""
+    try:
+        return line.decode("utf-8", "surrogatepass")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8: bad byte at offset {e.start} of the line", line_number)
+
+
 def _line_ends(buf: np.ndarray) -> np.ndarray:
     """Offsets of the line feeds in ``buf``, then ``buf.size``: where each line ends."""
     feeds = [np.flatnonzero(buf[lo:lo + _FEED_CHUNK] == ord("\n")) + lo
@@ -355,7 +359,7 @@ def _line_spans(buf: np.ndarray, ends: np.ndarray, lines: np.ndarray):
     """Start and end offsets of the data lines numbered ``lines`` from 0.
 
     A line ends before the "\\r" of its "\\r\\n" (parse_series_bytes
-    rejoins a file with any other "\\r" first).
+    rewrites the line ends of a file with a lone "\\r" to "\\n" first).
     """
     starts, stops = ends[lines] + 1, ends[lines + 1]
     stops -= buf[stops - 1] == ord("\r")
@@ -405,9 +409,9 @@ def _parse_rows(data: bytes, ends: np.ndarray, tz, start: float, end: float):
 
     fallback = np.flatnonzero(~ok)
     starts, stops = _line_spans(buf, ends, fallback)
-    texts = (data[a:b].decode("utf-8", "surrogatepass")
-             for a, b in zip(starts.tolist(), stops.tolist()))
-    blank, e, v, m = _parse_lines(zip((fallback + 2).tolist(), texts), tz)
+    numbers = (fallback + 2).tolist()
+    texts = (_decode_line(data[a:b], n) for a, b, n in zip(starts.tolist(), stops.tolist(), numbers))
+    blank, e, v, m = _parse_lines(zip(numbers, texts), tz)
     canonical = ok.copy()  # _parse_lines converts every value it reads
     at = fallback[~np.isin(fallback + 2, blank)]
     ok[at] = True
@@ -451,10 +455,10 @@ def parse_series_bytes(data: bytes, schema: SeriesSchema, start: Optional[float]
 
     This is parse_series for a file read as bytes, with the same results and
     errors as for the decoded text, and it holds no decoded copy of the
-    file. One leading byte-order mark is dropped. Lines end at "\\n" or
-    "\\r\\n"; a file with any other line break that ``str.splitlines()``
-    knows (a lone "\\r", "\\x0b", "\\x85", ...) is decoded and rejoined at
-    those breaks first, so that line numbers count them.
+    file. One leading byte-order mark is dropped. Lines end at "\\n",
+    "\\r\\n" or a lone "\\r", as in universal newlines; a line that is not
+    UTF-8 (lone surrogates pass) raises a ParseError naming it, the header
+    being line 1, in line order with the other line errors.
 
     With an epoch ``start`` only the rows from the last present sample before
     it on (all rows without one) are returned, and with an epoch ``end`` only
@@ -469,12 +473,10 @@ def parse_series_bytes(data: bytes, schema: SeriesSchema, start: Optional[float]
     base = len(_BOM) if data.startswith(_BOM) else 0
     if len(data) == base:
         raise EmptyInputError(f"{schema.channel}: input is empty")
-    breaks = _ASCII_BREAKS if data.isascii() else _LINE_BREAKS
-    if any(b in data for b in breaks) or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
-        text = data[base:].decode("utf-8", "surrogatepass")
-        data, base = "\n".join(text.splitlines()).encode("utf-8", "surrogatepass"), 0
+    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):  # a lone "\r"
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     ends = _line_ends(np.frombuffer(data, dtype=np.uint8))
-    head = data[base:ends[0]].decode("utf-8", "surrogatepass").removesuffix("\r")
+    head = _decode_line(data[base:ends[0]], 1).removesuffix("\r")
 
     header = [h.strip() for h in head.split(",")]
     if len(header) != 2 or header[0] != "timestamp":
@@ -547,8 +549,8 @@ def parse_series(text: str, schema: SeriesSchema) -> RawSeries:
     a plain decimal or empty value) are parsed in vector passes, also when
     lines end in "\\r\\n". Other ISO-8601 forms (``...Z`` included), and
     naive timestamps (read in the schema zone, the earlier instant where an
-    IANA zone repeats an hour), are accepted at per-row cost. Lines are
-    numbered as ``text.splitlines()`` numbers them.
+    IANA zone repeats an hour), are accepted at per-row cost. Lines end at
+    "\\n", "\\r\\n" or a lone "\\r", and the header is line 1.
 
     The text is encoded to UTF-8 (lone surrogates kept) and parsed by
     parse_series_bytes, which a caller holding the file's bytes calls

@@ -15,6 +15,15 @@ def encode_report(report: normalize.Report) -> str:
     return json.dumps(to_json(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def nested_tree(doc: dict, node: int = 0) -> dict:
+    """A saved flat tree in the nested layout that gbmodels no longer reads:
+    one object per node, children inside."""
+    fields = {k: v[node] for k, v in doc.items()}
+    if fields["feature"] < 0:
+        return {**fields, "left": None, "right": None}
+    return {**fields, "left": nested_tree(doc, fields["left"]), "right": nested_tree(doc, fields["right"])}
+
+
 @pytest.fixture(scope="session")
 def read_report():
     """read(report) decodes a report.json's text (or a Report, encoded as the

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import encode_report
+from conftest import encode_report, nested_tree
 from normbase import cli, gbmodels, nnmodels, synthgen, tsdata
 from normbase.errors import ConfigError, DataError, ParseError
 from normbase.features import FeatureSpec, Scaler, apply_scaler, build_features
@@ -946,6 +946,22 @@ class TestEvaluate:
         assert "d.CV(RMSE)" in out
         assert "gate passed by:" in out
 
+    @pytest.mark.parametrize("case", ["data_ends_with_the_test_range", "empty_reference_range"])
+    def test_training_mode_needs_no_study_or_reference_rows(self, data_dir, tmp_path, capsys, case):
+        doc = run_config(data_dir)
+        assert cli.main(["evaluate", "--config", write_config(tmp_path / "full.json", doc)]) == 0
+        full = capsys.readouterr().out
+        if case == "empty_reference_range":
+            doc["reference_range"] = ["2015-01-01", "2015-12-31"]
+        else:
+            for ch in CHANNELS:
+                lines = (data_dir / f"{ch}.csv").read_text().splitlines(keepends=True)
+                cut = tmp_path / f"{ch}.csv"
+                cut.write_text("".join(lines[:1] + [x for x in lines[1:] if x < "2020"]))
+                doc["inputs"][ch] = str(cut)
+        rc = cli.main(["evaluate", "--config", write_config(tmp_path / "c.json", doc)])
+        assert (rc, capsys.readouterr().out) == (0, full)
+
     @pytest.mark.parametrize("from_files", [False, True])
     def test_no_gate_passer_exits_3(self, data_dir, tmp_path, capsys, from_files):
         # the underfit single tree of test_gate_failure_still_writes_report,
@@ -1063,7 +1079,7 @@ class TestEvaluate:
         "tree_feature_out_of_range", "scaler_too_short", "lstm_three_gates",
         "lstm_ragged_gate", "lookback_text", "lookback_fraction", "lookback_bool",
         "lookback_zero", "lookback_negative", "kind_of_other_model", "mlp_no_target_scaler",
-        "hist_no_bundles",
+        "hist_no_bundles", "nested_trees",
     ])
     def test_malformed_model_file_exits_2_without_traceback(
         self, data_dir, happy_run, tmp_path, capsys, corruption
@@ -1089,6 +1105,9 @@ class TestEvaluate:
             payload = nnmodels.mlp_to_dict(nnmodels.mlp_init([n, 1]))
             del payload["target_scaler"]
             doc = {**doc, "kind": "mlp", "lookback_days": 7, "payload": payload}
+        elif corruption == "nested_trees":
+            # one object per node, children inside: the layout before the flat node arrays
+            doc["payload"]["trees"] = [nested_tree(t) for t in doc["payload"]["trees"]]
         elif corruption == "text_threshold":
             doc["payload"]["trees"][0]["threshold"][0] = "abc"
         elif corruption == "json_list":
@@ -1143,7 +1162,7 @@ class TestEvaluate:
         rc = cli.main(["evaluate", "--config", cfg, "--models", str(models)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "cannot load model file" in err
+        assert err.startswith(f"config error: cannot load model file {models / name}.json: ")
         assert "Traceback" not in err
 
     def test_empty_models_dir(self, data_dir, tmp_path, capsys):

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import nested_tree
 from normbase import gbmodels as gb
 from normbase.errors import ConfigError, DataError, TrainingDivergedError
 from normbase.savefile import to_json
@@ -81,14 +82,6 @@ def assert_same_tree(tree: gb.Tree, ref: dict, rel=1e-12, node=0):
     assert tree.gain[node] == pytest.approx(ref["gain"], rel=rel, abs=1e-15)
     assert_same_tree(tree, ref["left"], rel, tree.left[node])
     assert_same_tree(tree, ref["right"], rel, tree.right[node])
-
-
-def nested_tree(doc: dict, node: int = 0) -> dict:
-    """A saved flat tree in the nested form: one object per node, children inside."""
-    fields = {k: v[node] for k, v in doc.items()}
-    if fields["feature"] < 0:
-        return {**fields, "left": None, "right": None}
-    return {**fields, "left": nested_tree(doc, fields["left"]), "right": nested_tree(doc, fields["right"])}
 
 
 def chain_tree(depth: int) -> gb.Tree:
@@ -652,10 +645,10 @@ class TestSerialization:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
     @pytest.mark.parametrize("name", ["gbt_exact", "gbt_hist"])
-    def test_nested_form_file_predicts_the_same_bits(self, name):
-        # an ensemble fitted and saved while trees were nested node objects,
-        # on rows with NaN cells, with the predictions that version made
-        saved = json.loads((DATA / f"{name}_nested.json").read_text())
+    def test_nan_cells_file_predicts_the_same_bits(self, name):
+        # an ensemble fitted on rows with NaN cells while trees were nested
+        # node objects, with the predictions that version made
+        saved = json.loads((DATA / f"{name}_nan_cells.json").read_text())
         X = np.array(saved["X"], dtype=float)
         ens = gb.ensemble_from_dict(saved["payload"])
         assert gb.boost_predict(ens, X).tobytes() == np.array(saved["predictions"]).tobytes()
@@ -666,7 +659,7 @@ class TestSerialization:
     def test_fit_with_nan_cells_gives_the_saved_ensemble(self, name):
         # growth sends NaN right (exact) or left (histogram), while routing
         # follows default_left; the training predictions must follow routing
-        saved = json.loads((DATA / f"{name}_nested.json").read_text())
+        saved = json.loads((DATA / f"{name}_nan_cells.json").read_text())
         X, y = np.array(saved["X"], dtype=float), np.array(saved["y"])
         assert np.isnan(X).any()
         ens, _ = gb.boost_fit((X, y), gb.BoostConfig(**saved["config"]), saved["kind"])
@@ -680,7 +673,7 @@ class TestSerialization:
     ]
 
     @staticmethod
-    def damaged(damage, nested):
+    def damaged(damage):
         rng = np.random.default_rng(8)
         X = np.zeros((100, 3))
         X[:, 0] = rng.normal(size=100)
@@ -690,24 +683,15 @@ class TestSerialization:
         cfg = gb.BoostConfig(rounds=5, validation_fraction=0.0, bins=8)
         kind = "histogram" if "bundle" in damage or damage == "short_offsets" else "exact"
         doc = json.loads(json.dumps(gb.ensemble_to_dict(gb.boost_fit((X, y), cfg, kind)[0])))
-        if nested:
-            doc["trees"] = [nested_tree(t) for t in doc["trees"]]
         gb.ensemble_from_dict(json.loads(json.dumps(doc)))
         tree = doc["trees"][0]
-
-        def set_root(key, value):
-            if nested:
-                tree[key] = value
-            else:
-                tree[key][0] = value
-
-        assert (tree["feature"] if nested else tree["feature"][0]) >= 0  # the root splits
+        assert tree["feature"][0] >= 0  # the root splits
         if damage == "feature_out_of_range":
-            set_root("feature", 3)
+            tree["feature"][0] = 3
         elif damage == "feature_past_bundles":
-            set_root("feature", len(doc["bundles"]))
+            tree["feature"][0] = len(doc["bundles"])
         elif damage == "missing_child":
-            set_root("left", None if nested else -1)
+            tree["left"][0] = -1
         elif damage == "bundle_gap":
             doc["bundles"].pop()
         elif damage == "bundle_repeat":
@@ -727,15 +711,17 @@ class TestSerialization:
 
     @pytest.mark.parametrize("damage", BAD_STRUCTURE)
     def test_bad_structure_rejected(self, damage):
-        doc = self.damaged(damage, nested=False)
+        doc = self.damaged(damage)
         with pytest.raises(ValueError):
             gb.ensemble_from_dict(doc)
 
-    @pytest.mark.parametrize("damage", BAD_STRUCTURE[:6])
-    def test_bad_nested_structure_rejected(self, damage):
-        doc = self.damaged(damage, nested=True)
-        with pytest.raises(ValueError):
-            gb.ensemble_from_dict(doc)
+    def test_nested_layout_rejected(self):
+        # one object per node, children inside: the layout before the flat node arrays
+        doc = json.loads((DATA / "gbt_exact_nan_cells.json").read_text())["payload"]
+        doc["trees"] = [nested_tree(t) for t in doc["trees"]]
+        message = "key 'trees.left' must be an array of numbers, not of dtype object"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            gb.ensemble_from_dict(json.loads(json.dumps(doc)))
 
 
 class TestValidation:

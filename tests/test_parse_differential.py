@@ -1,12 +1,14 @@
 """tsdata.parse_series against the row-by-row parser it replaced.
 
 ``reference_parse_series`` is the earlier ``tsdata.parse_series``, kept
-verbatim as the oracle except for one fix both share: duplicate rows whose
-values overflow np.mean's sum collapse to their mean, not to inf. For every
-drawn CSV text the two must return bit-identical series, or raise the same
-exception with the same message and line number. That holds also with
-the parse's blocks cut down to a few lines, and ``parse_series_bytes`` must
-agree with ``parse_series`` on the encoded text.
+verbatim as the oracle except for two changes both share: duplicate rows
+whose values overflow np.mean's sum collapse to their mean, not to inf, and
+lines end at "\\n", "\\r\\n" or a lone "\\r" (universal newlines), not at
+every break ``str.splitlines()`` knows. For every drawn CSV text the two
+must return bit-identical series, or raise the same exception with the same
+message and line number. That holds also with the parse's blocks cut down to
+a few lines, and ``parse_series_bytes`` must agree with ``parse_series`` on
+the encoded text.
 """
 
 import logging
@@ -54,7 +56,9 @@ def _finite_mean(x):
 
 
 def reference_parse_series(text: str, schema: SeriesSchema) -> RawSeries:
-    lines = text.splitlines()
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":  # nothing follows the last line end, as splitlines() drops it
+        lines.pop()
     if not lines:
         raise EmptyInputError(f"{schema.channel}: input is empty")
 
@@ -436,6 +440,48 @@ def test_only_one_byte_order_mark_is_dropped():
     with pytest.raises(ParseError) as e:
         tsdata.parse_series("\ufeff\ufefftimestamp,kwh\n2020-01-01T00:00:00Z,1\n", SCHEMA_5MIN)
     assert "got '\\ufefftimestamp,kwh'" in str(e.value)
+
+
+@st.composite
+def mixed_line_ends(draw):
+    """A drawn text with "\\n" line ends, and the same lines ended by a drawn
+    mix of "\\n", "\\r\\n" and lone "\\r"."""
+    zone, text = draw(csv_texts())
+    lines = text.replace("\r\n", "\n").split("\n")
+    mixed = lines[0]
+    for line in lines[1:]:
+        # a "\n" right after a lone "\r" (an empty line between) would make one "\r\n"
+        ends = ["\r\n", "\r"] if mixed.endswith("\r") else ["\n", "\r\n", "\r"]
+        mixed += draw(st.sampled_from(ends)) + line
+    return zone, "\n".join(lines), mixed
+
+
+@settings(deadline=None, max_examples=300)
+@given(mixed_line_ends())
+@example(("UTC", "timestamp,kwh\n\n2020-01-01T00:00:00Z,x\n",
+          "timestamp,kwh\r\r\n2020-01-01T00:00:00Z,x\r"))
+def test_any_mix_of_line_ends_parses_as_line_feeds(drawn):
+    zone, lf, mixed = drawn
+    schema = SeriesSchema("kwh", "kWh", zone, 3600)
+    for parse in (tsdata.parse_series, parse_bytes):
+        assert outcome(parse, mixed, schema) == outcome(parse, lf, schema)
+
+
+# the line breaks of str.splitlines() other than "\n", "\r" and "\r\n"
+SPLITLINES_ONLY = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", SPLITLINES_ONLY)
+def test_other_separators_stay_inside_their_line(sep):
+    text = f"timestamp,kwh\n2020-01-01T00:00:00+00:00,1{sep}2020-01-01T01:00:00+00:00,2\n"
+    for parse in (tsdata.parse_series, parse_bytes):
+        with pytest.raises(ParseError) as e:
+            parse(text, SCHEMA_5MIN)
+        assert (str(e.value), e.value.line_number) == ("line 2: expected 2 fields, got 3", 2)
+    # a separator at a cell's end is stripped with the cell's other whitespace
+    lines = [f"2020-01-01T0{i}:00:00+00:00,{i}{sep}" for i in range(3)] + ["2020-01-01T03:00:00Z,x"]
+    with pytest.raises(ParseError, match="^line 5: unparseable value 'x'$"):
+        parse_bytes("timestamp,kwh\n" + "\n".join(lines), SCHEMA_5MIN)
 
 
 def five_minute_channel(days: int) -> str:

@@ -6,7 +6,7 @@ value falls back to the lower one, as in gbmodels) with their helpers ``_best_ca
 ``_HistLeaf`` and ``_best_hist_split`` as the oracle: one argsort, cumsum or
 bincount per (node, feature). They build the linked ``TreeNode`` trees that
 gbmodels stored before its flat node arrays. For every drawn problem the
-oracle's tree, converted by the loader of saved nested trees, and the current
+oracle's tree, laid out in pre-order by ``preorder_arrays``, and the current
 builder's tree must have the same seven node arrays bit for bit, so every
 split, threshold, gain, leaf weight and child index agrees.
 
@@ -16,7 +16,7 @@ pick and the current search never does
 (``test_gbmodels.py::TestExactTreeOracle::test_nan_gain_is_never_chosen``).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -27,7 +27,6 @@ from hypothesis.extra import numpy as hnp
 from normbase import gbmodels as gb
 from normbase.errors import DataError
 from normbase.gbmodels import BoostConfig, leaf_weight
-from normbase.savefile import to_json
 
 # -- oracle: the per-feature split search, unchanged -------------------------
 
@@ -279,8 +278,24 @@ def problems(draw):
     return X, g, h, cfg
 
 
+def preorder_arrays(oracle: TreeNode) -> dict:
+    """The oracle's tree as gb.Tree's node arrays: nodes in pre-order, each
+    split's left subtree next, -1 for a leaf's children."""
+    rows = []
+
+    def visit(node: TreeNode) -> int:
+        at = len(rows)
+        rows.append([node.feature, node.threshold, node.default_left, node.gain, node.weight, -1, -1])
+        if node.feature >= 0:
+            rows[at][5:] = visit(node.left), visit(node.right)
+        return at
+
+    visit(oracle)
+    return dict(zip((f.name for f in fields(gb.Tree)), zip(*rows)))
+
+
 def assert_same_nodes(tree: gb.Tree, oracle: TreeNode):
-    want = gb._flat_tree(to_json(oracle))
+    want = preorder_arrays(oracle)
     for name, got in vars(tree).items():
         ref = np.array(want[name])
         assert (got.dtype, got.tobytes()) == (ref.dtype, ref.tobytes()), name

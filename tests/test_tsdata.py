@@ -232,6 +232,40 @@ class TestParse:
         assert exc.value.line_number == 3
 
 
+@pytest.mark.parametrize("line, column", [
+    (b"2020-01-01T01:00:00+00:00,\xff2.0", 26),  # a value cell
+    (b"2020-01-01T01:00:00+00:0\xc30,2.0", 24),  # a timestamp, a two-byte lead alone
+])
+def test_bad_utf8_in_a_row_is_a_parse_error_naming_its_line(line, column):
+    data = hourly_csv([1.0]).encode() + line + b"\n" + b"2020-01-01T02:00:00+00:00,x\n"
+    with pytest.raises(ParseError) as e:
+        tsdata.parse_series_bytes(data, UTC_SCHEMA)
+    assert str(e.value) == f"line 3: not UTF-8: bad byte at offset {column} of the line"
+    # lines are read in order: a malformed line before it raises first
+    with pytest.raises(ParseError, match="^line 2: unparseable value 'oops'$"):
+        tsdata.parse_series_bytes(hourly_csv(["oops"]).encode() + line + b"\n", UTC_SCHEMA)
+
+
+def test_bad_utf8_in_the_header_is_a_parse_error_on_line_1():
+    data = hourly_csv([1.0, 2.0, 3.0]).encode().replace(b"drybulb_c", b"drybulb\x80c", 1)
+    with pytest.raises(ParseError, match="^line 1: not UTF-8: bad byte at offset 17 of the line$"):
+        tsdata.parse_series_bytes(data, UTC_SCHEMA)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_any_non_utf8_byte_is_a_parse_error(data):
+    text = hourly_csv([1.5, None, 3.25, 4.0]).encode()
+    if data.draw(st.booleans()):
+        text = text.replace(b"\n", b"\r\n")
+    at = data.draw(st.integers(0, len(text)))
+    byte = bytes([data.draw(st.integers(0x80, 0xFF))])
+    with pytest.raises(ParseError) as e:  # never a UnicodeDecodeError
+        tsdata.parse_series_bytes(text[:at] + byte + text[at:], UTC_SCHEMA)
+    # a byte put between "\r" and "\n" leaves a lone "\r", which ends a line
+    assert e.value.line_number == text[:at].count(b"\n") + text[:at].endswith(b"\r") + 1
+
+
 def test_serialize_parse_round_trip():
     s = tsdata.parse_series(hourly_csv([1.25, None, 3.75]), UTC_SCHEMA)
     text = tsdata.serialize_series(s)
