@@ -9,11 +9,11 @@ evaluate   score models on the held-out test range and print the KPI table;
 ``evaluate --models`` loads and checks every model file before it reads any
 channel, so a bad model directory exits 2 ahead of any data error. The
 models then score the days from the test range's first day minus the
-longest saved lookback to the test range's last (see _saved_kpis). Each
+longest saved lookback to the test range's last (see _evaluate_saved). Each
 channel is parsed once, from its last present sample before those days to
-its first present sample after them: line-level errors cover the whole
-file, the day-level checks (the gap fills it logs, negative daily energy)
-only those rows and days.
+its first present sample after them: line-level errors (a line that is not
+UTF-8 among them) cover the whole file, the day-level checks (the gap fills
+it logs, negative daily energy) only those rows and days.
 
 Config files and saved model files (a SavedModel envelope each) are read
 with savefile.from_json against the dataclass annotations, and a value that
@@ -23,8 +23,9 @@ keys. report.json is a normalize.Report written with savefile.to_json.
 
 Exit codes: 0 success, 2 configuration problem (a bad config or model
 file), 3 no model selected in normalize (``no_valid_baseline``) or none
-passing the gate in evaluate, 4 data or training problem, or an output
-file that cannot be written (see _writing).
+passing the gate in evaluate, 4 data or training problem, an output file
+that cannot be written (see _writing), a lost worker process (see
+normalize.map_in_workers) or running out of memory.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ import json
 import logging
 import os
 import sys
-from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date, timedelta
 from functools import partial
 from pathlib import Path
@@ -158,38 +158,20 @@ def load_run_settings(path: Path) -> RunSettings:
 # ingestion shared by normalize and evaluate
 
 
-_UTF8_CHUNK = 1 << 20  # bytes of a channel file decoded at a time to check it
-
-
-def _first_bad_utf8(data: bytes) -> Optional[int]:
-    """Offset of the first byte of ``data`` that is not UTF-8, or None. Each
-    piece decoded ends after a line feed, which no multi-byte character holds."""
-    start = 0
-    while start < len(data):
-        end = data.find(b"\n", start + _UTF8_CHUNK) + 1 or len(data)
-        try:
-            data[start:end].decode("utf-8")
-        except UnicodeDecodeError as e:
-            return start + e.start
-        start = end
-    return None
-
-
 def _ingest_channel(ch: str, settings: RunSettings, days: Optional[tuple] = None):
     """Read, parse, gap-fill and daily-resample one channel in a pool worker.
 
     With ``days``, a (first, last) pair of dates, the rows outside the present
     samples that bound the days ``first..last`` are checked but not converted
     (see parse_series_bytes), and those days come out as a full read gives
-    them. Returns only the DailySeries and the counts _ingest logs: duplicate
-    rows collapsed, gaps filled, gaps left unfilled."""
+    them. A line that is not UTF-8 is the parse's ParseError, like any other
+    malformed line, with the file's path before its line number. Returns only
+    the DailySeries and the counts _ingest logs: duplicate rows collapsed,
+    gaps filled, gaps left unfilled."""
     try:
         data = settings.inputs[ch].read_bytes()
     except OSError as e:
         raise ConfigError(f"cannot read input file for '{ch}': {e}")
-    bad = None if data.isascii() else _first_bad_utf8(data)
-    if bad is not None:
-        raise DataError(f"input file for '{ch}' is not UTF-8: bad byte at offset {bad}")
     schema = SeriesSchema(ch, CHANNEL_UNITS[ch], settings.timezone, settings.interval_seconds)
     cut = ()
     if days is not None:  # the midnights that open the first day and close the last
@@ -446,21 +428,21 @@ def _first_scored_day(settings: RunSettings, loaded: dict) -> date:
     return date.fromordinal(max(day, date.min.toordinal()))
 
 
-def _saved_kpis(settings: RunSettings, loaded: dict, table) -> dict:
-    """Test-range KPIs of the models _load_models loaded.
+def _evaluate_saved(settings: RunSettings, loaded: dict) -> dict:
+    """Test-range KPIs of the models _load_models loaded, bit for bit those
+    of a full read.
 
-    The models score the feature rows of ``table`` dated from
-    _first_scored_day, which is never before 0001-01-01, to the test end.
-    That batch does not depend on where the table starts before that day or
-    ends after the test range, so the networks' sums round alike on any
-    table that holds those days."""
-    matrix = build_features(table, settings.features)
-    test_start, test_end = settings.periods.test
-    first = _first_scored_day(settings, loaded)
-    rows = slice(bisect_left(matrix.dates, first), bisect_right(matrix.dates, test_end))
-    matrix = replace(matrix, dates=matrix.dates[rows], X=matrix.X[rows], y=matrix.y[rows])
-    test_mask = matrix.date_mask(test_start, test_end)
-    if int(test_mask.sum()) < 1:
+    The table holds the days from _first_scored_day, which is never before
+    0001-01-01, to the test range's last day, and each channel is parsed once,
+    from its last present sample before those days to its first present
+    sample after them (see _ingest_channel). The models score every feature
+    row of that table, so the batch, and with it the rounding of the
+    networks' sums, does not depend on what the files hold around those days.
+    """
+    days = (_first_scored_day(settings, loaded), settings.periods.test[1])
+    matrix = build_features(_ingest(settings, days), settings.features)
+    test_mask = matrix.date_mask(*settings.periods.test)
+    if not test_mask.any():
         raise DataError("test range has no usable rows")
     results = {}
     for name, (saved, fitted) in loaded.items():
@@ -468,18 +450,6 @@ def _saved_kpis(settings: RunSettings, loaded: dict, table) -> dict:
         pred = MODEL_KINDS[name].predict(fitted, scaled, saved.lookback_days)
         results[name] = score(scaled, test_mask, pred, p=settings.kpi.p)
     return results
-
-
-def _evaluate_saved(settings: RunSettings, loaded: dict) -> dict:
-    """Test-range KPIs of the loaded models, bit for bit those of a full read.
-
-    Each channel is parsed once, from the last present sample before
-    _first_scored_day to the first present sample after the test range's
-    last day (see _ingest_channel), and _saved_kpis scores the rows that a
-    full read's table would give it.
-    """
-    days = (_first_scored_day(settings, loaded), settings.periods.test[1])
-    return _saved_kpis(settings, loaded, _ingest(settings, days))
 
 
 def _check_output_dir(path: Path):
@@ -602,6 +572,9 @@ def main(argv=None) -> int:
         return 4
     except NormbaseError as e:  # a diverged training or an unwritable output, say
         print(f"error: {e}", file=sys.stderr)
+        return 4
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 4
 
 

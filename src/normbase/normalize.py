@@ -36,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import gbmodels, nnmodels
-from .errors import ConfigError, DataError, UndefinedMetricError
+from .errors import ConfigError, DataError, NormbaseError, UndefinedMetricError
 from .features import FeatureMatrix, FeatureSpec, apply_scaler, build_features, fit_scaler, make_sequences
 from .metrics import FitTrace, KpiReport, kpi_report
 
@@ -426,8 +426,11 @@ def map_in_workers(fn, *iterables) -> list:
     in input order, so the first failing item raises its own exception, as
     it would in the serial loop. Items not yet handed to a worker are then
     cancelled, the others finish, and every worker has exited before this
-    returns or raises. Where the platform cannot report the usable CPUs (and
-    ``fork`` may be unsafe) it runs serially.
+    returns or raises. A worker that dies (killed, say, by the kernel for
+    memory) takes every pending item with it; that raises a NormbaseError
+    naming the items whose results had not been read back. Where the
+    platform cannot report the usable CPUs (and ``fork`` may be unsafe) it
+    runs serially.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(iterables[0]), cpus)
@@ -435,9 +438,17 @@ def map_in_workers(fn, *iterables) -> list:
         return list(map(fn, *iterables))
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
+    results = []
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(fn, *iterables))
+        try:
+            for result in pool.map(fn, *iterables):
+                results.append(result)
+        except BrokenProcessPool:
+            lost = ", ".join(map(str, iterables[0][len(results):]))
+            raise NormbaseError(f"a worker process was lost while running {lost}") from None
+    return results
 
 
 def fit_models(table, setup: RunSetup, ranges: tuple = ()) -> tuple:

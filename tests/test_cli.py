@@ -7,6 +7,7 @@ import json
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -326,6 +327,50 @@ class TestNormalize:
         assert runs[0].stderr == runs[1].stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("stage, fault, n, want", [
+        ("ingest", "kill", 2, "error: a worker process was lost while running "
+                              "kwh, drybulb_c, solar_wm2, rh_pct, dewpoint_c, windspeed_ms"),
+        ("fit", "kill", 2, "error: a worker process was lost while running gbt_exact, gbt_hist"),
+        ("fit", "memory", 1, "error: out of memory"),
+        ("fit", "memory", 2, "error: out of memory"),
+    ], ids=["ingest-kill-2", "fit-kill-2", "fit-memory-1", "fit-memory-2"])
+    def test_lost_worker_or_memory_exits_4(self, data_dir, tmp_path, capsys, cpus, monkeypatch,
+                                           stage, fault, n, want):
+        """The first task in order fails: kwh's parse, or gbt_exact's fit."""
+        test_pid = os.getpid()
+
+        def fail():
+            if fault == "memory":
+                raise MemoryError
+            if os.getpid() != test_pid:  # only ever in a worker
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        parse, boost_fit = cli.parse_series_bytes, gbmodels.boost_fit
+
+        def failing_parse(data, schema, *cut):
+            if schema.channel == "kwh":
+                fail()
+            return parse(data, schema, *cut)
+
+        def failing_fit(data, cfg, kind):
+            if kind == "exact":
+                fail()
+            return boost_fit(data, cfg, kind=kind)
+
+        if stage == "ingest":
+            monkeypatch.setattr(cli, "parse_series_bytes", failing_parse)
+        else:
+            monkeypatch.setattr(gbmodels, "boost_fit", failing_fit)
+        cpus(n)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.json", run_config(data_dir, output_dir=str(out)))
+        assert cli.main(["normalize", "--config", cfg]) == 4
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == want
+        assert "Traceback" not in err
+        assert not (out / "report.json").exists()
+        assert not multiprocessing.active_children()
+
     def test_ingest_log_does_not_depend_on_worker_count(self, damaged_dir, tmp_path):
         cfg = write_config(tmp_path / "c.json", run_config(damaged_dir, output_dir=str(tmp_path / "out")))
         runs = [run_with_cpus(n, ["normalize", "--config", cfg]) for n in (1, 2)]
@@ -339,8 +384,8 @@ class TestNormalize:
         ]
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_undecodable_input_exits_4_naming_channel_and_byte(self, data_dir, tmp_path, capsys,
-                                                                 cpus, n):
+    def test_undecodable_input_exits_4_naming_file_line_and_byte(self, data_dir, tmp_path, capsys,
+                                                                   cpus, n):
         raw = (data_dir / "solar_wm2.csv").read_bytes()
         at = raw.index(b"\n", raw.index(b"\n") + 1) + 3  # inside the second data row
         broken = tmp_path / "solar_wm2.csv"
@@ -351,7 +396,8 @@ class TestNormalize:
         rc = cli.main(["normalize", "--config", write_config(tmp_path / "c.json", doc)])
         assert rc == 4
         err = capsys.readouterr().err
-        assert f"data error: input file for 'solar_wm2' is not UTF-8: bad byte at offset {at}" in err
+        assert err.splitlines()[-1] == (
+            f"data error: {broken}: line 3: not UTF-8: bad byte at offset 2 of the line")
         assert "Traceback" not in err
         assert not multiprocessing.active_children()
 
@@ -604,36 +650,48 @@ class TestIngestPool:
         marked = cli.load_run_settings(write_config(tmp_path / "marked.json", doc))
         assert table_bits(cli._ingest(marked)) == table_bits(cli._ingest(plain))
 
-    @pytest.mark.parametrize("damage", ["surrogate", "truncated", "after_bom", "past_first_chunk"])
-    def test_first_bad_utf8_byte_is_reported(self, data_dir, tmp_path, damage, monkeypatch):
-        monkeypatch.setattr(cli, "_UTF8_CHUNK", 64)  # the file is checked in many pieces
+    @pytest.mark.parametrize("damage", ["in_header", "truncated", "after_bom",
+                                        "after_a_two_byte_character"])
+    def test_first_bad_utf8_byte_is_reported(self, data_dir, tmp_path, damage):
         raw = (data_dir / "kwh.csv").read_bytes()
         at = raw.index(b"\n") + 5
-        if damage == "surrogate":  # U+D800 encoded, which surrogatepass would accept
-            raw = raw[:at] + b"\xed\xa0\x80" + raw[at:]
+        if damage == "in_header":
+            raw, line, offset = raw[:4] + b"\xff" + raw[4:], 1, 4
         elif damage == "truncated":  # a three-byte sequence cut off at the end
-            raw, at = raw + b"\xe2\x82", len(raw)
+            raw, line, offset = raw + b"\xe2\x82", raw.count(b"\n") + 1, 0
         elif damage == "after_bom":
-            raw, at = b"\xef\xbb\xbf" + raw[:at] + b"\xff" + raw[at:], at + 3
+            raw, line, offset = b"\xef\xbb\xbf" + raw[:at] + b"\xff" + raw[at:], 2, 4
         else:  # a two-byte character first, then a lone continuation byte
             at = raw.index(b"\n", 1000) + 5
-            raw = b"\xef\xbb\xbf" + raw[:at] + b"\xc3\xa9\x80" + raw[at:]
-            at += 3 + 2
+            line = raw[:at].count(b"\n") + 1
+            raw, offset = raw[:at] + b"\xc3\xa9\x80" + raw[at:], 4 + 2
         (tmp_path / "kwh.csv").write_bytes(raw)
         doc = run_config(data_dir)
         doc["inputs"]["kwh"] = str(tmp_path / "kwh.csv")
         settings = cli.load_run_settings(write_config(tmp_path / "c.json", doc))
-        want = f"^input file for 'kwh' is not UTF-8: bad byte at offset {at}$"
-        with pytest.raises(DataError, match=want):
+        want = (f"^{re.escape(str(tmp_path / 'kwh.csv'))}: line {line}: "
+                f"not UTF-8: bad byte at offset {offset} of the line$")
+        with pytest.raises(ParseError, match=want):
             cli._ingest_channel("kwh", settings)
 
-    @pytest.mark.parametrize("char", ["\u00e9", "\u20ac", "\U0001f600"])  # 2, 3 and 4 bytes
-    def test_characters_next_to_a_piece_cut_are_utf8(self, char, monkeypatch):
-        monkeypatch.setattr(cli, "_UTF8_CHUNK", 16)
-        for pad in range(20):  # puts every byte of the character at a piece's end or start
-            data = ("a" * pad + char + "\n" + char + "b\n").encode() * 8
-            assert cli._first_bad_utf8(data) is None
-        assert cli._first_bad_utf8(data + b"\xff") == len(data)
+    @pytest.mark.parametrize("where, want", [
+        ("row", "line 3: unparseable value '1\\ud800.5'"),
+        ("header", "line 1: expected header 'timestamp,<channel>', got 'time\\ud800stamp,kwh'"),
+    ], ids=["row", "header"])
+    def test_encoded_surrogate_is_its_lines_parse_error(self, data_dir, tmp_path, where, want):
+        """U+D800 encoded as UTF-8 bytes is never a value or a header cell."""
+        lines = (data_dir / "kwh.csv").read_bytes().split(b"\n")
+        if where == "row":
+            lines[2] = lines[2].split(b",")[0] + b",1\xed\xa0\x80.5"
+        else:
+            lines[0] = b"time\xed\xa0\x80stamp,kwh"
+        (tmp_path / "kwh.csv").write_bytes(b"\n".join(lines))
+        doc = run_config(data_dir)
+        doc["inputs"]["kwh"] = str(tmp_path / "kwh.csv")
+        settings = cli.load_run_settings(write_config(tmp_path / "c.json", doc))
+        with pytest.raises(DataError) as e:
+            cli._ingest_channel("kwh", settings)
+        assert str(e.value) == f"{tmp_path / 'kwh.csv'}: {want}"
 
     def test_first_failing_channel_in_order_raises(self, data_dir, tmp_path, cpus, pools,
                                                    monkeypatch):

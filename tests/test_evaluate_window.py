@@ -2,12 +2,13 @@
 before the first day it scores to its first present sample after the test
 range's last day, and its KPIs must be bit for bit those of a full read.
 
-The models score the rows from that first day to the test end, whatever the
-table holds around them. Each case edits the channel files of a small
-building whose models normalize saved, then compares the to_json text of
-every KpiReport from cli._evaluate_saved with the one from the full read
-(cli._saved_kpis over cli._ingest), and checks which parses ran: with a
-start (``W``) or over the whole file (``F``), in channel order.
+Each case edits the channel files of a small building whose models
+normalize saved, then compares the to_json text of every KpiReport from
+cli._evaluate_saved with the one from a full read: cli._evaluate_saved run
+again with the two cut epochs dropped from each parse, so every value is
+converted and every day is filled and resampled from the whole file. It also
+checks which parses the windowed run ran: with the cut epochs (``W``) or over
+the whole file (``F``), in channel order.
 """
 
 import json
@@ -121,14 +122,15 @@ def evaluate_both(doc, models_dir, tmp_path, cpus, monkeypatch):
     loaded = cli._load_models(settings, models_dir)
     parses, parse = [], cli.parse_series_bytes
 
-    def spy(data, schema, *start):
-        parses.append("W" if start else "F")
-        return parse(data, schema, *start)
+    def spy(data, schema, *cut):
+        parses.append("W" if cut else "F")
+        return parse(data, schema, *cut)
 
     monkeypatch.setattr(cli, "parse_series_bytes", spy)
     windowed = kpi_texts(cli._evaluate_saved(settings, loaded))
     ran = "".join(parses)
-    full = kpi_texts(cli._saved_kpis(settings, loaded, cli._ingest(settings)))
+    monkeypatch.setattr(cli, "parse_series_bytes", lambda data, schema, *cut: parse(data, schema))
+    full = kpi_texts(cli._evaluate_saved(settings, loaded))
     return windowed, full, ran
 
 

@@ -252,6 +252,20 @@ def test_bad_utf8_in_the_header_is_a_parse_error_on_line_1():
         tsdata.parse_series_bytes(data, UTC_SCHEMA)
 
 
+def test_multi_byte_whitespace_around_cells_parses():
+    """U+3000 after the header's channel, U+00A0 after values and a line of
+    U+2003 alone: UTF-8 that the vector pass leaves to the row-by-row parser."""
+    text = hourly_csv([1.5, 2.5, None])
+    plain = tsdata.parse_series_bytes(text.encode(), UTC_SCHEMA)
+    lines = text.splitlines()
+    lines[0] += "\u3000"
+    lines[1:3] = [line + "\u00a0" for line in lines[1:3]]
+    lines.insert(3, "\u2003")
+    spaced = tsdata.parse_series_bytes(("\n".join(lines) + "\n").encode(), UTC_SCHEMA)
+    for name in ("epochs", "values", "missing"):
+        assert getattr(spaced, name).tobytes() == getattr(plain, name).tobytes()
+
+
 @settings(deadline=None, max_examples=200)
 @given(st.data())
 def test_any_non_utf8_byte_is_a_parse_error(data):
