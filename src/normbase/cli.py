@@ -362,9 +362,9 @@ def _writing(path: Path):
 
 
 def _unlink_artifacts(settings: RunSettings):
-    """Unlink report.json and every file of the artifact table, so a run that
-    fails leaves no earlier run's file to read as its own."""
-    for name in ("report.json", *_artifact_table(settings)):
+    """Unlink report.json, its temporary name and every file of the artifact
+    table, so a run that fails leaves no earlier run's file to read as its own."""
+    for name in ("report.json", "report.json.tmp", *_artifact_table(settings)):
         (settings.output_dir / name).unlink(missing_ok=True)
 
 

@@ -123,7 +123,7 @@ class KpiSet:
     cv_rmse: float
     r_squared: float
     nmbe: float
-    n: int
+    n: int = field(metadata={"minimum": 1})
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ class KpiReport:
     daily: KpiSet
     monthly: Optional[KpiSet]
     gate: Optional[GateResult]
-    p: int
+    p: int = field(metadata={"minimum": 0})
     passed = property(lambda self: self.gate is not None and self.gate.passed)
 
 

@@ -12,8 +12,8 @@ RunSetup declares a run's settings once: run_pipeline(table, setup) reads
 them from it, and cli.RunSettings extends it with the config file's input
 and output keys. fit_models, the pipeline up to the test KPIs, is what
 ``evaluate`` without ``--models`` runs. The Report dataclasses declare
-report.json once: savefile.to_json writes a Report, and
-savefile.from_json(Report, doc) reads one back.
+report.json once: savefile.to_json writes a Report, from_json(Report, doc)
+reads one back, and report_schema() derives report.schema.json from them.
 
 The enabled models train in min(models, usable CPUs) worker processes, the
 pool (map_in_workers) the CLI also ingests its input channels in; with one
@@ -21,17 +21,18 @@ such CPU (or where the platform cannot tell) they train one after another in
 this process. Each model owns a seeded RNG and runs the same code on the same
 bits in either case, so a model's result depends only on its setup and the
 data, and every artifact is the same whatever the worker count. A worker
-returns the fit's metrics.FitTrace, from which ModelKind.info derives the
-report's v1 ``info``.
+returns the fit's metrics.FitTrace, from which ModelKind.info.of derives
+the report's v1 ``info``.
 """
 
 from __future__ import annotations
 
+import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Literal, Optional, Union
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from . import gbmodels, nnmodels
 from .errors import ConfigError, DataError, NormbaseError, UndefinedMetricError
 from .features import FeatureMatrix, FeatureSpec, apply_scaler, build_features, fit_scaler, make_sequences
 from .metrics import FitTrace, KpiReport, kpi_report
+from .savefile import json_schema
 
 SELECTION_GATE = "gate-passing"
 SELECTION_TOP_K = "top_k"
@@ -155,8 +157,8 @@ class ModelKind:
     """How the pipeline fits, predicts and saves one model family.
 
     fit(setup, matrix, train_mask, lookback) -> (fitted, FitTrace) trains on
-    the masked rows of a scaled FeatureMatrix; info(fitted, trace) is its v1
-    report ``info``. predict(fitted, matrix, lookback) returns one value per
+    the masked rows of a scaled FeatureMatrix; info.of(fitted, trace) is its
+    v1 report ``info``. predict(fitted, matrix, lookback) returns one value per
     matrix row, NaN where the model has no input (no full lookback window).
     to_dict/from_dict convert the fitted model to and from its saved JSON
     payload. n_inputs(fitted) is the number of feature columns it reads.
@@ -165,11 +167,32 @@ class ModelKind:
     setup: type
     seed_offset: int
     fit: Callable
-    info: Callable
+    info: type
     predict: Callable
     to_dict: Callable
     from_dict: Callable
     n_inputs: Callable
+
+
+@dataclass
+class NetInfo:
+    """A network's v1 report ``info``: the epochs run, and the 0-based epoch
+    whose weights the fitted model keeps."""
+
+    epochs: int = field(metadata={"minimum": 1})
+    best_epoch: int = field(metadata={"minimum": 0})
+    of = classmethod(lambda cls, params, trace: cls(len(trace.train), trace.best))
+
+
+@dataclass
+class TreeInfo:
+    """A tree ensemble's v1 report ``info``: the rounds run, the 0-based round
+    the fitted ensemble stops at (-1 after none), and the trees it keeps."""
+
+    rounds: int = field(metadata={"minimum": 0})
+    best_round: int = field(metadata={"minimum": -1})
+    n_trees: int = field(metadata={"minimum": 0})
+    of = classmethod(lambda cls, ens, trace: cls(len(trace.train), trace.best, len(ens.trees)))
 
 
 def _fit_mlp(setup: MlpSetup, matrix: FeatureMatrix, rows, lookback: int):
@@ -187,10 +210,6 @@ def _fit_lstm(setup: LstmSetup, matrix: FeatureMatrix, rows, lookback: int):
     )
 
 
-def _net_info(params, trace: FitTrace) -> dict:
-    return {"epochs": len(trace.train), "best_epoch": trace.best}
-
-
 def _predict_lstm(params, matrix: FeatureMatrix, lookback: int) -> np.ndarray:
     seqs = make_sequences(matrix, lookback)
     pred = np.full(len(matrix), np.nan)
@@ -202,10 +221,6 @@ def _fit_trees(kind: str, cfg: gbmodels.BoostConfig, matrix: FeatureMatrix, rows
     return gbmodels.boost_fit((matrix.X[rows], matrix.y[rows]), cfg, kind=kind)
 
 
-def _tree_info(ens, trace: FitTrace) -> dict:
-    return {"rounds": len(trace.train), "best_round": trace.best, "n_trees": len(ens.trees)}
-
-
 def _predict_trees(ens, matrix: FeatureMatrix, lookback: int) -> np.ndarray:
     return gbmodels.boost_predict(ens, matrix.X)
 
@@ -215,7 +230,7 @@ def _tree_kind(kind: str, seed_offset: int) -> ModelKind:
         setup=gbmodels.BoostConfig,
         seed_offset=seed_offset,
         fit=partial(_fit_trees, kind),
-        info=_tree_info,
+        info=TreeInfo,
         predict=_predict_trees,
         to_dict=lambda ens: gbmodels.ensemble_to_dict(ens),
         from_dict=lambda doc: gbmodels.ensemble_from_dict(doc),
@@ -228,7 +243,7 @@ MODEL_KINDS = {
         setup=MlpSetup,
         seed_offset=11,
         fit=_fit_mlp,
-        info=_net_info,
+        info=NetInfo,
         predict=lambda params, matrix, lookback: nnmodels.mlp_predict(params, matrix.X),
         to_dict=lambda params: nnmodels.mlp_to_dict(params),
         from_dict=lambda doc: nnmodels.mlp_from_dict(doc),
@@ -238,7 +253,7 @@ MODEL_KINDS = {
         setup=LstmSetup,
         seed_offset=22,
         fit=_fit_lstm,
-        info=_net_info,
+        info=NetInfo,
         predict=_predict_lstm,
         to_dict=lambda params: nnmodels.lstm_to_dict(params),
         from_dict=lambda doc: nnmodels.lstm_from_dict(doc),
@@ -324,7 +339,7 @@ class ModelReport:
     """One model's test KPIs, its ModelKind.info and covered study-day predictions."""
 
     kpis: KpiReport
-    info: dict
+    info: Union[NetInfo, TreeInfo]
     study_predicted: list[Optional[float]]
 
 
@@ -375,8 +390,8 @@ class Report:
 
     periods: PeriodSpec
     seed: int
-    kpi_p: int
-    selection: str
+    kpi_p: int = field(metadata={"minimum": 0})
+    selection: Literal[SELECTION_GATE, SELECTION_TOP_K]
     feature_names: list[str]
     models: dict[str, ModelReport]
     models_used: list[str]
@@ -385,7 +400,24 @@ class Report:
     ensemble_test_kpis: Optional[KpiReport]
     cumulative: Cumulative
     totals: Totals
-    schema_version: int = 1
+    schema_version: Literal[1] = 1
+
+
+def report_schema() -> dict:
+    """report.schema.json: json_schema(Report) plus the v1 rules that tie each
+    model name to its info dataclass. ``python -m normbase.normalize`` prints it."""
+    schema = {"title": "normbase normalization report", **json_schema(Report)}
+    tied = {}
+    for info in dict.fromkeys(kind.info for kind in MODEL_KINDS.values()):
+        names = "|".join(name for name, kind in MODEL_KINDS.items() if kind.info is info)
+        tied[f"^({names})$"] = {"allOf": [
+            {"$ref": "#/definitions/ModelReport"},
+            {"properties": {"info": {"$ref": f"#/definitions/{info.__name__}"}}},
+        ]}
+    schema["properties"]["models"] = {"type": "object", "additionalProperties": False,
+                                      "patternProperties": tied}
+    schema["properties"]["models_used"]["items"] = {"enum": list(MODEL_KINDS)}
+    return schema
 
 
 @dataclass
@@ -561,7 +593,7 @@ def run_pipeline(table, setup: RunSetup) -> NormalizationReport:
         kpi_p=p,
         selection=setup.ensemble.selection,
         feature_names=list(scaled.names),
-        models={n: ModelReport(kpis[n], MODEL_KINDS[n].info(fitted[n], traces[n]),
+        models={n: ModelReport(kpis[n], MODEL_KINDS[n].info.of(fitted[n], traces[n]),
                                pred[~np.isnan(pred)]) for n, pred in study_preds.items()},
         models_used=used,
         flags=Flags(not used, [d for d, u, c in zip(study_dates, undef, cover) if u and c]),
@@ -580,3 +612,7 @@ def run_pipeline(table, setup: RunSetup) -> NormalizationReport:
         preds=preds,
         fitted=fitted,
     )
+
+
+if __name__ == "__main__":
+    print(json.dumps(report_schema(), indent=2))

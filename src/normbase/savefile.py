@@ -11,7 +11,9 @@ reads its config files and model file envelopes through it, every model's
 An array must hold bool, integer or float values; an empty one has no
 element to tell its dtype and reloads as float64. A saved tree keeps
 ``default_left``, the side NaN takes when the loaded tree routes a row; the
-side NaN took while the tree grew is not saved (see gbmodels).
+side NaN took while the tree grew is not saved (see gbmodels). json_schema
+reads the same annotations and writes the JSON Schema of what to_json
+writes, from which normalize.report_schema builds report.schema.json.
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ import math
 import sys
 from datetime import date
 from pathlib import Path
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .errors import ConfigError
 
+# each name's last word is the type's name in JSON Schema
 _TYPE_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string"}
 _JSON_SCALARS = (float, int, bool, str, type(None))
 
@@ -75,13 +78,14 @@ def from_json(kind, doc, path: str = "", noun: str = "key"):
 
     ``kind`` is a dataclass (a JSON object of its fields: an unknown key is
     rejected, a field without a default is required), Optional[T] (T or
-    null), list[T] or tuple[T, ...] (a JSON list), a fixed tuple such as
-    tuple[date, date] (a list of that length, items named by index as in
-    ``periods.train[1]``), np.ndarray (a nested list of numbers), dict[str, T]
-    (an object of T values), dict (any JSON object, left to the caller), date
-    (an ISO string), Path (a string), int, float (a finite JSON number), bool
-    or str. ``path`` is the dotted key of ``doc``; ``noun`` says what a key is
-    in error messages.
+    null), a Union (its first alternative that fits), a Literal (one of its
+    values, of the same type), list[T] or tuple[T, ...] (a JSON list), a
+    fixed tuple such as tuple[date, date] (a list of that length, items
+    named by index as in ``periods.train[1]``), np.ndarray (a nested list of
+    numbers), dict[str, T] (an object of T values), dict (any JSON object,
+    left to the caller), date (an ISO string), Path (a string), int, float (a
+    finite JSON number), bool or str. ``path`` is the dotted key of ``doc``;
+    ``noun`` says what a key is in error messages.
 
     Raises:
         ValueError: a value fails its annotation or a nested dataclass's checks, naming its key.
@@ -115,8 +119,22 @@ def from_json(kind, doc, path: str = "", noun: str = "key"):
                 raise
             raise ValueError(f"{noun} '{path}': {e}") from None
     origin, args = get_origin(kind), get_args(kind)
-    if origin is Union and len(args) == 2 and args[1] is type(None):  # Optional[T]
-        return None if doc is None else from_json(args[0], doc, path, noun)
+    if origin is Union:
+        if doc is None and type(None) in args:  # first: Optional's null needs no try
+            return None
+        kinds, errors = [a for a in args if a is not type(None)], []
+        for alternative in kinds:  # the first that fits
+            try:
+                return from_json(alternative, doc, path, noun)
+            except ValueError as e:
+                if len(kinds) == 1:  # Optional[T]: T's own message
+                    raise
+                errors.append(str(e))
+        raise _unfit(noun, path, f"fits none of its forms: {'; '.join(errors)}")
+    if origin is Literal:  # by type and value: True is not 1
+        if not any(type(doc) is type(a) and doc == a for a in args):
+            raise _unfit(noun, path, f"must be {' or '.join(map(repr, args))}")
+        return doc
     if origin in (list, tuple):
         if type(doc) is not list:
             raise _unfit(noun, path, "must be a list")
@@ -148,3 +166,42 @@ def from_json(kind, doc, path: str = "", noun: str = "key"):
             raise _unfit(noun, path, "must be a finite number")
         return kind(doc)
     raise TypeError(f"no JSON decoding for annotation {kind!r}")
+
+
+def json_schema(kind) -> dict:
+    """The draft-07 JSON Schema of what to_json writes for dataclass ``kind``,
+    from the annotations from_json reads. Each dataclass is a closed object
+    that requires every field (to_json writes them all), ``kind`` at the root
+    and the others under ``definitions``. A field's metadata adds keywords."""
+    definitions = {}
+
+    def walk(kind) -> dict:
+        if dataclasses.is_dataclass(kind):
+            if kind.__name__ not in definitions:
+                definitions[kind.__name__] = {}  # first: the definitions read top-down
+                fields, hints = dataclasses.fields(kind), get_type_hints(kind)
+                properties = {f.name: {**walk(hints[f.name]), **f.metadata} for f in fields}
+                definitions[kind.__name__] = {"type": "object", "additionalProperties": False,
+                                              "required": list(properties), "properties": properties}
+            return {"$ref": f"#/definitions/{kind.__name__}"}
+        origin, args = get_origin(kind), get_args(kind)
+        if origin is Union:
+            return {"anyOf": [{"type": "null"} if a is type(None) else walk(a) for a in args]}
+        if origin is Literal:
+            return {"const": args[0]} if len(args) == 1 else {"enum": list(args)}
+        if origin is tuple and args[-1] is not Ellipsis:
+            return {"type": "array", "items": [walk(a) for a in args],
+                    "minItems": len(args), "maxItems": len(args)}
+        if origin in (list, tuple):
+            return {"type": "array", "items": walk(args[0])}
+        if origin is dict:
+            return {"type": "object", "additionalProperties": walk(args[1])}
+        if kind is date:
+            return {"type": "string", "pattern": "^[0-9]{4}-[0-9]{2}-[0-9]{2}$"}
+        if kind in _TYPE_NAMES:
+            return {"type": _TYPE_NAMES[kind].split()[-1]}
+        raise TypeError(f"no JSON Schema for annotation {kind!r}")
+
+    walk(kind)
+    return {"$schema": "http://json-schema.org/draft-07/schema#",
+            **definitions.pop(kind.__name__), "definitions": definitions}

@@ -371,6 +371,31 @@ class TestNormalize:
         assert not (out / "report.json").exists()
         assert not multiprocessing.active_children()
 
+    def test_interrupt_in_a_fit_leaves_no_report_and_no_worker(self, data_dir, tmp_path, cpus,
+                                                                 monkeypatch):
+        """Ctrl-C is not an error of the run: KeyboardInterrupt leaves main
+        once the workers have stopped, and an earlier run's report, whole or
+        cut before its rename, is gone."""
+        test_pid = os.getpid()
+        boost_fit = gbmodels.boost_fit
+
+        def interrupted_fit(data, cfg, kind):
+            if kind == "exact" and os.getpid() != test_pid:
+                os.kill(os.getppid(), signal.SIGINT)
+            return boost_fit(data, cfg, kind=kind)
+
+        monkeypatch.setattr(gbmodels, "boost_fit", interrupted_fit)
+        cpus(2)
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("report.json", "report.json.tmp"):
+            (out / name).write_text("{}")
+        cfg = write_config(tmp_path / "c.json", run_config(data_dir, output_dir=str(out)))
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["normalize", "--config", cfg])
+        assert not any(out.glob("report.json*"))
+        assert not multiprocessing.active_children()
+
     def test_ingest_log_does_not_depend_on_worker_count(self, damaged_dir, tmp_path):
         cfg = write_config(tmp_path / "c.json", run_config(damaged_dir, output_dir=str(tmp_path / "out")))
         runs = [run_with_cpus(n, ["normalize", "--config", cfg]) for n in (1, 2)]

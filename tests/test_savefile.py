@@ -1,7 +1,7 @@
 import dataclasses
 import json
 from datetime import date
-from typing import Optional
+from typing import Literal, Optional, Union
 
 import numpy as np
 import pytest
@@ -132,3 +132,47 @@ def test_a_float_must_be_finite_but_an_array_may_hold_nan():
             from_json(tuple[float], [value], path="scale")
     assert from_json(float, 10**308) == 1e308
     assert np.isnan(from_json(np.ndarray, [1.0, float("nan")])[1])
+
+
+def test_a_literal_matches_type_and_value():
+    assert from_json(Literal[1], 1) == 1
+    assert from_json(Literal["a", "b"], "b") == "b"
+    for doc in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="^key 'version' must be 1$"):
+            from_json(Literal[1], doc, path="version")
+    with pytest.raises(ValueError, match="^key 'mode' must be 'a' or 'b'$"):
+        from_json(Literal["a", "b"], "c", path="mode")
+
+
+def test_a_union_takes_the_first_alternative_that_fits():
+    @dataclasses.dataclass
+    class Net:
+        epochs: int
+
+    @dataclasses.dataclass
+    class Tree:
+        rounds: int
+
+    @dataclasses.dataclass
+    class Wide:
+        epochs: float
+
+    assert from_json(Union[Net, Tree], {"rounds": 3}) == Tree(3)
+    assert from_json(Union[Net, Wide], {"epochs": 3}) == Net(3)
+    assert from_json(Union[Wide, Net], {"epochs": 3}) == Wide(3.0)
+    assert type(from_json(Union[float, int], 2)) is float
+
+
+def test_a_union_no_alternative_fits_names_the_key():
+    with pytest.raises(ValueError, match=r"^key 'models\.mlp\.info' fits none of its forms: "
+                                         r"key 'models\.mlp\.info' must be an integer; "
+                                         r"key 'models\.mlp\.info' must be a string$"):
+        from_json(Union[int, str], [1], path="models.mlp.info")
+
+
+def test_optional_reads_null_as_none_and_anything_else_as_its_type():
+    assert from_json(Optional[int], None) is None
+    assert from_json(Optional[tuple[date, date]], None) is None
+    assert from_json(Optional[int], 4) == 4
+    with pytest.raises(ValueError, match="^key 'seed' must be an integer$"):
+        from_json(Optional[int], "4", path="seed")
