@@ -124,7 +124,7 @@ class RunSettings(RunSetup):
     """
 
     timezone: str = "UTC"
-    interval_seconds: int
+    interval_seconds: int = field(metadata={"minimum": 1})
     inputs: dict
     gap_fill: GapFillPolicy = GapFillPolicy()
     models: dict = field(default_factory=dict)
@@ -147,8 +147,6 @@ def load_run_settings(path: Path) -> RunSettings:
         if ch not in settings.inputs:
             raise ConfigError(f"features use channel {ch!r} but 'inputs.{ch}' is missing")
     resolve_timezone(settings.timezone)
-    if settings.interval_seconds <= 0:
-        raise ConfigError("interval_seconds must be positive")
     settings.models = _model_setups(settings.models, settings.seed)
     settings.output_dir = base_dir / settings.output_dir
     return settings
@@ -216,8 +214,8 @@ def _fmt_cell(v: Optional[float]) -> str:
 
 
 def _gate_cell(kpis) -> str:
-    if kpis.gate is None:
-        return "n/a (window too short for monthly KPIs)"
+    if kpis.gate is None:  # see metrics.kpi_report
+        return f"n/a (monthly KPIs need at least {max(2, kpis.p + 1)} complete test months)"
     if kpis.passed:
         return "PASS"
     failed = [k.removesuffix("_ok") for k, ok in vars(kpis.gate).items() if k.endswith("_ok") and not ok]

@@ -8,12 +8,14 @@ touches one-hot/binary columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, InsufficientHistoryError, UnknownFeatureError
+from .savefile import check_fields
+from .tsdata import WeatherChannel
 
 DEFAULT_WEATHER = ("drybulb_c", "solar_wm2", "rh_pct", "dewpoint_c", "windspeed_ms")
 
@@ -40,13 +42,12 @@ class FeatureSpec:
         lookback_days: window length for sequence models.
     """
 
-    weather_channels: tuple[str, ...] = DEFAULT_WEATHER
+    weather_channels: tuple[WeatherChannel, ...] = DEFAULT_WEATHER
     calendar: tuple[str, ...] = (DOW_ONEHOT, MONTH_CYCLIC)
-    lookback_days: int = 7
+    lookback_days: int = field(default=7, metadata={"minimum": 1})
 
     def __post_init__(self):
-        if self.lookback_days < 1:
-            raise ConfigError("lookback_days must be at least 1")
+        check_fields(self)
         if len(set(self.weather_channels)) != len(self.weather_channels):
             raise ConfigError("duplicate weather channel in feature spec")
         for name in self.calendar:

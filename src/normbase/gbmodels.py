@@ -37,14 +37,14 @@ threads, so results never depend on available parallelism.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, DataError, TrainingDivergedError
 from .metrics import FitTrace
-from .savefile import from_json, to_json
+from .savefile import check_fields, from_json, to_json
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -61,39 +61,25 @@ class BoostConfig:
     which is how sampling is switched off.
     """
 
-    rounds: int = 500
-    learning_rate: float = 0.05
-    max_depth: int = 4
-    max_leaves: int = 15
-    reg_lambda: float = 1.0
-    gamma: float = 0.0
-    min_child_hessian: float = 1.0
-    bins: int = 32
-    goss_a: float = 0.2
-    goss_b: float = 0.1
-    efb_max_conflict: float = 0.0
-    early_stop_rounds: int = 50
-    validation_fraction: float = 0.2
-    seed: int = 0
+    rounds: int = field(default=500, metadata={"minimum": 0})
+    learning_rate: float = field(default=0.05, metadata={"exclusiveMinimum": 0})
+    max_depth: int = field(default=4, metadata={"minimum": 1})
+    max_leaves: int = field(default=15, metadata={"minimum": 2})
+    reg_lambda: float = field(default=1.0, metadata={"minimum": 0})
+    gamma: float = field(default=0.0, metadata={"minimum": 0})
+    min_child_hessian: float = field(default=1.0, metadata={"minimum": 0})
+    bins: int = field(default=32, metadata={"minimum": 2})
+    goss_a: float = field(default=0.2, metadata={"minimum": 0, "maximum": 1})
+    goss_b: float = field(default=0.1, metadata={"minimum": 0, "maximum": 1})
+    efb_max_conflict: float = field(default=0.0, metadata={"minimum": 0, "exclusiveMaximum": 1})
+    early_stop_rounds: int = field(default=50, metadata={"minimum": 1})
+    validation_fraction: float = field(default=0.2, metadata={"minimum": 0, "maximum": 0.5})
+    seed: int = field(default=0, metadata={"minimum": 0})
 
     def __post_init__(self):
-        for bad, message in (
-            (self.rounds < 0, "rounds must be non-negative"),
-            (self.learning_rate <= 0, "learning_rate must be positive"),
-            (self.max_depth < 1 or self.max_leaves < 2, "max_depth >= 1 and max_leaves >= 2 required"),
-            (self.reg_lambda < 0 or self.gamma < 0 or self.min_child_hessian < 0,
-             "regularization terms must be non-negative"),
-            (self.bins < 2, "bins must be at least 2"),
-            (not (0.0 <= self.goss_a <= 1.0 and 0.0 <= self.goss_b <= 1.0),
-             "goss_a and goss_b must lie in [0, 1]"),
-            (self.goss_a + self.goss_b > 1.0 + 1e-12, "goss_a + goss_b must not exceed 1"),
-            (not (0.0 <= self.efb_max_conflict < 1.0), "efb_max_conflict must lie in [0, 1)"),
-            (self.early_stop_rounds < 1, "early_stop_rounds must be at least 1"),
-            (not (0.0 <= self.validation_fraction <= 0.5), "validation_fraction must lie in [0, 0.5]"),
-            (self.seed < 0, "seed must be non-negative"),
-        ):
-            if bad:
-                raise ConfigError(message)
+        check_fields(self)
+        if self.goss_a + self.goss_b > 1.0 + 1e-12:
+            raise ConfigError("goss_a + goss_b must not exceed 1")
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, UndefinedMetricError
+from .savefile import check_fields
 
 # Gate limits for a daily-resolution baseline model and its monthly rollup.
 MONTHLY_CV_LIMIT = 0.15
@@ -125,6 +126,8 @@ class KpiSet:
     nmbe: float
     n: int = field(metadata={"minimum": 1})
 
+    __post_init__ = check_fields
+
 
 @dataclass(frozen=True)
 class GateResult:
@@ -146,6 +149,7 @@ class KpiReport:
     monthly: Optional[KpiSet]
     gate: Optional[GateResult]
     p: int = field(metadata={"minimum": 0})
+    __post_init__ = check_fields
     passed = property(lambda self: self.gate is not None and self.gate.passed)
 
 
@@ -235,10 +239,10 @@ def kpi_set(actual, predicted, p: int = 1) -> KpiSet:
 def kpi_report(dates, actual, predicted, p: int = 1) -> KpiReport:
     """Daily KPIs, monthly-rollup KPIs, and the gate verdict in one call.
 
-    Monthly KPIs need fully covered calendar months, and one month is too few
-    for R^2. When they cannot be computed the monthly set and gate are
-    omitted (None) rather than raised, so callers on short windows still get
-    daily numbers.
+    Monthly KPIs need at least max(2, p + 1) fully covered calendar months:
+    one month is too few for R^2, and NMBE needs more months than p. When
+    they cannot be computed the monthly set and gate are omitted (None)
+    rather than raised, so callers on short windows still get daily numbers.
     """
     daily = kpi_set(actual, predicted, p=p)
     try:

@@ -41,20 +41,21 @@ and with two and compares the bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Literal, Optional, get_args
 
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, TrainingDivergedError
 from .features import TargetScaler
 from .metrics import FitTrace
-from .savefile import from_json, to_json
+from .savefile import check_fields, from_json, to_json
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-MLP_ACTIVATIONS = ("relu", "tanh")
+MlpActivation = Literal["relu", "tanh"]
+MLP_ACTIVATIONS = get_args(MlpActivation)
 # Windows per block when the recurrent model scores or predicts. Keep it a
 # multiple of 4: OpenBLAS's matrix-vector kernel sums the rows of a block in
 # groups of four from its first row, so blocks on that grid round the
@@ -66,25 +67,15 @@ _SCORE_ROWS = 64
 class TrainConfig:
     """Knobs of the shared training loop."""
 
-    learning_rate: float = 0.01
-    epochs: int = 500
-    batch_size: int = 32
-    seed: int = 0
-    early_stop_patience: int = 50
-    validation_fraction: float = 0.2
-    gradient_clip_norm: float = 1000.0
+    learning_rate: float = field(default=0.01, metadata={"exclusiveMinimum": 0})
+    epochs: int = field(default=500, metadata={"minimum": 1})
+    batch_size: int = field(default=32, metadata={"minimum": 1})
+    seed: int = field(default=0, metadata={"minimum": 0})
+    early_stop_patience: int = field(default=50, metadata={"minimum": 1})
+    validation_fraction: float = field(default=0.2, metadata={"exclusiveMinimum": 0, "maximum": 0.5})
+    gradient_clip_norm: float = field(default=1000.0, metadata={"exclusiveMinimum": 0})
 
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.epochs < 1 or self.batch_size < 1 or self.early_stop_patience < 1:
-            raise ConfigError("epochs, batch_size and patience must be positive")
-        if not (0.0 < self.validation_fraction <= 0.5):
-            raise ConfigError("validation_fraction must lie in (0, 0.5]")
-        if self.gradient_clip_norm <= 0:
-            raise ConfigError("gradient_clip_norm must be positive")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+    __post_init__ = check_fields
 
 
 def _glorot(rng, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -228,10 +219,12 @@ class MlpParams:
     """
 
     layer_sizes: list[int]
-    activation: str
+    activation: MlpActivation
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     target_scaler: Optional[TargetScaler]
+
+    __post_init__ = check_fields  # the forward pass would read another activation as tanh
 
     def arrays(self):
         return list(self.weights) + list(self.biases)
@@ -247,8 +240,6 @@ class MlpParams:
 
 def mlp_init(layer_sizes, activation: str = "relu", seed: int = 0) -> MlpParams:
     """Glorot-uniform weights, zero biases."""
-    if activation not in MLP_ACTIVATIONS:
-        raise ConfigError(f"unknown activation {activation!r}")
     if len(layer_sizes) < 2 or any(s < 1 for s in layer_sizes):
         raise ConfigError("layer_sizes needs at least input and output sizes")
     rng = np.random.default_rng(seed)
@@ -524,8 +515,6 @@ def mlp_from_dict(doc: dict) -> MlpParams:
     fit = list(zip(sizes, sizes[1:])) + [(s,) for s in sizes[1:]]
     if len(sizes) < 2 or [a.shape for a in params.arrays()] != fit:
         raise ValueError(f"MLP weights and biases do not fit layer sizes {sizes}")
-    if params.activation not in MLP_ACTIVATIONS:  # the forward pass reads others as tanh
-        raise ValueError(f"unknown MLP activation {params.activation!r}")
     return params
 
 

@@ -14,6 +14,9 @@ and output keys. fit_models, the pipeline up to the test KPIs, is what
 ``evaluate`` without ``--models`` runs. The Report dataclasses declare
 report.json once: savefile.to_json writes a Report, from_json(Report, doc)
 reads one back, and report_schema() derives report.schema.json from them.
+A setting's or report field's allowed values sit on the field, as a Literal
+or as bounds in its metadata, and savefile.check_fields enforces them when
+the dataclass is built; a __post_init__ holds only the rules across fields.
 
 The enabled models train in min(models, usable CPUs) worker processes, the
 pool (map_in_workers) the CLI also ingests its input channels in; with one
@@ -39,11 +42,12 @@ import numpy as np
 from . import gbmodels, nnmodels
 from .errors import ConfigError, DataError, NormbaseError, UndefinedMetricError
 from .features import FeatureMatrix, FeatureSpec, apply_scaler, build_features, fit_scaler, make_sequences
-from .metrics import FitTrace, KpiReport, kpi_report
-from .savefile import json_schema
+from .metrics import KpiReport, kpi_report
+from .savefile import check_fields, json_schema
 
 SELECTION_GATE = "gate-passing"
 SELECTION_TOP_K = "top_k"
+Selection = Literal[SELECTION_GATE, SELECTION_TOP_K]
 
 MIN_TRAIN_ROWS = 100
 MIN_TEST_ROWS = 30
@@ -70,11 +74,9 @@ class PeriodSpec:
 class KpiSetup:
     """KPI settings; ``p`` is the NMBE sample-count adjustment."""
 
-    p: int = 1
+    p: int = field(default=1, metadata={"minimum": 0})
 
-    def __post_init__(self):
-        if self.p < 0:
-            raise ConfigError("p must be non-negative")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -82,16 +84,10 @@ class EnsembleSetup:
     """Which models the ensemble averages: the gate passers, or the best
     ``top_k`` by daily CV(RMSE) whatever their gate verdict."""
 
-    selection: str = SELECTION_GATE
-    top_k: int = 2
+    selection: Selection = SELECTION_GATE
+    top_k: int = field(default=2, metadata={"minimum": 1})
 
-    def __post_init__(self):
-        if self.selection not in (SELECTION_GATE, SELECTION_TOP_K):
-            raise ConfigError(
-                f"selection must be '{SELECTION_GATE}' or '{SELECTION_TOP_K}', not {self.selection!r}"
-            )
-        if self.top_k < 1:
-            raise ConfigError("top_k must be at least 1")
+    __post_init__ = check_fields
 
 
 @dataclass(kw_only=True)
@@ -112,6 +108,7 @@ class RunSetup:
     reference_range: Optional[tuple[date, date]] = None
 
     def __post_init__(self):
+        check_fields(self)
         reference = self.reference_range
         if reference is not None and reference[1] < reference[0]:
             raise ConfigError("config key 'reference_range' ends before it starts")
@@ -122,26 +119,19 @@ class MlpSetup(nnmodels.TrainConfig):
     """The training loop's settings plus the network layout."""
 
     hidden_sizes: tuple[int, ...] = (32,)
-    activation: str = "relu"
+    activation: nnmodels.MlpActivation = "relu"
 
     def __post_init__(self):
         super().__post_init__()
         if not self.hidden_sizes or min(self.hidden_sizes) < 1:
             raise ConfigError("hidden_sizes must be a non-empty list of positive sizes")
-        if self.activation not in nnmodels.MLP_ACTIVATIONS:
-            raise ConfigError(f"activation must be 'relu' or 'tanh', not {self.activation!r}")
 
 
 @dataclass(frozen=True)
 class LstmSetup(nnmodels.TrainConfig):
     """The training loop's settings plus the cell width."""
 
-    hidden_size: int = 32
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.hidden_size < 1:
-            raise ConfigError("hidden_size must be positive")
+    hidden_size: int = field(default=32, metadata={"minimum": 1})
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +171,7 @@ class NetInfo:
 
     epochs: int = field(metadata={"minimum": 1})
     best_epoch: int = field(metadata={"minimum": 0})
+    __post_init__ = check_fields
     of = classmethod(lambda cls, params, trace: cls(len(trace.train), trace.best))
 
 
@@ -192,6 +183,7 @@ class TreeInfo:
     rounds: int = field(metadata={"minimum": 0})
     best_round: int = field(metadata={"minimum": -1})
     n_trees: int = field(metadata={"minimum": 0})
+    __post_init__ = check_fields
     of = classmethod(lambda cls, ens, trace: cls(len(trace.train), trace.best, len(ens.trees)))
 
 
@@ -391,7 +383,7 @@ class Report:
     periods: PeriodSpec
     seed: int
     kpi_p: int = field(metadata={"minimum": 0})
-    selection: Literal[SELECTION_GATE, SELECTION_TOP_K]
+    selection: Selection
     feature_names: list[str]
     models: dict[str, ModelReport]
     models_used: list[str]
@@ -401,6 +393,8 @@ class Report:
     cumulative: Cumulative
     totals: Totals
     schema_version: Literal[1] = 1
+
+    __post_init__ = check_fields
 
 
 def report_schema() -> dict:

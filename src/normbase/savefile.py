@@ -14,6 +14,12 @@ element to tell its dtype and reloads as float64. A saved tree keeps
 side NaN took while the tree grew is not saved (see gbmodels). json_schema
 reads the same annotations and writes the JSON Schema of what to_json
 writes, from which normalize.report_schema builds report.schema.json.
+
+A field's allowed values are declared on it: a Literal annotation, or JSON
+Schema bounds (``minimum``, ``exclusiveMinimum``, ``maximum``,
+``exclusiveMaximum``) in its metadata. check_fields enforces both when a
+dataclass that calls it from ``__post_init__`` is built, from_json names a
+field that fails by its dotted key, and json_schema emits both.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 import sys
 from datetime import date
 from pathlib import Path
@@ -33,6 +40,37 @@ from .errors import ConfigError
 # each name's last word is the type's name in JSON Schema
 _TYPE_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string"}
 _JSON_SCALARS = (float, int, bool, str, type(None))
+# JSON Schema's bound keywords, each as the comparison a value must pass; a NaN fails all four
+_BOUNDS = {"minimum": (">=", operator.ge), "exclusiveMinimum": (">", operator.gt),
+           "maximum": ("<=", operator.le), "exclusiveMaximum": ("<", operator.lt)}
+
+
+class FieldError(ConfigError):
+    """A field outside its declared values; from_json names it by its dotted key."""
+
+    def __init__(self, name: str, what: str):
+        super().__init__(f"{name} {what}")
+        self.name, self.what = name, what
+
+
+def _literal_fault(values: tuple, value):
+    """What ``value`` must be, if it is none of a Literal's ``values`` (by type and value: True is not 1)."""
+    if not any(type(value) is type(v) and value == v for v in values):
+        return f"must be {' or '.join(map(repr, values))}, not {value!r}"
+
+
+def check_fields(obj) -> None:
+    """Raise FieldError for the first field of dataclass ``obj`` that is not
+    one of its Literal annotation's values or fails a bound in its metadata.
+    A checked dataclass calls it from ``__post_init__``."""
+    for f, (kind, _) in zip(dataclasses.fields(obj), _fields(type(obj)).values()):
+        value = getattr(obj, f.name)
+        fault = get_origin(kind) is Literal and _literal_fault(get_args(kind), value)
+        if fault:
+            raise FieldError(f.name, fault)
+        if not all(_BOUNDS[k][1](value, limit) for k, limit in f.metadata.items()):
+            ranges = " and ".join(f"{_BOUNDS[k][0]} {limit}" for k, limit in f.metadata.items())
+            raise FieldError(f.name, f"must be {ranges}, not {value!r}")
 
 
 def to_json(obj):
@@ -88,7 +126,8 @@ def from_json(kind, doc, path: str = "", noun: str = "key"):
     ``noun`` says what a key is in error messages.
 
     Raises:
-        ValueError: a value fails its annotation or a nested dataclass's checks, naming its key.
+        ValueError: a value fails its annotation, its field's bounds or a
+            nested dataclass's checks, naming its key.
         TypeError: ``kind`` is none of the annotations above.
     """
     if kind is np.ndarray:  # first: a saved tree ensemble is mostly arrays
@@ -114,7 +153,9 @@ def from_json(kind, doc, path: str = "", noun: str = "key"):
                 raise ValueError(f"missing required {noun} '{_key(path, name)}'")
         try:
             return kind(**values)
-        except ConfigError as e:  # a range check of the dataclass, which knows no key
+        except FieldError as e:
+            raise _unfit(noun, _key(path, e.name), e.what) from None
+        except ConfigError as e:  # a rule across fields, which knows no one key
             if not path:
                 raise
             raise ValueError(f"{noun} '{path}': {e}") from None
@@ -131,9 +172,10 @@ def from_json(kind, doc, path: str = "", noun: str = "key"):
                     raise
                 errors.append(str(e))
         raise _unfit(noun, path, f"fits none of its forms: {'; '.join(errors)}")
-    if origin is Literal:  # by type and value: True is not 1
-        if not any(type(doc) is type(a) and doc == a for a in args):
-            raise _unfit(noun, path, f"must be {' or '.join(map(repr, args))}")
+    if origin is Literal:
+        fault = _literal_fault(args, doc)
+        if fault:
+            raise _unfit(noun, path, fault)
         return doc
     if origin in (list, tuple):
         if type(doc) is not list:

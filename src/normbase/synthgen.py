@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .savefile import check_fields
 from .tsdata import (
     CHANNEL_UNITS,
     ENERGY_CHANNEL,
@@ -63,36 +64,27 @@ class SynthConfig:
     study_start: date = date(2020, 3, 12)
     study_end: date = date(2020, 7, 31)
     timezone: str = "UTC"
-    interval_seconds: int = 120
-    base_load_kwh: float = 1000.0
-    occupant_share: float = 2.0
-    occupancy_drop: float = 0.0
-    temp_coeff: float = 25.0
+    interval_seconds: int = field(default=120, metadata={"minimum": 1})
+    base_load_kwh: float = field(default=1000.0, metadata={"exclusiveMinimum": 0})
+    occupant_share: float = field(default=2.0, metadata={"minimum": 0})
+    occupancy_drop: float = field(default=0.0, metadata={"minimum": 0, "maximum": 1})
+    temp_coeff: float = field(default=25.0, metadata={"minimum": 0})
     balance_temp_c: float = 18.0
-    solar_coeff: float = 0.4
+    solar_coeff: float = field(default=0.4, metadata={"minimum": 0})
     weekly_pattern: tuple[float, ...] = (1.05, 1.06, 1.04, 1.03, 1.0, 0.85, 0.8)
-    noise_sigma_kwh: float = 30.0
-    seed: int = 7
+    noise_sigma_kwh: float = field(default=30.0, metadata={"minimum": 0})
+    seed: int = field(default=7, metadata={"minimum": 0})
 
     def __post_init__(self):
+        check_fields(self)
         if not self.start < self.study_start <= self.study_end:
             raise ConfigError("need start < study_start <= study_end")
         if self.study_end > LAST_DAY:
             raise ConfigError(f"study_end must be on or before {LAST_DAY}")
-        if self.interval_seconds <= 0 or DAY_SECONDS % self.interval_seconds:
+        if DAY_SECONDS % self.interval_seconds:
             raise ConfigError("interval_seconds must divide a day evenly")
-        if self.base_load_kwh <= 0:
-            raise ConfigError("base_load_kwh must be positive")
-        if self.occupant_share < 0 or self.temp_coeff < 0 or self.solar_coeff < 0:
-            raise ConfigError("load coefficients must be non-negative")
-        if not 0.0 <= self.occupancy_drop <= 1.0:
-            raise ConfigError("occupancy_drop must lie in [0, 1]")
         if len(self.weekly_pattern) != 7 or any(w <= 0 for w in self.weekly_pattern):
             raise ConfigError("weekly_pattern needs 7 positive weights")
-        if self.noise_sigma_kwh < 0:
-            raise ConfigError("noise_sigma_kwh must be non-negative")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
         resolve_timezone(self.timezone)
 
 

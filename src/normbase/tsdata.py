@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, time, timedelta, timezone
-from typing import Optional
+from typing import Literal, Optional, get_args
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -62,16 +62,11 @@ from .errors import (
     SchemaError,
     UnfillableChannelError,
 )
+from .savefile import check_fields
 
 ENERGY_CHANNEL = "kwh"
-WEATHER_CHANNELS = (
-    "drybulb_c",
-    "solar_wm2",
-    "rh_pct",
-    "dewpoint_c",
-    "windspeed_ms",
-    "winddir_deg",
-)
+WeatherChannel = Literal["drybulb_c", "solar_wm2", "rh_pct", "dewpoint_c", "windspeed_ms", "winddir_deg"]
+WEATHER_CHANNELS = get_args(WeatherChannel)
 
 # Canonical unit per channel; schema declarations must agree.
 CHANNEL_UNITS = {
@@ -116,11 +111,10 @@ class SeriesSchema:
     channel: str
     unit: str
     timezone: str
-    interval_seconds: int
+    interval_seconds: int = field(metadata={"minimum": 1})
 
     def __post_init__(self):
-        if self.interval_seconds <= 0:
-            raise ConfigError("interval_seconds must be positive")
+        check_fields(self)
         canonical = CHANNEL_UNITS.get(self.channel)
         if canonical is not None and self.unit != canonical:
             raise SchemaError(
@@ -741,12 +735,10 @@ def serialize_series(series: RawSeries) -> str:
 class GapFillPolicy:
     """Limits for how long a missing run may be and still get filled."""
 
-    max_interior: int = 30
-    max_edge: int = 5
+    max_interior: int = field(default=30, metadata={"minimum": 0})
+    max_edge: int = field(default=5, metadata={"minimum": 0})
 
-    def __post_init__(self):
-        if self.max_interior < 0 or self.max_edge < 0:
-            raise ConfigError("gap limits must be non-negative")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)

@@ -771,17 +771,17 @@ class TestConfigValidation:
             ("periods", "train", ["2019-01-01", "2019-10-3l"],
              "config key 'periods.train[1]' is not an ISO date: '2019-10-3l'"),
             ("kpi", "p", -1,
-             "config key 'kpi': p must be non-negative"),
+             "config key 'kpi.p' must be >= 0, not -1"),
             ("", "seed", "1",
              "config key 'seed' must be an integer"),
             ("", "output", "out",
              "unknown config key 'output'"),
             ("ensemble", "top_k", 0,
-             "config key 'ensemble': top_k must be at least 1"),
+             "config key 'ensemble.top_k' must be >= 1, not 0"),
             ("", "timezone", "Mars/Olympus",
              "unrecognized timezone 'Mars/Olympus'"),
             ("", "interval_seconds", 0,
-             "interval_seconds must be positive"),
+             "config key 'interval_seconds' must be >= 1, not 0"),
         ],
     )
     def test_run_config(self, data_dir, tmp_path, section, key, value, message):
@@ -809,14 +809,14 @@ class TestConfigValidation:
         if command == "normalize":
             doc = run_config(data_dir, output_dir=str(tmp_path / "out"))
             doc["models"]["gbt_hist"]["seed"] = -5
+            key, value = "models.gbt_hist.seed", -5
         else:
             doc = {"seed": -1, "output_dir": str(tmp_path / "out")}
+            key, value = "seed", -1
         rc = cli.main([command, "--config", write_config(tmp_path / "c.json", doc)])
         assert rc == 2
         err = capsys.readouterr().err
-        # a synth config is one top-level object, so its keys name no section
-        section = "config key 'models.gbt_hist': " if command == "normalize" else ""
-        assert f"config error: {section}seed must be non-negative\n" in err
+        assert f"config error: config key '{key}' must be >= 0, not {value}\n" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -857,9 +857,11 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "model, key, value, message",
         [
-            ("lstm", "hidden_size", 0, "hidden_size must be positive"),
-            ("mlp", "hidden_sizes", [0], "hidden_sizes must be a non-empty list of positive sizes"),
-            ("mlp", "activation", "sigmoid", "activation must be 'relu' or 'tanh', not 'sigmoid'"),
+            ("lstm", "hidden_size", 0, "config key 'models.lstm.hidden_size' must be >= 1, not 0"),
+            ("mlp", "hidden_sizes", [0],
+             "config key 'models.mlp': hidden_sizes must be a non-empty list of positive sizes"),
+            ("mlp", "activation", "sigmoid",
+             "config key 'models.mlp.activation' must be 'relu' or 'tanh', not 'sigmoid'"),
         ],
     )
     def test_bad_network_size_exits_2_at_load(self, data_dir, tmp_path, capsys, monkeypatch,
@@ -873,9 +875,25 @@ class TestConfigValidation:
         rc = cli.main(["normalize", "--config", write_config(tmp_path / "c.json", doc)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert f"config error: config key 'models.{model}': {message}\n" in err
+        assert f"config error: {message}\n" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["normalize", "evaluate"])
+    def test_energy_channel_as_feature_exits_2_at_load(self, data_dir, tmp_path, capsys, monkeypatch,
+                                                       command):
+        def no_ingest(*args, **kwargs):
+            raise AssertionError("input was read before the config was checked")
+
+        monkeypatch.setattr(cli, "_ingest", no_ingest)
+        doc = run_config(data_dir, output_dir=str(tmp_path / "out"),
+                         features={"weather_channels": ["drybulb_c", "kwh"]})
+        rc = cli.main([command, "--config", write_config(tmp_path / "c.json", doc)])
+        assert rc == 2
+        channels = " or ".join(map(repr, tsdata.WEATHER_CHANNELS))
+        assert capsys.readouterr().err == (
+            f"config error: config key 'features.weather_channels' must be {channels}, not 'kwh'\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["normalize", "synth"])
     @pytest.mark.parametrize("via", ["output_dir", "--out", "--out below"])
@@ -1069,6 +1087,17 @@ class TestEvaluate:
         assert captured.out.endswith("\nno model passed the acceptance gate\n")
         assert "\ngbt_exact " in captured.out
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("p, cell", [
+        (1, "PASS"), (2, "n/a (monthly KPIs need at least 3 complete test months)")])
+    def test_gate_cell_states_the_months_p_needs(self, data_dir, tmp_path, capsys, p, cell):
+        # the test range holds two complete months, and NMBE needs more than p
+        doc = run_config(data_dir, kpi={"p": p})
+        doc["models"].update(gbt_hist={"enabled": False})
+        rc = cli.main(["evaluate", "--config", write_config(tmp_path / "c.json", doc)])
+        assert rc == (0 if cell == "PASS" else 3)
+        row = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("gbt_exact "))
+        assert row.endswith(f"  {cell}")
 
     def test_saved_models_reproduce_training_kpis(self, data_dir, tmp_path, capsys):
         out_dir = tmp_path / "out"

@@ -740,7 +740,7 @@ class TestValidation:
             gb.BoostConfig(efb_max_conflict=1.0)
         with pytest.raises(ConfigError):
             gb.BoostConfig(validation_fraction=0.6)
-        with pytest.raises(ConfigError, match="seed must be non-negative"):
+        with pytest.raises(ConfigError, match="^seed must be >= 0, not -5$"):
             gb.BoostConfig(seed=-5)
 
     def test_too_few_rows(self):

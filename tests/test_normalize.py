@@ -142,7 +142,7 @@ class TestPipelineValidation:
                 periods=small_periods, ensemble=nb.EnsembleSetup(selection=nb.SELECTION_TOP_K, top_k=0)))
 
     def test_negative_p_fails_before_any_fit(self, small_table, small_periods, tree_models, no_fit):
-        with pytest.raises(ConfigError, match="^p must be non-negative$"):
+        with pytest.raises(ConfigError, match="^p must be >= 0, not -1$"):
             nb.run_pipeline(small_table, nb.RunSetup(
                 periods=small_periods, models=tree_models, kpi=nb.KpiSetup(p=-1)))
 

@@ -47,12 +47,11 @@ DAMAGES = {
     "gate-passed-missing": (("models", "gbt_exact", "kpis", "gate", "passed"), DROP),
     "reference-total-null": (("totals", "reference_total_kwh"), None),
 }
-# rules only the schema checks: a defaulted field, the minimums and the ties
-# of model names to their info dataclass
+# rules only the schema checks: a defaulted field and the ties of model names
+# to their info dataclass
 SCHEMA_ONLY = {
-    "schema_version-missing", "kpi_p-negative", "model-p-negative", "unknown-used-model",
-    "unknown-model-key", "mlp-tree-info", "gbt_hist-net-info", "daily-n-0", "epochs-0",
-    "best_round-minus-2",
+    "schema_version-missing", "unknown-used-model", "unknown-model-key", "mlp-tree-info",
+    "gbt_hist-net-info",
 }
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from datetime import date
 from typing import Literal, Optional, Union
 
@@ -138,9 +139,9 @@ def test_a_literal_matches_type_and_value():
     assert from_json(Literal[1], 1) == 1
     assert from_json(Literal["a", "b"], "b") == "b"
     for doc in (True, 1.0, "1"):
-        with pytest.raises(ValueError, match="^key 'version' must be 1$"):
+        with pytest.raises(ValueError, match=f"^key 'version' must be 1, not {re.escape(repr(doc))}$"):
             from_json(Literal[1], doc, path="version")
-    with pytest.raises(ValueError, match="^key 'mode' must be 'a' or 'b'$"):
+    with pytest.raises(ValueError, match="^key 'mode' must be 'a' or 'b', not 'c'$"):
         from_json(Literal["a", "b"], "c", path="mode")
 
 

@@ -51,7 +51,7 @@ class TestConfigValidation:
             tiny_cfg(timezone="Atlantis/Capital")
 
     def test_negative_seed(self):
-        with pytest.raises(ConfigError, match="seed must be non-negative"):
+        with pytest.raises(ConfigError, match="^seed must be >= 0, not -1$"):
             tiny_cfg(seed=-1)
 
     def test_study_end_needs_a_closing_midnight(self):
