@@ -48,7 +48,7 @@ from .errors import ConfigError, DataError, NormbaseError, ParseError
 from .features import Scaler, apply_scaler, build_features, feature_names
 from .metrics import monthly_rollup
 from .normalize import MODEL_KINDS, RunSetup, fit_models, map_in_workers, run_pipeline, score
-from .savefile import from_json, to_json
+from .savefile import check_fields, from_json, to_json
 from .svgchart import cumulative_chart, dlr_chart, overlay_chart
 from .synthgen import SynthConfig, configure_for_target, generate, write_dataset
 from .tsdata import (
@@ -318,8 +318,10 @@ class SavedModel:
     kind: str
     feature_names: list[str]
     feature_scaler: Scaler
-    lookback_days: int
+    lookback_days: int = field(metadata={"minimum": 1})
     payload: dict
+
+    __post_init__ = check_fields
 
 
 def _model_json(name: str, run, settings: RunSettings) -> Optional[str]:
@@ -398,8 +400,6 @@ def _load_models(settings: RunSettings, models_dir: Path) -> dict:
             saved = from_json(SavedModel, json.loads(f.read_text()))
             if saved.kind != name:
                 raise ValueError(f"it holds a {saved.kind!r} model")
-            if saved.lookback_days < 1:
-                raise ValueError(f"lookback_days is {saved.lookback_days}, not at least 1")
             fitted = kind.from_dict(saved.payload)
             scaler = saved.feature_scaler
             shapes = {(len(saved.feature_names),), (kind.n_inputs(fitted),)}

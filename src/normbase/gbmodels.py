@@ -272,10 +272,10 @@ def goss_sample(g, a: float, b: float, seed: int):
 
     Args:
         g: per-row gradients.
-        a: fraction of rows kept deterministically (largest |g| first,
-            ties resolved toward the lower row index).
-        b: fraction of the remaining rows sampled uniformly without
-            replacement, each carrying weight (1 - a) / b.
+        a: a BoostConfig's goss_a, the fraction of rows kept (largest |g|
+            first, ties resolved toward the lower row index).
+        b: its goss_b, the fraction of rows sampled uniformly without
+            replacement from the rest, each carrying weight (1 - a) / b.
         seed: RNG seed; identical inputs give identical samples.
 
     Returns:
@@ -285,10 +285,6 @@ def goss_sample(g, a: float, b: float, seed: int):
     n = g.size
     if n == 0:
         raise DataError("goss_sample needs at least one row")
-    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
-        raise ConfigError("goss fractions must lie in [0, 1]")
-    if a + b > 1.0 + 1e-12:
-        raise ConfigError("goss_a + goss_b must not exceed 1")
 
     # ceil with a guard against float fuzz (0.2 * 200 must stay 40).
     top_n = min(n, max(0, math.ceil(a * n - 1e-9)))
@@ -341,8 +337,8 @@ def efb_bundle(X, max_conflict: float):
 
     Args:
         X: training feature matrix.
-        max_conflict: tolerated fraction of rows on which bundled features
-            collide (0 bundles only perfectly exclusive features).
+        max_conflict: a BoostConfig's efb_max_conflict, the fraction of rows
+            on which bundled features may collide (0: perfectly exclusive).
 
     Returns:
         List of FeatureBundle covering every column exactly once, ordered by
@@ -351,8 +347,6 @@ def efb_bundle(X, max_conflict: float):
     """
     X = np.asarray(X, dtype=float)
     n, n_features = X.shape
-    if not (0.0 <= max_conflict < 1.0):
-        raise ConfigError("max_conflict must lie in [0, 1)")
 
     nz = [(X[:, f] != 0) & ~np.isnan(X[:, f]) for f in range(n_features)]
     counts = np.array([int(m.sum()) for m in nz])

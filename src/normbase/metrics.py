@@ -90,7 +90,7 @@ def nmbe(actual, predicted, p: int = 1) -> float:
         UndefinedMetricError: if the actual series has zero mean.
     """
     if p < 0:
-        raise ConfigError("NMBE adjustment p must be non-negative")
+        raise ConfigError(f"p must be >= 0, not {p!r}")
     a, pr = _as_pair(actual, predicted)
     n = a.size
     if n <= p:

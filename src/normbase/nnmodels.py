@@ -126,9 +126,8 @@ def _fit(params, loss_grad, forward, data, cfg: TrainConfig):
     further than learning_rate * gradient_clip_norm. The parameters, the
     moments, the update and the scratch vector of the temporaries share one
     flat layout (see the module docstring), and the returned params' arrays
-    are views of the parameter vector. The norm adds one sum of squares per
-    params.norm_blocks() block, in order: one per gate, as when each gate
-    was its own array.
+    are views of the parameter vector. The norm is one sum of squares over
+    that vector: global-norm clipping treats every parameter as one vector.
     Each epoch's training loss is sum(loss_b * |b|) / n_train over its
     mini-batches b, the losses loss_grad returned before each update
     (Keras's convention); its validation loss is the MSE of a forward pass
@@ -151,7 +150,6 @@ def _fit(params, loss_grad, forward, data, cfg: TrainConfig):
     theta = np.concatenate(arrays, axis=None)
     params.set_arrays(_views(theta, arrays))
     g, m, v, u, s = np.zeros((5, theta.size))
-    squares = [q.reshape(k, -1) for q, k in zip(_views(s, arrays), params.norm_blocks())]
     t = 0
     rng = np.random.default_rng(cfg.seed + 1)
     trace = FitTrace()
@@ -183,7 +181,7 @@ def _fit(params, loss_grad, forward, data, cfg: TrainConfig):
             s += ADAM_EPS
             u /= s
             np.multiply(u, u, out=s)
-            norm = math.sqrt(sum(r for q in squares for r in np.add.reduce(q, axis=1).tolist()))
+            norm = math.sqrt(np.add.reduce(s))
             if norm > cfg.gradient_clip_norm:
                 u *= cfg.gradient_clip_norm / norm
             u *= cfg.learning_rate
@@ -233,9 +231,6 @@ class MlpParams:
         """Inverse of arrays(): bind each field to its array."""
         k = len(self.weights)
         self.weights, self.biases = list(arrays[:k]), list(arrays[k:])
-
-    def norm_blocks(self):
-        return [1] * (2 * len(self.weights))
 
 
 def mlp_init(layer_sizes, activation: str = "relu", seed: int = 0) -> MlpParams:
@@ -360,9 +355,6 @@ class LstmParams:
     def set_arrays(self, arrays):
         """Inverse of arrays(): bind each field to its array."""
         self.W, self.U, self.b, self.w_out, self.b_out = arrays
-
-    def norm_blocks(self):
-        return [4, 4, 4, 1, 1]
 
 
 def lstm_init(input_size: int, hidden_size: int, seed: int = 0) -> LstmParams:

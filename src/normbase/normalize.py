@@ -450,10 +450,11 @@ def map_in_workers(fn, *iterables) -> list:
     and need no fresh import, and with them the one BLAS thread that
     importing normbase sets (see __init__). Results and errors are read back
     in input order, so the first failing item raises its own exception, as
-    it would in the serial loop. Items not yet handed to a worker are then
-    cancelled, the others finish, and every worker has exited before this
-    returns or raises. A worker that dies (killed, say, by the kernel for
-    memory) takes every pending item with it; that raises a NormbaseError
+    it would in the serial loop. On that or any exception (a KeyboardInterrupt,
+    say), the pool's workers, the children not alive before it started, are
+    terminated with the items they run, and every worker has exited before
+    this returns or raises. A worker that dies (killed, say, by the kernel
+    for memory) takes every pending item with it; that raises a NormbaseError
     naming the items whose results had not been read back. Where the
     platform cannot report the usable CPUs (and ``fork`` may be unsafe) it
     runs serially.
@@ -466,14 +467,22 @@ def map_in_workers(fn, *iterables) -> list:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    results = []
+    results, others = [], set(multiprocessing.active_children())
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
         try:
-            for result in pool.map(fn, *iterables):
-                results.append(result)
-        except BrokenProcessPool:
-            lost = ", ".join(map(str, iterables[0][len(results):]))
-            raise NormbaseError(f"a worker process was lost while running {lost}") from None
+            # not pool.map, which cancels the items not yet started when it
+            # raises: an executor that then finds its workers terminated
+            # fails on a cancelled item and leaves a worker running
+            futures = [pool.submit(fn, *args) for args in zip(*iterables)]
+            for future in futures:
+                results.append(future.result())
+        except BaseException as e:
+            for child in set(multiprocessing.active_children()) - others:
+                child.terminate()
+            if isinstance(e, BrokenProcessPool):
+                lost = ", ".join(map(str, iterables[0][len(results):]))
+                raise NormbaseError(f"a worker process was lost while running {lost}") from None
+            raise
     return results
 
 
@@ -482,13 +491,14 @@ def fit_models(table, setup: RunSetup, ranges: tuple = ()) -> tuple:
     aligned daily table, and score them on its test rows.
 
     Before any fit, the train and test ranges must have enough usable rows,
-    then each (name, (first, last)) of ``ranges`` one. Returns (scaler fitted
-    on the train rows, scaled matrix, test mask, fits), fits mapping each
-    enabled model, in MODEL_ORDER, to (test KPIs, prediction per matrix row,
-    FitTrace, fitted model).
+    the test range more than kpi.p, then each (name, (first, last)) of
+    ``ranges`` one. Returns (scaler fitted on the train rows, scaled matrix,
+    test mask, fits), fits mapping each enabled model, in MODEL_ORDER, to
+    (test KPIs, prediction per matrix row, FitTrace, fitted model).
 
     Raises:
-        ConfigError: ``setup.models`` names an unknown model, or none.
+        ConfigError: ``setup.models`` names an unknown model, or none, or
+            kpi.p is not below the test range's usable rows.
         DataError: too few usable rows in a range.
     """
     models = default_model_configs(setup.seed) if setup.models is None else setup.models
@@ -504,8 +514,11 @@ def fit_models(table, setup: RunSetup, ranges: tuple = ()) -> tuple:
     test_mask = matrix.date_mask(*setup.periods.test)
     if int(train_mask.sum()) < MIN_TRAIN_ROWS:
         raise DataError(f"train range has {int(train_mask.sum())} usable rows, needs {MIN_TRAIN_ROWS}")
-    if int(test_mask.sum()) < MIN_TEST_ROWS:
-        raise DataError(f"test range has {int(test_mask.sum())} usable rows, needs {MIN_TEST_ROWS}")
+    test_days = int(test_mask.sum())
+    if test_days < MIN_TEST_ROWS:
+        raise DataError(f"test range has {test_days} usable rows, needs {MIN_TEST_ROWS}")
+    if setup.kpi.p >= test_days:
+        raise ConfigError(f"kpi.p must be below the test range's {test_days} usable days, not {setup.kpi.p}")
     for name, (first, last) in ranges:
         if not matrix.date_mask(first, last).any():
             raise DataError(f"{name} has no usable rows")
@@ -528,7 +541,7 @@ def run_pipeline(table, setup: RunSetup) -> NormalizationReport:
         no totals.
 
     Raises:
-        ConfigError: ``setup.models`` names an unknown model, or none.
+        ConfigError: as fit_models.
         DataError: too few usable rows in a period or the reference range,
             or no selected model predicts a study day (a lookback window
             can leave them all uncovered).

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import encode_report, nested_tree
-from normbase import cli, gbmodels, nnmodels, synthgen, tsdata
+from normbase import cli, gbmodels, nnmodels, normalize, synthgen, tsdata
 from normbase.errors import ConfigError, DataError, ParseError
 from normbase.features import FeatureSpec, Scaler, apply_scaler, build_features
 from normbase.normalize import MODEL_KINDS, EnsembleSetup, KpiSetup, PeriodSpec, RunSetup, run_pipeline
@@ -396,6 +396,40 @@ class TestNormalize:
         assert not any(out.glob("report.json*"))
         assert not multiprocessing.active_children()
 
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+    @pytest.mark.parametrize("stop", ["diverge", "interrupt"])
+    def test_first_failure_or_interrupt_stops_the_running_fits(self, data_dir, tmp_path, cpus,
+                                                               monkeypatch, stop):
+        """A diverging first model (gbt_exact), or a SIGINT to the main
+        process alone, terminates the workers: a slow fit writes its marker
+        only if it finishes, and none does."""
+        test_pid, boost_fit = os.getpid(), gbmodels.boost_fit
+        marker = tmp_path / "finished"
+
+        def slow_fit(data, cfg, kind):
+            # in a worker, gbt_exact diverges (or interrupts the main process
+            # and sleeps), and gbt_hist sleeps
+            if os.getpid() != test_pid and (kind == "histogram" or stop == "interrupt"):
+                if kind == "exact":
+                    os.kill(os.getppid(), signal.SIGINT)
+                time.sleep(10)
+                marker.write_text(kind)
+            return boost_fit(data, cfg, kind=kind)
+
+        monkeypatch.setattr(gbmodels, "boost_fit", slow_fit)
+        cpus(2)
+        doc = run_config(data_dir, output_dir=str(tmp_path / "out"))
+        if stop == "diverge":
+            doc["models"]["gbt_exact"]["learning_rate"] = 1e308
+        cfg = write_config(tmp_path / "c.json", doc)
+        if stop == "diverge":
+            assert cli.main(["normalize", "--config", cfg]) == 4
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(["normalize", "--config", cfg])
+        assert not multiprocessing.active_children()
+        assert not marker.exists()
+
     def test_ingest_log_does_not_depend_on_worker_count(self, damaged_dir, tmp_path):
         cfg = write_config(tmp_path / "c.json", run_config(damaged_dir, output_dir=str(tmp_path / "out")))
         runs = [run_with_cpus(n, ["normalize", "--config", cfg]) for n in (1, 2)]
@@ -631,6 +665,21 @@ class TestRunSetup:
         rc = cli.main(["normalize", "--config", write_config(tmp_path / "c.json", doc)])
         assert rc == 4
         assert capsys.readouterr().err == "data error: reference_range has no usable rows\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("p", [61, 400])
+    def test_kpi_p_of_the_test_days_or_more_exits_2_before_any_fit(
+        self, data_dir, tmp_path, capsys, monkeypatch, p
+    ):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a model trained before kpi.p was checked")
+
+        monkeypatch.setattr(normalize, "_fit_one", no_fit)
+        doc = run_config(data_dir, output_dir=str(tmp_path / "out"), kpi={"p": p})
+        rc = cli.main(["normalize", "--config", write_config(tmp_path / "c.json", doc)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"config error: kpi.p must be below the test range's 61 usable days, not {p}\n")
         assert not (tmp_path / "out").exists()
 
 
@@ -1275,6 +1324,8 @@ class TestEvaluate:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: cannot load model file {models / name}.json: ")
+        if corruption.startswith("lookback"):
+            assert "key 'lookback_days' must be " in err
         assert "Traceback" not in err
 
     def test_empty_models_dir(self, data_dir, tmp_path, capsys):

@@ -45,6 +45,8 @@ def valid(name: str) -> dict:
         "MlpParams": dict(layer_sizes=[1, 1], activation="relu", weights=[np.ones((1, 1))],
                           biases=[np.zeros(1)], target_scaler=None),
         "NetInfo": dict(epochs=5, best_epoch=2),
+        "SavedModel": dict(kind="mlp", feature_names=["x"], payload={},
+                           feature_scaler=normbase.features.Scaler(np.zeros(1), np.ones(1), np.zeros(1, bool))),
         "TreeInfo": dict(rounds=5, best_round=2, n_trees=3),
         "Report": dict(periods=PERIODS, seed=0, kpi_p=1, selection=n.SELECTION_GATE, feature_names=[],
                        models={}, models_used=[], flags=n.Flags(False, []),
@@ -105,7 +107,7 @@ def test_the_checked_dataclasses():
     assert {cls.__name__ for cls in CHECKED} == {
         "BoostConfig", "TrainConfig", "MlpParams", "MlpSetup", "LstmSetup", "KpiSetup", "EnsembleSetup",
         "RunSettings", "FeatureSpec", "GapFillPolicy", "SeriesSchema", "SynthConfig",
-        "KpiSet", "KpiReport", "NetInfo", "TreeInfo", "Report",
+        "KpiSet", "KpiReport", "NetInfo", "TreeInfo", "Report", "SavedModel",
     }
 
 

@@ -1,17 +1,19 @@
 """nnmodels' training loop against the array-by-array loop it replaced.
 
 ``_fit`` and ``_global_norm`` below are the earlier functions, kept as the
-oracle: they update the moments of each parameter array on its own and sum
-the update norm array by array. The one edit since is how the oracle records
-``train_loss``: the row-weighted mean of the epoch's mini-batch losses, in
-place of a forward pass over the training split. The oracle trains the
+oracle: they update the moments of each parameter array on its own. Two
+edits since: the oracle records ``train_loss`` as the row-weighted mean of
+the epoch's mini-batch losses, in place of a forward pass over the training
+split, and ``_global_norm`` sums the squares of all the update arrays, laid
+end to end in the flat vector's order, in one ``np.add.reduce``, as
+global-norm clipping of one parameter vector does. The oracle trains the
 recurrent model on the 14 per-gate views of its gate-stacked arrays, as the
-per-gate parameter lists were; the current loop updates flat moment vectors
-and sums one partial norm per gate. For every drawn problem both must end with
-the same parameters and the same per-epoch losses and best epoch, compared
-as raw bytes, so every bit agrees. The oracle records z-scored MSEs in its
-own TrainTrace; the current loop records sqrt(loss) * effective_std of each
-in a FitTrace, and the comparison converts the oracle's the same way.
+per-gate parameter lists were; the current loop updates flat moment
+vectors. For every drawn problem both must end with the same parameters and
+the same per-epoch losses and best epoch, compared as raw bytes, so every
+bit agrees. The oracle records z-scored MSEs in its own TrainTrace; the
+current loop records sqrt(loss) * effective_std of each in a FitTrace, and
+the comparison converts the oracle's the same way.
 
 The draws cover a clip norm that fires (0.05) and one that never does
 (1000), and patiences short enough that early stopping and the
@@ -31,7 +33,7 @@ from normbase.errors import TrainingDivergedError
 from normbase.features import TargetScaler
 from normbase.nnmodels import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LstmParams, TrainConfig
 
-# -- oracle: the array-by-array loop, unchanged -------------------------------
+# -- oracle: the array-by-array loop ------------------------------------------
 
 
 @dataclass
@@ -44,7 +46,7 @@ class TrainTrace:
 
 
 def _global_norm(arrays) -> float:
-    return float(np.sqrt(sum(float(np.sum(a * a)) for a in arrays)))
+    return float(np.sqrt(np.add.reduce(np.concatenate([a * a for a in arrays], axis=None))))
 
 
 def _fit(params, loss_grad, forward, data, cfg: TrainConfig):

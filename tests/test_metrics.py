@@ -92,7 +92,7 @@ class TestValidation:
             metrics.nmbe([1.0], [2.0], p=1)
 
     def test_nmbe_negative_p(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^p must be >= 0, not -1$"):
             metrics.nmbe([1.0, 2.0], [1.0, 2.0], p=-1)
 
 
