@@ -65,5 +65,5 @@ class DimensionError(NormbaseError):
 
 
 class TrainingDivergedError(NormbaseError):
-    """Training produced a non-finite loss or parameter."""
+    """Training produced a non-finite loss or prediction."""
 

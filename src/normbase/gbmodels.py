@@ -29,6 +29,7 @@ Split scoring and leaf weights follow the second-order objective with L2 leaf
 regularization ``reg_lambda`` and per-split penalty ``gamma``. boost_fit
 records each round's training and validation RMSE, in target units, in a
 metrics.FitTrace, the record the networks' trainer fills too.
+Non-finite training predictions are the one sign of divergence.
 
 Everything is deterministic given the config seed; nothing here spawns
 threads, so results never depend on available parallelism.
@@ -553,7 +554,8 @@ def boost_fit(data, cfg: BoostConfig, kind: str = "exact"):
 
     Raises:
         DataError: fewer than 10 rows.
-        TrainingDivergedError: non-finite predictions appeared.
+        TrainingDivergedError: a round's training predictions are not finite
+            (the round loop's one np.errstate lets overflow pass unwarned).
     """
     if kind not in ("exact", "histogram"):
         raise ConfigError(f"unknown ensemble kind {kind!r}")
@@ -591,40 +593,37 @@ def boost_fit(data, cfg: BoostConfig, kind: str = "exact"):
     nan_rows = np.flatnonzero(np.isnan(Xb_train).any(axis=1))
     leaf_of = np.empty(n_train, dtype=np.intp)
 
-    for r in range(cfg.rounds):
-        g, h = grad_hess(y_train, pred_train)
-        if kind == "histogram":
-            rows, row_weights = goss_sample(g, cfg.goss_a, cfg.goss_b, cfg.seed + r + 1)
-            w = np.zeros(n_train)
-            w[rows] = row_weights
-            tree = build_tree_hist(bin_idx, edges, g, h, w, rows, cfg, leaf_of=leaf_of)
-        else:
-            tree = build_tree_exact(X_train, g, h, cfg, order, leaf_of=leaf_of)
-        ens.trees.append(tree)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(cfg.rounds):
+            g, h = grad_hess(y_train, pred_train)
+            if kind == "histogram":
+                rows, row_weights = goss_sample(g, cfg.goss_a, cfg.goss_b, cfg.seed + r + 1)
+                w = np.zeros(n_train)
+                w[rows] = row_weights
+                tree = build_tree_hist(bin_idx, edges, g, h, w, rows, cfg, leaf_of=leaf_of)
+            else:
+                tree = build_tree_exact(X_train, g, h, cfg, order, leaf_of=leaf_of)
+            ens.trees.append(tree)
 
-        step = tree.weight[leaf_of]
-        if nan_rows.size:
-            step[nan_rows] = predict_tree(tree, Xb_train[nan_rows])
-        # overflow is tolerated for one step; the finiteness check below raises
-        with np.errstate(over="ignore", invalid="ignore"):
+            step = tree.weight[leaf_of]
+            if nan_rows.size:
+                step[nan_rows] = predict_tree(tree, Xb_train[nan_rows])
             pred_train = pred_train + cfg.learning_rate * step
-        if not np.all(np.isfinite(pred_train)):
-            raise TrainingDivergedError(f"non-finite predictions at round {r}")
-        # a huge-but-finite pred squares to inf; keep it as an inf trace entry
-        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(pred_train)):
+                raise TrainingDivergedError(f"non-finite predictions at round {r}")
             trace.train.append(float(np.sqrt(np.mean((pred_train - y_train) ** 2))))
 
-        if n_val:
-            pred_val = pred_val + cfg.learning_rate * predict_tree(tree, Xb_val)
-            v = float(np.sqrt(np.mean((pred_val - y_val) ** 2)))
-            trace.val.append(v)
-            if v < best_val:
-                best_val = v
+            if n_val:
+                pred_val = pred_val + cfg.learning_rate * predict_tree(tree, Xb_val)
+                v = float(np.sqrt(np.mean((pred_val - y_val) ** 2)))
+                trace.val.append(v)
+                if v < best_val:
+                    best_val = v
+                    trace.best = r
+                elif r - trace.best >= cfg.early_stop_rounds:
+                    break
+            else:
                 trace.best = r
-            elif r - trace.best >= cfg.early_stop_rounds:
-                break
-        else:
-            trace.best = r
 
     if n_val and trace.best >= 0:
         del ens.trees[trace.best + 1 :]

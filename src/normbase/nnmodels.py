@@ -14,6 +14,7 @@ mini-batch losses, and only the validation split gets a forward pass.
 Targets are z-scored internally with a dedicated scaler fitted on the
 training split; predictions come back in original units, and so does the
 returned metrics.FitTrace, whose curves are per-epoch RMSEs in kWh.
+A non-finite epoch loss is the one sign of divergence; see ``_fit``.
 
 Gradients are derived by hand (full backpropagation through time for the
 recurrent model) and are verified against central finite differences in the
@@ -121,20 +122,20 @@ def _fit(params, loss_grad, forward, data, cfg: TrainConfig):
     The last validation_fraction of rows (at least one) is the validation
     split. Targets are z-scored on the training split and the scaler rides
     on the returned params. The update direction is the bias-corrected
-    moment ratio; its global L2 norm is clipped at cfg.gradient_clip_norm
-    before the learning-rate multiply, so one step never moves parameters
-    further than learning_rate * gradient_clip_norm. The parameters, the
-    moments, the update and the scratch vector of the temporaries share one
-    flat layout (see the module docstring), and the returned params' arrays
-    are views of the parameter vector. The norm is one sum of squares over
-    that vector: global-norm clipping treats every parameter as one vector.
+    moment ratio; its global L2 norm, one sum of squares over the flat
+    update vector (see the module docstring), is clipped at
+    cfg.gradient_clip_norm before the learning-rate multiply, so one step
+    never moves parameters further than learning_rate * gradient_clip_norm.
     Each epoch's training loss is sum(loss_b * |b|) / n_train over its
     mini-batches b, the losses loss_grad returned before each update
     (Keras's convention); its validation loss is the MSE of a forward pass
     over the validation split at the epoch's end, and only that split is
-    scored. Early stopping and the snapshot compare the z-scored validation
-    loss; the FitTrace records sqrt(loss) * effective_std of both, RMSEs in
-    target units.
+    scored. An epoch where either loss is not finite raises
+    TrainingDivergedError; the epoch loop runs under one
+    np.errstate(over="ignore", invalid="ignore"), so an overflow on the way
+    warns of nothing. Early stopping and the snapshot compare the z-scored
+    validation loss; the FitTrace records sqrt(loss) * effective_std of
+    both, RMSEs in target units.
 
     Returns:
         (params at the best-validation epoch, FitTrace).
@@ -156,49 +157,48 @@ def _fit(params, loss_grad, forward, data, cfg: TrainConfig):
     best_val = np.inf
     best = theta.copy()
 
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n_train)
-        loss_sum = 0.0
-        for start in range(0, n_train, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            loss, grads = loss_grad(params, X[idx], z[idx])
-            if not math.isfinite(loss):
-                raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-            loss_sum += loss * idx.size
-            t += 1
-            np.concatenate(grads, axis=None, out=g)
-            # the operations of the whole-array expressions, in their order,
-            # with each temporary written to s
-            m *= ADAM_BETA1
-            m += np.multiply(g, 1.0 - ADAM_BETA1, out=s)
-            v *= ADAM_BETA2
-            np.multiply(g, 1.0 - ADAM_BETA2, out=s)
-            s *= g
-            v += s
-            np.divide(m, 1.0 - ADAM_BETA1**t, out=u)
-            np.divide(v, 1.0 - ADAM_BETA2**t, out=s)
-            np.sqrt(s, out=s)
-            s += ADAM_EPS
-            u /= s
-            np.multiply(u, u, out=s)
-            norm = math.sqrt(np.add.reduce(s))
-            if norm > cfg.gradient_clip_norm:
-                u *= cfg.gradient_clip_norm / norm
-            u *= cfg.learning_rate
-            theta -= u
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n_train)
+            loss_sum = 0.0
+            for start in range(0, n_train, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                loss, grads = loss_grad(params, X[idx], z[idx])
+                loss_sum += loss * idx.size
+                t += 1
+                np.concatenate(grads, axis=None, out=g)
+                # the operations of the whole-array expressions, in their order,
+                # with each temporary written to s
+                m *= ADAM_BETA1
+                m += np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+                v *= ADAM_BETA2
+                np.multiply(g, 1.0 - ADAM_BETA2, out=s)
+                s *= g
+                v += s
+                np.divide(m, 1.0 - ADAM_BETA1**t, out=u)
+                np.divide(v, 1.0 - ADAM_BETA2**t, out=s)
+                np.sqrt(s, out=s)
+                s += ADAM_EPS
+                u /= s
+                np.multiply(u, u, out=s)
+                norm = math.sqrt(np.add.reduce(s))
+                if norm > cfg.gradient_clip_norm:
+                    u *= cfg.gradient_clip_norm / norm
+                u *= cfg.learning_rate
+                theta -= u
 
-        train_loss = loss_sum / n_train
-        val_loss = _mse(forward(params, X_val) - z_val)
-        if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
-            raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-        trace.train.append(math.sqrt(train_loss) * scaler.effective_std)
-        trace.val.append(math.sqrt(val_loss) * scaler.effective_std)
-        if val_loss < best_val:
-            best_val = val_loss
-            trace.best = epoch
-            best = theta.copy()
-        elif epoch - trace.best >= cfg.early_stop_patience:
-            break
+            train_loss = loss_sum / n_train
+            val_loss = _mse(forward(params, X_val) - z_val)
+            if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
+                raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
+            trace.train.append(math.sqrt(train_loss) * scaler.effective_std)
+            trace.val.append(math.sqrt(val_loss) * scaler.effective_std)
+            if val_loss < best_val:
+                best_val = val_loss
+                trace.best = epoch
+                best = theta.copy()
+            elif epoch - trace.best >= cfg.early_stop_patience:
+                break
 
     theta[...] = best
     return params, trace

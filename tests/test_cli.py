@@ -110,6 +110,19 @@ def run_with_cpus(n: int, argv: list) -> subprocess.CompletedProcess:
                           env=env, capture_output=True, text=True, timeout=120)
 
 
+def processes_running(arg: str) -> list:
+    """Pids of the live processes whose command line holds arg, read from
+    /proc; a forked worker keeps its parent's command line."""
+    pids = []
+    for proc in Path("/proc").glob("[0-9]*"):
+        try:
+            if arg.encode() in (proc / "cmdline").read_bytes().split(b"\0"):
+                pids.append(int(proc.name))
+        except OSError:  # exited while read
+            pass
+    return pids
+
+
 @pytest.fixture(scope="module")
 def happy_run(data_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("out")
@@ -314,18 +327,32 @@ class TestNormalize:
         assert (Path("models") / "lstm.json") in trees[0]
         assert trees[0] == trees[1]
 
-    def test_diverging_later_model_fails_alike_with_any_worker_count(self, data_dir, tmp_path):
-        # gbt_hist comes after gbt_exact in MODEL_ORDER
+    # at 1e300 the trees' round-0 training predictions stay finite and only
+    # their validation RMSE overflows; in round 1 gbt_hist's split scores
+    # overflow and both trees' training predictions do
+    @pytest.mark.parametrize("model, learning_rate", [
+        ("mlp", 1e308), ("lstm", 1e308), ("gbt_exact", 1e300), ("gbt_hist", 1e300),
+    ])
+    def test_diverging_later_model_fails_alike_with_any_worker_count(self, data_dir, tmp_path,
+                                                                     monkeypatch, model,
+                                                                     learning_rate):
+        # the trees fit after either network, gbt_hist after gbt_exact; a
+        # NumPy warning that leaks from a fit is an error in the CLI process
+        monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
         doc = run_config(data_dir, output_dir=str(tmp_path / "out"))
-        doc["models"]["gbt_hist"]["learning_rate"] = 1e308
+        sub = doc["models"][model]
+        sub.pop("enabled", None)  # run_config turns the networks off
+        sub["learning_rate"] = learning_rate
         cfg = write_config(tmp_path / "c.json", doc)
         runs = [run_with_cpus(n, ["normalize", "--config", cfg]) for n in (1, 2)]
         for run in runs:
             assert run.returncode == 4
-            assert "error: non-finite predictions" in run.stderr
+            assert "error: non-finite" in run.stderr
             assert "Traceback" not in run.stderr
+            assert "RuntimeWarning" not in run.stderr
         assert runs[0].stderr == runs[1].stderr
         assert not (tmp_path / "out").exists()
+        assert not processes_running(cfg)
 
     @pytest.mark.parametrize("stage, fault, n, want", [
         ("ingest", "kill", 2, "error: a worker process was lost while running "
@@ -927,6 +954,23 @@ class TestConfigValidation:
         assert f"config error: {message}\n" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("models, message", [
+        ({"bogus": {}}, "unknown config key 'models.bogus'"),
+        ({name: {"enabled": False} for name in MODEL_KINDS}, "all models are disabled"),
+    ], ids=["unknown", "all-disabled"])
+    def test_model_set_exits_2_at_load(self, data_dir, tmp_path, capsys, monkeypatch, models,
+                                       message):
+        def no_ingest(*args, **kwargs):
+            raise AssertionError("input was read before the config was checked")
+
+        monkeypatch.setattr(cli, "_ingest", no_ingest)
+        doc = run_config(data_dir, output_dir=str(tmp_path / "out"))
+        doc["models"].update(models)
+        rc = cli.main(["normalize", "--config", write_config(tmp_path / "c.json", doc)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["normalize", "evaluate"])
     def test_energy_channel_as_feature_exits_2_at_load(self, data_dir, tmp_path, capsys, monkeypatch,

@@ -309,16 +309,18 @@ class TestEarlyStop:
         assert len(ens.trees) == trace.best + 1
         assert trace.val[trace.best] == min(trace.val)
 
-    def test_divergence_detected(self):
+    @pytest.mark.parametrize("kind", ["exact", "histogram"])
+    @pytest.mark.parametrize("learning_rate", [1e8, 1e300])
+    def test_divergence_detected(self, kind, learning_rate):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(40, 2))
         y = rng.normal(size=40) + 100.0
         cfg = gb.BoostConfig(
-            rounds=100, learning_rate=1e8, max_depth=2,
+            rounds=100, learning_rate=learning_rate, max_depth=2,
             validation_fraction=0.0, goss_a=1.0, goss_b=0.0,
         )
-        with pytest.raises(TrainingDivergedError):
-            gb.boost_fit((X, y), cfg, kind="exact")
+        with pytest.raises(TrainingDivergedError, match=r"^non-finite predictions at round \d+$"):
+            gb.boost_fit((X, y), cfg, kind=kind)
 
 
 class TestGoss:

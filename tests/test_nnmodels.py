@@ -410,6 +410,36 @@ class TestLstmTraining:
             nn.lstm_predict(params, np.ones((5, 3)))
 
 
+class TestDivergence:
+    """_fit's one rule: a non-finite training or validation loss fails its
+    epoch, and the overflow on the way raises no NumPy warning (the suite
+    makes a RuntimeWarning an error)."""
+
+    @pytest.mark.parametrize("model", ["mlp", "lstm"])
+    def test_huge_learning_rate_fails_epoch_0(self, model):
+        cfg = nn.TrainConfig(learning_rate=1e308, epochs=5, batch_size=16, seed=1)
+        with pytest.raises(TrainingDivergedError, match=r"^non-finite loss at epoch 0$"):
+            if model == "mlp":
+                nn.mlp_train(linear_rows(40), cfg, hidden_sizes=(4,))
+            else:
+                nn.lstm_train(recall_task(n=40), cfg, hidden_size=4)
+
+    def test_nan_batch_loss_fails_its_epoch(self, monkeypatch):
+        # 32 training rows in batches of 8: the sixth call is epoch 1's second batch
+        inner, calls = nn.mlp_loss_grad, []
+
+        def nan_sixth_loss(params, inputs, z):
+            loss, grads = inner(params, inputs, z)
+            calls.append(len(z))
+            return (math.nan if len(calls) == 6 else loss), grads
+
+        monkeypatch.setattr(nn, "mlp_loss_grad", nan_sixth_loss)
+        cfg = nn.TrainConfig(learning_rate=0.01, epochs=5, batch_size=8, seed=1)
+        with pytest.raises(TrainingDivergedError, match=r"^non-finite loss at epoch 1$"):
+            nn.mlp_train(linear_rows(40), cfg, hidden_sizes=(4,))
+        assert calls == [8] * 8  # epoch 1 ran to its end
+
+
 class TestSerialization:
     def test_mlp_round_trip_bit_identical(self):
         X, y = linear_rows(40, seed=3)

@@ -163,11 +163,11 @@ class TestPipelineValidation:
     def test_unknown_model_name(self, small_table, small_periods, tree_models):
         bad = dict(tree_models)
         bad["boosted"] = bad.pop("gbt_exact")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^unknown model names: \['boosted'\]$"):
             nb.run_pipeline(small_table, nb.RunSetup(periods=small_periods, models=bad))
 
     def test_no_models(self, small_table, small_periods):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^no models enabled$"):
             nb.run_pipeline(small_table, nb.RunSetup(periods=small_periods, models={}))
 
     def test_short_train_window(self, small_table, tree_models):
