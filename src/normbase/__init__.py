@@ -50,7 +50,6 @@ from .normalize import (
     RunSetup,
     annual_share,
     daily_load_ratio,
-    default_model_configs,
     ensemble_mean,
     run_pipeline,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "RunSetup",
     "annual_share",
     "daily_load_ratio",
-    "default_model_configs",
     "ensemble_mean",
     "run_pipeline",
     "SynthConfig",

@@ -94,21 +94,17 @@ def _config(kind, value, path: str = ""):
 
 
 def _model_setups(section: dict, run_seed: int) -> dict:
-    """Build per-model setups; absent models default to enabled.
-
-    A model without its own ``seed`` gets the run seed plus its offset.
+    """Translate the config's ``models`` section into per-model setups: an
+    absent model is enabled, ``enabled: false`` drops one, and a model
+    without its own ``seed`` gets the run seed plus its offset. An unknown
+    name stays as it is, for RunSetup to reject as it rejects an empty set.
     """
-    for name in section:
-        if name not in MODEL_KINDS:
-            raise ConfigError(f"unknown config key 'models.{name}'")
-    setups = {}
+    setups = {name: sub for name, sub in section.items() if name not in MODEL_KINDS}
     for name, kind in MODEL_KINDS.items():
         path = f"models.{name}"
         sub = dict(_config(dict, section.get(name, {}), path))
         if _config(bool, sub.pop("enabled", True), f"{path}.enabled"):
             setups[name] = _config(kind.setup, {"seed": run_seed + kind.seed_offset, **sub}, path)
-    if not setups:
-        raise ConfigError("all models are disabled")
     return setups
 
 
@@ -118,18 +114,23 @@ class RunSettings(RunSetup):
     run_pipeline reads, plus where the run reads and writes.
 
     Each field is a top-level config key, and a field without a default is a
-    required key. ``models`` is a dict here, so the key rejects null.
-    load_run_settings resolves ``inputs`` and ``output_dir`` against the
-    config file's directory and turns ``models`` into per-model setups.
+    required key. ``models`` takes the config's raw section (a dict: the key
+    rejects null), which __post_init__ turns into setups once, before
+    RunSetup's checks. load_run_settings resolves ``inputs`` and
+    ``output_dir`` against the config file's directory.
     """
 
     timezone: str = "UTC"
     interval_seconds: int = field(metadata={"minimum": 1})
-    inputs: dict
+    inputs: dict[str, Path]
     gap_fill: GapFillPolicy = GapFillPolicy()
     models: dict = field(default_factory=dict)
     output_dir: Path = Path("normbase_out")
     save_models: bool = False
+
+    def __post_init__(self):
+        self.models = _model_setups(self.models, self.seed)
+        super().__post_init__()
 
 
 def load_run_settings(path: Path) -> RunSettings:
@@ -140,14 +141,11 @@ def load_run_settings(path: Path) -> RunSettings:
     if ENERGY_CHANNEL not in settings.inputs:
         raise ConfigError(f"missing required config key 'inputs.{ENERGY_CHANNEL}'")
     base_dir = Path(path).resolve().parent
-    settings.inputs = {
-        ch: base_dir / _config(Path, p, f"inputs.{ch}") for ch, p in settings.inputs.items()
-    }
+    settings.inputs = {ch: base_dir / p for ch, p in settings.inputs.items()}
     for ch in settings.features.weather_channels:
         if ch not in settings.inputs:
             raise ConfigError(f"features use channel {ch!r} but 'inputs.{ch}' is missing")
     resolve_timezone(settings.timezone)
-    settings.models = _model_setups(settings.models, settings.seed)
     settings.output_dir = base_dir / settings.output_dir
     return settings
 

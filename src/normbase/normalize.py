@@ -8,9 +8,9 @@ out as per-date load ratios (actual / predicted) and cumulative reduction.
 Study-range predictions see only study-range weather/calendar features and
 train-range targets; study targets are never shown to a model.
 
-RunSetup declares a run's settings once: run_pipeline(table, setup) reads
-them from it, and cli.RunSettings extends it with the config file's input
-and output keys. fit_models, the pipeline up to the test KPIs, is what
+RunSetup declares a run's settings once and resolves their defaults when
+built: run_pipeline(table, setup) reads them from it as they are, and
+cli.RunSettings extends it with the config file's input and output keys. fit_models, the pipeline up to the test KPIs, is what
 ``evaluate`` without ``--models`` runs. The Report dataclasses declare
 report.json once: savefile.to_json writes a Report, from_json(Report, doc)
 reads one back, and report_schema() derives report.schema.json from them.
@@ -30,7 +30,6 @@ the report's v1 ``info``.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from datetime import date
@@ -92,16 +91,21 @@ class EnsembleSetup:
 
 @dataclass(kw_only=True)
 class RunSetup:
-    """What one run_pipeline call trains, gates and reports.
+    """What one run_pipeline call trains, gates and reports, resolved and
+    checked when built, so later code reads each setting as it is.
 
-    ``models`` maps model names to their setups; None enables all four with
-    defaults and seeds ``seed`` plus their offsets. ``reference_range`` is
-    the annual share's denominator period, the test range when None.
+    ``models`` maps model names (of MODEL_KINDS, at least one) to setups;
+    None becomes all four with defaults, seeded ``seed`` plus their offsets.
+    ``reference_range``, the annual share's denominator, becomes the test
+    range when None. from_json(RunSetup, doc) picks each setup class by the
+    keys of a full to_json dict, as no two setups share a field set; a
+    partial config section fits the wrong one (an LSTM's ``{"epochs": 5}``
+    fits MlpSetup), so the CLI translates its own (cli._model_setups).
     """
 
     periods: PeriodSpec
     features: FeatureSpec = FeatureSpec()
-    models: Optional[dict] = None
+    models: Optional[dict[str, Union[MlpSetup, LstmSetup, gbmodels.BoostConfig]]] = None
     kpi: KpiSetup = KpiSetup()
     ensemble: EnsembleSetup = EnsembleSetup()
     seed: int = 0
@@ -109,8 +113,15 @@ class RunSetup:
 
     def __post_init__(self):
         check_fields(self)
-        reference = self.reference_range
-        if reference is not None and reference[1] < reference[0]:
+        if self.models is None:
+            self.models = {n: kind.setup(seed=self.seed + kind.seed_offset) for n, kind in MODEL_KINDS.items()}
+        for name in self.models:
+            if name not in MODEL_KINDS:
+                raise ConfigError(f"unknown config key 'models.{name}'")
+        if not self.models:
+            raise ConfigError("all models are disabled")
+        self.reference_range = self.reference_range or self.periods.test
+        if self.reference_range[1] < self.reference_range[0]:
             raise ConfigError("config key 'reference_range' ends before it starts")
 
 
@@ -258,11 +269,6 @@ MODEL_KINDS = {
 MODEL_ORDER = tuple(MODEL_KINDS)
 
 
-def default_model_configs(seed: int = 0) -> dict:
-    """All four models with default hyperparameters and seeds run seed + offset."""
-    return {name: kind.setup(seed=seed + kind.seed_offset) for name, kind in MODEL_KINDS.items()}
-
-
 def score(matrix: FeatureMatrix, test_mask, pred, p: int = KpiSetup.p) -> KpiReport:
     """KPIs of one prediction vector over the test rows it covers.
 
@@ -399,7 +405,7 @@ class Report:
 
 def report_schema() -> dict:
     """report.schema.json: json_schema(Report) plus the v1 rules that tie each
-    model name to its info dataclass. ``python -m normbase.normalize`` prints it."""
+    model name to its info dataclass."""
     schema = {"title": "normbase normalization report", **json_schema(Report)}
     tied = {}
     for info in dict.fromkeys(kind.info for kind in MODEL_KINDS.values()):
@@ -497,17 +503,10 @@ def fit_models(table, setup: RunSetup, ranges: tuple = ()) -> tuple:
     (test KPIs, prediction per matrix row, FitTrace, fitted model).
 
     Raises:
-        ConfigError: ``setup.models`` names an unknown model, or none, or
-            kpi.p is not below the test range's usable rows.
+        ConfigError: kpi.p is not below the test range's usable rows.
         DataError: too few usable rows in a range.
     """
-    models = default_model_configs(setup.seed) if setup.models is None else setup.models
-    unknown = set(models) - set(MODEL_KINDS)
-    if unknown:
-        raise ConfigError(f"unknown model names: {sorted(unknown)}")
-    enabled = [name for name in MODEL_ORDER if name in models]
-    if not enabled:
-        raise ConfigError("no models enabled")
+    enabled = [name for name in MODEL_ORDER if name in setup.models]
 
     matrix = build_features(table, setup.features)
     train_mask = matrix.date_mask(*setup.periods.train)
@@ -527,7 +526,7 @@ def fit_models(table, setup: RunSetup, ranges: tuple = ()) -> tuple:
     scaled = apply_scaler(matrix, scaler)
     fit_one = partial(_fit_one, matrix=scaled, train_mask=train_mask, test_mask=test_mask,
                       lookback=setup.features.lookback_days, p=setup.kpi.p)
-    fits = map_in_workers(fit_one, enabled, [models[n] for n in enabled])
+    fits = map_in_workers(fit_one, enabled, [setup.models[n] for n in enabled])
     return scaler, scaled, test_mask, dict(zip(enabled, fits))
 
 
@@ -546,8 +545,7 @@ def run_pipeline(table, setup: RunSetup) -> NormalizationReport:
             or no selected model predicts a study day (a lookback window
             can leave them all uncovered).
     """
-    periods, p = setup.periods, setup.kpi.p
-    reference = setup.reference_range or periods.test
+    periods, p, reference = setup.periods, setup.kpi.p, setup.reference_range
     scaler, scaled, test_mask, fits = fit_models(
         table, setup, (("study range", periods.study), ("reference_range", reference)))
     kpis, preds, traces, fitted = ({n: fit[i] for n, fit in fits.items()} for i in range(4))
@@ -619,7 +617,3 @@ def run_pipeline(table, setup: RunSetup) -> NormalizationReport:
         preds=preds,
         fitted=fitted,
     )
-
-
-if __name__ == "__main__":
-    print(json.dumps(report_schema(), indent=2))

@@ -5,6 +5,7 @@ import os
 import time
 from datetime import date
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from normbase import cli, gbmodels
 from normbase import normalize as nb
 from normbase.features import FeatureSpec, apply_scaler, build_features, fit_scaler, make_sequences
-from normbase.savefile import to_json
+from normbase.savefile import from_json, json_schema, to_json
 from normbase.errors import (
     ConfigError,
     DataError,
@@ -114,13 +115,26 @@ class TestAnnualShare:
             nb.annual_share(50.0, 0.0)
 
 
-def test_default_model_configs_cover_all_models():
-    cfgs = nb.default_model_configs(seed=100)
-    assert set(cfgs) == set(nb.MODEL_ORDER)
-    assert cfgs["mlp"].seed == 111
-    assert cfgs["lstm"].seed == 122
-    assert cfgs["gbt_exact"].seed == 133
-    assert cfgs["gbt_hist"].seed == 144
+class TestRunSetup:
+    def test_default_models_cover_all_models(self, small_periods):
+        cfgs = nb.RunSetup(periods=small_periods, seed=100).models
+        assert list(cfgs) == list(nb.MODEL_ORDER)
+        assert [type(c) for c in cfgs.values()] == [
+            nb.MlpSetup, nb.LstmSetup, gbmodels.BoostConfig, gbmodels.BoostConfig]
+        assert [c.seed for c in cfgs.values()] == [111, 122, 133, 144]
+
+    def test_default_reference_range_is_the_test_range(self, small_periods):
+        assert nb.RunSetup(periods=small_periods).reference_range == small_periods.test
+
+    @pytest.mark.parametrize("models", [None, {"lstm": nb.LstmSetup(epochs=5, hidden_size=8)}],
+                             ids=["defaults", "lstm-only"])
+    def test_round_trips_through_json(self, small_periods, models):
+        setup = nb.RunSetup(periods=small_periods, models=models, seed=5)
+        doc = json.loads(json.dumps(to_json(setup)))
+        back = from_json(nb.RunSetup, doc)
+        assert back == setup
+        assert [type(c) for c in back.models.values()] == [type(c) for c in setup.models.values()]
+        jsonschema.validate(doc, json_schema(nb.RunSetup))
 
 
 class TestPipelineValidation:
@@ -160,15 +174,15 @@ class TestPipelineValidation:
             nb.run_pipeline(small_table, setup)
         assert str(exc.value) == "reference_range has no usable rows"
 
-    def test_unknown_model_name(self, small_table, small_periods, tree_models):
+    def test_unknown_model_name(self, small_periods, tree_models):
         bad = dict(tree_models)
         bad["boosted"] = bad.pop("gbt_exact")
-        with pytest.raises(ConfigError, match=r"^unknown model names: \['boosted'\]$"):
-            nb.run_pipeline(small_table, nb.RunSetup(periods=small_periods, models=bad))
+        with pytest.raises(ConfigError, match=r"^unknown config key 'models.boosted'$"):
+            nb.RunSetup(periods=small_periods, models=bad)
 
-    def test_no_models(self, small_table, small_periods):
-        with pytest.raises(ConfigError, match="^no models enabled$"):
-            nb.run_pipeline(small_table, nb.RunSetup(periods=small_periods, models={}))
+    def test_no_models(self, small_periods):
+        with pytest.raises(ConfigError, match="^all models are disabled$"):
+            nb.RunSetup(periods=small_periods, models={})
 
     def test_short_train_window(self, small_table, tree_models):
         periods = nb.PeriodSpec(
